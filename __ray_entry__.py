@@ -863,7 +863,7 @@ _CONV_STATS_SCHEMA = pa.schema(
 def q_conv_stats(sf_dir: str):
     import pandas as pd
 
-    from logstash_filter_elastic_integration_ray.stages.aggregate import add_partition_col
+    from logstash_filter_elastic_integration_ray.stages.exchange import exchange
 
     def per_partition(df: pd.DataFrame) -> pa.Table:
         df = df.sort_values(["conv_id", "turn_idx"], kind="mergesort")
@@ -877,10 +877,7 @@ def q_conv_stats(sf_dir: str):
         ).reset_index()
         return pa.Table.from_pandas(out, preserve_index=False, schema=_CONV_STATS_SCHEMA).replace_schema_metadata(None)
 
-    parts = read_transcripts(sf_dir).map_batches(
-        lambda b: add_partition_col(b, 64), batch_format="pyarrow"
-    )
-    return parts.repartition(32).groupby("__part").map_groups(per_partition, batch_format="pandas")
+    return exchange(read_transcripts(sf_dir), "conv_id", 32, per_partition, "pandas")
 
 
 def q_conv_stats_scalable(sf_dir: str):
@@ -2052,57 +2049,28 @@ def q_dedup_keep_best_docs(sf_dir: str):
     each doc's n_chars, then stages/aggregate.py:group_argmax keeps
     each cluster's longest member (tie: min doc_id).  Fixture from the
     union-find + plain-argmax reference."""
-    from logstash_filter_elastic_integration_ray.stages.aggregate import (
-        add_partition_col,
-        group_argmax,
-    )
+    from logstash_filter_elastic_integration_ray.stages.aggregate import group_argmax
     from logstash_filter_elastic_integration_ray.stages.dedup import (
         minhash_cluster_assignments,
     )
+    from logstash_filter_elastic_integration_ray.stages.exchange import copartition
 
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet",
                               columns=["doc_id", "text", "n_chars"])
     assign = minhash_cluster_assignments(
         docs.select_columns(["doc_id", "text"]))
 
-    def a_side(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        out = pa.table({
-            "doc_id": t.column("doc_id"),
-            "cluster_id": t.column("cluster_id"),
-            "n_chars": pa.array(np.zeros(n, dtype=np.int64)),
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
-        })
-        return add_partition_col(out, 32, key="doc_id")
-
-    def b_side(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        out = pa.table({
-            "doc_id": t.column("doc_id").cast(pa.int64()),
-            "cluster_id": pa.array(np.zeros(n, dtype=np.int64)),
-            "n_chars": t.column("n_chars").cast(pa.int64()),
-            "side": pa.array(np.ones(n, dtype=np.int8)),
-        })
-        return add_partition_col(out, 32, key="doc_id")
-
-    def resolve(df):
-        a = df[df["side"] == 0][["doc_id", "cluster_id"]]
-        b = df[df["side"] == 1][["doc_id", "n_chars"]]
-        m = a.merge(b, on="doc_id", how="inner")
+    def resolve(a, b):
+        m = a[["doc_id", "cluster_id"]].merge(b, on="doc_id", how="inner")
         return pa.table({
             "cluster_id": pa.array(m["cluster_id"].to_numpy(dtype=np.int64)),
             "doc_id": pa.array(m["doc_id"].to_numpy(dtype=np.int64)),
             "n_chars": pa.array(m["n_chars"].to_numpy(dtype=np.int64)),
         })
 
-    joined = (
-        assign.map_batches(a_side, batch_format="pyarrow")
-        .union(docs.select_columns(["doc_id", "n_chars"])
-               .map_batches(b_side, batch_format="pyarrow"))
-        .repartition(32)
-        .groupby("__part")
-        .map_groups(resolve, batch_format="pandas")
-    )
+    joined = copartition({"a": (assign, "doc_id"),
+                          "b": (docs.select_columns(["doc_id", "n_chars"]), "doc_id")},
+                         32, resolve, "pandas")
     return group_argmax(joined, key="cluster_id", order_col="n_chars",
                         tiebreak_col="doc_id",
                         keep_cols=["doc_id", "n_chars"], descending=True)
@@ -3357,9 +3325,7 @@ def q_role_alternation(sf_dir: str):
     ``turn_integrity``.  One window co-partition (grouped_shift over
     int role codes) + thin two-phase per-conversation sums; SQL lag
     NULL discipline (the first turn never counts)."""
-    from logstash_filter_elastic_integration_ray.stages.aggregate import (
-        add_partition_col,
-    )
+    from logstash_filter_elastic_integration_ray.stages.exchange import exchange
     from logstash_filter_elastic_integration_ray.stages.windows import grouped_shift
 
     ds = read_transcripts(sf_dir)
@@ -3389,12 +3355,11 @@ def q_role_alternation(sf_dir: str):
         )
         part = pa.table({"conv_id": t.column("conv_id"), "s": same})
         df = part.to_pandas().groupby("conv_id", as_index=False)["s"].sum()
-        out = pa.table({
+        return pa.table({
             "conv_id": pa.array(df["conv_id"].to_numpy(dtype=object),
                                 type=pa.string()),
             "s": pa.array(df["s"].to_numpy(dtype=np.int64)),
         })
-        return add_partition_col(out, 32, key="conv_id")
 
     def finish(df: "pd.DataFrame") -> pa.Table:
         agg = df.groupby("conv_id", as_index=False)["s"].sum()
@@ -3406,12 +3371,8 @@ def q_role_alternation(sf_dir: str):
             "alternates": pa.array(agg["s"].to_numpy(dtype=np.int64) == 0),
         })
 
-    return (
-        shifted.map_batches(partial, batch_format="pyarrow")
-        .repartition(32)
-        .groupby("__part")
-        .map_groups(finish, batch_format="pandas")
-    )
+    return exchange(shifted.map_batches(partial, batch_format="pyarrow"), "conv_id", 32,
+                    finish, "pandas")
 
 
 def q_conv_curation_chain(sf_dir: str):
@@ -3435,12 +3396,10 @@ def q_conv_curation_chain(sf_dir: str):
        conversation roster ``(conv_key, n_turns, k_sum)``.
 
     One SQL oracle covers the whole composition."""
-    from logstash_filter_elastic_integration_ray.stages.aggregate import (
-        add_partition_col,
-    )
     from logstash_filter_elastic_integration_ray.stages.convdedup import (
         conversation_prefix_groups,
     )
+    from logstash_filter_elastic_integration_ray.stages.exchange import exchange
     from logstash_filter_elastic_integration_ray.stages.joins import hash_semi_join
 
     ds = read_transcripts(sf_dir)
@@ -3491,12 +3450,11 @@ def q_conv_curation_chain(sf_dir: str):
         part = pa.table({"conv_key": t.column("conv_key"), "ks": ks})
         df = part.to_pandas().groupby("conv_key", as_index=False).agg(
             k_sum=("ks", "sum"), n_turns=("ks", "size"))
-        out = pa.table({
+        return pa.table({
             "conv_key": pa.array(df["conv_key"].to_numpy(dtype=np.int64)),
             "n_turns": pa.array(df["n_turns"].to_numpy(dtype=np.int64)),
             "k_sum": pa.array(df["k_sum"].to_numpy(dtype=np.int64)),
         })
-        return add_partition_col(out, 32, key="conv_key")
 
     def finish(df: "pd.DataFrame") -> pa.Table:
         agg = df.groupby("conv_key", as_index=False).agg(
@@ -3508,12 +3466,8 @@ def q_conv_curation_chain(sf_dir: str):
             "k_sum": pa.array(agg["k_sum"].to_numpy(dtype=np.int64)),
         })
 
-    return (
-        kept.map_batches(partial, batch_format="pyarrow")
-        .repartition(32)
-        .groupby("__part")
-        .map_groups(finish, batch_format="pandas")
-    )
+    return exchange(kept.map_batches(partial, batch_format="pyarrow"), "conv_key", 32,
+                    finish, "pandas")
 
 
 def q_tool_latency_quantiles(sf_dir: str):
@@ -3560,12 +3514,10 @@ def q_preference_pairs(sf_dir: str):
     per-batch expansion: the groups table already carries keep +
     n_branches, so no further exchange is needed beyond a min-per-key
     attach (thin rows, co-partitioned by prefix)."""
-    from logstash_filter_elastic_integration_ray.stages.aggregate import (
-        add_partition_col,
-    )
     from logstash_filter_elastic_integration_ray.stages.convdedup import (
         conversation_prefix_groups,
     )
+    from logstash_filter_elastic_integration_ray.stages.exchange import exchange
 
     ds = read_transcripts(sf_dir)
     k = 4
@@ -3596,7 +3548,6 @@ def q_preference_pairs(sf_dir: str):
     )
 
     def pairs(df: "pd.DataFrame") -> pa.Table:
-        df = df.drop(columns="__part")
         chosen = df.groupby("prefix_key")["conv_id"].transform("min")
         rej = df[(df["n_branches"] >= 2) & (df["conv_id"] != chosen)]
         return pa.table({
@@ -3608,15 +3559,7 @@ def q_preference_pairs(sf_dir: str):
                                  type=pa.string()),
         })
 
-    return (
-        groups.map_batches(
-            lambda t: add_partition_col(t, 32, key="prefix_key"),
-            batch_format="pyarrow",
-        )
-        .repartition(32)
-        .groupby("__part")
-        .map_groups(pairs, batch_format="pandas")
-    )
+    return exchange(groups, "prefix_key", 32, pairs, "pandas")
 
 
 def q_conv_neardup_minhash(sf_dir: str):
@@ -3765,6 +3708,7 @@ def q_trending_events(sf_dir: str):
     import pandas as pd
 
     from logstash_filter_elastic_integration_ray.stages.aggregate import _count_partials
+    from logstash_filter_elastic_integration_ray.stages.exchange import exchange
 
     ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
 
@@ -3776,7 +3720,7 @@ def q_trending_events(sf_dir: str):
 
     partials = _count_partials(
         ds.map_batches(day_col, batch_format="pyarrow"),
-        ["day", "event_type"], "cnt", 16,
+        ["day", "event_type"], "cnt",
     )
 
     def per_part(df: pd.DataFrame) -> pa.Table:
@@ -3790,11 +3734,7 @@ def q_trending_events(sf_dir: str):
         i = out.column_names.index("day")
         return out.set_column(i, "day", out.column("day").cast(pa.timestamp("us")))
 
-    return (
-        partials.repartition(16)
-        .groupby("__part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return exchange(partials, "day", 16, per_part, "pandas")
 
 
 def q_psi_drift_events(sf_dir: str):
@@ -4282,7 +4222,7 @@ def q_events_hourly(sf_dir: str):
         cents = pc.round(pc.multiply(t.column("value"), 100.0)).cast(pa.int64())
         return pa.table({"user_id": t.column("user_id"), "hour": hour, "value_cents": cents})
 
-    from logstash_filter_elastic_integration_ray.stages.aggregate import add_partition_col
+    from logstash_filter_elastic_integration_ray.stages.exchange import exchange
 
     hourly_schema = pa.schema([
         ("user_id", pa.int64()), ("hour", pa.timestamp("us")),
@@ -4307,14 +4247,9 @@ def q_events_hourly(sf_dir: str):
 
     # two-phase with a co-partitioned vectorized merge: the group count
     # scales with users × hours, where Ray's aggregate pays per group
-    out = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .map_batches(partial, batch_format="pyarrow")
-        .map_batches(lambda b: add_partition_col(b, 32, key="user_id"), batch_format="pyarrow")
-        .repartition(32)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    out = exchange(
+        ds.map_batches(prep, batch_format="pyarrow").map_batches(partial, batch_format="pyarrow"),
+        "user_id", 32, merge, "pandas")
     return _cast_ts_us(out, ["hour"])
 
 
@@ -4396,7 +4331,7 @@ def q_transcript_dedup(sf_dir: str):
         df = t.to_pandas().drop_duplicates(["conv_id", "turn_idx"])
         return pa.Table.from_pandas(df[["conv_id", "turn_idx"]], preserve_index=False)
 
-    from logstash_filter_elastic_integration_ray.stages.aggregate import add_partition_col
+    from logstash_filter_elastic_integration_ray.stages.exchange import exchange
 
     dedup_schema = pa.schema([("conv_id", pa.string()), ("turn_idx", pa.int32())])
 
@@ -4410,12 +4345,7 @@ def q_transcript_dedup(sf_dir: str):
     # partition — a Ray aggregate here pays per-GROUP overhead at
     # key cardinality == row count
     thinned = doubled.map_batches(key_and_thin, batch_format="pyarrow")
-    return (
-        thinned.map_batches(lambda b: add_partition_col(b, 32, key="conv_id"), batch_format="pyarrow")
-        .repartition(32)
-        .groupby("__part")
-        .map_groups(drop_dups, batch_format="pandas")
-    )
+    return exchange(thinned, "conv_id", 32, drop_dups, "pandas")
 
 
 def q_session_windows(sf_dir: str):
@@ -4425,7 +4355,7 @@ def q_session_windows(sf_dir: str):
     import pandas as pd
     import ray.data as rd
 
-    from logstash_filter_elastic_integration_ray.stages.aggregate import add_partition_col
+    from logstash_filter_elastic_integration_ray.stages.exchange import exchange
 
     ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"])
 
@@ -4451,8 +4381,7 @@ def q_session_windows(sf_dir: str):
         )
         return pa.Table.from_pandas(out, preserve_index=False, schema=schema).replace_schema_metadata(None)
 
-    parts = ds.map_batches(lambda b: add_partition_col(b, 16, key="user_id"), batch_format="pyarrow")
-    return parts.repartition(16).groupby("__part").map_groups(per_partition, batch_format="pandas")
+    return exchange(ds, "user_id", 16, per_partition, "pandas")
 
 
 def q_asof_latest_order(sf_dir: str):
@@ -5221,7 +5150,7 @@ def q_domain_stats_web(sf_dir: str):
     import pandas as pd
 
     from logstash_filter_elastic_integration_ray.functions.net import split_registered_domain
-    from logstash_filter_elastic_integration_ray.stages.aggregate import add_partition_col
+    from logstash_filter_elastic_integration_ray.stages.exchange import exchange
     from logstash_filter_elastic_integration_ray.stages.web import canonicalize_urls
 
     ds = canonicalize_urls(_with_messy_urls(sf_dir))
@@ -5244,12 +5173,11 @@ def q_domain_stats_web(sf_dir: str):
         df = pd.DataFrame({"registered_domain": doms, "nt": nt})
         agg = df.groupby("registered_domain", sort=False).agg(
             n_pages=("nt", "size"), n_tokens=("nt", "sum")).reset_index()
-        out = pa.table({
+        return pa.table({
             "registered_domain": pa.array(agg["registered_domain"], type=pa.string()),
             "n_pages": pa.array(agg["n_pages"].to_numpy(dtype=np.int64)),
             "n_tokens": pa.array(agg["n_tokens"].to_numpy(dtype=np.int64)),
         })
-        return add_partition_col(out, 8, key="registered_domain")
 
     def merge(df: "pd.DataFrame") -> pa.Table:
         g = df.groupby("registered_domain", sort=False)
@@ -5264,12 +5192,8 @@ def q_domain_stats_web(sf_dir: str):
                 / n_pages.to_numpy(dtype=np.float64)),
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(8)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), "registered_domain", 8,
+                    merge, "pandas")
 
 
 def q_grouping_sets_events(sf_dir: str):
@@ -7190,7 +7114,7 @@ def oracle_sql() -> dict[str, str]:
             "CASE WHEN turn_idx < 4 THEN text ELSE text || ' regen' END AS text "
             "FROM transcripts WHERE CAST(substr(conv_id, 2) AS BIGINT) % 7 = 0), "
             "p AS (SELECT conv_key, "
-            "md5(string_agg(text, chr(31) ORDER BY turn_idx)) AS prefix_key "
+            "md5(string_agg(coalesce(text, ''), chr(31) ORDER BY turn_idx)) AS prefix_key "
             "FROM allc WHERE turn_idx < 4 GROUP BY conv_key), "
             "keepers AS (SELECT conv_key FROM ("
             "SELECT conv_key, conv_key = min(conv_key) OVER "
@@ -7219,7 +7143,7 @@ def oracle_sql() -> dict[str, str]:
             "CASE WHEN turn_idx < 4 THEN text ELSE text || ' regen' END AS text "
             "FROM transcripts WHERE CAST(substr(conv_id, 2) AS BIGINT) % 7 = 0), "
             "p AS (SELECT conv_id, "
-            "md5(string_agg(text, chr(31) ORDER BY turn_idx)) AS prefix_key "
+            "md5(string_agg(coalesce(text, ''), chr(31) ORDER BY turn_idx)) AS prefix_key "
             "FROM allc WHERE turn_idx < 4 GROUP BY conv_id), "
             "g AS (SELECT conv_id, prefix_key, "
             "min(conv_id) OVER w AS chosen, "
@@ -7236,7 +7160,7 @@ def oracle_sql() -> dict[str, str]:
             "CASE WHEN turn_idx < 4 THEN text ELSE text || ' regen' END AS text "
             "FROM transcripts WHERE CAST(substr(conv_id, 2) AS BIGINT) % 7 = 0), "
             "p AS (SELECT conv_id, "
-            "md5(string_agg(text, chr(31) ORDER BY turn_idx)) AS prefix_key "
+            "md5(string_agg(coalesce(text, ''), chr(31) ORDER BY turn_idx)) AS prefix_key "
             "FROM allc WHERE turn_idx < 4 GROUP BY conv_id) "
             "SELECT conv_id, prefix_key, "
             "CAST(count(*) OVER w AS BIGINT) AS n_branches, "

@@ -39,10 +39,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-try:  # Arrow-native string hashing (same guard as stages/decontam.py)
-    import polars as _pl
-except ImportError:  # pragma: no cover - polars ships in this container
-    _pl = None
+from .exchange import add_partition_col, exchange  # noqa: F401  (re-exported)
 
 P = np.int64(2**31 - 1)
 R = np.int64(1_000_003)
@@ -141,36 +138,6 @@ def conv_partial_batch(batch: pa.Table, hash_mode: str = "fast") -> pa.Table:
     return pa.Table.from_pandas(agg.reset_index(), preserve_index=False).replace_schema_metadata(None)
 
 
-def add_partition_col(batch: pa.Table, num_partitions: int, key: str = "conv_id") -> pa.Table:
-    col = batch.column(key)
-    if pa.types.is_integer(col.type):
-        # numeric fast path: hash the int64 buffer directly — no
-        # per-row Python object materialization.  Nulls are filled with
-        # a fixed sentinel FIRST: int-with-null converts to float64,
-        # whose hash differs from the int hash, so the same key would
-        # otherwise land in different partitions depending on whether
-        # its batch happened to contain a null (a sentinel collision
-        # merely co-locates two groups, which is harmless).
-        if col.null_count:
-            col = pc.fill_null(col, np.iinfo(np.int64).min)
-        vals = col.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        part = (pd.util.hash_array(vals) % np.uint64(num_partitions)).astype(np.int64)
-    else:
-        # string keys: hash the Arrow buffer directly when polars is
-        # available (no per-row Python objects — this is the headline
-        # pipeline's partitioning hot path); partition assignment is
-        # internal-only, so the hash function choice is free
-        if _pl is not None:
-            h = _pl.from_arrow(
-                col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-            ).hash(seed=0).to_numpy()
-        else:
-            h = pd.util.hash_array(np.asarray(col.to_pylist(), dtype=object),
-                                   categorize=False)
-        part = (h % np.uint64(num_partitions)).astype(np.int64)
-    return batch.append_column("__part", pa.array(part))
-
-
 def _merge_partition(df: pd.DataFrame) -> pd.DataFrame:
     """Merge all partials of one hash partition — vectorized pandas
     (one Python call per *partition*, not per conversation; Ray's
@@ -224,16 +191,7 @@ def conv_stats(ds, num_partitions: int = 64, hash_mode: str = "fast"):
     partials = ds.map_batches(
         lambda b: conv_partial_batch(b, hash_mode), batch_format="pyarrow"
     )
-    parts = partials.map_batches(
-        lambda b: add_partition_col(b, num_partitions), batch_format="pyarrow"
-    )
-    # coalesce the many tiny partial blocks (one per input block) before
-    # the sort-shuffle — per-task overhead on hundreds of micro-blocks
-    # otherwise dominates the groupby (measured 14s → 1.1s at 256 blocks)
-    merged = parts.repartition(num_partitions).groupby("__part").map_groups(
-        _merge_partition, batch_format="pandas"
-    )
-    return merged
+    return exchange(partials, "conv_id", num_partitions, _merge_partition, "pandas")
 
 
 def conv_stats_reference(table: pa.Table) -> pd.DataFrame:
@@ -295,8 +253,7 @@ def pivot_counts(ds, *, key: str, cat: str, categories: list[str],
     def partial(t: pa.Table) -> pa.Table:
         kcol = t.column(key)
         if t.num_rows == 0:
-            empty = pa.table({key: kcol, **{c: pa.array([], type=pa.int64()) for c in cols}})
-            return add_partition_col(empty, num_partitions, key=key)
+            return pa.table({key: kcol, **{c: pa.array([], type=pa.int64()) for c in cols}})
         kcodes, kuniq_first = _first_occurrence_codes(kcol)
         # vectorized category→index mapping; unknown/null → ncat slot
         ccodes = (
@@ -311,7 +268,7 @@ def pivot_counts(ds, *, key: str, cat: str, categories: list[str],
         out = {key: kcol.take(kuniq_first)}
         for i, c in enumerate(cols):
             out[c] = pa.array(counts[:, i], type=pa.int64())
-        return add_partition_col(pa.table(out), num_partitions, key=key)
+        return pa.table(out)
 
     def merge(t: pa.Table) -> pa.Table:
         """Pure-Arrow per-partition sum: a pandas round trip would
@@ -335,12 +292,8 @@ def pivot_counts(ds, *, key: str, cat: str, categories: list[str],
             out[c] = pa.array(sums, type=pa.int64())
         return pa.table(out)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), key,
+                    num_partitions, merge, "pyarrow")
 
 
 def group_counts(ds, *, key: str, out_col: str = "n", num_partitions: int = 32):
@@ -354,14 +307,12 @@ def group_counts(ds, *, key: str, out_col: str = "n", num_partitions: int = 32):
 
     def partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            empty = pa.table({key: t.column(key), out_col: pa.array([], type=pa.int64())})
-            return add_partition_col(empty, num_partitions, key=key)
+            return pa.table({key: t.column(key), out_col: pa.array([], type=pa.int64())})
         kcodes, kuniq_first = _first_occurrence_codes(t.column(key))
         counts = np.bincount(kcodes, minlength=len(kuniq_first))
-        out = pa.table(
+        return pa.table(
             {key: t.column(key).take(kuniq_first), out_col: pa.array(counts, type=pa.int64())}
         )
-        return add_partition_col(out, num_partitions, key=key)
 
     def merge(t: pa.Table) -> pa.Table:
         kcodes, kuniq_first = _first_occurrence_codes(t.column(key))
@@ -377,12 +328,8 @@ def group_counts(ds, *, key: str, out_col: str = "n", num_partitions: int = 32):
             {key: t.column(key).take(kuniq_first), out_col: pa.array(sums, type=pa.int64())}
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), key,
+                    num_partitions, merge, "pyarrow")
 
 
 def _dict_codes(col) -> np.ndarray:
@@ -471,25 +418,24 @@ def _level_table(t: pa.Table, keys: list[str], keep: int, val_col: str,
     return pa.table(cols)
 
 
-def _count_partials(ds, keys: list[str], out_col: str, num_partitions: int):
+def _count_partials(ds, keys: list[str], out_col: str):
     """Per-batch partial ``count(*)`` over the full key tuple — one row
-    per distinct tuple per batch, partitioned by ``keys[0]`` so every
-    ROLLUP prefix level of a given first-key value is co-located."""
+    per distinct tuple per batch; callers exchange them by ``keys[0]``
+    so every ROLLUP prefix level of a given first-key value is
+    co-located."""
 
     def partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            empty = pa.table({**{k: t.column(k) for k in keys},
-                              out_col: pa.array([], type=pa.int64())})
-            return add_partition_col(empty, num_partitions, key=keys[0])
+            return pa.table({**{k: t.column(k) for k in keys},
+                             out_col: pa.array([], type=pa.int64())})
         gids, rep = _multi_group_codes([t.column(k) for k in keys])
         counts = np.bincount(gids, minlength=len(rep))
-        out = pa.table({
+        return pa.table({
             **{k: (t.column(k).combine_chunks()
                    if isinstance(t.column(k), pa.ChunkedArray) else t.column(k))
                .take(pa.array(rep, type=pa.int64())) for k in keys},
             out_col: pa.array(counts.astype(np.int64)),
         })
-        return add_partition_col(out, num_partitions, key=keys[0])
 
     return ds.map_batches(partial, batch_format="pyarrow")
 
@@ -557,17 +503,13 @@ def rollup_counts(ds, *, keys: list[str], out_col: str = "cnt",
     n = len(keys)
     if n < 1:
         raise ValueError("rollup_counts: needs at least one key")
-    partials = _count_partials(ds, keys, out_col, num_partitions)
+    partials = _count_partials(ds, keys, out_col)
 
     def merge(t: pa.Table) -> pa.Table:
-        if "__part" in t.column_names:
-            t = t.drop_columns(["__part"])
         parts = [_level_table(t, keys, i, out_col, n) for i in range(n, 0, -1)]
         return pa.concat_tables(parts)
 
-    levels = (partials.repartition(num_partitions)
-              .groupby("__part")
-              .map_groups(merge, batch_format="pyarrow"))
+    levels = exchange(partials, keys[0], num_partitions, merge, "pyarrow")
     total = _grand_total(partials, keys, out_col, n, key_types)
     return levels.union(total)
 
@@ -585,19 +527,15 @@ def cube_counts(ds, *, keys: list[str], out_col: str = "cnt",
     if len(keys) != 2:
         raise ValueError("cube_counts: exactly two keys")
     k1, k2 = keys
-    partials = _count_partials(ds, keys, out_col, num_partitions)
+    partials = _count_partials(ds, keys, out_col)
 
     def merge(t: pa.Table) -> pa.Table:
-        if "__part" in t.column_names:
-            t = t.drop_columns(["__part"])
         return pa.concat_tables([
             _level_table(t, keys, 2, out_col, 2),
             _level_table(t, keys, 1, out_col, 2),
         ])
 
-    levels = (partials.repartition(num_partitions)
-              .groupby("__part")
-              .map_groups(merge, batch_format="pyarrow"))
+    levels = exchange(partials, k1, num_partitions, merge, "pyarrow")
 
     def k2_partial(t: pa.Table) -> pa.Table:
         base = t.filter(pc.equal(t.column("grouping_id"), pa.scalar(0, pa.int64())))
@@ -606,17 +544,14 @@ def cube_counts(ds, *, keys: list[str], out_col: str = "cnt",
         c1 = c1.combine_chunks() if isinstance(c1, pa.ChunkedArray) else c1
         c2 = base.column(k2)
         c2 = c2.combine_chunks() if isinstance(c2, pa.ChunkedArray) else c2
-        out = pa.table({
+        return pa.table({
             k1: pa.nulls(len(rep), c1.type),
             k2: c2.take(pa.array(rep, type=pa.int64())),
             out_col: pa.array(sums, type=pa.int64()),
             "grouping_id": pa.array(np.full(len(rep), 2, dtype=np.int64)),
         })
-        return add_partition_col(out, num_partitions, key=k2)
 
     def k2_merge(t: pa.Table) -> pa.Table:
-        if "__part" in t.column_names:
-            t = t.drop_columns(["__part"])
         rep, sums = _weighted_tuple_sums(t, [k2], out_col)
         c1 = t.column(k1)
         c1 = c1.combine_chunks() if isinstance(c1, pa.ChunkedArray) else c1
@@ -629,10 +564,8 @@ def cube_counts(ds, *, keys: list[str], out_col: str = "cnt",
             "grouping_id": pa.array(np.full(len(rep), 2, dtype=np.int64)),
         })
 
-    k2_level = (levels.map_batches(k2_partial, batch_format="pyarrow")
-                .repartition(num_partitions)
-                .groupby("__part")
-                .map_groups(k2_merge, batch_format="pyarrow"))
+    k2_level = exchange(levels.map_batches(k2_partial, batch_format="pyarrow"),
+                        k2, num_partitions, k2_merge, "pyarrow")
     total = _grand_total(partials, keys, out_col, 2, key_types)
     return levels.union(k2_level).union(total)
 
@@ -670,7 +603,7 @@ def grouping_sets_counts(ds, *, keys: list[str], sets: list[list[str]],
     def gid_of(subset: tuple[str, ...]) -> int:
         return sum(1 << (n - 1 - pos[k]) for k in keys if k not in subset)
 
-    partials = _count_partials(ds, keys, out_col, num_partitions)
+    partials = _count_partials(ds, keys, out_col)
     with_k1 = [s for s in norm if s and keys[0] in s]
     without_k1 = [s for s in norm if s and keys[0] not in s]
     want_total = any(not s for s in norm)
@@ -698,13 +631,9 @@ def grouping_sets_counts(ds, *, keys: list[str], sets: list[list[str]],
         return pa.table(cols)
 
     def merge(t: pa.Table) -> pa.Table:
-        if "__part" in t.column_names:
-            t = t.drop_columns(["__part"])
         return pa.concat_tables([subset_table(t, s) for s in emit_sets])
 
-    levels = (partials.repartition(num_partitions)
-              .groupby("__part")
-              .map_groups(merge, batch_format="pyarrow"))
+    levels = exchange(partials, keys[0], num_partitions, merge, "pyarrow")
 
     outs = []
     keep_gids = [gid_of(s) for s in with_k1]
@@ -716,18 +645,13 @@ def grouping_sets_counts(ds, *, keys: list[str], sets: list[list[str]],
     for s in without_k1:
         def sub_partial(t: pa.Table, _s=s) -> pa.Table:
             base = t.filter(pc.equal(t.column("grouping_id"), pa.scalar(0, pa.int64())))
-            out = subset_table(base, _s)
-            return add_partition_col(out, num_partitions, key=_s[0])
+            return subset_table(base, _s)
 
         def sub_merge(t: pa.Table, _s=s) -> pa.Table:
-            if "__part" in t.column_names:
-                t = t.drop_columns(["__part"])
             return subset_table(t, _s)
 
-        outs.append(levels.map_batches(sub_partial, batch_format="pyarrow")
-                    .repartition(num_partitions)
-                    .groupby("__part")
-                    .map_groups(sub_merge, batch_format="pyarrow"))
+        outs.append(exchange(levels.map_batches(sub_partial, batch_format="pyarrow"),
+                             s[0], num_partitions, sub_merge, "pyarrow"))
     if want_total:
         outs.append(_grand_total(partials, keys, out_col, n, key_types))
     res = outs[0]
@@ -751,17 +675,15 @@ def group_mode(ds, *, key: str, val_col: str, num_partitions: int = 32):
         mask = pc.is_valid(t.column(val_col))
         t = t.filter(mask) if t.num_rows else t
         if t.num_rows == 0:
-            empty = pa.table({key: t.column(key), val_col: t.column(val_col),
-                              "cnt": pa.array([], type=pa.int64())})
-            return add_partition_col(empty, num_partitions, key=key)
+            return pa.table({key: t.column(key), val_col: t.column(val_col),
+                             "cnt": pa.array([], type=pa.int64())})
         gids, rep = _multi_group_codes([t.column(key), t.column(val_col)])
         counts = np.bincount(gids, minlength=len(rep))
-        out = pa.table({
+        return pa.table({
             key: t.column(key).take(pa.array(rep, type=pa.int64())),
             val_col: t.column(val_col).take(pa.array(rep, type=pa.int64())),
             "cnt": pa.array(counts.astype(np.int64)),
         })
-        return add_partition_col(out, num_partitions, key=key)
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
         agg = df.groupby([key, val_col], sort=False, dropna=False)["cnt"].sum().reset_index()
@@ -774,12 +696,8 @@ def group_mode(ds, *, key: str, val_col: str, num_partitions: int = 32):
             "mode_cnt": top["cnt"].to_numpy(dtype=np.int64),
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), key,
+                    num_partitions, merge, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +730,7 @@ def group_regr(ds, *, key: str, x_col: str, y_col: str, num_partitions: int = 32
         mask = pc.and_(pc.is_valid(t.column(x_col)), pc.is_valid(t.column(y_col)))
         t = t.filter(mask) if t.num_rows else t
         if t.num_rows == 0:
-            empty = pa.table({
+            return pa.table({
                 key: t.column(key),
                 "n": pa.array([], type=pa.int64()),
                 "sx": pa.array([], type=pa.string()),
@@ -821,7 +739,6 @@ def group_regr(ds, *, key: str, x_col: str, y_col: str, num_partitions: int = 32
                 "syy": pa.array([], type=pa.string()),
                 "sxy": pa.array([], type=pa.string()),
             })
-            return add_partition_col(empty, num_partitions, key=key)
         kcodes, kfirst = _first_occurrence_codes(t.column(key))
         x = t.column(x_col).to_numpy(zero_copy_only=False).astype(np.int64)
         y = t.column(y_col).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -849,7 +766,7 @@ def group_regr(ds, *, key: str, x_col: str, y_col: str, num_partitions: int = 32
                         sum(v * v for v in gy), sum(a * b for a, b in zip(gx, gy)))
                 for c, v in zip(cols, vals):
                     c[g] = str(v)
-        out = pa.table({
+        return pa.table({
             key: t.column(key).take(pa.array(kfirst, type=pa.int64())),
             "n": pa.array(n_g.astype(np.int64)),
             "sx": pa.array(cols[0], type=pa.string()),
@@ -858,7 +775,6 @@ def group_regr(ds, *, key: str, x_col: str, y_col: str, num_partitions: int = 32
             "syy": pa.array(cols[3], type=pa.string()),
             "sxy": pa.array(cols[4], type=pa.string()),
         })
-        return add_partition_col(out, num_partitions, key=key)
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
         keys_out, n_out = [], []
@@ -893,12 +809,8 @@ def group_regr(ds, *, key: str, x_col: str, y_col: str, num_partitions: int = 32
             "r2": pd.array(r2_out, dtype="float64"),
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), key,
+                    num_partitions, merge, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -924,24 +836,13 @@ def group_argmax(ds, *, key: str, order_col: str, tiebreak_col: str,
         c for c in keep_cols if c not in (key, order_col, tiebreak_col)]
 
     def keep_first(df: pd.DataFrame) -> pd.DataFrame:
-        extra = [c for c in df.columns if c == "__part"]
-        df = df.sort_values([key, order_col, tiebreak_col],
-                            ascending=[True, not descending, True],
-                            kind="mergesort", na_position="last")
-        return df[~df.duplicated(key, keep="first")][cols + extra]
+        df = df[cols].sort_values([key, order_col, tiebreak_col],
+                                  ascending=[True, not descending, True],
+                                  kind="mergesort", na_position="last")
+        return df[~df.duplicated(key, keep="first")]
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = keep_first(df[cols])
-        t = pa.Table.from_pandas(out, preserve_index=False)
-        return add_partition_col(t, num_partitions, key=key).to_pandas()
-
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(keep_first, batch_format="pandas")
-        .select_columns(cols)
-    )
+    return exchange(ds.map_batches(keep_first, batch_format="pandas"), key,
+                    num_partitions, keep_first, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -971,9 +872,6 @@ def group_string_agg(ds, *, key: str, val_col: str, order_cols: list[str],
     a meaningful fraction of the corpus."""
     cols = [key, *order_cols, val_col]
 
-    def tag(t: pa.Table) -> pa.Table:
-        return add_partition_col(t.select(cols), num_partitions, key=key)
-
     def per_partition(df: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(df[key], use_na_sentinel=False)
         for c in order_cols:
@@ -997,12 +895,7 @@ def group_string_agg(ds, *, key: str, val_col: str, order_cols: list[str],
         out[out_col] = agg
         return out
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return exchange(ds.select_columns(cols), key, num_partitions, per_partition, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -1043,12 +936,11 @@ def group_moments(ds, *, key: str, x_col: str, num_partitions: int = 32):
     def partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t.column(x_col))) if t.num_rows else t
         if t.num_rows == 0:
-            empty = pa.table({
+            return pa.table({
                 key: t.column(key),
                 "n": pa.array([], type=pa.int64()),
                 **{p: pa.array([], type=pa.string()) for p in POWERS},
             })
-            return add_partition_col(empty, num_partitions, key=key)
         kcodes, kfirst = _first_occurrence_codes(t.column(key))
         x = t.column(x_col).to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(kcodes, kind="stable")
@@ -1071,12 +963,11 @@ def group_moments(ds, *, key: str, x_col: str, num_partitions: int = 32):
                     xpobj = xpobj * xs.astype(object)
                 sums = np.add.reduceat(xpobj, starts)
             cols[name] = np.array([str(int(s)) for s in sums], dtype=object)
-        out = pa.table({
+        return pa.table({
             key: t.column(key).take(pa.array(kfirst, type=pa.int64())),
             "n": pa.array(n_g.astype(np.int64)),
             **{p: pa.array(cols[p], type=pa.string()) for p in POWERS},
         })
-        return add_partition_col(out, num_partitions, key=key)
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
         rows = {key: [], "n": [], "mean": [], "var_pop": [],
@@ -1117,9 +1008,5 @@ def group_moments(ds, *, key: str, x_col: str, num_partitions: int = 32):
             "kurt_pop": pd.array(rows["kurt_pop"], dtype="float64"),
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), key,
+                    num_partitions, merge, "pandas")

@@ -48,7 +48,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from .aggregate import add_partition_col
+from .exchange import exchange
 
 #: end-of-word marker (the published algorithm's word-boundary symbol)
 EOW = "</w>"
@@ -161,14 +161,8 @@ def corpus_word_freq(ds, *, top_v: int = 4096, min_freq: int = 1,
     """Exact global top-V word-frequency table (ties: word asc)."""
     counts = ds.map_batches(lambda t: _batch_word_counts(t, text_col),
                             batch_format="pyarrow")
-    per_part = (
-        counts.map_batches(lambda b: add_partition_col(b, num_partitions, key="word"),
-                           batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(lambda df: _topv_partition(df, top_v, min_freq),
-                    batch_format="pandas")
-    )
+    per_part = exchange(counts, "word", num_partitions,
+                        lambda df: _topv_partition(df, top_v, min_freq), "pandas")
     rows = per_part.take_all()  # ≤ P × V rows, by construction
     df = pd.DataFrame(rows)
     if df.empty:

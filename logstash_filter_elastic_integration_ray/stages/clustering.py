@@ -352,14 +352,11 @@ def semdedup(ds, *, k: int = 8, n_iters: int = 8, eps: float = 0.9,
 _PCA_SCALE = np.int64(1) << np.int64(20)
 
 
-def _pca_moment_partials(t: pa.Table, emb_col: str,
-                         num_partitions: int) -> pa.Table:
+def _pca_moment_partials(t: pa.Table, emb_col: str) -> pa.Table:
     """(i, j, s) int64 partial second moments + (i, -1, s) first
     moments + one (-1, -1, n) count row per batch — d²+d+1 thin rows,
     the ONLY thing that moves.  Per-batch products fit int64
     (|q| ≤ ~2^23, batch ≤ 2^16 rows → ≤ 2^62)."""
-    from .aggregate import add_partition_col
-
     m = _to_matrix(t.column(emb_col)).astype(np.float64)
     q = np.floor(m * np.float64(_PCA_SCALE) + 0.5).astype(np.int64)
     d = q.shape[1]
@@ -367,12 +364,11 @@ def _pca_moment_partials(t: pa.Table, emb_col: str,
     s1 = q.sum(axis=0, dtype=np.int64)
     ii, jj = np.meshgrid(np.arange(d, dtype=np.int64),
                          np.arange(d, dtype=np.int64), indexing="ij")
-    out = pa.table({
+    return pa.table({
         "i": pa.array(np.r_[ii.ravel(), np.arange(d, dtype=np.int64), -1]),
         "j": pa.array(np.r_[jj.ravel(), np.full(d, -1, dtype=np.int64), -1]),
         "s": pa.array(np.r_[ss.ravel(), s1, np.int64(t.num_rows)]),
     })
-    return add_partition_col(out, num_partitions, key="i")
 
 
 def _pca_merge(df) -> pa.Table:
@@ -404,14 +400,11 @@ def pca_fit(ds, *, n_components: int = 2, emb_col: str = "embedding",
     Returns (mean: float64[d], components: float64[d, p],
     explained_var: float64[p]) — population covariance (divide by n),
     eigenpairs sorted by eigenvalue desc then dimension asc."""
-    parts = ds.map_batches(
-        lambda t: _pca_moment_partials(t, emb_col, num_partitions),
-        batch_format="pyarrow")
-    merged = (
-        parts.repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(_pca_merge, batch_format="pandas")
-    ).to_pandas()  # d² + d + 1 rows — tiny by contract
+    from .exchange import exchange
+
+    parts = ds.map_batches(lambda t: _pca_moment_partials(t, emb_col), batch_format="pyarrow")
+    # d² + d + 1 rows — tiny by contract
+    merged = exchange(parts, "i", num_partitions, _pca_merge, "pandas").to_pandas()
     n = 0
     s1: dict[int, int] = {}
     s2: dict[tuple[int, int], int] = {}

@@ -40,7 +40,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .aggregate import add_partition_col
+from .exchange import exchange
 
 #: unit separator — joins prefix turns; cannot occur in text columns
 #: that came through the transcript marshaller (control chars are not
@@ -60,13 +60,14 @@ def conversation_prefix_groups(
     """One row per conversation: ``(conv_col, prefix_key, n_branches,
     keep)`` where ``prefix_key`` is the md5 of the first ``k`` turns'
     text joined on :data:`PREFIX_SEP` in ``idx_col`` order (fewer than
-    ``k`` turns → the turns that exist), ``n_branches`` is the number
+    ``k`` turns → the turns that exist; a NULL text joins as ''),
+    ``n_branches`` is the number
     of conversations sharing that prefix, and ``keep`` marks the
     lexicographically-smallest conversation id of each group.
 
     Exact twin of::
 
-        WITH p AS (SELECT conv, md5(string_agg(text, chr(31)
+        WITH p AS (SELECT conv, md5(string_agg(coalesce(text, ''), chr(31)
                                      ORDER BY turn_idx)) AS prefix_key
                    FROM t WHERE turn_idx < k GROUP BY conv)
         SELECT conv, prefix_key,
@@ -96,7 +97,7 @@ def conversation_prefix_groups(
     key_schema = pa.schema([(conv_col, conv_type), ("prefix_key", pa.string())])
 
     def fold_prefix(df: pd.DataFrame) -> pa.Table:
-        df = df.drop(columns="__part").sort_values(
+        df = df.sort_values(
             [conv_col, idx_col], kind="mergesort"
         )
         joined = df.groupby(conv_col, sort=True)[text_col].agg(
@@ -112,15 +113,7 @@ def conversation_prefix_groups(
             out, preserve_index=False, schema=key_schema
         ).replace_schema_metadata(None)
 
-    keys = (
-        proj.map_batches(
-            lambda t: add_partition_col(t, num_partitions, key=conv_col),
-            batch_format="pyarrow",
-        )
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(fold_prefix, batch_format="pandas")
-    )
+    keys = exchange(proj, conv_col, num_partitions, fold_prefix, "pandas")
 
     out_schema = pa.schema([
         (conv_col, conv_type),
@@ -130,7 +123,6 @@ def conversation_prefix_groups(
     ])
 
     def elect(df: pd.DataFrame) -> pa.Table:
-        df = df.drop(columns="__part")
         g = df.groupby("prefix_key", sort=False)[conv_col]
         df = df.assign(
             n_branches=g.transform("size").astype(np.int64),
@@ -140,15 +132,7 @@ def conversation_prefix_groups(
             df, preserve_index=False, schema=out_schema
         ).replace_schema_metadata(None)
 
-    return (
-        keys.map_batches(
-            lambda t: add_partition_col(t, num_partitions, key="prefix_key"),
-            batch_format="pyarrow",
-        )
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(elect, batch_format="pandas")
-    )
+    return exchange(keys, "prefix_key", num_partitions, elect, "pandas")
 
 
 def response_dedup(
@@ -208,16 +192,8 @@ def response_dedup(
             out, preserve_index=False, schema=schema
         ).replace_schema_metadata(None)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(
-            lambda t: add_partition_col(t, num_partitions, key="content_hash"),
-            batch_format="pyarrow",
-        )
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), "content_hash",
+                    num_partitions, merge, "pandas")
 
 
 def conversation_text(

@@ -35,7 +35,7 @@ distributed shapes:
 All kernels are vectorized (one Arrow split / one ``hash_array`` /
 numpy arithmetic per batch); reductions use the co-partition +
 vectorized-pandas shape (never per-group Ray aggregates — see
-stages/aggregate.py:add_partition_col).
+stages/aggregate.py:_merge_partition).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .aggregate import add_partition_col
+from .exchange import copartition, exchange
 from .decontam import flat_token_hashes, gram_hashes
 from .dedup import _hash64_arrow
 
@@ -125,20 +125,8 @@ def dup_ngram_stats(ds, *, w: int = 4, num_partitions: int = 32,
     pairs = ds.map_batches(
         lambda b: _gram_doc_counts(b, w, text_col, id_col), batch_format="pyarrow"
     )
-    partials = (
-        pairs.map_batches(lambda b: add_partition_col(b, num_partitions, key="g"),
-                          batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(_dup_partials, batch_format="pandas")
-    )
-    return (
-        partials.map_batches(lambda b: add_partition_col(b, num_partitions, key="doc_id"),
-                             batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(_dup_final, batch_format="pandas")
-    )
+    partials = exchange(pairs, "g", num_partitions, _dup_partials, "pandas")
+    return exchange(partials, "doc_id", num_partitions, _dup_final, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +149,7 @@ def _range_part(batch: pa.Table, key: str, lo: int, hi: int, p: int) -> pa.Table
             np.floor((ids - lo).astype(np.float64) * (p / span)).astype(np.int64),
             0, p - 1,
         )
-    return batch.append_column("__part", pa.array(part))
+    return batch.append_column("__chunk", pa.array(part))
 
 
 def ordered_prefix_sum(ds, *, order_col: str, val_col: str,
@@ -213,30 +201,32 @@ def ordered_prefix_sum(ds, *, order_col: str, val_col: str,
         lambda b: pa.Table.from_pandas(
             pd.DataFrame(
                 {
-                    "__part": b.column("__part").to_numpy(),
+                    "__chunk": b.column("__chunk").to_numpy(),
                     "s": b.column(val_col).to_numpy(zero_copy_only=False).astype(np.int64),
                 }
-            ).groupby("__part", sort=False).sum().reset_index(),
+            ).groupby("__chunk", sort=False).sum().reset_index(),
             preserve_index=False,
         ).replace_schema_metadata(None),
         batch_format="pyarrow",
     ).take_all()
     totals = np.zeros(num_partitions, dtype=np.int64)
     for r in totals_rows:
-        totals[r["__part"]] += r["s"]
+        totals[r["__chunk"]] += r["s"]
     bases = np.zeros(num_partitions, dtype=np.int64)
     bases[1:] = np.cumsum(totals)[:-1]
 
     def scan(df: pd.DataFrame) -> pa.Table:
-        part = int(df["__part"].iloc[0])
-        df = df.sort_values(order_col, kind="stable")
+        # chunk ids hash into partitions, so one may hold several chunks
+        df = df.sort_values(["__chunk", order_col], kind="stable")
+        chunk = df["__chunk"].to_numpy(dtype=np.int64)
         vals = df[val_col].to_numpy(dtype=np.int64)
-        off = np.zeros(len(vals), dtype=np.int64)
-        off[1:] = np.cumsum(vals)[:-1]
-        out = df.drop(columns="__part").assign(off=off + bases[part])
+        csum = np.cumsum(vals)
+        first = np.flatnonzero(np.r_[True, chunk[1:] != chunk[:-1]])
+        before = np.repeat(np.r_[0, csum[first[1:] - 1]], np.diff(np.r_[first, len(df)]))
+        out = df.drop(columns="__chunk").assign(off=csum - vals - before + bases[chunk])
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
-    return parted.groupby("__part").map_groups(scan, batch_format="pandas")
+    return exchange(parted, "__chunk", num_partitions, scan, "pandas")
 
 
 def _explode_bins(batch: pa.Table, cap: int, id_col: str) -> pa.Table:
@@ -354,7 +344,7 @@ def shuffle_shards(ds, *, num_shards: int = 16, sub_buckets: int = 8,
             {
                 id_col: pa.array(ids),
                 "h": pa.array(h),
-                "__part": pa.array((h % num_shards) * sub_buckets + bucket),
+                "__bucket": pa.array((h % num_shards) * sub_buckets + bucket),
             }
         )
 
@@ -363,36 +353,36 @@ def shuffle_shards(ds, *, num_shards: int = 16, sub_buckets: int = 8,
 
     count_rows = assigned.map_batches(
         lambda t: pa.Table.from_pandas(
-            pd.DataFrame({"__part": t.column("__part").to_numpy()})
-            .groupby("__part", sort=False).size().reset_index(name="c"),
+            pd.DataFrame({"__bucket": t.column("__bucket").to_numpy()})
+            .groupby("__bucket", sort=False).size().reset_index(name="c"),
             preserve_index=False,
         ).replace_schema_metadata(None),
         batch_format="pyarrow",
     ).take_all()
     counts = np.zeros(n_parts, dtype=np.int64)
     for r in count_rows:
-        counts[r["__part"]] += r["c"]
+        counts[r["__bucket"]] += r["c"]
     per_shard = counts.reshape(num_shards, sub_buckets)
     bases = np.zeros_like(per_shard)
     bases[:, 1:] = np.cumsum(per_shard, axis=1)[:, :-1]
     bases = bases.reshape(-1)
 
-    def rank_bucket(df: pd.DataFrame) -> pa.Table:
-        part = int(df["__part"].iloc[0])
-        df = df.sort_values(["h", id_col], kind="stable")
+    def rank_buckets(df: pd.DataFrame) -> pa.Table:
+        # bucket ids hash into partitions, so one may hold several buckets
+        df = df.sort_values(["__bucket", "h", id_col], kind="stable")
+        bucket = df["__bucket"].to_numpy(dtype=np.int64)
+        first = np.flatnonzero(np.r_[True, bucket[1:] != bucket[:-1]])
+        within = (np.arange(len(df), dtype=np.int64)
+                  - np.repeat(first, np.diff(np.r_[first, len(df)])))
         return pa.table(
             {
                 id_col: pa.array(df[id_col].to_numpy(dtype=np.int64)),
-                "shard": pa.array(np.full(len(df), part // sub_buckets, dtype=np.int64)),
-                "pos": pa.array(bases[part] + np.arange(len(df), dtype=np.int64)),
+                "shard": pa.array(bucket // sub_buckets),
+                "pos": pa.array(bases[bucket] + within),
             }
         )
 
-    return (
-        assigned.repartition(n_parts)
-        .groupby("__part")
-        .map_groups(rank_bucket, batch_format="pandas")
-    )
+    return exchange(assigned, "__bucket", n_parts, rank_buckets, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +404,14 @@ def _doc_dup_grams(df: pd.DataFrame) -> pa.Table:
     )
 
 
-def _rebuild_partition(df: pd.DataFrame, w: int, id_col: str) -> pa.Table:
-    """One doc partition holding BOTH its docs (side=1: id, text) and
-    their dup-gram sets (side=0: id, g).  Re-derives gram positions
-    locally (grams were computed from these exact texts in pass 1, so
-    hashes agree), marks covered token ranges with a diff-array, and
-    rebuilds each doc's text from the surviving tokens."""
-    docs = df[df["side"] == 1]
-    dup = df[df["side"] == 0][["d", "g"]]
+def _rebuild_partition(docs: pd.DataFrame, dup: pd.DataFrame, w: int,
+                       id_col: str) -> pa.Table:
+    """One doc partition: its docs (d, text) and their dup-gram sets
+    (d, g; column-less when the corpus has no duplicated gram).
+    Re-derives gram positions locally (grams were computed from these
+    exact texts in pass 1, so hashes agree), marks covered token ranges
+    with a diff-array, and rebuilds each doc's text from the surviving
+    tokens."""
     ids = docs["d"].to_numpy(dtype=np.int64)
     texts = docs["text"].tolist()
     col = pa.array([t if t is not None else "" for t in texts], type=pa.string())
@@ -442,7 +432,7 @@ def _rebuild_partition(df: pd.DataFrame, w: int, id_col: str) -> pa.Table:
         within = np.arange(len(gh), dtype=np.int64) - np.repeat(gseg, gram_per_doc)
         flat_pos = np.repeat(starts, gram_per_doc) + within
         probe = pd.DataFrame({"d": ids[doc_idx], "g": gh.view(np.int64), "i": flat_pos})
-        hit = probe.merge(dup.drop_duplicates(), on=["d", "g"], how="inner")
+        hit = probe.merge(dup[["d", "g"]].drop_duplicates(), on=["d", "g"], how="inner")
         hs = hit["i"].to_numpy(dtype=np.int64)
         np.add.at(covered, hs, 1)
         np.add.at(covered, hs + w, -1)
@@ -477,9 +467,9 @@ def remove_dup_spans(ds, *, w: int = 4, num_partitions: int = 32,
        dup test, as :func:`dup_ngram_stats`);
     2. dup (doc, gram) rows exchange BACK keyed by doc — the doc's own
        dup-gram set, still int64-thin;
-    3. docs and their dup sets co-partition by doc (union with a side
-       flag — the only exchange text rides, exactly once); positions
-       re-derive locally and a diff-array marks covered ranges.
+    3. docs and their dup sets co-partition by doc (the only exchange
+       text rides, exactly once); positions re-derive locally and a
+       diff-array marks covered ranges.
 
     Within-doc-only repeats are kept (they are not corpus duplication).
     Gram equality is 64-bit-hash-based as everywhere in this module."""
@@ -496,48 +486,12 @@ def remove_dup_spans(ds, *, w: int = 4, num_partitions: int = 32,
                          "d": pa.array(df["d"].to_numpy())})
 
     pairs = ds.map_batches(gram_doc_pairs, batch_format="pyarrow")
-    doc_dup = (
-        pairs.map_batches(lambda b: add_partition_col(b, num_partitions, key="g"),
-                          batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(_doc_dup_grams, batch_format="pandas")
-    )
-
-    def doc_side(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table(
-            {
-                "d": t.column(id_col).cast(pa.int64()),
-                "text": t.column(text_col),
-                # 0, NOT null: a nullable int64 turns float64 in pandas,
-                # which is lossy for 64-bit gram hashes (side flags the rows)
-                "g": pa.array(np.zeros(n, dtype=np.int64)),
-                "side": pa.array(np.ones(n, dtype=np.int8)),
-            }
-        )
-
-    def gram_side(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table(
-            {
-                "d": t.column("d").cast(pa.int64()),
-                "text": pa.nulls(n, type=pa.string()),
-                "g": t.column("g"),
-                "side": pa.array(np.zeros(n, dtype=np.int8)),
-            }
-        )
-
-    unioned = ds.map_batches(doc_side, batch_format="pyarrow").union(
-        doc_dup.map_batches(gram_side, batch_format="pyarrow")
-    )
-    return (
-        unioned.map_batches(lambda b: add_partition_col(b, num_partitions, key="d"),
-                            batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(lambda df: _rebuild_partition(df, w, id_col), batch_format="pandas")
-    )
+    doc_dup = exchange(pairs, "g", num_partitions, _doc_dup_grams, "pandas")
+    docs = ds.map_batches(
+        lambda t: pa.table({"d": t.column(id_col).cast(pa.int64()), "text": t.column(text_col)}),
+        batch_format="pyarrow")
+    return copartition({"docs": (docs, "d"), "dup": (doc_dup, "d")}, num_partitions,
+                       lambda docs, dup: _rebuild_partition(docs, dup, w, id_col), "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -595,13 +549,13 @@ def _line_drop_rows(df: pd.DataFrame) -> pa.Table:
     return pa.table({"d": pa.array(d[rest]), "i": pa.array(i[rest])})
 
 
-def _rebuild_lines_partition(df: pd.DataFrame, sep: str, id_col: str) -> pa.Table:
-    """One doc partition holding BOTH its docs (side=1: d, text) and
-    their drop lists (side=0: d, i).  Re-splits each text locally and
-    rebuilds it from the surviving lines; a doc whose every line was
-    removed yields NULL (SQL string_agg-with-FILTER semantics)."""
-    docs = df[df["side"] == 1]
-    drops = df[df["side"] == 0][["d", "i"]].drop_duplicates()
+def _rebuild_lines_partition(docs: pd.DataFrame, drops: pd.DataFrame, sep: str,
+                             id_col: str) -> pa.Table:
+    """One doc partition: its docs (d, text) and their drop lists (d, i;
+    column-less when no line repeats anywhere).  Re-splits each text
+    locally and rebuilds it from the surviving lines; a doc whose every
+    line was removed yields NULL (SQL string_agg-with-FILTER
+    semantics)."""
     ids = docs["d"].to_numpy(dtype=np.int64)
     col = pa.array([t if t is not None else "" for t in docs["text"].tolist()],
                    type=pa.string())
@@ -616,7 +570,7 @@ def _rebuild_lines_partition(df: pd.DataFrame, sep: str, id_col: str) -> pa.Tabl
     if len(drops) and total:
         probe = pd.DataFrame({"d": ids[line_doc], "i": within,
                               "p": np.arange(total, dtype=np.int64)})
-        hit = probe.merge(drops, on=["d", "i"], how="inner")
+        hit = probe.merge(drops[["d", "i"]].drop_duplicates(), on=["d", "i"], how="inner")
         keep[hit["p"].to_numpy(dtype=np.int64)] = False
     # all-Arrow rebuild: filter the flat line array, reassemble per-doc
     # lists from kept-count offsets, one binary_join — no Python-object
@@ -676,7 +630,7 @@ def dedup_lines(ds, *, sep: str = "\n", min_len: int = 1,
                          "i": pa.array(i), "kind": pa.array(kind)})
 
     # thin int64 rows (no text) materialized ONCE so the text is
-    # scanned twice total (here + doc_side), not three times; at scale
+    # scanned twice total (here + the docs side), not three times; at scale
     # these rows are line-count-sized and spill fine
     partials = ds.map_batches(instance_rows, batch_format="pyarrow").materialize()
 
@@ -688,47 +642,15 @@ def dedup_lines(ds, *, sep: str = "\n", min_len: int = 1,
         t = t.filter(pc.equal(t.column("kind"), 1))
         return t.select(["d", "i"])
 
-    exchange_drops = (
-        partials.map_batches(only_minima, batch_format="pyarrow")
-        .map_batches(lambda b: add_partition_col(b, num_partitions, key="h"),
-                     batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(_line_drop_rows, batch_format="pandas")
-    )
-
-    def doc_side(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table({
-            "d": t.column(id_col).cast(pa.int64()),
-            "text": t.column(text_col),
-            "i": pa.array(np.zeros(n, dtype=np.int64)),
-            "side": pa.array(np.ones(n, dtype=np.int8)),
-        })
-
-    def drop_side(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table({
-            "d": t.column("d").cast(pa.int64()),
-            "text": pa.nulls(n, type=pa.string()),
-            "i": t.column("i").cast(pa.int64()),
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
-        })
-
-    unioned = (
-        ds.map_batches(doc_side, batch_format="pyarrow")
-        .union(exchange_drops.map_batches(drop_side, batch_format="pyarrow"))
-        .union(partials.map_batches(only_local_drops, batch_format="pyarrow")
-               .map_batches(drop_side, batch_format="pyarrow"))
-    )
-    return (
-        unioned.map_batches(lambda b: add_partition_col(b, num_partitions, key="d"),
-                            batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(lambda df: _rebuild_lines_partition(df, sep, id_col),
-                    batch_format="pandas")
-    )
+    exchange_drops = exchange(partials.map_batches(only_minima, batch_format="pyarrow"), "h",
+                              num_partitions, _line_drop_rows, "pandas")
+    drops = exchange_drops.union(partials.map_batches(only_local_drops, batch_format="pyarrow"))
+    docs = ds.map_batches(
+        lambda t: pa.table({"d": t.column(id_col).cast(pa.int64()), "text": t.column(text_col)}),
+        batch_format="pyarrow")
+    return copartition({"docs": (docs, "d"), "drops": (drops, "d")}, num_partitions,
+                       lambda docs, drops: _rebuild_lines_partition(docs, drops, sep, id_col),
+                       "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +861,6 @@ def group_topk(ds, *, key: str, score_col: str, k: int, tie_col: str,
         return t.take(np.sort(idx))
 
     def final_topk(df: pd.DataFrame) -> pa.Table:
-        df = df.drop(columns="__part")
         codes, _ = pd.factorize(df[key], use_na_sentinel=False)
         idx, rk = _topk_select(codes, df[score_col].to_numpy(),
                                df[tie_col].to_numpy(), k, ascending)
@@ -948,13 +869,8 @@ def group_topk(ds, *, key: str, score_col: str, k: int, tie_col: str,
             out = out.assign(**{rank_col: rk})
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
-    return (
-        ds.map_batches(local_topk, batch_format="pyarrow")
-        .map_batches(lambda b: add_partition_col(b, num_partitions, key=key), batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(final_topk, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(local_topk, batch_format="pyarrow"), key,
+                    num_partitions, final_topk, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -1264,8 +1180,6 @@ def cdc_dup_stats(ds, *, num_partitions: int = 32, text_col: str = "text",
     (chunk_md5, doc, bytes) rows; ONE exchange by chunk hash computes
     each hash's distinct-doc count; a second exchange keyed by doc
     folds the per-chunk dup flags into per-doc byte sums."""
-    from logstash_filter_elastic_integration_ray.stages.aggregate import add_partition_col
-
     chunks = cdc_chunks(ds, text_col=text_col, id_col=id_col, **cdc_kw)
 
     def pair_partial(t: pa.Table) -> pa.Table:
@@ -1276,22 +1190,20 @@ def cdc_dup_stats(ds, *, num_partitions: int = 32, text_col: str = "text",
             "b": b.to_numpy(zero_copy_only=False),
         })
         agg = df.groupby(["chunk_md5", id_col], sort=False)["b"].sum().reset_index()
-        out = pa.table({
+        return pa.table({
             "chunk_md5": pa.array(agg["chunk_md5"], type=pa.string()),
             id_col: pa.array(agg[id_col].to_numpy(dtype=np.int64)),
             "b": pa.array(agg["b"].to_numpy(dtype=np.int64)),
         })
-        return add_partition_col(out, num_partitions, key="chunk_md5")
 
     def by_hash(df: pd.DataFrame) -> pa.Table:
         merged = df.groupby(["chunk_md5", id_col], sort=False)["b"].sum().reset_index()
         nd = merged.groupby("chunk_md5", sort=False)[id_col].transform("nunique")
-        out = pa.table({
+        return pa.table({
             id_col: pa.array(merged[id_col].to_numpy(dtype=np.int64)),
             "b": pa.array(merged["b"].to_numpy(dtype=np.int64)),
             "dup": pa.array((nd > 1).to_numpy()),
         })
-        return add_partition_col(out, num_partitions, key=id_col)
 
     def by_doc(df: pd.DataFrame) -> pa.Table:
         g = df.groupby(id_col, sort=False)
@@ -1307,15 +1219,9 @@ def cdc_dup_stats(ds, *, num_partitions: int = 32, text_col: str = "text",
             "dup_frac": pa.array(db.astype(np.float64) / nb.astype(np.float64)),
         })
 
-    return (
-        chunks.map_batches(pair_partial, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(by_hash, batch_format="pandas")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(by_doc, batch_format="pandas")
-    )
+    flags = exchange(chunks.map_batches(pair_partial, batch_format="pyarrow"), "chunk_md5",
+                     num_partitions, by_hash, "pandas")
+    return exchange(flags, id_col, num_partitions, by_doc, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -1323,8 +1229,7 @@ def cdc_dup_stats(ds, *, num_partitions: int = 32, text_col: str = "text",
 # ---------------------------------------------------------------------------
 
 
-def _distinct_item_partials(t: pa.Table, text_col: str,
-                            num_partitions: int) -> pa.Table:
+def _distinct_item_partials(t: pa.Table, text_col: str) -> pa.Table:
     """Per batch: (token, count-of-docs-containing-it) partials.  A doc
     is one row, so per-batch distinct (doc, token) pairs are globally
     distinct and the per-token doc counts merge by sum."""
@@ -1333,11 +1238,10 @@ def _distinct_item_partials(t: pa.Table, text_col: str,
     df = pd.DataFrame({"token": flat.to_pandas().to_numpy(dtype=object),
                        "doc": doc}).drop_duplicates()
     cnt = df.groupby("token", sort=False).size()
-    out = pa.table({
+    return pa.table({
         "token": pa.array(cnt.index.to_numpy(dtype=object), type=pa.string()),
         "cnt": pa.array(cnt.to_numpy(dtype=np.int64)),
     })
-    return add_partition_col(out, num_partitions, key="token")
 
 
 def _split_tokens_flat(col):
@@ -1383,14 +1287,9 @@ def frequent_pairs(ds, *, min_item_count: int, min_pair_count: int = 1,
             "cnt": pa.array(agg.to_numpy(dtype=np.int64)),
         })
 
-    support = (
-        ds.map_batches(
-            lambda t: _distinct_item_partials(t, text_col, num_partitions),
-            batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge_support, batch_format="pandas")
-    )
+    support = exchange(
+        ds.map_batches(lambda t: _distinct_item_partials(t, text_col), batch_format="pyarrow"),
+        "token", num_partitions, merge_support, "pandas")
     sup = support.to_pandas()  # bounded by the frequent set, by contract
     if "token" not in sup.columns or not len(sup):
         # empty frequent set: an empty dataset loses its schema through
@@ -1451,7 +1350,7 @@ def frequent_pairs(ds, *, min_item_count: int, min_pair_count: int = 1,
             out = pa.table({"i1": pa.array([], type=pa.int64()),
                             "i2": pa.array([], type=pa.int64()),
                             "cnt": pa.array([], type=pa.int64())})
-        return add_partition_col(out, num_partitions, key="i1")
+        return out
 
     def finish(df: pd.DataFrame) -> pa.Table:
         f_items, f_counts = ray.get(freq_ref)
@@ -1478,12 +1377,8 @@ def frequent_pairs(ds, *, min_item_count: int, min_pair_count: int = 1,
             "lift": pa.array(lift),
         })
 
-    return (
-        ds.map_batches(pair_partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(finish, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(pair_partials, batch_format="pyarrow"), "i1",
+                    num_partitions, finish, "pandas")
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import copartition, exchange
+
 _MERSENNE = (1 << 61) - 1
 
 
@@ -98,7 +100,6 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id", num_partitio
     (hash, id) rows — ONE pandas groupby per partition, not a Ray
     aggregate whose per-GROUP overhead dominates at millions of
     distinct documents."""
-    from .aggregate import add_partition_col
 
     partials = ds.map_batches(
         lambda b: exact_dedup_partial(b, text_col, id_col), batch_format="pyarrow"
@@ -109,15 +110,7 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id", num_partitio
         out = df.groupby("content_hash", as_index=False)[id_col].min()
         return pa.Table.from_pandas(out, preserve_index=False, schema=schema).replace_schema_metadata(None)
 
-    return (
-        partials.map_batches(
-            lambda b: add_partition_col(b, num_partitions, key="content_hash"),
-            batch_format="pyarrow",
-        )
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return exchange(partials, "content_hash", num_partitions, merge, "pandas")
 
 
 # --------------------------------------------------------------------------
@@ -305,16 +298,12 @@ def distinct_pairs(edges, num_partitions: int):
     same ``a``, so hashing on ``a`` co-locates them; Ray's aggregate
     pays per-GROUP overhead — ~0.1 ms × millions of distinct pairs
     dwarfs the actual work.)"""
-    from .aggregate import add_partition_col
 
     def dd(df: pd.DataFrame) -> pa.Table:
         out = df[["a", "b"]].drop_duplicates()
         return pa.Table.from_pandas(out, preserve_index=False, schema=_EDGE_SCHEMA).replace_schema_metadata(None)
 
-    parts = edges.map_batches(
-        lambda b: add_partition_col(b, num_partitions, key="a"), batch_format="pyarrow"
-    )
-    return parts.repartition(num_partitions).groupby("__part").map_groups(dd, batch_format="pandas")
+    return exchange(edges, "a", num_partitions, dd, "pandas")
 
 
 #: buckets up to this size get EXACT all-pairs verification (≤ 64² =
@@ -486,16 +475,12 @@ def connected_components_min_label(edges, max_iters: int = 25, num_partitions: i
     generation (sizes logged as a memory guard)."""
     import logging
 
-    from .aggregate import add_partition_col
-
-    _ROW_SCHEMA = pa.schema([("key", pa.int64()), ("val", pa.int64()), ("is_label", pa.int8())])
+    _ROW_SCHEMA = pa.schema([("key", pa.int64()), ("val", pa.int64())])
 
     def bidir(t: pa.Table) -> pa.Table:
         src = pa.concat_arrays([t.column("a").combine_chunks(), t.column("b").combine_chunks()])
         dst = pa.concat_arrays([t.column("b").combine_chunks(), t.column("a").combine_chunks()])
-        return pa.table(
-            {"key": src, "val": dst, "is_label": pa.array(np.zeros(len(src), dtype=np.int8))}
-        )
+        return pa.table({"key": src, "val": dst})
 
     edges_keyed = edges.map_batches(bidir, batch_format="pyarrow").materialize()
 
@@ -533,8 +518,7 @@ def connected_components_min_label(edges, max_iters: int = 25, num_partitions: i
             if np.array_equal(new, lab):
                 break
             lab = new
-        return pa.table({"key": pa.array(nodes), "val": pa.array(lab),
-                         "is_label": pa.array(np.ones(len(nodes), dtype=np.int8))}).cast(_ROW_SCHEMA)
+        return pa.table({"key": pa.array(nodes), "val": pa.array(lab)}).cast(_ROW_SCHEMA)
 
     log = logging.getLogger(__name__)
     n_edges = edges_keyed.count()
@@ -549,7 +533,6 @@ def connected_components_min_label(edges, max_iters: int = 25, num_partitions: i
 
     def min_label_per_node(df: pd.DataFrame) -> pa.Table:
         out = df.groupby("key", as_index=False)["val"].min()
-        out["is_label"] = np.int8(1)
         return pa.Table.from_pandas(out, preserve_index=False, schema=_ROW_SCHEMA).replace_schema_metadata(None)
 
     # fixpoint test: each round CANONICALIZES labels to one row per
@@ -570,21 +553,10 @@ def connected_components_min_label(edges, max_iters: int = 25, num_partitions: i
     for rnd in range(max_iters):
         _t0 = _time.monotonic()
         combined = edges_keyed if label_rows is None else edges_keyed.union(label_rows)
-        label_rows = (
-            combined.map_batches(
-                lambda b: add_partition_col(b, num_partitions, key="key"), batch_format="pyarrow"
-            )
-            .repartition(num_partitions)
-            .groupby("__part")
-            .map_groups(propagate_partition, batch_format="pandas")
-            .map_batches(
-                lambda b: add_partition_col(b, num_partitions, key="key"), batch_format="pyarrow"
-            )
-            .repartition(num_partitions)
-            .groupby("__part")
-            .map_groups(min_label_per_node, batch_format="pandas")
-            .materialize()
-        )
+        label_rows = exchange(
+            exchange(combined, "key", num_partitions, propagate_partition, "pandas"),
+            "key", num_partitions, min_label_per_node, "pandas",
+        ).materialize()
         s = label_rows.sum("val")
         log.info(
             "connected_components: round %d, %d label rows, %.2fs",
@@ -633,7 +605,6 @@ def _minhash_labels(ds, *, num_perm: int, bands: int, threshold: float,
     """(node, label) components labelling of the minhash-LSH near-dup
     graph — the shared middle of :func:`minhash_lsh_dedup` and
     :func:`minhash_cluster_assignments`."""
-    from .aggregate import add_partition_col
 
     hasher = MinHasher(num_perm=num_perm)
 
@@ -642,12 +613,8 @@ def _minhash_labels(ds, *, num_perm: int, bands: int, threshold: float,
         batch_format="pyarrow",
     )
 
-    parts = band_rows.map_batches(
-        lambda b: add_partition_col(b, num_partitions, key="bucket"), batch_format="pyarrow"
-    )
-    edges = parts.repartition(num_partitions).groupby("__part").map_groups(
-        lambda df: _star_edges_partition(df, threshold, id_col), batch_format="pandas"
-    )
+    edges = exchange(band_rows, "bucket", num_partitions,
+                     lambda df: _star_edges_partition(df, threshold, id_col), "pandas")
     # distinct: the same star edge surfaces from up to `bands` buckets
     edges = distinct_pairs(edges, num_partitions)
 
@@ -669,7 +636,6 @@ def minhash_cluster_assignments(ds, *, num_perm: int = 32, bands: int = 8,
     co-partition by id with one vectorized groupby-min per partition
     (typed int64 columns end to end — a pandas LEFT merge would widen
     the missing side to float64, BASELINE note 10)."""
-    from .aggregate import add_partition_col
 
     labels = _minhash_labels(ds, num_perm=num_perm, bands=bands,
                              threshold=threshold, text_col=text_col,
@@ -698,14 +664,7 @@ def minhash_cluster_assignments(ds, *, num_perm: int = 32, bands: int = 8,
         return pa.Table.from_pandas(out, preserve_index=False,
                                     schema=out_schema).replace_schema_metadata(None)
 
-    return (
-        union.map_batches(
-            lambda b: add_partition_col(b, num_partitions, key="__id"),
-            batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(resolve, batch_format="pandas")
-    )
+    return exchange(union, "__id", num_partitions, resolve, "pandas")
 
 
 def _survivors_from_labels(ds, labels, id_col: str, num_partitions: int):
@@ -713,7 +672,6 @@ def _survivors_from_labels(ds, labels, id_col: str, num_partitions: int):
     component (representative = min id) plus one row per singleton doc
     (docs incident to no verified edge) — all Dataset ops, no driver
     materialization.  Shared by the MinHash-LSH and SimHash paths."""
-    from .aggregate import add_partition_col
 
     out_schema = pa.schema([(id_col, pa.int64()), ("cluster_size", pa.int64())])
 
@@ -729,49 +687,22 @@ def _survivors_from_labels(ds, labels, id_col: str, num_partitions: int):
         )
         return pa.Table.from_pandas(out, preserve_index=False, schema=out_schema).replace_schema_metadata(None)
 
-    comps = (
-        labels.map_batches(
-            lambda b: add_partition_col(b, num_partitions, key="label"), batch_format="pyarrow"
-        )
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(comps_partition, batch_format="pandas")
-    )
+    comps = exchange(labels, "label", num_partitions, comps_partition, "pandas")
 
-    # singletons: docs incident to NO verified edge — tag-union
-    # anti-join, co-partitioned by id, one vectorized isin per partition
-    def doc_tags(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"__id": t.column(id_col).cast(pa.int64()),
-             "__tag": pa.array(np.zeros(t.num_rows, dtype=np.int8))}
-        )
-
-    def node_tags(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "node" not in t.column_names:
-            return pa.table(
-                {"__id": pa.array([], type=pa.int64()), "__tag": pa.array([], type=pa.int8())}
-            )
-        return pa.table(
-            {"__id": t.column("node"), "__tag": pa.array(np.ones(t.num_rows, dtype=np.int8))}
-        )
-
-    def singles_partition(df: pd.DataFrame) -> pa.Table:
-        doc_ids = df.loc[df["__tag"] == 0, "__id"]
-        labelled = df.loc[df["__tag"] == 1, "__id"]
-        keep = doc_ids[~doc_ids.isin(labelled)].to_numpy(dtype=np.int64)
+    # singletons: docs incident to NO verified edge — an anti-join,
+    # co-partitioned by id, one vectorized isin per partition
+    def singles_partition(doc: pd.DataFrame, node: pd.DataFrame) -> pa.Table:
+        doc_ids = doc[id_col].to_numpy(dtype=np.int64)
+        # node is column-less when no edge was verified at all
+        labelled = node["node"].to_numpy(dtype=np.int64) if len(node) else doc_ids[:0]
+        keep = doc_ids[~np.isin(doc_ids, labelled)]
         return pa.table(
             {id_col: pa.array(keep), "cluster_size": pa.array(np.ones(len(keep), dtype=np.int64))}
         ).cast(out_schema)
 
-    singles = (
-        ds.select_columns([id_col]).map_batches(doc_tags, batch_format="pyarrow")
-        .union(labels.map_batches(node_tags, batch_format="pyarrow"))
-        .map_batches(lambda b: add_partition_col(b, num_partitions, key="__id"),
-                     batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(singles_partition, batch_format="pandas")
-    )
+    singles = copartition({"doc": (ds.select_columns([id_col]), id_col),
+                           "node": (labels, "node")},
+                          num_partitions, singles_partition, "pandas")
     return comps.union(singles)
 
 
@@ -964,17 +895,12 @@ def simhash_dedup(ds, id_col: str = "doc_id", k: int = 3, num_partitions: int = 
     (doc_id, cluster_size) — rotated-band buckets (complete by
     pigeonhole), star-edge verification, distributed components; the
     same 100-TB-safe shape as :func:`minhash_lsh_dedup`."""
-    from .aggregate import add_partition_col
 
     block_rows = ds.map_batches(
         lambda b: simhash_block_rows(b, k, id_col), batch_format="pyarrow"
     )
-    parts = block_rows.map_batches(
-        lambda b: add_partition_col(b, num_partitions, key="bucket"), batch_format="pyarrow"
-    )
-    edges = parts.repartition(num_partitions).groupby("__part").map_groups(
-        lambda df: _simhash_star_edges_partition(df, k, id_col), batch_format="pandas"
-    )
+    edges = exchange(block_rows, "bucket", num_partitions,
+                     lambda df: _simhash_star_edges_partition(df, k, id_col), "pandas")
     edges = distinct_pairs(edges, num_partitions)
     labels = connected_components_min_label(edges, num_partitions=max(8, num_partitions // 4))
     return _survivors_from_labels(ds, labels, id_col, num_partitions)
@@ -990,7 +916,6 @@ def hamming_dedup_codes(ds, *, code_col: str, id_col: str = "doc_id",
     edges, distributed components, Dataset-only survivor assembly.
     Null codes are excluded from clustering (they come back as
     singletons via the survivor pass)."""
-    from .aggregate import add_partition_col
 
     def block_rows(t: pa.Table) -> pa.Table:
         col = t.column(code_col)
@@ -1005,12 +930,9 @@ def hamming_dedup_codes(ds, *, code_col: str, id_col: str = "doc_id",
         ids = t2.column(id_col).to_numpy(zero_copy_only=False)
         return _block_rows_from_codes(ids, codes, k, id_col)
 
-    parts = ds.map_batches(block_rows, batch_format="pyarrow").map_batches(
-        lambda b: add_partition_col(b, num_partitions, key="bucket"),
-        batch_format="pyarrow")
-    edges = parts.repartition(num_partitions).groupby("__part").map_groups(
-        lambda df: _simhash_star_edges_partition(df, k, id_col),
-        batch_format="pandas")
+    edges = exchange(ds.map_batches(block_rows, batch_format="pyarrow"), "bucket",
+                     num_partitions,
+                     lambda df: _simhash_star_edges_partition(df, k, id_col), "pandas")
     edges = distinct_pairs(edges, num_partitions)
     labels = connected_components_min_label(
         edges, num_partitions=max(8, num_partitions // 4))
@@ -1147,7 +1069,6 @@ def _verified_jaccard_labels(ds, *, threshold: float, num_perm: int, bands: int,
     # level, so the reverse import must stay out of module scope
     import pyarrow.compute as pc
 
-    from .aggregate import add_partition_col
     from .similarity import attach_pair_scores
 
     hasher = MinHasher(num_perm=num_perm, shingle_size=shingle_size)
@@ -1157,12 +1078,8 @@ def _verified_jaccard_labels(ds, *, threshold: float, num_perm: int, bands: int,
         lambda b: minhash_band_rows(b, hasher, bands, text_col, id_col),
         batch_format="pyarrow",
     )
-    parts = band_rows.map_batches(
-        lambda b: add_partition_col(b, num_partitions, key="bucket"), batch_format="pyarrow"
-    )
-    edges = parts.repartition(num_partitions).groupby("__part").map_groups(
-        lambda df: _star_edges_partition(df, pre, id_col), batch_format="pandas"
-    )
+    edges = exchange(band_rows, "bucket", num_partitions,
+                     lambda df: _star_edges_partition(df, pre, id_col), "pandas")
     edges = distinct_pairs(edges, num_partitions)
 
     def text_rows(t: pa.Table) -> pa.Table:
@@ -1259,8 +1176,6 @@ def contamination_flags(labels, union, *, id_col: str, num_partitions: int):
     exact int64 ids never round through pandas float64."""
     import pyarrow.compute as pc
 
-    from .aggregate import add_partition_col
-
     def contaminated_partition(df: pd.DataFrame) -> pa.Table:
         node = df["node"].to_numpy(dtype=np.int64)
         lab = df["label"].to_numpy(dtype=np.int64)
@@ -1268,54 +1183,24 @@ def contamination_flags(labels, union, *, id_col: str, num_partitions: int):
         keep = (node % 2 == 0) & np.isin(lab, bad)
         return pa.table({id_col: pa.array(node[keep] // 2)})
 
-    contaminated = (
-        labels.map_batches(
-            lambda b: add_partition_col(b, num_partitions, key="label"),
-            batch_format="pyarrow",
-        )
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(contaminated_partition, batch_format="pandas")
-    )
+    contaminated = exchange(labels, "label", num_partitions, contaminated_partition, "pandas")
 
     # Train ids come from the MATERIALIZED union (even combined ids),
     # not a re-read of the train source.
-    def train_side(t: pa.Table) -> pa.Table:
+    def train_ids(t: pa.Table) -> pa.Table:
         ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        ids = ids[ids % 2 == 0] // 2
-        return pa.table({
-            id_col: pa.array(ids, type=pa.int64()),
-            "__side": pa.array(np.ones(len(ids), dtype=np.int8)),
-        })
+        return pa.table({id_col: pa.array(ids[ids % 2 == 0] // 2, type=pa.int64())})
 
-    def cont_side(t: pa.Table) -> pa.Table:
-        return pa.table({
-            id_col: t.column(id_col).cast(pa.int64()),
-            "__side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-        })
+    def flag(train: pa.Table, bad: pa.Table) -> pa.Table:
+        # bad is column-less when no component reached a held-out doc
+        keys = (bad.column(id_col).cast(pa.int64()).combine_chunks() if bad.num_rows
+                else pa.array([], type=pa.int64()))
+        hit = pc.fill_null(pc.is_in(train.column(id_col), value_set=keys), False)
+        return pa.table({id_col: train.column(id_col), "contaminated": hit})
 
-    unioned = union.map_batches(
-        lambda t: train_side(t.select([id_col])), batch_format="pyarrow"
-    ).union(contaminated.map_batches(cont_side, batch_format="pyarrow"))
-
-    def flag(t: pa.Table) -> pa.Table:
-        side = t.column("__side")
-        keys = t.filter(pc.equal(side, 0)).column(id_col)
-        rows = t.filter(pc.equal(side, 1))
-        hit = pc.fill_null(
-            pc.is_in(rows.column(id_col), value_set=keys.combine_chunks()), False
-        )
-        return pa.table({id_col: rows.column(id_col), "contaminated": hit})
-
-    return (
-        unioned.map_batches(
-            lambda b: add_partition_col(b, num_partitions, key=id_col),
-            batch_format="pyarrow",
-        )
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(flag, batch_format="pyarrow")
-    )
+    return copartition({"train": (union.map_batches(train_ids, batch_format="pyarrow"), id_col),
+                        "bad": (contaminated, id_col)},
+                       num_partitions, flag, "pyarrow")
 
 
 # --------------------------------------------------------------------------
@@ -1348,7 +1233,6 @@ def prefix_jaccard_pairs(ds, *, threshold: float = 0.8, shingle_size: int = 3,
     candidate dedup → exact verification by co-partitioning pairs with
     the texts (the shared vectorized sorted-hash intersection kernel).
     Output: (a, b, jaccard)."""
-    from .aggregate import add_partition_col
     from .joins import _multi_arange
     from .similarity import attach_pair_scores
 
@@ -1360,8 +1244,7 @@ def prefix_jaccard_pairs(ds, *, threshold: float = 0.8, shingle_size: int = 3,
         if not len(h_flat):
             return pa.table({"h": pa.array([], type=pa.int64()),
                              "d": pa.array([], type=pa.int64()),
-                             "m": pa.array([], type=pa.int64()),
-                             "__part": pa.array([], type=pa.int64())})
+                             "m": pa.array([], type=pa.int64())})
         doc_idx = np.repeat(np.arange(n, dtype=np.int64), counts)
         order = np.lexsort((h_flat, doc_idx))
         d2, h2 = doc_idx[order], h_flat[order]
@@ -1371,12 +1254,11 @@ def prefix_jaccard_pairs(ds, *, threshold: float = 0.8, shingle_size: int = 3,
         p = np.minimum(np.floor((1.0 - threshold) * m).astype(np.int64) + 1, m)
         seg_start = np.r_[0, np.cumsum(m)[:-1]].astype(np.int64)
         iv, pos = _multi_arange(seg_start, seg_start + p)
-        out = pa.table({
+        return pa.table({
             "h": pa.array(h2[pos].view(np.int64)),
             "d": pa.array(ids[iv]),
             "m": pa.array(m[iv]),
         })
-        return add_partition_col(out, num_partitions, key="h")
 
     def bucket_pairs(df: pd.DataFrame) -> pa.Table:
         h = df["h"].to_numpy(dtype=np.int64)
@@ -1403,12 +1285,8 @@ def prefix_jaccard_pairs(ds, *, threshold: float = 0.8, shingle_size: int = 3,
         hi = np.maximum(a[ok], b[ok])
         return pa.table({"a": pa.array(lo), "b": pa.array(hi)})
 
-    cands = (
-        ds.map_batches(prefix_rows, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(bucket_pairs, batch_format="pandas")
-    )
+    cands = exchange(ds.map_batches(prefix_rows, batch_format="pyarrow"), "h",
+                     num_partitions, bucket_pairs, "pandas")
     cands = distinct_pairs(cands, num_partitions)
     values = ds.map_batches(
         lambda t: pa.table({

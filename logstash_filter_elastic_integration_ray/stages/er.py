@@ -35,7 +35,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .aggregate import add_partition_col
+from .exchange import copartition, exchange, lookup
 from .dedup import connected_components_min_label
 from .spell import _ed1
 
@@ -62,7 +62,7 @@ def normalize_contacts(t: pa.Table, *, id_col: str, name_col: str,
     return out.combine_chunks()
 
 
-def _block_rows(t: pa.Table, num_partitions: int) -> pa.Table:
+def _block_rows(t: pa.Table) -> pa.Table:
     """Thin blocking rows (bkey, kind, id, name_norm), fully
     vectorized: exact keys carry no payload beyond the id (equality is
     the block key itself); token rows carry the normalized name for
@@ -93,8 +93,7 @@ def _block_rows(t: pa.Table, num_partitions: int) -> pa.Table:
         "id": ids.take(parent),
         "name_norm": t.column("name_norm").take(parent),
     }))
-    out = pa.concat_tables(pieces).combine_chunks()
-    return add_partition_col(out, num_partitions, key="bkey")
+    return pa.concat_tables(pieces).combine_chunks()
 
 
 def _block_edges(df: pd.DataFrame) -> pa.Table:
@@ -164,57 +163,27 @@ def resolve_entities(ds, *, id_col: str = "id", name_col: str = "name",
         batch_format="pyarrow",
     ).materialize()
 
-    edges = (
-        norm.map_batches(lambda t: _block_rows(t, num_partitions),
-                         batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(_block_edges, batch_format="pandas")
-    )
+    edges = exchange(norm.map_batches(_block_rows, batch_format="pyarrow"), "bkey",
+                     num_partitions, _block_edges, "pandas")
     labels = connected_components_min_label(
         edges, num_partitions=max(8, num_partitions // 4))
 
     # attach by record id: label rows and id rows co-partition by id;
     # searchsorted keeps everything int64 (a NaN-bearing merge would
     # float64 the ids)
-    def id_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": t.column("id"),
-            "label": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="k")
+    def attach(rec: pd.DataFrame, label: pd.DataFrame) -> pa.Table:
+        # a record in no match edge is its own entity; the label side is
+        # column-less when no pair matched at all
+        want = rec["id"].to_numpy(dtype=np.int64)
+        lab = want
+        if len(label):
+            lb = label[["node", "label"]].drop_duplicates().sort_values("node", kind="stable")
+            lab = lookup(lb["node"].to_numpy(dtype=np.int64),
+                         lb["label"].to_numpy(dtype=np.int64), want, default=want)
+        return pa.table({"id": pa.array(want), "entity_id": pa.array(lab.astype(np.int64))})
 
-    def label_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": t.column("node"),
-            "label": t.column("label"),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="k")
-
-    def attach(df: pd.DataFrame) -> pa.Table:
-        want = df[df["side"] == 1]["k"].to_numpy(dtype=np.int64)
-        lb = df[df["side"] == 0][["k", "label"]].drop_duplicates()
-        lab = want.copy()
-        kk = lb["k"].to_numpy(dtype=np.int64)
-        if len(kk):
-            order = np.argsort(kk, kind="stable")
-            kk, vv = kk[order], lb["label"].to_numpy(dtype=np.int64)[order]
-            pos = np.searchsorted(kk, want)
-            ok = pos < len(kk)
-            okpos = np.minimum(pos, len(kk) - 1)
-            ok &= kk[okpos] == want
-            lab[ok] = vv[okpos[ok]]
-        return pa.table({"id": pa.array(want), "entity_id": pa.array(lab)})
-
-    return (
-        norm.map_batches(id_side, batch_format="pyarrow")
-        .union(labels.map_batches(label_side, batch_format="pyarrow"))
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(attach, batch_format="pandas")
-    )
+    return copartition({"rec": (norm.select_columns(["id"]), "id"), "label": (labels, "node")},
+                       num_partitions, attach, "pandas")
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from logstash_filter_elastic_integration_ray.stages.aggregate import add_partition_col
+from logstash_filter_elastic_integration_ray.stages.exchange import exchange
 
 __all__ = ["funnel_steps", "cohort_retention"]
 
@@ -68,8 +68,7 @@ def funnel_steps(
 
     def prefilter(t: pa.Table) -> pa.Table:
         m = pc.is_in(t.column(type_col), value_set=step_arr)
-        kept = t.filter(m).select([key, ts_col, type_col])
-        return add_partition_col(kept, num_partitions, key=key)
+        return t.filter(m).select([key, ts_col, type_col])
 
     def per_partition(df: pd.DataFrame) -> pa.Table:
         codes, uniq = pd.factorize(df[key], use_na_sentinel=False)
@@ -109,12 +108,8 @@ def funnel_steps(
     # (map_batches UDFs are skipped on empty blocks, so a
     # schema-restoring guard can't fire either) — callers branching on
     # emptiness should check count() first, as the tests do.
-    return (
-        ds.map_batches(prefilter, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(prefilter, batch_format="pyarrow"), key,
+                    num_partitions, per_partition, "pandas")
 
 
 def cohort_retention(
@@ -155,11 +150,10 @@ def cohort_retention(
         pairs = pa.table({key: t.column(key), "__period": pa.array(period)})
         # batch-local distinct: the exchange carries pairs, not rows
         df = pairs.to_pandas().drop_duplicates()
-        out = pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-        return add_partition_col(out, num_partitions, key=key)
+        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
 
     def per_entity(df: pd.DataFrame) -> pa.Table:
-        df = df.drop(columns="__part").drop_duplicates()
+        df = df.drop_duplicates()
         codes, _ = pd.factorize(df[key], use_na_sentinel=False)
         periods = df["__period"].to_numpy(dtype=np.int64)
         n_ent = int(codes.max()) + 1 if len(codes) else 0
@@ -174,12 +168,8 @@ def cohort_retention(
 
     from logstash_filter_elastic_integration_ray.stages.aggregate import group_counts
 
-    pairs = (
-        ds.map_batches(local_pairs, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(per_entity, batch_format="pandas")
-    )
+    pairs = exchange(ds.map_batches(local_pairs, batch_format="pyarrow"), key,
+                     num_partitions, per_entity, "pandas")
 
     def combine(t: pa.Table) -> pa.Table:
         combo = pc.add(
@@ -229,9 +219,6 @@ def markov_transitions(ds, *, key: str = "user_id",
     SQL agree bit-for-bit)."""
     order_cols = order_cols or ["ts", "event_id"]
 
-    def tag(t: pa.Table) -> pa.Table:
-        return add_partition_col(t, num_partitions, key=key)
-
     def pairs(df: pd.DataFrame) -> pa.Table:
         df = df.sort_values([key] + order_cols, kind="mergesort")
         k = df[key].to_numpy()
@@ -239,19 +226,17 @@ def markov_transitions(ds, *, key: str = "user_id",
         if len(k) < 2:
             return pa.table({"src_type": pa.array([], type=pa.string()),
                              "dst_type": pa.array([], type=pa.string()),
-                             "n": pa.array([], type=pa.int64()),
-                             "__part": pa.array([], type=pa.int64())})
+                             "n": pa.array([], type=pa.int64())})
         same = k[1:] == k[:-1]
         pf = pd.DataFrame({"src_type": ty[:-1][same], "dst_type": ty[1:][same]})
         cnt = pf.groupby(["src_type", "dst_type"], sort=False).size().reset_index(name="n")
-        out = pa.table({
+        return pa.table({
             "src_type": pa.array(cnt["src_type"].to_numpy(dtype=object),
                                  type=pa.string()),
             "dst_type": pa.array(cnt["dst_type"].to_numpy(dtype=object),
                                  type=pa.string()),
             "n": pa.array(cnt["n"].to_numpy(dtype=np.int64)),
         })
-        return add_partition_col(out, num_partitions, key="src_type")
 
     def finish(df: pd.DataFrame) -> pa.Table:
         agg = df.groupby(["src_type", "dst_type"], sort=False)["n"].sum().reset_index()
@@ -267,12 +252,5 @@ def markov_transitions(ds, *, key: str = "user_id",
                           / tot.to_numpy(dtype=np.int64).astype(np.float64)),
         })
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(pairs, batch_format="pandas")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(finish, batch_format="pandas")
-    )
+    return exchange(exchange(ds, key, num_partitions, pairs, "pandas"), "src_type",
+                    num_partitions, finish, "pandas")

@@ -35,7 +35,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .aggregate import add_partition_col
+from .exchange import copartition, exchange, lookup
 from .joins import _multi_arange
 
 SCALE = np.int64(1) << np.int64(32)
@@ -57,9 +57,8 @@ def _node_table(edges, src_col: str, dst_col: str, num_partitions: int):
         df = pd.DataFrame({"node": out.column("node").to_numpy(),
                            "is_src": out.column("is_src").to_numpy()})
         agg = df.groupby("node", sort=False)["is_src"].sum().reset_index()
-        red = pa.table({"node": pa.array(agg["node"].to_numpy(dtype=np.int64)),
-                        "is_src": pa.array(agg["is_src"].to_numpy(dtype=np.int64))})
-        return add_partition_col(red, num_partitions, key="node")
+        return pa.table({"node": pa.array(agg["node"].to_numpy(dtype=np.int64)),
+                         "is_src": pa.array(agg["is_src"].to_numpy(dtype=np.int64))})
 
     def merge(df: pd.DataFrame) -> pa.Table:
         agg = df.groupby("node", sort=False)["is_src"].sum().reset_index()
@@ -68,12 +67,16 @@ def _node_table(edges, src_col: str, dst_col: str, num_partitions: int):
             "deg": pa.array(agg["is_src"].to_numpy(dtype=np.int64)),
         })
 
-    return (
-        edges.map_batches(sides, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return exchange(edges.map_batches(sides, batch_format="pyarrow"), "node",
+                    num_partitions, merge, "pandas")
+
+
+def _int_edges(src_col: str, dst_col: str, out=("src", "dst")):
+    """Batch fn: the edge endpoints as int64 columns named ``out``."""
+    def fn(t: pa.Table) -> pa.Table:
+        return pa.table({out[0]: t.column(src_col).cast(pa.int64()),
+                         out[1]: t.column(dst_col).cast(pa.int64())})
+    return fn
 
 
 def pagerank(edges, *, n_iters: int = 8, damping_num: int = 85,
@@ -156,100 +159,41 @@ def _pagerank_bsp(edges, *, n_iters, damping_num, damping_den,
         if not len(seed_arr):
             raise ValueError("personalized PageRank needs >= 1 seed")
 
-    def edge_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "key": t.column(src_col).cast(pa.int64()),
-            "dst": t.column(dst_col).cast(pa.int64()),
-            "deg": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "q": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="key")
-
-    def rank_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "key": t.column("node"),
-            "dst": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "deg": t.column("deg"),
-            "q": t.column("q"),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="key")
-
-    def contribute(df: pd.DataFrame) -> pa.Table:
-        ranks = df[df["side"] == 1][["key", "deg", "q"]]
-        eg = df[df["side"] == 0][["key", "dst"]]
-        live = ranks[ranks["deg"] > 0]
-        share = (live["q"].to_numpy(dtype=np.int64)
-                 // live["deg"].to_numpy(dtype=np.int64))
-        m = eg.merge(pd.DataFrame({"key": live["key"].to_numpy(dtype=np.int64),
-                                   "share": share}), on="key", how="inner")
-        agg = m.groupby("dst", sort=False)["share"].sum().reset_index()
-        out = pa.table({
-            "dst": pa.array(agg["dst"].to_numpy(dtype=np.int64)),
-            "s": pa.array(agg["share"].to_numpy(dtype=np.int64)),
-        })
-        return add_partition_col(out, num_partitions, key="dst")
-
-    def node_row(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "dst": t.column("node"),
-            "s": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "deg": t.column("deg"),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="dst")
-
-    def contrib_row(t: pa.Table) -> pa.Table:
+    def contribute(edge: pd.DataFrame, rank: pd.DataFrame) -> pa.Table:
+        rank = rank.sort_values("node")
+        deg = rank["deg"].to_numpy(dtype=np.int64)
+        share = rank["q"].to_numpy(dtype=np.int64) // np.maximum(deg, 1)
+        s = lookup(rank["node"].to_numpy(dtype=np.int64), share,
+                   edge["src"].to_numpy(dtype=np.int64))
+        agg = pd.DataFrame({"dst": edge["dst"].to_numpy(dtype=np.int64), "s": s}
+                           ).groupby("dst", sort=False)["s"].sum().reset_index()
         return pa.table({
-            "dst": t.column("dst"),
-            "s": t.column("s"),
-            "deg": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-            "__part": t.column("__part"),
+            "dst": pa.array(agg["dst"].to_numpy(dtype=np.int64)),
+            "s": pa.array(agg["s"].to_numpy(dtype=np.int64)),
         })
 
-    def apply_damping(df: pd.DataFrame) -> pa.Table:
-        base_nodes = df[df["side"] == 1][["dst", "deg"]]
-        contrib_rows = df[df["side"] == 0]
-        agg = contrib_rows.groupby("dst", sort=False)["s"].sum().reset_index()
+    def apply_damping(contrib: pd.DataFrame, node: pd.DataFrame) -> pa.Table:
         # int64 all the way: a NaN-bearing map/fillna round trip would
         # float64 the sums, lossy past 2^53
-        keys = np.sort(agg["dst"].to_numpy(dtype=np.int64))
-        order = np.argsort(agg["dst"].to_numpy(dtype=np.int64), kind="stable")
-        vals = agg["s"].to_numpy(dtype=np.int64)[order]
-        want = base_nodes["dst"].to_numpy(dtype=np.int64)
-        sv = np.zeros(len(want), dtype=np.int64)
-        if len(keys):
-            pos = np.searchsorted(keys, want)
-            ok = (pos < len(keys))
-            okpos = np.minimum(pos, len(keys) - 1)
-            ok &= keys[okpos] == want
-            sv[ok] = vals[okpos[ok]]
+        agg = contrib.groupby("dst", sort=True)["s"].sum()
+        want = node["node"].to_numpy(dtype=np.int64)
+        sv = lookup(agg.index.to_numpy(dtype=np.int64), agg.to_numpy(dtype=np.int64),
+                    want, default=0)
         # exact integer damping: all rounding loss folds into the
         # global leftover redistributed next step
         prop = (damping_num * sv) // damping_den
         return pa.table({
-            "node": pa.array(base_nodes["dst"].to_numpy(dtype=np.int64)),
-            "deg": pa.array(base_nodes["deg"].to_numpy(dtype=np.int64)),
+            "node": pa.array(want),
+            "deg": pa.array(node["deg"].to_numpy(dtype=np.int64)),
             "prop": pa.array(prop.astype(np.int64)),
         })
 
+    edge_view = edges.map_batches(_int_edges(src_col, dst_col), batch_format="pyarrow")
     for _ in range(n_iters):
-        contrib = (
-            nodes.map_batches(rank_side, batch_format="pyarrow")
-            .union(edges.map_batches(edge_side, batch_format="pyarrow"))
-            .repartition(num_partitions)
-            .groupby("__part")
-            .map_groups(contribute, batch_format="pandas")
-        )
-        merged = (
-            nodes.map_batches(node_row, batch_format="pyarrow")
-            .union(contrib.map_batches(contrib_row, batch_format="pyarrow"))
-            .repartition(num_partitions)
-            .groupby("__part")
-            .map_groups(apply_damping, batch_format="pandas")
-        ).materialize()
+        contrib = copartition({"edge": (edge_view, "src"), "rank": (nodes, "node")},
+                              num_partitions, contribute, "pandas")
+        merged = copartition({"contrib": (contrib, "dst"), "node": (nodes, "node")},
+                             num_partitions, apply_damping, "pandas").materialize()
         tot_prop = int(merged.sum("prop"))
         if seed_arr is None:
             base = (total_mass - tot_prop) // n_nodes
@@ -373,7 +317,8 @@ class _PregelShardImpl:
             if item is None:
                 continue
             dst_ids, sums = item
-            acc[np.searchsorted(self.nodes, dst_ids)] += sums
+            # an id this shard does not own means the routing broke
+            acc[lookup(self.nodes, np.arange(len(self.nodes)), dst_ids)] += sums
         self.prop = (self.dn * acc) // self.dd
         return int(self.prop.sum())
 
@@ -528,14 +473,8 @@ def triangle_counts(edges, *, num_partitions: int = 32,
         return pa.table({"a": pa.array(u["a"].to_numpy(dtype=np.int64)),
                          "b": pa.array(u["b"].to_numpy(dtype=np.int64))})
 
-    simple = (
-        edges.map_batches(norm, batch_format="pyarrow")
-        .map_batches(lambda t: add_partition_col(t, num_partitions, key="pk"),
-                     batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(dedup_pairs_part, batch_format="pandas")
-    ).materialize()
+    simple = exchange(edges.map_batches(norm, batch_format="pyarrow"), "pk",
+                      num_partitions, dedup_pairs_part, "pandas").materialize()
 
     def deg_all(t: pa.Table) -> pa.Table:
         a = t.column("a").to_numpy(zero_copy_only=False)
@@ -550,61 +489,25 @@ def triangle_counts(edges, *, num_partitions: int = 32,
         return pa.table({"node": pa.array(agg["node"].to_numpy(dtype=np.int64)),
                          "d": pa.array(agg["d"].to_numpy(dtype=np.int64))})
 
-    degs = (
-        simple.map_batches(deg_all, batch_format="pyarrow")
-        .map_batches(lambda t: add_partition_col(t, num_partitions, key="node"),
-                     batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge_deg, batch_format="pandas")
-    ).materialize()
+    degs = exchange(simple.map_batches(deg_all, batch_format="pyarrow"), "node",
+                    num_partitions, merge_deg, "pandas").materialize()
 
-    # orientation joins: attach deg(a) then deg(b) via side-union
-    # co-partitions, then point low rank -> high rank
-    def edge_keyed(t: pa.Table, key: str) -> pa.Table:
-        n = t.num_rows
-        cols = {c: t.column(c) for c in t.column_names if c != "__part"}
-        cols["k"] = t.column(key)
-        cols["d"] = pa.array(np.zeros(n, dtype=np.int64))
-        cols["side"] = pa.array(np.zeros(n, dtype=np.int8))
-        return add_partition_col(pa.table(cols), num_partitions, key="k")
+    # orientation joins: attach deg(a) then deg(b) by co-partitioning
+    # the edges with the degree table, then point low rank -> high rank
+    def attach(key: str, out_col: str):
+        def fn(edge: pd.DataFrame, deg: pd.DataFrame) -> pa.Table:
+            deg = deg.sort_values("node")
+            cols = {c: pa.array(edge[c].to_numpy(dtype=np.int64)) for c in edge.columns}
+            cols[out_col] = pa.array(lookup(
+                deg["node"].to_numpy(dtype=np.int64), deg["d"].to_numpy(dtype=np.int64),
+                edge[key].to_numpy(dtype=np.int64)))
+            return pa.table(cols)
+        return fn
 
-    def deg_keyed(t: pa.Table, tmpl_cols: list[str]) -> pa.Table:
-        n = t.num_rows
-        cols = {}
-        for c in tmpl_cols:
-            cols[c] = pa.array(np.zeros(n, dtype=np.int64))
-        cols["k"] = t.column("node")
-        cols["d"] = t.column("d")
-        cols["side"] = pa.array(np.ones(n, dtype=np.int8))
-        return add_partition_col(pa.table(cols), num_partitions, key="k")
-
-    def attach(df: pd.DataFrame, out_col: str, carry: list[str]) -> pa.Table:
-        rows = df[df["side"] == 0]
-        dmap = df[df["side"] == 1][["k", "d"]].drop_duplicates()
-        m = rows.merge(dmap, on="k", how="left", suffixes=("", "_r"))
-        cols = {c: pa.array(m[c].to_numpy(dtype=np.int64)) for c in carry}
-        cols[out_col] = pa.array(m["d_r"].fillna(0).to_numpy(dtype=np.int64))
-        return pa.table(cols)
-
-    with_da = (
-        simple.map_batches(lambda t: edge_keyed(t, "a"), batch_format="pyarrow")
-        .union(degs.map_batches(lambda t: deg_keyed(t, ["a", "b"]),
-                                batch_format="pyarrow"))
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(lambda df: attach(df, "da", ["a", "b"]),
-                    batch_format="pandas")
-    )
-    with_db = (
-        with_da.map_batches(lambda t: edge_keyed(t, "b"), batch_format="pyarrow")
-        .union(degs.map_batches(lambda t: deg_keyed(t, ["a", "b", "da"]),
-                                batch_format="pyarrow"))
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(lambda df: attach(df, "db", ["a", "b", "da"]),
-                    batch_format="pandas")
-    )
+    with_da = copartition({"edge": (simple, "a"), "deg": (degs, "node")},
+                          num_partitions, attach("a", "da"), "pandas")
+    with_db = copartition({"edge": (with_da, "b"), "deg": (degs, "node")},
+                          num_partitions, attach("b", "db"), "pandas")
 
     def orient(t: pa.Table) -> pa.Table:
         a = t.column("a").to_numpy(zero_copy_only=False)
@@ -614,9 +517,8 @@ def triangle_counts(edges, *, num_partitions: int = 32,
         a_first = (da < db) | ((da == db) & (a < b))
         u = np.where(a_first, a, b)
         v = np.where(a_first, b, a)
-        out = pa.table({"u": pa.array(u.astype(np.int64)),
-                        "v": pa.array(v.astype(np.int64))})
-        return add_partition_col(out, num_partitions, key="u")
+        return pa.table({"u": pa.array(u.astype(np.int64)),
+                         "v": pa.array(v.astype(np.int64))})
 
     oriented = with_db.map_batches(orient, batch_format="pyarrow").materialize()
 
@@ -636,37 +538,26 @@ def triangle_counts(edges, *, num_partitions: int = 32,
         out = pa.table({"wu": pa.array(wu), "x": pa.array(wv), "y": pa.array(ww)})
         return out.append_column("pk", pa.array(_pair_key(wv, ww)))
 
-    wedge_rows = (
-        oriented.repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(wedges, batch_format="pandas")
-        .map_batches(lambda t: add_partition_col(t, num_partitions, key="pk"),
-                     batch_format="pyarrow")
-    )
+    wedge_rows = exchange(oriented, "u", num_partitions, wedges, "pandas")
 
-    def edge_close_rows(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy(zero_copy_only=False)
-        b = t.column("b").to_numpy(zero_copy_only=False)
-        n = len(a)
-        out = pa.table({
-            "wu": pa.array(np.full(n, -1, dtype=np.int64)),
-            "x": pa.array(a.astype(np.int64)),
-            "y": pa.array(b.astype(np.int64)),
-            "pk": pa.array(_pair_key(a.astype(np.int64), b.astype(np.int64))),
-        })
-        return add_partition_col(out, num_partitions, key="pk")
+    def edge_pairs(t: pa.Table) -> pa.Table:
+        a = t.column("a").to_numpy(zero_copy_only=False).astype(np.int64)
+        b = t.column("b").to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table({"x": pa.array(a), "y": pa.array(b),
+                         "pk": pa.array(_pair_key(a, b))})
 
-    def close(df: pd.DataFrame) -> pa.Table:
-        w = df[df["wu"] >= 0][["wu", "x", "y"]]
-        e = df[df["wu"] < 0][["x", "y"]].drop_duplicates()
-        m = w.merge(e, on=["x", "y"], how="inner")
+    def close(wedge: pd.DataFrame, edge: pd.DataFrame) -> pa.Table:
+        if not len(wedge):  # column-less when the graph has no wedge
+            return pa.table({"node": pa.array([], type=pa.int64()),
+                             "c": pa.array([], type=pa.int64())})
+        m = wedge[["wu", "x", "y"]].merge(
+            edge[["x", "y"]].drop_duplicates(), on=["x", "y"], how="inner")
         nodes = np.concatenate([m["wu"].to_numpy(dtype=np.int64),
                                 m["x"].to_numpy(dtype=np.int64),
                                 m["y"].to_numpy(dtype=np.int64)])
         cnt = pd.Series(nodes).value_counts() if len(nodes) else pd.Series(dtype=np.int64)
-        out = pa.table({"node": pa.array(cnt.index.to_numpy(dtype=np.int64)),
-                        "c": pa.array(cnt.to_numpy(dtype=np.int64))})
-        return add_partition_col(out, num_partitions, key="node")
+        return pa.table({"node": pa.array(cnt.index.to_numpy(dtype=np.int64)),
+                         "c": pa.array(cnt.to_numpy(dtype=np.int64))})
 
     def final_counts(df: pd.DataFrame) -> pa.Table:
         agg = df.groupby("node", sort=False)["c"].sum().reset_index()
@@ -675,16 +566,10 @@ def triangle_counts(edges, *, num_partitions: int = 32,
             "n_triangles": pa.array(agg["c"].to_numpy(dtype=np.int64)),
         })
 
-    return (
-        wedge_rows.union(simple.map_batches(edge_close_rows,
-                                            batch_format="pyarrow"))
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(close, batch_format="pandas")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(final_counts, batch_format="pandas")
-    )
+    closed = copartition({"wedge": (wedge_rows, "pk"),
+                          "edge": (simple.map_batches(edge_pairs, batch_format="pyarrow"), "pk")},
+                         num_partitions, close, "pandas")
+    return exchange(closed, "node", num_partitions, final_counts, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -749,79 +634,40 @@ def hits(edges, *, n_iters: int = 8, num_partitions: int = 32,
 
     _CAP = np.int64(1) << np.int64(40)
 
-    def edge_rows(t: pa.Table, key_col: str, other_col: str) -> pa.Table:
-        out = pa.table({
-            "k": t.column(key_col).cast(pa.int64()),
-            "o": t.column(other_col).cast(pa.int64()),
-            "h": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "a": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="k")
-
-    def node_rows(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": t.column("node"),
-            "o": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "h": t.column("h"),
-            "a": t.column("a"),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="k")
-
-    def sum_partial(df: pd.DataFrame, val: str) -> pa.Table:
+    def sum_partial(val: str):
         # edges keyed by k carry the OTHER endpoint in o; the k-side
         # node rows carry the score being propagated
-        nd = df[df["side"] == 1][["k", val]]
-        eg = df[df["side"] == 0][["k", "o"]]
-        m = eg.merge(nd, on="k", how="inner")
-        agg = m.groupby("o", sort=False)[val].sum().reset_index()
-        out = pa.table({
-            "node": pa.array(agg["o"].to_numpy(dtype=np.int64)),
-            "s": pa.array(agg[val].to_numpy(dtype=np.int64)),
-        })
-        return add_partition_col(out, num_partitions, key="node")
+        def fn(edge: pd.DataFrame, node: pd.DataFrame) -> pa.Table:
+            node = node.sort_values("node")
+            s = lookup(node["node"].to_numpy(dtype=np.int64),
+                       node[val].to_numpy(dtype=np.int64),
+                       edge["k"].to_numpy(dtype=np.int64))
+            agg = pd.DataFrame({"o": edge["o"].to_numpy(dtype=np.int64), "s": s}
+                               ).groupby("o", sort=False)["s"].sum().reset_index()
+            return pa.table({
+                "node": pa.array(agg["o"].to_numpy(dtype=np.int64)),
+                "s": pa.array(agg["s"].to_numpy(dtype=np.int64)),
+            })
+        return fn
 
-    def apply_new(df: pd.DataFrame, keep: str, out_col: str) -> pa.Table:
-        base = df[df["side"] == 1][["node", "h", "a"]]
-        contrib = df[df["side"] == 0]
-        agg = contrib.groupby("node", sort=False)["s"].sum().reset_index()
-        keys = agg["node"].to_numpy(dtype=np.int64)
-        order = np.argsort(keys, kind="stable")
-        kk, vv = keys[order], agg["s"].to_numpy(dtype=np.int64)[order]
-        want = base["node"].to_numpy(dtype=np.int64)
-        sv = np.zeros(len(want), dtype=np.int64)
-        if len(kk):
-            pos = np.searchsorted(kk, want)
-            ok = pos < len(kk)
-            okpos = np.minimum(pos, len(kk) - 1)
-            ok &= kk[okpos] == want
-            sv[ok] = vv[okpos[ok]]
-        cols = {"node": pa.array(want),
-                "h": pa.array(base["h"].to_numpy(dtype=np.int64)),
-                "a": pa.array(base["a"].to_numpy(dtype=np.int64))}
-        cols[out_col] = pa.array(sv)
-        return pa.table(cols)
+    def apply_new(out_col: str):
+        def fn(contrib: pd.DataFrame, node: pd.DataFrame) -> pa.Table:
+            agg = contrib.groupby("node", sort=True)["s"].sum()
+            want = node["node"].to_numpy(dtype=np.int64)
+            cols = {"node": pa.array(want),
+                    "h": pa.array(node["h"].to_numpy(dtype=np.int64)),
+                    "a": pa.array(node["a"].to_numpy(dtype=np.int64))}
+            cols[out_col] = pa.array(lookup(
+                agg.index.to_numpy(dtype=np.int64), agg.to_numpy(dtype=np.int64),
+                want, default=0).astype(np.int64))
+            return pa.table(cols)
+        return fn
 
-    def contrib_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": t.column("node"),
-            "s": t.column("s"),
-            "h": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "a": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-            "__part": t.column("__part"),
-        })
-
-    def base_rows(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "node": t.column("node"),
-            "s": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "h": t.column("h"),
-            "a": t.column("a"),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="node")
+    def half_step(nodes, edge_view, val: str, out_col: str):
+        contrib = copartition({"edge": (edge_view, "k"), "node": (nodes, "node")},
+                              num_partitions, sum_partial(val), "pandas")
+        return copartition({"contrib": (contrib, "node"), "node": (nodes, "node")},
+                           num_partitions, apply_new(out_col), "pandas")
 
     def rescale(ds_nodes, col: str):
         ds_nodes = ds_nodes.materialize()
@@ -841,45 +687,13 @@ def hits(edges, *, n_iters: int = 8, num_partitions: int = 32,
 
         return ds_nodes.map_batches(sh, batch_format="pyarrow").materialize()
 
+    fwd = edges.map_batches(_int_edges(src_col, dst_col, ("k", "o")), batch_format="pyarrow")
+    rev = edges.map_batches(_int_edges(dst_col, src_col, ("k", "o")), batch_format="pyarrow")
     for _ in range(n_iters):
         # authority half-step: a(v) = Σ h(u) over edges u→v
-        auth_contrib = (
-            nodes.map_batches(node_rows, batch_format="pyarrow")
-            .union(edges.map_batches(
-                lambda t: edge_rows(t, src_col, dst_col),
-                batch_format="pyarrow"))
-            .repartition(num_partitions)
-            .groupby("__part")
-            .map_groups(lambda df: sum_partial(df, "h"), batch_format="pandas")
-        )
-        nodes = (
-            nodes.map_batches(base_rows, batch_format="pyarrow")
-            .union(auth_contrib.map_batches(contrib_rows, batch_format="pyarrow"))
-            .repartition(num_partitions)
-            .groupby("__part")
-            .map_groups(lambda df: apply_new(df, "h", "a"),
-                        batch_format="pandas")
-        )
-        nodes = rescale(nodes, "a")
+        nodes = rescale(half_step(nodes, fwd, "h", "a"), "a")
         # hub half-step: h(u) = Σ a(v) over edges u→v
-        hub_contrib = (
-            nodes.map_batches(node_rows, batch_format="pyarrow")
-            .union(edges.map_batches(
-                lambda t: edge_rows(t, dst_col, src_col),
-                batch_format="pyarrow"))
-            .repartition(num_partitions)
-            .groupby("__part")
-            .map_groups(lambda df: sum_partial(df, "a"), batch_format="pandas")
-        )
-        nodes = (
-            nodes.map_batches(base_rows, batch_format="pyarrow")
-            .union(hub_contrib.map_batches(contrib_rows, batch_format="pyarrow"))
-            .repartition(num_partitions)
-            .groupby("__part")
-            .map_groups(lambda df: apply_new(df, "a", "h"),
-                        batch_format="pandas")
-        )
-        nodes = rescale(nodes, "h")
+        nodes = rescale(half_step(nodes, rev, "a", "h"), "h")
 
     hmax = int(nodes.max("h") or 1)
     amax = int(nodes.max("a") or 1)
@@ -977,7 +791,7 @@ class _HitsShardImpl:
             if item is None:
                 continue
             ids, sums = item
-            acc[np.searchsorted(self.nodes, ids)] += sums
+            acc[lookup(self.nodes, np.arange(len(self.nodes)), ids)] += sums
         return acc
 
     def apply_auth(self, *incoming) -> int:
@@ -1102,21 +916,43 @@ def simple_undirected(edges, *, num_partitions: int = 16,
         a = np.minimum(s[keep], d[keep])
         b = np.maximum(s[keep], d[keep])
         df = pd.DataFrame({"a": a, "b": b}).drop_duplicates()
-        out = pa.table({"a": pa.array(df["a"].to_numpy(dtype=np.int64)),
-                        "b": pa.array(df["b"].to_numpy(dtype=np.int64))})
-        return add_partition_col(out, num_partitions, key="a")
+        return pa.table({"a": pa.array(df["a"].to_numpy(dtype=np.int64)),
+                         "b": pa.array(df["b"].to_numpy(dtype=np.int64))})
 
     def dedup_part(df: pd.DataFrame) -> pa.Table:
         df = df[["a", "b"]].drop_duplicates()
         return pa.table({"a": pa.array(df["a"].to_numpy(dtype=np.int64)),
                          "b": pa.array(df["b"].to_numpy(dtype=np.int64))})
 
-    return (
-        edges.map_batches(canon, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(dedup_part, batch_format="pandas")
-    )
+    return exchange(edges.map_batches(canon, batch_format="pyarrow"), "a",
+                    num_partitions, dedup_part, "pandas")
+
+
+def _both_dirs(t: pa.Table) -> pa.Table:
+    """Simple ``(a, b)`` edges as the directed view holding both
+    orientations, ``(src, dst)``."""
+    a = t.column("a").to_numpy(zero_copy_only=False)
+    b = t.column("b").to_numpy(zero_copy_only=False)
+    return pa.table({
+        "src": pa.array(np.r_[a, b].astype(np.int64)),
+        "dst": pa.array(np.r_[b, a].astype(np.int64)),
+    })
+
+
+def _endpoints(t: pa.Table) -> pa.Table:
+    """Both endpoints of simple ``(a, b)`` edges as one ``node`` column
+    (a node appears once per incident edge)."""
+    a = t.column("a").to_numpy(zero_copy_only=False)
+    b = t.column("b").to_numpy(zero_copy_only=False)
+    return pa.table({"node": pa.array(np.r_[a, b].astype(np.int64))})
+
+
+def _nodes_of(edges2, num_partitions: int):
+    """The distinct ``node`` ids of a both-orientations edge view."""
+    def nodes_part(df: pd.DataFrame) -> pa.Table:
+        return pa.table({"node": pa.array(np.unique(df["src"].to_numpy(dtype=np.int64)))})
+
+    return exchange(edges2, "src", num_partitions, nodes_part, "pandas")
 
 
 def core_numbers(edges, *, num_partitions: int = 16, max_iters: int = 64,
@@ -1148,103 +984,43 @@ def core_numbers(edges, *, num_partitions: int = 16, max_iters: int = 64,
     simple = simple_undirected(edges, num_partitions=num_partitions,
                                src_col=src_col, dst_col=dst_col)
 
-    def both_dirs(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy(zero_copy_only=False)
-        b = t.column("b").to_numpy(zero_copy_only=False)
-        out = pa.table({
-            "src": pa.array(np.r_[a, b].astype(np.int64)),
-            "dst": pa.array(np.r_[b, a].astype(np.int64)),
-        })
-        return add_partition_col(out, num_partitions, key="src")
-
-    edges2 = simple.map_batches(both_dirs, batch_format="pyarrow").materialize()
+    edges2 = simple.map_batches(_both_dirs, batch_format="pyarrow").materialize()
 
     # init: est = degree (count of directed-out rows per src)
     def deg_part(df: pd.DataFrame) -> pa.Table:
         agg = df.groupby("src", sort=False).size().rename("est").reset_index()
-        out = pa.table({"node": pa.array(agg["src"].to_numpy(dtype=np.int64)),
-                        "est": pa.array(agg["est"].to_numpy(dtype=np.int64))})
-        return out
+        return pa.table({"node": pa.array(agg["src"].to_numpy(dtype=np.int64)),
+                         "est": pa.array(agg["est"].to_numpy(dtype=np.int64))})
 
-    est = (
-        edges2.repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(deg_part, batch_format="pandas")
-        .materialize()
-    )
+    est = exchange(edges2, "src", num_partitions, deg_part, "pandas").materialize()
 
-    def edge_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": t.column("src"),
-            "dst": t.column("dst"),
-            "est": pa.array(np.full(t.num_rows, -1, dtype=np.int64)),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="k")
-
-    def est_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": t.column("node"),
-            "dst": pa.array(np.full(t.num_rows, -1, dtype=np.int64)),
-            "est": t.column("est"),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="k")
-
-    def emit_messages(df: pd.DataFrame) -> pa.Table:
-        ev = df[df["side"] == 1]
-        ed = df[df["side"] == 0]
-        kk = ev["k"].to_numpy(dtype=np.int64)
-        vv = ev["est"].to_numpy(dtype=np.int64)
-        order = np.argsort(kk, kind="stable")
-        kk, vv = kk[order], vv[order]
-        want = ed["k"].to_numpy(dtype=np.int64)
-        pos = np.searchsorted(kk, want)
-        src_est = vv[np.minimum(pos, len(kk) - 1)] if len(kk) else np.zeros(0, np.int64)
-        out = pa.table({
-            "node": pa.array(ed["dst"].to_numpy(dtype=np.int64)),
+    def emit_messages(edge: pd.DataFrame, est: pd.DataFrame) -> pa.Table:
+        est = est.sort_values("node")
+        src_est = lookup(est["node"].to_numpy(dtype=np.int64),
+                         est["est"].to_numpy(dtype=np.int64),
+                         edge["src"].to_numpy(dtype=np.int64))
+        return pa.table({
+            "node": pa.array(edge["dst"].to_numpy(dtype=np.int64)),
             "nb_est": pa.array(src_est.astype(np.int64)),
         })
-        return add_partition_col(out, num_partitions, key="node")
 
-    def msg_side2(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "node": t.column("node"),
-            "val": t.column("nb_est"),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="node")
-
-    def est_side2(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "node": t.column("node"),
-            "val": t.column("est"),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="node")
-
-    def hindex_update(df: pd.DataFrame) -> pa.Table:
-        msgs = df[df["side"] == 0]
-        old = df[df["side"] == 1]
-        n = msgs["node"].to_numpy(dtype=np.int64)
-        v = msgs["val"].to_numpy(dtype=np.int64)
+    def hindex_update(msg: pd.DataFrame, old: pd.DataFrame) -> pa.Table:
+        n = msg["node"].to_numpy(dtype=np.int64)
+        v = msg["nb_est"].to_numpy(dtype=np.int64)
         # sort by (node, est desc): negate for descending within node
         order = np.lexsort((-v, n))
         ns, vs = n[order], v[order]
-        starts = np.flatnonzero(np.r_[True, ns[1:] != ns[:-1]])
+        starts = np.flatnonzero(np.r_[True, ns[1:] != ns[:-1]]) if len(ns) else ns[:0]
         rank = np.arange(len(ns), dtype=np.int64) - np.repeat(
             starts, np.diff(np.r_[starts, len(ns)])) + 1
         minrv = np.minimum(rank, vs)
         h = np.maximum.reduceat(minrv, starts) if len(ns) else np.zeros(0, np.int64)
         hn = ns[starts]
         on = old["node"].to_numpy(dtype=np.int64)
-        oe = old["val"].to_numpy(dtype=np.int64)
+        oe = old["est"].to_numpy(dtype=np.int64)
         oorder = np.argsort(on, kind="stable")
         on, oe = on[oorder], oe[oorder]
-        pos = np.searchsorted(hn, on)
-        hv = h[np.minimum(pos, max(len(hn) - 1, 0))] if len(hn) else np.zeros(len(on), np.int64)
-        ok = (pos < len(hn)) & (hn[np.minimum(pos, max(len(hn) - 1, 0))] == on) if len(hn) else np.zeros(len(on), bool)
-        new = np.where(ok, np.minimum(oe, hv), oe)
+        new = np.minimum(oe, lookup(hn, h, on, default=oe))
         return pa.table({
             "node": pa.array(on),
             "est": pa.array(new.astype(np.int64)),
@@ -1252,21 +1028,10 @@ def core_numbers(edges, *, num_partitions: int = 16, max_iters: int = 64,
         })
 
     for _ in range(int(max_iters)):
-        msgs = (
-            edges2.map_batches(edge_side, batch_format="pyarrow")
-            .union(est.map_batches(est_side, batch_format="pyarrow"))
-            .repartition(num_partitions)
-            .groupby("__part")
-            .map_groups(emit_messages, batch_format="pandas")
-        )
-        upd = (
-            msgs.map_batches(msg_side2, batch_format="pyarrow")
-            .union(est.map_batches(est_side2, batch_format="pyarrow"))
-            .repartition(num_partitions)
-            .groupby("__part")
-            .map_groups(hindex_update, batch_format="pandas")
-            .materialize()
-        )
+        msgs = copartition({"edge": (edges2, "src"), "est": (est, "node")},
+                           num_partitions, emit_messages, "pandas")
+        upd = copartition({"msg": (msgs, "node"), "old": (est, "node")},
+                          num_partitions, hindex_update, "pandas").materialize()
         changed = int(upd.sum("changed") or 0)
         est = upd.drop_columns(["changed"]).materialize()
         if changed == 0:
@@ -1321,9 +1086,8 @@ def hop_distances(edges, *, seeds, num_partitions: int = 16,
             src, dst = np.r_[s, d], np.r_[d, s]
         # per-batch dedup only — min semantics tolerate cross-batch dups
         df = pd.DataFrame({"src": src, "dst": dst}).drop_duplicates()
-        out = pa.table({"src": pa.array(df["src"].to_numpy(dtype=np.int64)),
-                        "dst": pa.array(df["dst"].to_numpy(dtype=np.int64))})
-        return add_partition_col(out, num_partitions, key="src")
+        return pa.table({"src": pa.array(df["src"].to_numpy(dtype=np.int64)),
+                         "dst": pa.array(df["dst"].to_numpy(dtype=np.int64))})
 
     edges2 = edges.map_batches(canon, batch_format="pyarrow").materialize()
 
@@ -1335,71 +1099,28 @@ def hop_distances(edges, *, seeds, num_partitions: int = 16,
     })).materialize()
     frontier = dist
 
-    def edge_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": t.column("src"),
-            "dst": t.column("dst"),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="k")
-
-    def frontier_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": t.column("node"),
-            "dst": pa.array(np.full(t.num_rows, -1, dtype=np.int64)),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="k")
-
-    def emit_candidates(df: pd.DataFrame) -> pa.Table:
-        fr = np.unique(df[df["side"] == 1]["k"].to_numpy(dtype=np.int64))
-        ed = df[df["side"] == 0]
-        src = ed["k"].to_numpy(dtype=np.int64)
-        hit = np.isin(src, fr)
-        cand = np.unique(ed["dst"].to_numpy(dtype=np.int64)[hit])
-        out = pa.table({"node": pa.array(cand)})
-        return add_partition_col(out, num_partitions, key="node")
-
-    def cand_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "node": t.column("node"),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="node")
-
-    def visited_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "node": t.column("node"),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="node")
+    def emit_candidates(edge: pd.DataFrame, frontier: pd.DataFrame) -> pa.Table:
+        fr = np.unique(frontier["node"].to_numpy(dtype=np.int64))
+        hit = np.isin(edge["src"].to_numpy(dtype=np.int64), fr)
+        cand = np.unique(edge["dst"].to_numpy(dtype=np.int64)[hit])
+        return pa.table({"node": pa.array(cand)})
 
     for r in range(1, int(max_iters) + 1):
-        cands = (
-            edges2.map_batches(edge_side, batch_format="pyarrow")
-            .union(frontier.map_batches(frontier_side, batch_format="pyarrow"))
-            .repartition(num_partitions)
-            .groupby("__part")
-            .map_groups(emit_candidates, batch_format="pandas")
-        )
+        cands = copartition({"edge": (edges2, "src"), "frontier": (frontier, "node")},
+                            num_partitions, emit_candidates, "pandas")
 
-        def keep_new(df: pd.DataFrame, _r: int = r) -> pa.Table:
-            seen = np.unique(df[df["side"] == 1]["node"].to_numpy(dtype=np.int64))
-            cand = np.unique(df[df["side"] == 0]["node"].to_numpy(dtype=np.int64))
+        def keep_new(cand: pd.DataFrame, seen: pd.DataFrame, _r: int = r) -> pa.Table:
+            seen = np.unique(seen["node"].to_numpy(dtype=np.int64))
+            # cand is column-less when the frontier has no out-edge
+            cand = np.unique(cand["node"].to_numpy(dtype=np.int64)) if len(cand) else seen[:0]
             new = cand[~np.isin(cand, seen)]
             return pa.table({
                 "node": pa.array(new),
                 "dist": pa.array(np.full(len(new), _r, dtype=np.int64)),
             })
 
-        new_nodes = (
-            cands.map_batches(cand_side, batch_format="pyarrow")
-            .union(dist.map_batches(visited_side, batch_format="pyarrow"))
-            .repartition(num_partitions)
-            .groupby("__part")
-            .map_groups(keep_new, batch_format="pandas")
-            .materialize()
-        )
+        new_nodes = copartition({"cand": (cands, "node"), "seen": (dist, "node")},
+                                num_partitions, keep_new, "pandas").materialize()
         if int(new_nodes.count()) == 0:
             return dist
         dist = dist.union(new_nodes).materialize()
@@ -1440,85 +1161,24 @@ def label_propagation(edges, *, n_iters: int = 5, num_partitions: int = 16,
     simple = simple_undirected(edges, num_partitions=num_partitions,
                                src_col=src_col, dst_col=dst_col)
 
-    def both_dirs(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy(zero_copy_only=False)
-        b = t.column("b").to_numpy(zero_copy_only=False)
-        out = pa.table({
-            "src": pa.array(np.r_[a, b].astype(np.int64)),
-            "dst": pa.array(np.r_[b, a].astype(np.int64)),
-        })
-        return add_partition_col(out, num_partitions, key="src")
+    edges2 = simple.map_batches(_both_dirs, batch_format="pyarrow").materialize()
+    labels = _initial_labels(edges2, num_partitions).materialize()
 
-    edges2 = simple.map_batches(both_dirs, batch_format="pyarrow").materialize()
-
-    def init_labels(df: pd.DataFrame) -> pa.Table:
-        nodes = np.unique(df["src"].to_numpy(dtype=np.int64))
-        return pa.table({"node": pa.array(nodes), "lbl": pa.array(nodes)})
-
-    labels = (
-        edges2.repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(init_labels, batch_format="pandas")
-        .materialize()
-    )
-
-    def edge_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": t.column("src"),
-            "dst": t.column("dst"),
-            "lbl": pa.array(np.full(t.num_rows, -1, dtype=np.int64)),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="k")
-
-    def lbl_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": t.column("node"),
-            "dst": pa.array(np.full(t.num_rows, -1, dtype=np.int64)),
-            "lbl": t.column("lbl"),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="k")
-
-    def emit_messages(df: pd.DataFrame) -> pa.Table:
-        lv = df[df["side"] == 1]
-        ed = df[df["side"] == 0]
-        kk = lv["k"].to_numpy(dtype=np.int64)
-        vv = lv["lbl"].to_numpy(dtype=np.int64)
-        order = np.argsort(kk, kind="stable")
-        kk, vv = kk[order], vv[order]
-        want = ed["k"].to_numpy(dtype=np.int64)
-        pos = np.searchsorted(kk, want)
-        nb = vv[np.minimum(pos, len(kk) - 1)] if len(kk) else np.zeros(0, np.int64)
-        out = pa.table({
-            "node": pa.array(ed["dst"].to_numpy(dtype=np.int64)),
+    def emit_messages(edge: pd.DataFrame, label: pd.DataFrame) -> pa.Table:
+        label = label.sort_values("node")
+        nb = lookup(label["node"].to_numpy(dtype=np.int64),
+                    label["lbl"].to_numpy(dtype=np.int64),
+                    edge["src"].to_numpy(dtype=np.int64))
+        return pa.table({
+            "node": pa.array(edge["dst"].to_numpy(dtype=np.int64)),
             "nb_lbl": pa.array(nb.astype(np.int64)),
         })
-        return add_partition_col(out, num_partitions, key="node")
 
-    def msg_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "node": t.column("node"),
-            "val": t.column("nb_lbl"),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="node")
-
-    def old_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "node": t.column("node"),
-            "val": t.column("lbl"),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="node")
-
-    def plurality_update(df: pd.DataFrame) -> pa.Table:
-        msgs = df[df["side"] == 0]
-        old = df[df["side"] == 1]
-        n = msgs["node"].to_numpy(dtype=np.int64)
-        v = msgs["val"].to_numpy(dtype=np.int64)
+    def plurality_update(msg: pd.DataFrame, old: pd.DataFrame) -> pa.Table:
+        n = msg["node"].to_numpy(dtype=np.int64)
+        v = msg["nb_lbl"].to_numpy(dtype=np.int64)
         on = old["node"].to_numpy(dtype=np.int64)
-        oe = old["val"].to_numpy(dtype=np.int64)
+        oe = old["lbl"].to_numpy(dtype=np.int64)
         oorder = np.argsort(on, kind="stable")
         on, oe = on[oorder], oe[oorder]
         if len(n):
@@ -1534,11 +1194,8 @@ def label_propagation(edges, *, n_iters: int = 5, num_partitions: int = 16,
             o2 = np.lexsort((pv, -counts, pn))
             pn2, pv2 = pn[o2], pv[o2]
             nstarts = np.flatnonzero(np.r_[True, pn2[1:] != pn2[:-1]])
-            win_n, win_l = pn2[nstarts], pv2[nstarts]
-            pos = np.searchsorted(win_n, on)
-            pos_c = np.minimum(pos, max(len(win_n) - 1, 0))
-            hit = (pos < len(win_n)) & (win_n[pos_c] == on)
-            new = np.where(hit, win_l[pos_c], oe)
+            # a node no message reached keeps its label
+            new = lookup(pn2[nstarts], pv2[nstarts], on, default=oe)
         else:
             new = oe
         return pa.table({
@@ -1548,21 +1205,10 @@ def label_propagation(edges, *, n_iters: int = 5, num_partitions: int = 16,
         })
 
     for _ in range(int(n_iters)):
-        msgs = (
-            edges2.map_batches(edge_side, batch_format="pyarrow")
-            .union(labels.map_batches(lbl_side, batch_format="pyarrow"))
-            .repartition(num_partitions)
-            .groupby("__part")
-            .map_groups(emit_messages, batch_format="pandas")
-        )
-        upd = (
-            msgs.map_batches(msg_side, batch_format="pyarrow")
-            .union(labels.map_batches(old_side, batch_format="pyarrow"))
-            .repartition(num_partitions)
-            .groupby("__part")
-            .map_groups(plurality_update, batch_format="pandas")
-            .materialize()
-        )
+        msgs = copartition({"edge": (edges2, "src"), "label": (labels, "node")},
+                           num_partitions, emit_messages, "pandas")
+        upd = copartition({"msg": (msgs, "node"), "old": (labels, "node")},
+                          num_partitions, plurality_update, "pandas").materialize()
         changed = int(upd.sum("changed") or 0)
         labels = upd.drop_columns(["changed"]).materialize()
         if changed == 0:
@@ -1570,6 +1216,14 @@ def label_propagation(edges, *, n_iters: int = 5, num_partitions: int = 16,
     return labels.map_batches(
         lambda t: pa.table({"node": t.column("node"),
                             "label": t.column("lbl")}),
+        batch_format="pyarrow")
+
+
+def _initial_labels(edges2, num_partitions: int):
+    """LPA round 0: every node of the both-orientations view labelled
+    with its own id, as ``(node, lbl)``."""
+    return _nodes_of(edges2, num_partitions).map_batches(
+        lambda t: pa.table({"node": t.column("node"), "lbl": t.column("node")}),
         batch_format="pyarrow")
 
 
@@ -1630,12 +1284,7 @@ def modularity(edges, labels, *, num_partitions: int = 16,
     e_in = int(tagged.map_batches(ein_partial, batch_format="pyarrow")
                .sum("e_in") or 0)
 
-    def both_dirs(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy(zero_copy_only=False)
-        b = t.column("b").to_numpy(zero_copy_only=False)
-        return pa.table({"node": pa.array(np.r_[a, b].astype(np.int64))})
-
-    deg = group_counts(simple.map_batches(both_dirs, batch_format="pyarrow"),
+    deg = group_counts(simple.map_batches(_endpoints, batch_format="pyarrow"),
                        key="node", out_col="d", num_partitions=num_partitions)
     deg_tag = deg.map_batches(
         lambda t: t if t.num_columns else pa.table(
@@ -1647,8 +1296,6 @@ def modularity(edges, labels, *, num_partitions: int = 16,
         on=("node",),
     )
     # per-label degree SUM (not count): two-phase partial sums by label
-    from .aggregate import add_partition_col as _apc
-
     def deg_partial(t: pa.Table) -> pa.Table:
         if t.num_columns == 0:
             t = pa.table({"label": pa.array([], type=pa.int64()),
@@ -1659,9 +1306,8 @@ def modularity(edges, labels, *, num_partitions: int = 16,
         ls, ds_ = lbls[order], d[order]
         starts = np.flatnonzero(np.r_[True, ls[1:] != ls[:-1]])
         sums = np.add.reduceat(ds_, starts) if len(ls) else np.zeros(0, np.int64)
-        out = pa.table({"label": pa.array(ls[starts] if len(ls) else ls),
-                        "dsum": pa.array(sums.astype(np.int64))})
-        return _apc(out, num_partitions, key="label")
+        return pa.table({"label": pa.array(ls[starts] if len(ls) else ls),
+                         "dsum": pa.array(sums.astype(np.int64))})
 
     def sq_partial(df: pd.DataFrame) -> pa.Table:
         agg = df.groupby("label", sort=False)["dsum"].sum().to_numpy(dtype=np.int64)
@@ -1672,10 +1318,8 @@ def modularity(edges, labels, *, num_partitions: int = 16,
         return pa.table({"sq": pa.array([total], type=pa.int64())})
 
     sum_deg_sq = int(
-        deg_tag.map_batches(deg_partial, batch_format="pyarrow")
-        .repartition(max(2, num_partitions // 4))
-        .groupby("__part")
-        .map_groups(sq_partial, batch_format="pandas")
+        exchange(deg_tag.map_batches(deg_partial, batch_format="pyarrow"), "label",
+                 max(2, num_partitions // 4), sq_partial, "pandas")
         .sum("sq") or 0
     )
 
@@ -1708,12 +1352,7 @@ def clustering_coefficients(edges, *, num_partitions: int = 16,
     simple = simple_undirected(edges, num_partitions=num_partitions,
                                src_col=src_col, dst_col=dst_col).materialize()
 
-    def both_ends(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy(zero_copy_only=False)
-        b = t.column("b").to_numpy(zero_copy_only=False)
-        return pa.table({"node": pa.array(np.r_[a, b].astype(np.int64))})
-
-    deg = group_counts(simple.map_batches(both_ends, batch_format="pyarrow"),
+    deg = group_counts(simple.map_batches(_endpoints, batch_format="pyarrow"),
                        key="node", out_col="deg",
                        num_partitions=num_partitions)
     # triangle_counts normalizes identically from the raw edges; feed
@@ -1721,60 +1360,36 @@ def clustering_coefficients(edges, *, num_partitions: int = 16,
     tri = triangle_counts(simple, num_partitions=num_partitions,
                           src_col="a", dst_col="b")
 
-    def deg_side(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0:
-            t = pa.table({"node": pa.array([], type=pa.int64()),
-                          "deg": pa.array([], type=pa.int64())})
-        out = pa.table({
-            "node": t.column("node"),
-            "v": t.column("deg"),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="node")
-
-    def tri_side(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0:
-            t = pa.table({"node": pa.array([], type=pa.int64()),
-                          "n_triangles": pa.array([], type=pa.int64())})
-        out = pa.table({
-            "node": t.column("node"),
-            "v": t.column("n_triangles"),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="node")
-
-    def merge(df: pd.DataFrame) -> pa.Table:
-        dd = df[df["side"] == 0]
-        tt = df[df["side"] == 1]
-        n = dd["node"].to_numpy(dtype=np.int64)
-        d = dd["v"].to_numpy(dtype=np.int64)
-        order = np.argsort(n, kind="stable")
-        n, d = n[order], d[order]
-        tn = tt["node"].to_numpy(dtype=np.int64)
-        tv = tt["v"].to_numpy(dtype=np.int64)
-        torder = np.argsort(tn, kind="stable")
-        tn, tv = tn[torder], tv[torder]
-        pos = np.searchsorted(tn, n)
-        pos_c = np.minimum(pos, max(len(tn) - 1, 0))
-        hit = (pos < len(tn)) & (tn[pos_c] == n) if len(tn) else \
-            np.zeros(len(n), dtype=bool)
-        tri_n = np.where(hit, tv[pos_c] if len(tn) else 0, 0).astype(np.int64)
+    def merge(deg: pd.DataFrame, tri: pd.DataFrame) -> pa.Table:
+        deg = deg.sort_values("node")
+        n = deg["node"].to_numpy(dtype=np.int64)
+        d = deg["deg"].to_numpy(dtype=np.int64)
+        # a graph with no triangle at all has a column-less tri side
+        tri_n = np.zeros(len(n), dtype=np.int64)
+        if len(tri):
+            tri = tri.sort_values("node")
+            tri_n = lookup(tri["node"].to_numpy(dtype=np.int64),
+                           tri["n_triangles"].to_numpy(dtype=np.int64), n, default=0)
         denom = d * (d - 1)
         cc = np.where(denom > 0, (2.0 * tri_n) / np.maximum(denom, 1), 0.0)
         return pa.table({
             "node": pa.array(n),
             "deg": pa.array(d),
-            "n_triangles": pa.array(tri_n),
+            "n_triangles": pa.array(tri_n.astype(np.int64)),
             "cc": pa.array(cc.astype(np.float64)),
         })
 
-    return (
-        deg.map_batches(deg_side, batch_format="pyarrow")
-        .union(tri.map_batches(tri_side, batch_format="pyarrow"))
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return copartition({"deg": (deg, "node"), "tri": (tri, "node")},
+                       num_partitions, merge, "pandas")
+
+
+def _pivot_view(edges, num_partitions: int, src_col: str, dst_col: str):
+    """The both-orientations simple edge view and its node table — the
+    shared input of the pivot BFS centralities."""
+    simple = simple_undirected(edges, num_partitions=num_partitions,
+                               src_col=src_col, dst_col=dst_col)
+    edges2 = simple.map_batches(_both_dirs, batch_format="pyarrow").materialize()
+    return edges2, _nodes_of(edges2, num_partitions).materialize()
 
 
 def _pivot_bfs_levels(edges2, node_tbl, pivot_arr, *,
@@ -1800,60 +1415,19 @@ def _pivot_bfs_levels(edges2, node_tbl, pivot_arr, *,
     settled = frontier
     levels = [frontier]
 
-    def fr_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": t.column("node"), "p": t.column("p"),
-            "v2": t.column("sigma"),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="k")
-
-    def ed_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": t.column("src"), "p": t.column("dst"),
-            "v2": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="k")
-
-    def emit_fwd(df: pd.DataFrame) -> pa.Table:
-        fr = df[df["side"] == 1]
-        ed = df[df["side"] == 0]
-        m = ed[["k", "p"]].rename(columns={"p": "dst"}).merge(
-            fr[["k", "p", "v2"]], on="k")
-        if not len(m):
-            out = pa.table({"p": pa.array([], type=pa.int64()),
-                            "node": pa.array([], type=pa.int64()),
-                            "sigma": pa.array([], type=pa.int64())})
-            return add_partition_col(out, num_partitions, key="node")
-        g = m.groupby(["p", "dst"], as_index=False)["v2"].sum()
-        out = pa.table({
+    def emit_fwd(frontier: pd.DataFrame, edge: pd.DataFrame) -> pa.Table:
+        m = edge[["src", "dst"]].merge(
+            frontier[["node", "p", "sigma"]].rename(columns={"node": "src"}), on="src")
+        g = m.groupby(["p", "dst"], as_index=False)["sigma"].sum()
+        return pa.table({
             "p": pa.array(g["p"].to_numpy(dtype=np.int64)),
             "node": pa.array(g["dst"].to_numpy(dtype=np.int64)),
-            "sigma": pa.array(g["v2"].to_numpy(dtype=np.int64)),
+            "sigma": pa.array(g["sigma"].to_numpy(dtype=np.int64)),
         })
-        return add_partition_col(out, num_partitions, key="node")
 
-    def msg_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "p": t.column("p"), "node": t.column("node"),
-            "sigma": t.column("sigma"),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="node")
-
-    def settled_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "p": t.column("p"), "node": t.column("node"),
-            "sigma": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="node")
-
-    def settle(df: pd.DataFrame) -> pa.Table:
-        ms = df[df["side"] == 0]
-        st = df[df["side"] == 1][["p", "node"]]
-        g = ms.groupby(["p", "node"], as_index=False)["sigma"].sum()
+    def settle(msg: pd.DataFrame, settled: pd.DataFrame) -> pa.Table:
+        st = settled[["p", "node"]]
+        g = msg.groupby(["p", "node"], as_index=False)["sigma"].sum()
         new = g.merge(st, on=["p", "node"], how="left", indicator=True)
         new = new[new["_merge"] == "left_only"]
         return pa.table({
@@ -1863,21 +1437,10 @@ def _pivot_bfs_levels(edges2, node_tbl, pivot_arr, *,
         })
 
     for _ in range(int(max_levels)):
-        msgs = (
-            frontier.map_batches(fr_side, batch_format="pyarrow")
-            .union(edges2.map_batches(ed_side, batch_format="pyarrow"))
-            .repartition(num_partitions)
-            .groupby("__part")
-            .map_groups(emit_fwd, batch_format="pandas")
-        )
-        new = (
-            msgs.map_batches(msg_side, batch_format="pyarrow")
-            .union(settled.map_batches(settled_side, batch_format="pyarrow"))
-            .repartition(num_partitions)
-            .groupby("__part")
-            .map_groups(settle, batch_format="pandas")
-            .materialize()
-        )
+        msgs = copartition({"frontier": (frontier, "node"), "edge": (edges2, "src")},
+                           num_partitions, emit_fwd, "pandas")
+        new = copartition({"msg": (msgs, "node"), "settled": (settled, "node")},
+                          num_partitions, settle, "pandas").materialize()
         if int(new.count()) == 0:
             break
         settled = settled.union(new).materialize()
@@ -1923,33 +1486,7 @@ def betweenness_pivots(edges, *, pivots, num_partitions: int = 16,
         raise ValueError("betweenness_pivots: need at least one pivot")
     pivot_arr = np.array(sorted(int(p) for p in pivots), dtype=np.int64)
 
-    simple = simple_undirected(edges, num_partitions=num_partitions,
-                               src_col=src_col, dst_col=dst_col)
-
-    def both_dirs(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy(zero_copy_only=False)
-        b = t.column("b").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "src": pa.array(np.r_[a, b].astype(np.int64)),
-            "dst": pa.array(np.r_[b, a].astype(np.int64)),
-        })
-
-    edges2 = simple.map_batches(both_dirs, batch_format="pyarrow").materialize()
-
-    def nodes_part(df: pd.DataFrame) -> pa.Table:
-        nodes = np.unique(df["src"].to_numpy(dtype=np.int64))
-        return pa.table({"node": pa.array(nodes)})
-
-    node_tbl = (
-        edges2.map_batches(
-            lambda t: add_partition_col(t, num_partitions, key="src"),
-            batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(nodes_part, batch_format="pandas")
-        .materialize()
-    )
-
+    edges2, node_tbl = _pivot_view(edges, num_partitions, src_col, dst_col)
     levels = _pivot_bfs_levels(edges2, node_tbl, pivot_arr,
                                num_partitions=num_partitions,
                                max_levels=max_levels)
@@ -1967,78 +1504,31 @@ def betweenness_pivots(edges, *, pivots, num_partitions: int = 16,
     deltas.append(zero_delta)
     cur = zero_delta
 
-    def lvl_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "k": t.column("node"), "p": t.column("p"),
-            "sigma": t.column("sigma"), "delta": t.column("delta"),
-            "v": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="k")
-
-    def edb_side(t: pa.Table) -> pa.Table:
+    def emit_bwd(level: pd.DataFrame, edge: pd.DataFrame) -> pa.Table:
         # edge (v, w) keyed by w: both orientations exist in edges2,
         # so rows with src=w carry dst=v
-        out = pa.table({
-            "k": t.column("src"), "p": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "sigma": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "delta": pa.array(np.zeros(t.num_rows, dtype=np.float64)),
-            "v": t.column("dst"),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="k")
-
-    def emit_bwd(df: pd.DataFrame) -> pa.Table:
-        lv = df[df["side"] == 1]
-        ed = df[df["side"] == 0]
-        m = ed[["k", "v"]].merge(
-            lv[["k", "p", "sigma", "delta"]], on="k")
-        if not len(m):
-            out = pa.table({"p": pa.array([], type=pa.int64()),
-                            "v": pa.array([], type=pa.int64()),
-                            "w": pa.array([], type=pa.int64()),
-                            "contrib": pa.array([], type=pa.float64())})
-            return add_partition_col(out, num_partitions, key="v")
-        contrib = (1.0 + m["delta"].to_numpy()) / m["sigma"].to_numpy()
-        out = pa.table({
+        m = edge[["src", "dst"]].merge(
+            level[["node", "p", "sigma", "delta"]].rename(columns={"node": "src"}),
+            on="src")
+        contrib = (1.0 + m["delta"].to_numpy(dtype=np.float64)) / m["sigma"].to_numpy()
+        return pa.table({
             "p": pa.array(m["p"].to_numpy(dtype=np.int64)),
-            "v": pa.array(m["v"].to_numpy(dtype=np.int64)),
-            "w": pa.array(m["k"].to_numpy(dtype=np.int64)),
+            "v": pa.array(m["dst"].to_numpy(dtype=np.int64)),
+            "w": pa.array(m["src"].to_numpy(dtype=np.int64)),
             "contrib": pa.array(contrib.astype(np.float64)),
         })
-        return add_partition_col(out, num_partitions, key="v")
 
-    def contrib_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "p": t.column("p"), "node": t.column("v"),
-            "w": t.column("w"), "x": t.column("contrib"),
-            "sigma": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="node")
-
-    def level_membership_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "p": t.column("p"), "node": t.column("node"),
-            "w": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "x": pa.array(np.zeros(t.num_rows, dtype=np.float64)),
-            "sigma": t.column("sigma"),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="node")
-
-    def acc_delta(df: pd.DataFrame) -> pa.Table:
-        ms = df[df["side"] == 0]
-        lv = df[df["side"] == 1]
+    def acc_delta(contrib: pd.DataFrame, member: pd.DataFrame) -> pa.Table:
+        lv = member
         if not len(lv):
             return pa.table({"p": pa.array([], type=pa.int64()),
                              "node": pa.array([], type=pa.int64()),
                              "sigma": pa.array([], type=pa.int64()),
                              "delta": pa.array([], type=pa.float64())})
-        p = ms["p"].to_numpy(dtype=np.int64)
-        n = ms["node"].to_numpy(dtype=np.int64)
-        w = ms["w"].to_numpy(dtype=np.int64)
-        x = ms["x"].to_numpy(dtype=np.float64)
+        p = contrib["p"].to_numpy(dtype=np.int64)
+        n = contrib["v"].to_numpy(dtype=np.int64)
+        w = contrib["w"].to_numpy(dtype=np.int64)
+        x = contrib["contrib"].to_numpy(dtype=np.float64)
         order = np.lexsort((w, n, p))
         p, n, x = p[order], n[order], x[order]
         new = np.r_[True, (p[1:] != p[:-1]) | (n[1:] != n[:-1])]
@@ -2059,57 +1549,25 @@ def betweenness_pivots(edges, *, pivots, num_partitions: int = 16,
         })
 
     for li in range(len(levels) - 2, -1, -1):
-        msgs = (
-            cur.map_batches(lvl_side, batch_format="pyarrow")
-            .union(edges2.map_batches(edb_side, batch_format="pyarrow"))
-            .repartition(num_partitions)
-            .groupby("__part")
-            .map_groups(emit_bwd, batch_format="pandas")
-        )
-        cur = (
-            msgs.map_batches(contrib_side, batch_format="pyarrow")
-            .union(levels[li].map_batches(
-                lambda t: pa.table({
-                    "p": t.column("p"), "node": t.column("node"),
-                    "sigma": t.column("sigma"),
-                }), batch_format="pyarrow",
-            ).map_batches(level_membership_side, batch_format="pyarrow"))
-            .repartition(num_partitions)
-            .groupby("__part")
-            .map_groups(acc_delta, batch_format="pandas")
-            .materialize()
-        )
+        msgs = copartition({"level": (cur, "node"), "edge": (edges2, "src")},
+                           num_partitions, emit_bwd, "pandas")
+        cur = copartition({"contrib": (msgs, "v"), "member": (levels[li], "node")},
+                          num_partitions, acc_delta, "pandas").materialize()
         deltas.append(cur)
 
     all_delta = deltas[0]
     for d in deltas[1:]:
         all_delta = all_delta.union(d)
 
-    def d_side(t: pa.Table) -> pa.Table:
-        keep = pc.not_equal(t.column("p"), t.column("node"))
-        t = t.filter(keep)
-        out = pa.table({
-            "node": t.column("node"), "p": t.column("p"),
-            "delta": t.column("delta"),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="node")
-
-    def n_side(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "node": t.column("node"),
-            "p": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "delta": pa.array(np.zeros(t.num_rows, dtype=np.float64)),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="node")
-
-    def final_bc(df: pd.DataFrame) -> pa.Table:
-        ms = df[df["side"] == 0]
-        nodes = np.unique(df[df["side"] == 1]["node"].to_numpy(dtype=np.int64))
-        n = ms["node"].to_numpy(dtype=np.int64)
-        p = ms["p"].to_numpy(dtype=np.int64)
-        x = ms["delta"].to_numpy(dtype=np.float64)
+    def final_bc(delta: pd.DataFrame, node: pd.DataFrame) -> pa.Table:
+        nodes = np.unique(node["node"].to_numpy(dtype=np.int64))
+        n = p = x = np.zeros(0, dtype=np.int64)
+        if len(delta):  # column-less when no pivot is in the graph
+            n = delta["node"].to_numpy(dtype=np.int64)
+            p = delta["p"].to_numpy(dtype=np.int64)
+            x = delta["delta"].to_numpy(dtype=np.float64)
+            keep = p != n
+            n, p, x = n[keep], p[keep], x[keep]
         order = np.lexsort((p, n))
         n, x = n[order], x[order]
         new = np.r_[True, n[1:] != n[:-1]]
@@ -2122,13 +1580,8 @@ def betweenness_pivots(edges, *, pivots, num_partitions: int = 16,
             "bc": pa.array(bc.to_numpy(dtype=np.float64)),
         })
 
-    return (
-        all_delta.map_batches(d_side, batch_format="pyarrow")
-        .union(node_tbl.map_batches(n_side, batch_format="pyarrow"))
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(final_bc, batch_format="pandas")
-    )
+    return copartition({"delta": (all_delta, "node"), "node": (node_tbl, "node")},
+                       num_partitions, final_bc, "pandas")
 
 
 def harmonic_closeness_pivots(edges, *, pivots, num_partitions: int = 16,
@@ -2151,32 +1604,7 @@ def harmonic_closeness_pivots(edges, *, pivots, num_partitions: int = 16,
         raise ValueError("harmonic_closeness_pivots: need at least one pivot")
     pivot_arr = np.array(sorted(int(p) for p in pivots), dtype=np.int64)
 
-    simple = simple_undirected(edges, num_partitions=num_partitions,
-                               src_col=src_col, dst_col=dst_col)
-
-    def both_dirs(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy(zero_copy_only=False)
-        b = t.column("b").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "src": pa.array(np.r_[a, b].astype(np.int64)),
-            "dst": pa.array(np.r_[b, a].astype(np.int64)),
-        })
-
-    edges2 = simple.map_batches(both_dirs, batch_format="pyarrow").materialize()
-
-    def nodes_part(df: pd.DataFrame) -> pa.Table:
-        nodes = np.unique(df["src"].to_numpy(dtype=np.int64))
-        return pa.table({"node": pa.array(nodes)})
-
-    node_tbl = (
-        edges2.map_batches(
-            lambda t: add_partition_col(t, num_partitions, key="src"),
-            batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(nodes_part, batch_format="pandas")
-        .materialize()
-    )
+    edges2, node_tbl = _pivot_view(edges, num_partitions, src_col, dst_col)
 
     levels = _pivot_bfs_levels(edges2, node_tbl, pivot_arr,
                                num_partitions=num_partitions,
@@ -2184,11 +1612,10 @@ def harmonic_closeness_pivots(edges, *, pivots, num_partitions: int = 16,
 
     def dist_rows(dist: int):
         def fn(t: pa.Table) -> pa.Table:
-            out = pa.table({
+            return pa.table({
                 "p": t.column("p"), "node": t.column("node"),
                 "dist": pa.array(np.full(t.num_rows, dist, dtype=np.int64)),
             })
-            return add_partition_col(out, num_partitions, key="p")
         return fn
 
     all_rows = levels[0].map_batches(dist_rows(0), batch_format="pyarrow")
@@ -2219,11 +1646,7 @@ def harmonic_closeness_pivots(edges, *, pivots, num_partitions: int = 16,
             "closeness": pa.array(closeness.astype(np.float64)),
         })
 
-    return (
-        all_rows.repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(finish, batch_format="pandas")
-    )
+    return exchange(all_rows, "p", num_partitions, finish, "pandas")
 
 
 def eccentricity_pivots(edges, *, pivots, num_partitions: int = 16,
@@ -2241,32 +1664,7 @@ def eccentricity_pivots(edges, *, pivots, num_partitions: int = 16,
         raise ValueError("eccentricity_pivots: need at least one pivot")
     pivot_arr = np.array(sorted(int(p) for p in pivots), dtype=np.int64)
 
-    simple = simple_undirected(edges, num_partitions=num_partitions,
-                               src_col=src_col, dst_col=dst_col)
-
-    def both_dirs(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy(zero_copy_only=False)
-        b = t.column("b").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "src": pa.array(np.r_[a, b].astype(np.int64)),
-            "dst": pa.array(np.r_[b, a].astype(np.int64)),
-        })
-
-    edges2 = simple.map_batches(both_dirs, batch_format="pyarrow").materialize()
-
-    def nodes_part(df: pd.DataFrame) -> pa.Table:
-        nodes = np.unique(df["src"].to_numpy(dtype=np.int64))
-        return pa.table({"node": pa.array(nodes)})
-
-    node_tbl = (
-        edges2.map_batches(
-            lambda t: add_partition_col(t, num_partitions, key="src"),
-            batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(nodes_part, batch_format="pandas")
-        .materialize()
-    )
+    edges2, node_tbl = _pivot_view(edges, num_partitions, src_col, dst_col)
 
     levels = _pivot_bfs_levels(edges2, node_tbl, pivot_arr,
                                num_partitions=num_partitions,
@@ -2274,11 +1672,10 @@ def eccentricity_pivots(edges, *, pivots, num_partitions: int = 16,
 
     def dist_rows(dist: int):
         def fn(t: pa.Table) -> pa.Table:
-            out = pa.table({
+            return pa.table({
                 "p": t.column("p"),
                 "dist": pa.array(np.full(t.num_rows, dist, dtype=np.int64)),
             })
-            return add_partition_col(out, num_partitions, key="p")
         return fn
 
     all_rows = levels[0].map_batches(dist_rows(0), batch_format="pyarrow")
@@ -2296,8 +1693,4 @@ def eccentricity_pivots(edges, *, pivots, num_partitions: int = 16,
             "n_reached": pa.array(g["n"].to_numpy(dtype=np.int64) - 1),
         })
 
-    return (
-        all_rows.repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(finish, batch_format="pandas")
-    )
+    return exchange(all_rows, "p", num_partitions, finish, "pandas")

@@ -40,6 +40,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from logstash_filter_elastic_integration_ray.stages.dedup import exact_dedup
+from logstash_filter_elastic_integration_ray.stages.exchange import exchange
 from logstash_filter_elastic_integration_ray.stages.joins import bloom_add, bloom_test
 
 __all__ = [
@@ -193,14 +194,11 @@ def dedup_against_corpus(
     maybe = survivors.map_batches(split(True), batch_format="pyarrow")
 
     def tag(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.append_column("__part", pa.array([], type=pa.int64()))
         u = hash_hex_to_u64(t.column("content_hash"))
-        part = _bucket_of(u, num_buckets) % num_partitions
-        return t.append_column("__part", pa.array(part))
+        return t.append_column("__bucket", pa.array(_bucket_of(u, num_buckets)))
 
     def resolve(t: pa.Table) -> pa.Table:
-        t = t.drop_columns("__part")
+        t = t.drop_columns("__bucket")
         if t.num_rows == 0:
             return t
         buckets = _bucket_of(hash_hex_to_u64(t.column("content_hash")), num_buckets)
@@ -222,12 +220,10 @@ def dedup_against_corpus(
             present[rows] = hit.to_numpy(zero_copy_only=False)
         return t.filter(pa.array(~present))
 
-    resolved = (
-        maybe.map_batches(tag, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(resolve, batch_format="pyarrow")
-    )
+    # rows of one corpus bucket meet in one partition, so each partition
+    # reads only the bucket files its rows can collide with
+    resolved = exchange(maybe.map_batches(tag, batch_format="pyarrow"), "__bucket",
+                        num_partitions, resolve, "pyarrow")
     return definite_new.union(resolved)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .aggregate import add_partition_col
+from .exchange import copartition
 
 
 def _dataset_schema(ds) -> pa.Schema:
@@ -48,27 +48,9 @@ def _disjoint_or_raise(left_cols, right_cols, opname: str) -> None:
         )
 
 
-def _make_widen(all_cols: list, col_types: dict):
-    """Union of heterogeneous schemas: missing columns become TYPED
-    nulls so every block carries one common schema through the
-    shuffle.  Shared by the as-of and range joins."""
-
-    def widen(t: pa.Table) -> pa.Table:
-        arrays, names = [], []
-        for c in all_cols:
-            if c in t.column_names:
-                arrays.append(t.column(c))
-            else:
-                arrays.append(pa.nulls(t.num_rows, type=col_types.get(c, pa.int64())))
-            names.append(c)
-        return pa.Table.from_arrays(arrays, names=names)
-
-    return widen
-
-
 def _restore_int_dtypes(df: pd.DataFrame, schema: pa.Schema, plain_cols: set) -> pd.DataFrame:
-    """Undo the float64 promotion the widened union inflicts on int
-    columns: join-key columns (``plain_cols``, null-free by contract)
+    """Undo the float64 promotion pandas gives a null-bearing int
+    column: join-key columns (``plain_cols``, null-free by contract)
     back to plain int64, payload columns to nullable Int64 so genuine
     source nulls survive instead of raising IntCastingNaNError."""
     for f in schema:
@@ -102,29 +84,15 @@ def asof_join_bucketed(
     left_cols = list(left_schema.names)
     right_cols = list(right_schema.names)
     _disjoint_or_raise(left_cols, right_cols, "asof_join_bucketed")
-    col_types = {**{f.name: f.type for f in right_schema}, **{f.name: f.type for f in left_schema}}
 
-    def tag_left(t: pa.Table) -> pa.Table:
-        t = add_partition_col(t, num_partitions, key=by_left)
-        return t.append_column("__side", pa.array(np.zeros(t.num_rows, dtype=np.int8)))
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        t = add_partition_col(t, num_partitions, key=by_right)
-        return t.append_column("__side", pa.array(np.ones(t.num_rows, dtype=np.int8)))
-
-    lt = left.map_batches(tag_left, batch_format="pyarrow")
-    rt = right.map_batches(tag_right, batch_format="pyarrow")
-
-    all_cols = list(dict.fromkeys(left_cols + right_cols)) + ["__part", "__side"]
-    widen = _make_widen(all_cols, col_types)
-
-    combined = lt.map_batches(widen, batch_format="pyarrow").union(
-        rt.map_batches(widen, batch_format="pyarrow")
-    )
-
-    def per_bucket(df: pd.DataFrame) -> pa.Table:
-        l = df[df["__side"] == 0][left_cols].copy()
-        r = df[df["__side"] == 1][right_cols].copy()
+    def per_bucket(l: pd.DataFrame, r: pd.DataFrame) -> pa.Table:
+        # a side with no rows at all reaches here column-less
+        if not len(l):
+            return output_schema.empty_table()
+        if not len(r):
+            out = _restore_int_dtypes(l.copy(), left_schema, plain_cols=set())
+            out = out.assign(**{c: None for c in right_cols})[[f.name for f in output_schema]]
+            return pa.Table.from_pandas(out, preserve_index=False, schema=output_schema).replace_schema_metadata(None)
         # null on/by keys: merge_asof RAISES on them.  Left rows with a
         # null key can never match — split them out and emit them with
         # null right payload (the join is left-preserving); right rows
@@ -159,11 +127,8 @@ def asof_join_bucketed(
         out = merged[[f.name for f in output_schema]]
         return pa.Table.from_pandas(out, preserve_index=False, schema=output_schema).replace_schema_metadata(None)
 
-    return (
-        combined.repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return copartition({"l": (left, by_left), "r": (right, by_right)},
+                       num_partitions, per_bucket, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +191,6 @@ def range_join_chunked(
     left_cols = list(left_schema.names)
     right_cols = list(right_schema.names)
     _disjoint_or_raise(left_cols, right_cols, "range_join_chunked")
-    col_types = {**{f.name: f.type for f in right_schema}, **{f.name: f.type for f in left_schema}}
 
     # ---- pass 1: global [mn, mx] of the left key (tiny partials) ------
     def stats(t: pa.Table) -> pa.Table:
@@ -255,9 +219,7 @@ def range_join_chunked(
         v = _numeric_view(t.column(on_left))
         keep = ~np.isnan(v)
         t = t.filter(pa.array(keep))
-        part = chunk_of(v[keep])
-        t = t.append_column("__part", pa.array(part))
-        return t.append_column("__side", pa.array(np.zeros(t.num_rows, dtype=np.int8)))
+        return t.append_column("__chunk", pa.array(chunk_of(v[keep])))
 
     def tag_right(t: pa.Table) -> pa.Table:
         lo = _numeric_view(t.column(lo_right))
@@ -266,30 +228,16 @@ def range_join_chunked(
         t = t.filter(pa.array(keep))
         c0 = chunk_of(np.maximum(lo[keep], mn))
         c1 = chunk_of(np.minimum(hi[keep], mx))
-        row_idx, parts = _multi_arange(c0, c1 + 1)
+        row_idx, chunks = _multi_arange(c0, c1 + 1)
         t = t.take(pa.array(row_idx))
-        t = t.append_column("__part", pa.array(parts))
-        return t.append_column("__side", pa.array(np.ones(t.num_rows, dtype=np.int8)))
+        return t.append_column("__chunk", pa.array(chunks))
 
-    lt = left.map_batches(tag_left, batch_format="pyarrow")
-    rt = right.map_batches(tag_right, batch_format="pyarrow")
-
-    all_cols = list(dict.fromkeys(left_cols + right_cols)) + ["__part", "__side"]
-    widen = _make_widen(all_cols, col_types)
-
-    combined = lt.map_batches(widen, batch_format="pyarrow").union(
-        rt.map_batches(widen, batch_format="pyarrow")
-    )
-
-    def per_chunk(df: pd.DataFrame) -> pa.Table:
-        l = df[df["__side"] == 0][left_cols].copy()
-        r = df[df["__side"] == 1][right_cols].copy()
+    def per_chunk(l: pd.DataFrame, r: pd.DataFrame) -> pa.Table:
         # keys are NaN-filtered in tag_left/tag_right; payload int
         # columns may carry genuine source nulls → nullable Int64
-        l = _restore_int_dtypes(l, left_schema, plain_cols={on_left})
-        r = _restore_int_dtypes(r, right_schema, plain_cols={lo_right, hi_right})
-        if not len(l) or not len(r):
-            return empty
+        l = _restore_int_dtypes(l[left_cols].copy(), left_schema, plain_cols={on_left})
+        r = _restore_int_dtypes(r[right_cols].copy(), right_schema,
+                                plain_cols={lo_right, hi_right})
         order = np.argsort(l[on_left].to_numpy(), kind="stable")
         l = l.iloc[order].reset_index(drop=True)
         lv = l[on_left].to_numpy()
@@ -305,11 +253,18 @@ def range_join_chunked(
         )[[f.name for f in output_schema]]
         return pa.Table.from_pandas(out, preserve_index=False, schema=output_schema).replace_schema_metadata(None)
 
-    return (
-        combined.repartition(num_chunks)
-        .groupby("__part")
-        .map_groups(per_chunk, batch_format="pandas")
-    )
+    def per_partition(l: pd.DataFrame, r: pd.DataFrame) -> pa.Table:
+        # chunk ids hash into partitions: match chunk by chunk, or an
+        # interval replicated to two co-located chunks pairs twice
+        if not len(l) or not len(r):
+            return empty
+        lc, rc = l["__chunk"].to_numpy(), r["__chunk"].to_numpy()
+        return pa.concat_tables([empty] + [per_chunk(l[lc == c], r[rc == c])
+                                           for c in np.intersect1d(lc, rc)])
+
+    return copartition({"l": (left.map_batches(tag_left, batch_format="pyarrow"), "__chunk"),
+                        "r": (right.map_batches(tag_right, batch_format="pyarrow"), "__chunk")},
+                       num_chunks, per_partition, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -332,51 +287,26 @@ def hash_semi_join(left, right, *, left_key: str, right_key: str,
     null-poisoning rule — one null makes NOT IN empty — is deliberately
     not reproduced); a null LEFT key matches nothing, so it drops under
     semi and survives under anti."""
-    left_schema = _dataset_schema(left)
-    left_cols = list(left_schema.names)
-    left_types = {f.name: f.type for f in left_schema}  # plain dict —
-    # closures must NOT capture the left Dataset (it would pickle the
-    # whole plan into right-side tasks and run ds.schema() on workers)
-
-    def left_side(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__k", t.column(left_key).cast(pa.int64())
-        ).append_column("__side", pa.array(np.ones(t.num_rows, dtype=np.int8)))
+    import pyarrow.compute as pc
 
     def right_keys(t: pa.Table) -> pa.Table:
         col = t.column(right_key)
         col = (col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col).drop_null()
-        # drop nulls BEFORE the numpy round trip: a null would float64
-        # the whole array and desync __k's dtype across the union
-        ks = np.unique(col.cast(pa.int64()).to_numpy(zero_copy_only=False))
-        n = len(ks)
-        cols = {c: pa.nulls(n, type=left_types[c]) for c in left_cols}
-        cols["__k"] = pa.array(ks, type=pa.int64())
-        cols["__side"] = pa.array(np.zeros(n, dtype=np.int8))
-        return pa.table(cols)
+        return pa.table({"__k": pa.array(np.unique(col.cast(pa.int64()).to_numpy(
+            zero_copy_only=False)), type=pa.int64())})
 
-    def resolve(t: pa.Table) -> pa.Table:
-        # pure Arrow: the null-filled payload columns of the key-side
-        # rows must not force an int64 → float64 pandas conversion
-        import pyarrow.compute as _pc
+    def left_rows(t: pa.Table) -> pa.Table:
+        return t.append_column("__k", t.column(left_key).cast(pa.int64()))
 
-        side = t.column("__side")
-        keys = t.filter(_pc.equal(side, 0)).column("__k")
-        rows = t.filter(_pc.equal(side, 1))
-        hit = _pc.is_in(rows.column("__k"), value_set=keys.combine_chunks())
-        mask = _pc.invert(_pc.fill_null(hit, False)) if anti else _pc.fill_null(hit, False)
-        return rows.filter(mask).select(left_cols)
+    def resolve(rows: pa.Table, keys: pa.Table) -> pa.Table:
+        # keys is column-less when the right side is empty
+        ks = keys.column("__k").combine_chunks() if keys.num_rows else pa.array([], pa.int64())
+        hit = pc.fill_null(pc.is_in(rows.column("__k"), value_set=ks), False)
+        return rows.filter(pc.invert(hit) if anti else hit).drop_columns(["__k"])
 
-    unioned = left.map_batches(left_side, batch_format="pyarrow").union(
-        right.map_batches(right_keys, batch_format="pyarrow")
-    )
-    return (
-        unioned.map_batches(lambda b: add_partition_col(b, num_partitions, key="__k"),
-                            batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(resolve, batch_format="pyarrow")
-    )
+    return copartition({"rows": (left.map_batches(left_rows, batch_format="pyarrow"), "__k"),
+                        "keys": (right.map_batches(right_keys, batch_format="pyarrow"), "__k")},
+                       num_partitions, resolve, "pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -528,24 +458,16 @@ def upsert_merge(base, changes, *, key: str, ts_col: str,
     base_schema = _dataset_schema(base)
     cols = [c for c in base_schema.names]
 
-    def base_side(t: pa.Table) -> pa.Table:
-        arrs = {c: t.column(c) for c in cols}
-        arrs["__op"] = pa.array(np.full(t.num_rows, "", dtype=object),
-                                type=pa.string())
-        arrs["__origin"] = pa.array(np.zeros(t.num_rows, dtype=np.int8))
-        return add_partition_col(pa.table(arrs), num_partitions, key=key)
-
-    def change_side(t: pa.Table) -> pa.Table:
-        arrs = {c: t.column(c) for c in cols}
-        if op_col is not None:
-            arrs["__op"] = t.column(op_col).cast(pa.string())
-        else:
-            arrs["__op"] = pa.array(np.full(t.num_rows, "", dtype=object),
-                                    type=pa.string())
-        arrs["__origin"] = pa.array(np.ones(t.num_rows, dtype=np.int8))
-        return add_partition_col(pa.table(arrs), num_partitions, key=key)
-
-    def resolve(df: pd.DataFrame) -> pa.Table:
+    def resolve(base: pd.DataFrame, changes: pd.DataFrame) -> pa.Table:
+        # origin 1 (a change) beats 0 (base) at equal (key, ts); a side
+        # with no rows at all reaches here column-less
+        parts = []
+        if key in base.columns:
+            parts.append(base[cols].assign(__op="", __origin=0))
+        if key in changes.columns:
+            ops = changes[op_col].astype(object) if op_col is not None else ""
+            parts.append(changes[cols].assign(__op=ops, __origin=1))
+        df = pd.concat(parts, ignore_index=True)
         df = df.sort_values([key, ts_col, "__origin"], kind="mergesort")
         last = ~df.duplicated(subset=[key], keep="last")
         win = df[last]
@@ -563,10 +485,5 @@ def upsert_merge(base, changes, *, key: str, ts_col: str,
                 out[c] = pa.array(v.to_numpy(dtype=object), type=f.type)
         return pa.table(out)
 
-    return (
-        base.map_batches(base_side, batch_format="pyarrow")
-        .union(changes.map_batches(change_side, batch_format="pyarrow"))
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(resolve, batch_format="pandas")
-    )
+    return copartition({"base": (base, key), "changes": (changes, key)},
+                       num_partitions, resolve, "pandas")

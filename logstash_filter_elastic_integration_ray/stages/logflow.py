@@ -90,15 +90,11 @@ def multiline_assemble(ds, *, stream_col: str, idx_col: str, line_col: str,
             "message": msg,
         })
 
-    from .aggregate import add_partition_col
+    from .exchange import exchange
 
-    parted = ds.map_batches(
-        lambda b: add_partition_col(b, num_partitions, key=stream_col),
-        batch_format="pyarrow")
-    return parted.groupby("__part").map_groups(
-        lambda df: assemble(pa.Table.from_pandas(df, preserve_index=False)
-                            .drop_columns(["__part"])),
-        batch_format="pandas")
+    return exchange(ds, stream_col, num_partitions,
+                    lambda df: assemble(pa.Table.from_pandas(df, preserve_index=False)),
+                    "pandas")
 
 
 def throttle_events(ds, *, key_col: str, ts_col: str, order_col: str,
@@ -135,12 +131,8 @@ def throttle_events(ds, *, key_col: str, ts_col: str, order_col: str,
             "throttled": pa.array(seq > limit),
         })
 
-    from .aggregate import add_partition_col
+    from .exchange import exchange
 
-    parted = ds.map_batches(
-        lambda b: add_partition_col(b, num_partitions, key=key_col),
-        batch_format="pyarrow")
-    return parted.groupby("__part").map_groups(
-        lambda df: rank(pa.Table.from_pandas(df, preserve_index=False)
-                        .drop_columns(["__part"])),
-        batch_format="pandas")
+    return exchange(ds, key_col, num_partitions,
+                    lambda df: rank(pa.Table.from_pandas(df, preserve_index=False)),
+                    "pandas")

@@ -29,7 +29,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from logstash_filter_elastic_integration_ray.stages.aggregate import add_partition_col
+from logstash_filter_elastic_integration_ray.stages.exchange import exchange
 
 
 def _stats_partial(t: pa.Table, columns: list[str]) -> pa.Table:
@@ -72,8 +72,7 @@ def _stats_merge(df: pd.DataFrame) -> pd.DataFrame:
     return out
 
 
-def _distinct_pairs(t: pa.Table, columns: list[str],
-                    num_partitions: int) -> pa.Table:
+def _distinct_pairs(t: pa.Table, columns: list[str]) -> pa.Table:
     names: list[pa.Array] = []
     vals: list[pa.Array] = []
     for c in columns:
@@ -94,9 +93,7 @@ def _distinct_pairs(t: pa.Table, columns: list[str],
             "col_name": pa.concat_arrays(names),
             "val": pa.concat_arrays([v.combine_chunks() if isinstance(v, pa.ChunkedArray) else v for v in vals]),
         })
-    # route by value so one column's universe spreads over partitions
-    # (a per-column route would serialize the widest column)
-    return add_partition_col(out, num_partitions, key="val")
+    return out
 
 
 def _distinct_count_partition(df: pd.DataFrame) -> pd.DataFrame:
@@ -114,14 +111,10 @@ def profile_columns(ds, *, columns: list[str], num_partitions: int = 32) -> pd.D
         .map_batches(_stats_merge, batch_format="pandas")
         .to_pandas()
     )
-    dist = (
-        ds.map_batches(lambda t: _distinct_pairs(t, columns, num_partitions),
-                       batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(_distinct_count_partition, batch_format="pandas")
-        .to_pandas()
-    )
+    # route by value so one column's universe spreads over partitions
+    # (a per-column route would serialize the widest column)
+    dist = exchange(ds.map_batches(lambda t: _distinct_pairs(t, columns), batch_format="pyarrow"),
+                    "val", num_partitions, _distinct_count_partition, "pandas").to_pandas()
     if "col_name" not in dist.columns:
         # an all-null / empty input forwards no distinct pairs at all,
         # and Ray's empty groupby yields a column-less frame

@@ -33,7 +33,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from logstash_filter_elastic_integration_ray.stages.aggregate import add_partition_col
+from logstash_filter_elastic_integration_ray.stages.exchange import exchange
 from logstash_filter_elastic_integration_ray.stages.windows import _lexsort_segments
 
 __all__ = ["context_response_pairs", "context_response_reference"]
@@ -58,11 +58,7 @@ def context_response_pairs(
     if max_context_chars is not None and max_context_chars <= 0:
         raise ValueError("context_response_pairs: max_context_chars must be >= 1")
 
-    def tag(t: pa.Table) -> pa.Table:
-        return add_partition_col(t, num_partitions, key=key)
-
     def per_partition(df: pd.DataFrame) -> pa.Table:
-        df = df.drop(columns="__part")
         if df[order_col].isna().any():
             raise ValueError(f"context_response_pairs: null in order column {order_col!r}")
         codes, _ = pd.factorize(df[key], use_na_sentinel=False)
@@ -108,12 +104,7 @@ def context_response_pairs(
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return exchange(ds, key, num_partitions, per_partition, "pandas")
 
 
 def context_response_reference(

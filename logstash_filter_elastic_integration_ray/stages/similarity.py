@@ -22,7 +22,7 @@ import pyarrow as pa
 # module-level (NOT function-level): these are used inside map_groups
 # UDFs that execute on workers, where the package is pickled by value
 # and function-level relative imports raise ModuleNotFoundError
-from .aggregate import add_partition_col
+from .exchange import copartition, exchange
 from .dedup import _distinct_texts, distinct_pairs, hamming64
 
 
@@ -279,7 +279,6 @@ def knn_join(left, right, *, index: "IvfIndex", k: int = 5, nprobe: int = 4,
         buckets = np.argmax(m @ probe_mat, axis=1).astype(np.int64)
         return pa.table({
             "bucket": pa.array(buckets),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
             "rid": t.column(right_id).cast(pa.int64()),
             "emb": _matrix_list_array(m),
         })
@@ -292,24 +291,21 @@ def knn_join(left, right, *, index: "IvfIndex", k: int = 5, nprobe: int = 4,
         rep = np.repeat(np.arange(t.num_rows, dtype=np.int64), np_)
         return pa.table({
             "bucket": pa.array(probes.ravel().astype(np.int64)),
-            "side": pa.array(np.ones(len(rep), dtype=np.int8)),
             "rid": pa.array(ids[rep]),
             "emb": _matrix_list_array(m[rep]),
         })
 
-    def bucket_scores(g: pd.DataFrame) -> pa.Table:
-        is_left = g["side"].to_numpy() == 1
-        empty = pa.table({
-            "query_id": pa.array([], type=pa.int64()),
-            "neighbor_id": pa.array([], type=pa.int64()),
-            "cosine": pa.array([], type=pa.float64()),
-        })
-        if not is_left.any() or is_left.all():
-            return empty
-        lm = np.vstack(g.loc[is_left, "emb"].to_numpy())
-        rm = np.vstack(g.loc[~is_left, "emb"].to_numpy())
-        lids = g.loc[is_left, "rid"].to_numpy(dtype=np.int64)
-        rids = g.loc[~is_left, "rid"].to_numpy(dtype=np.int64)
+    empty = pa.table({
+        "query_id": pa.array([], type=pa.int64()),
+        "neighbor_id": pa.array([], type=pa.int64()),
+        "cosine": pa.array([], type=pa.float64()),
+    })
+
+    def bucket_scores(lg: pd.DataFrame, rg: pd.DataFrame) -> pa.Table:
+        lm = np.vstack(lg["emb"].to_numpy())
+        rm = np.vstack(rg["emb"].to_numpy())
+        lids = lg["rid"].to_numpy(dtype=np.int64)
+        rids = rg["rid"].to_numpy(dtype=np.int64)
         scores = lm @ rm.T  # (Q, M)
         kk = min(k + 1, scores.shape[1])
         # deterministic local cut: exact per-bucket top-kk under the
@@ -332,10 +328,18 @@ def knn_join(left, right, *, index: "IvfIndex", k: int = 5, nprobe: int = 4,
             "cosine": pa.array(sc[keep]),
         })
 
-    union = (right.map_batches(right_rows, batch_format="pyarrow")
-             .union(left.map_batches(left_rows, batch_format="pyarrow")))
-    cands = union.groupby("bucket").map_groups(bucket_scores,
-                                               batch_format="pandas")
+    def per_partition(left: pd.DataFrame, right: pd.DataFrame) -> pa.Table:
+        # several IVF buckets may hash to one partition: score each alone
+        if not len(left) or not len(right):
+            return empty
+        lb, rb = left["bucket"].to_numpy(), right["bucket"].to_numpy()
+        return pa.concat_tables([empty] + [bucket_scores(left[lb == b], right[rb == b])
+                                           for b in np.intersect1d(lb, rb)])
+
+    probed = left.map_batches(left_rows, batch_format="pyarrow")
+    routed = right.map_batches(right_rows, batch_format="pyarrow")
+    cands = copartition({"left": (probed, "bucket"), "right": (routed, "bucket")},
+                        len(index.centroids), per_partition, "pandas")
     return cands.groupby("query_id").map_groups(
         _final_topk(k, exclude_self), batch_format="pandas")
 
@@ -605,69 +609,32 @@ def attach_pair_scores(pairs, value_rows, *, score_fn, threshold: float,
     bench line when the payloads were 1M+ float lists."""
     import pyarrow.compute as pc
 
-    from .aggregate import add_partition_col
-
     out_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()), (score_col, pa.float64())])
 
-    def pair_rows_pass1(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table(
-            {
-                "key": t.column("a").cast(pa.int64()),
-                "other": t.column("b").cast(pa.int64()),
-                "val": pa.nulls(n, type=value_type),
-                "carry": pa.nulls(n, type=value_type),
-                "side": pa.array(np.zeros(n, dtype=np.int8)),
-            }
-        )
-
-    def value_rows_keyed(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table(
-            {
-                "key": t.column(id_col).cast(pa.int64()),
-                "other": pa.nulls(n, type=pa.int64()),
-                "val": t.column("val"),
-                "carry": pa.nulls(n, type=value_type),
-                "side": pa.array(np.ones(n, dtype=np.int8)),
-            }
-        )
-
-    def _split(t: pa.Table):
-        side = t.column("side")
-        return t.filter(pc.equal(side, 0)), t.filter(pc.equal(side, 1))
-
-    def _gather(p: pa.Table, v: pa.Table):
+    def _gather(p: pa.Table, key: str, v: pa.Table):
         """Probe pair keys against value keys: (pairs-with-a-value,
         their gathered payloads); missing ids drop (same contract as
         the reindex path this replaces)."""
-        idx = pc.index_in(p.column("key"), value_set=v.column("key"))
+        idx = pc.index_in(p.column(key).cast(pa.int64()),
+                          value_set=v.column(id_col).cast(pa.int64()))
         ok = pc.is_valid(idx)
         return p.filter(ok), v.column("val").take(idx.filter(ok))
 
-    def attach_a(t: pa.Table) -> pa.Table:
-        p, v = _split(t)
-        if p.num_rows == 0 or v.num_rows == 0:
-            p = p.slice(0, 0)
-            vals = pa.chunked_array([], type=value_type)
-        else:
-            p, vals = _gather(p, v)
-        # re-key by b for pass 2, carrying val_a
-        return pa.table(
-            {
-                "key": p.column("other"),
-                "other": p.column("key"),
-                "val": pa.nulls(p.num_rows, type=value_type),
-                "carry": vals,
-                "side": pa.array(np.zeros(p.num_rows, dtype=np.int8)),
-            }
-        )
+    def attach_a(pairs: pa.Table, vals: pa.Table) -> pa.Table:
+        # a side with no rows at all reaches here column-less
+        if pairs.num_rows == 0 or vals.num_rows == 0:
+            return pa.table({"a": pa.array([], type=pa.int64()),
+                             "b": pa.array([], type=pa.int64()),
+                             "carry": pa.array([], type=value_type)})
+        p, val_a = _gather(pairs, "a", vals)
+        # re-keyed by b for pass 2, carrying val_a
+        return pa.table({"a": p.column("a").cast(pa.int64()),
+                         "b": p.column("b").cast(pa.int64()), "carry": val_a})
 
-    def score_b(t: pa.Table) -> pa.Table:
-        p, v = _split(t)
-        if p.num_rows == 0 or v.num_rows == 0:
+    def score_b(pairs: pa.Table, vals: pa.Table) -> pa.Table:
+        if pairs.num_rows == 0 or vals.num_rows == 0:
             return out_schema.empty_table()
-        p, val_b = _gather(p, v)
+        p, val_b = _gather(pairs, "b", vals)
         if p.num_rows == 0:
             return out_schema.empty_table()
         scores = np.asarray(score_fn(p.column("carry"), val_b), dtype=np.float64)
@@ -675,29 +642,16 @@ def attach_pair_scores(pairs, value_rows, *, score_fn, threshold: float,
         hit_arr = pa.array(hit)
         return pa.table(
             {
-                "a": p.column("other").filter(hit_arr),
-                "b": p.column("key").filter(hit_arr),
+                "a": p.column("a").filter(hit_arr),
+                "b": p.column("b").filter(hit_arr),
                 score_col: pa.array(np.round(scores[hit], 9)),
             }
         )
 
-    def one_pass(rows, fn):
-        parts = rows.map_batches(
-            lambda b: add_partition_col(b, num_partitions, key="key"), batch_format="pyarrow"
-        )
-        return parts.repartition(num_partitions).groupby("__part").map_groups(
-            fn, batch_format="pyarrow"
-        )
-
-    pass1 = one_pass(
-        pairs.map_batches(pair_rows_pass1, batch_format="pyarrow").union(
-            value_rows.map_batches(value_rows_keyed, batch_format="pyarrow")
-        ),
-        attach_a,
-    )
-    return one_pass(
-        pass1.union(value_rows.map_batches(value_rows_keyed, batch_format="pyarrow")), score_b
-    )
+    pass1 = copartition({"pairs": (pairs, "a"), "vals": (value_rows, id_col)},
+                        num_partitions, attach_a, "pyarrow")
+    return copartition({"pairs": (pass1, "b"), "vals": (value_rows, id_col)},
+                       num_partitions, score_b, "pyarrow")
 
 
 def _cosine_score_fn(a_vals, b_vals) -> np.ndarray:
@@ -742,7 +696,6 @@ def embedding_dup_pairs(ds, threshold: float = 0.9, *, num_bits: int = 64, bands
     clusters/survivors, use :func:`embedding_dedup` (O(m) end to end).
     Recall is the standard LSH trade-off (measured in tests); precision
     is exact."""
-    from .aggregate import add_partition_col
 
     cap = hamming_cap(threshold, num_bits)
     # one upstream execution: signature AND verify passes derive from
@@ -755,12 +708,8 @@ def embedding_dup_pairs(ds, threshold: float = 0.9, *, num_bits: int = 64, bands
         ),
         batch_format="pyarrow",
     )
-    parts = rows.map_batches(
-        lambda b: add_partition_col(b, num_partitions, key="bucket"), batch_format="pyarrow"
-    )
-    cands = parts.repartition(num_partitions).groupby("__part").map_groups(
-        lambda df: _srp_candidate_pairs_partition(df, cap, id_col), batch_format="pandas"
-    )
+    cands = exchange(rows, "bucket", num_partitions,
+                     lambda df: _srp_candidate_pairs_partition(df, cap, id_col), "pandas")
     cands = distinct_pairs(cands, num_partitions)
     return attach_pair_cosines(
         cands, emb_rows, threshold, id_col=id_col, num_partitions=num_partitions
@@ -811,7 +760,6 @@ def _verified_cosine_labels(ds, *, threshold: float, num_bits: int, bands: int,
     three passes from it; signatures skip the re-normalize so bits
     (and the pinned fixtures) are unchanged."""
     from ..stages.dedup import _EXACT_BUCKET_CAP, connected_components_min_label
-    from .aggregate import add_partition_col
 
     cap = hamming_cap(threshold, num_bits)
     emb_rows = _normalized_emb_rows(ds, id_col, emb_col).materialize()
@@ -822,13 +770,9 @@ def _verified_cosine_labels(ds, *, threshold: float, num_bits: int, bands: int,
         ),
         batch_format="pyarrow",
     )
-    parts = rows.map_batches(
-        lambda b: add_partition_col(b, num_partitions, key="bucket"), batch_format="pyarrow"
-    )
-    edges = parts.repartition(num_partitions).groupby("__part").map_groups(
-        lambda df: _srp_candidate_edges_partition(df, cap, id_col, _EXACT_BUCKET_CAP),
-        batch_format="pandas",
-    )
+    edges = exchange(rows, "bucket", num_partitions,
+                     lambda df: _srp_candidate_edges_partition(df, cap, id_col, _EXACT_BUCKET_CAP),
+                     "pandas")
     edges = distinct_pairs(edges, num_partitions)
     verified = attach_pair_cosines(
         edges, emb_rows, threshold, id_col=id_col, num_partitions=num_partitions
@@ -938,7 +882,7 @@ def embedding_drift_by_label(ds, *, label_col: str = "label",
             "c": pa.array(np.concatenate(rows_c) if rows_c else
                           np.empty(0, dtype=np.int64)),
         })
-        return add_partition_col(out, num_partitions, key="label")
+        return out
 
     def merge(df: pd.DataFrame) -> pa.Table:
         agg = df.groupby(["label", "dim"], sort=False)[["s", "c"]].sum().reset_index()
@@ -949,12 +893,9 @@ def embedding_drift_by_label(ds, *, label_col: str = "label",
             "c": pa.array(agg["c"].to_numpy(dtype=np.int64)),
         })
 
-    sums = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
-    ).to_pandas()  # K × d rows — the documented tiny driver state
+    # K × d rows — the documented tiny driver state
+    sums = exchange(ds.map_batches(partials, batch_format="pyarrow"), "label",
+                    num_partitions, merge, "pandas").to_pandas()
 
     if not len(sums):
         return pd.DataFrame({"label": pd.Series(dtype=np.int64),

@@ -34,7 +34,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .aggregate import _first_occurrence_codes, add_partition_col
+from .aggregate import _first_occurrence_codes
+from .exchange import exchange
 
 # ---------------------------------------------------------------------------
 # heavy hitters — exact two-phase
@@ -83,12 +84,7 @@ def top_k_tokens(ds, k: int = 20, text_col: str = "text", num_partitions: int = 
         return pa.Table.from_pandas(out, preserve_index=False, schema=schema).replace_schema_metadata(None)
 
     return (
-        partials.map_batches(
-            lambda b: add_partition_col(b, num_partitions, key="token"), batch_format="pyarrow"
-        )
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge_topk, batch_format="pandas")
+        exchange(partials, "token", num_partitions, merge_topk, "pandas")
         .repartition(1)
         .map_batches(final, batch_format="pandas")
     )
@@ -155,12 +151,7 @@ def top_k_tokens_sketch(ds, k: int = 20, capacity: int = 1024,
         return pa.Table.from_pandas(out, preserve_index=False, schema=schema).replace_schema_metadata(None)
 
     return (
-        partials.map_batches(
-            lambda b: add_partition_col(b, num_partitions, key="token"), batch_format="pyarrow"
-        )
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
+        exchange(partials, "token", num_partitions, merge, "pandas")
         .repartition(1)
         .map_batches(final, batch_format="pandas")
     )
@@ -236,14 +227,8 @@ def exact_quantiles(ds, col: str, qs: list[float], num_bins: int = 4096,
         agg = df.groupby("bin", as_index=False)["cnt"].sum()
         return pa.Table.from_pandas(agg[["bin", "cnt"]], preserve_index=False).replace_schema_metadata(None)
 
-    hist_df = (
-        ds.map_batches(hist, batch_format="pyarrow")
-        .map_batches(lambda b: add_partition_col(b, num_partitions, key="bin"), batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge_bins, batch_format="pandas")
-        .to_pandas()
-    )
+    hist_df = exchange(ds.map_batches(hist, batch_format="pyarrow"), "bin", num_partitions,
+                       merge_bins, "pandas").to_pandas()
     hist_df = hist_df.sort_values("bin")
     counts = np.zeros(num_bins, dtype=np.int64)
     counts[hist_df["bin"].to_numpy()] = hist_df["cnt"].to_numpy()
@@ -289,14 +274,8 @@ def exact_quantiles(ds, col: str, qs: list[float], num_bins: int = 4096,
         agg = df.groupby(["bin", "value"], as_index=False)["cnt"].sum()
         return pa.Table.from_pandas(agg, preserve_index=False).replace_schema_metadata(None)
 
-    vals_df = (
-        ds.map_batches(refine, batch_format="pyarrow")
-        .map_batches(lambda b: add_partition_col(b, num_partitions, key="value"), batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge_vals, batch_format="pandas")
-        .to_pandas()
-    )
+    vals_df = exchange(ds.map_batches(refine, batch_format="pyarrow"), "value", num_partitions,
+                       merge_vals, "pandas").to_pandas()
     if len(vals_df) > _REFINE_DISTINCT_CAP:
         raise ValueError(
             f"target bins hold {len(vals_df)} distinct values "
@@ -405,12 +384,7 @@ def group_quantiles(ds, key: str, col: str, qs: list[float], names: list[str],
             cols[name] = v[starts + r - 1]
         return pa.Table.from_pandas(pd.DataFrame(cols), preserve_index=False).replace_schema_metadata(None)
 
-    return (
-        ds.map_batches(lambda b: add_partition_col(b, num_partitions, key=key), batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return exchange(ds, key, num_partitions, per_part, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -826,12 +800,7 @@ def hll_group_distinct(ds, *, key: str, val: str, p: int = 12,
     p=12).  Approximate by design → pinned by pytest accuracy bounds
     and exact-invariance proofs, not a driver oracle (same policy as
     Misra-Gries / HLL / KLL / CMS)."""
-    from logstash_filter_elastic_integration_ray.stages.aggregate import add_partition_col
-
     m = 1 << p
-
-    def partial(t: pa.Table) -> pa.Table:
-        return add_partition_col(hll_group_partials(t, key, val, p), num_partitions, key=key)
 
     def merge(df: pd.DataFrame) -> pa.Table:
         codes, _ = pd.factorize(df[key], use_na_sentinel=False)
@@ -846,12 +815,9 @@ def hll_group_distinct(ds, *, key: str, val: str, p: int = 12,
         out[out_col] = est
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(lambda df: merge(df.drop(columns="__part")), batch_format="pandas")
-    )
+    return exchange(ds.map_batches(lambda t: hll_group_partials(t, key, val, p),
+                                   batch_format="pyarrow"),
+                    key, num_partitions, merge, "pandas")
 
 
 def exact_corr_stats(ds, x_col: str, y_col: str) -> pd.DataFrame:

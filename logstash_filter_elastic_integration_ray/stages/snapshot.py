@@ -28,7 +28,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .aggregate import add_partition_col
+from .exchange import copartition
 
 __all__ = ["snapshot_diff"]
 
@@ -58,19 +58,12 @@ def snapshot_diff(
     null policy, e.g. md5 of the null-coalesced text).
     """
 
-    def tag(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            t = t.select([key, fp_col]).append_column(
-                "__side", pa.array(np.full(t.num_rows, side, dtype=np.int8))
-            )
-            return add_partition_col(t, num_partitions, key=key)
-
-        return fn
-
-    def per_partition(df: pd.DataFrame) -> pa.Table:
-        df = df.drop(columns="__part")
+    def per_partition(a: pd.DataFrame, b: pd.DataFrame) -> pa.Table:
+        # a side with no rows at all reaches here column-less
+        df = pd.concat([s[[key, fp_col]] for s in (a, b) if key in s.columns],
+                       ignore_index=True)
+        side = np.r_[np.zeros(len(a), dtype=np.int64), np.ones(len(b), dtype=np.int64)]
         codes, uniq = pd.factorize(df[key], use_na_sentinel=False)
-        side = df["__side"].to_numpy()
         n = len(uniq)
         per_side = np.bincount(codes * 2 + side, minlength=2 * n)
         if (per_side > 1).any():
@@ -100,11 +93,5 @@ def snapshot_diff(
             preserve_index=False,
         ).replace_schema_metadata(None)
 
-    union = ds_a.map_batches(tag(0), batch_format="pyarrow").union(
-        ds_b.map_batches(tag(1), batch_format="pyarrow")
-    )
-    return (
-        union.repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return copartition({"a": (ds_a, key), "b": (ds_b, key)}, num_partitions,
+                       per_partition, "pandas")

@@ -32,7 +32,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .aggregate import add_partition_col
+from .exchange import copartition, exchange, lookup
 from .dedup import _hash64_arrow, connected_components_min_label
 
 _BUCKET_CAP = 256
@@ -64,11 +64,10 @@ def _word_counts(ds, text_col: str, num_partitions: int):
         flat = toks.flatten()
         df = pd.DataFrame({"word": flat.to_pandas().to_numpy(dtype=object)})
         cnt = df.groupby("word", sort=False).size()
-        out = pa.table({
+        return pa.table({
             "word": pa.array(cnt.index.to_numpy(dtype=object), type=pa.string()),
             "cnt": pa.array(cnt.to_numpy(dtype=np.int64)),
         })
-        return add_partition_col(out, num_partitions, key="word")
 
     def merge(df: pd.DataFrame) -> pa.Table:
         agg = df.groupby("word", sort=False)["cnt"].sum()
@@ -77,15 +76,11 @@ def _word_counts(ds, text_col: str, num_partitions: int):
             "cnt": pa.array(agg.to_numpy(dtype=np.int64)),
         })
 
-    return (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(partials, batch_format="pyarrow"), "word",
+                    num_partitions, merge, "pandas")
 
 
-def _variant_rows(t: pa.Table, num_partitions: int) -> pa.Table:
+def _variant_rows(t: pa.Table) -> pa.Table:
     """(variant-hash, word) rows for each distinct word's symmetric-
     delete neighborhood ({word} ∪ 1-deletions)."""
     words = t.column("word").to_pylist()
@@ -100,11 +95,10 @@ def _variant_rows(t: pa.Table, num_partitions: int) -> pa.Table:
             out_w.append(w)
             variants.append(v)
     vh = _hash64_arrow(pa.array(variants, type=pa.string())).view(np.int64)
-    out = pa.table({
+    return pa.table({
         "vh": pa.array(vh),
         "word": pa.array(out_w, type=pa.string()),
     })
-    return add_partition_col(out, num_partitions, key="vh")
 
 
 def _bucket_edges(df: pd.DataFrame) -> pa.Table:
@@ -145,66 +139,36 @@ def typo_clusters(ds, *, text_col: str = "text", num_partitions: int = 32):
     docstring for the distributed shape."""
     vocab = _word_counts(ds, text_col, num_partitions).materialize()
 
-    edges = (
-        vocab.map_batches(lambda t: _variant_rows(t, num_partitions),
-                          batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(_bucket_edges, batch_format="pandas")
-    )
+    edges = exchange(vocab.map_batches(_variant_rows, batch_format="pyarrow"), "vh",
+                     num_partitions, _bucket_edges, "pandas")
     labels = connected_components_min_label(
         edges, num_partitions=max(8, num_partitions // 4))
 
     # two co-partitions: labels attach to words by WORD HASH (a cluster
     # spans many hashes, so canon cannot resolve here), then everything
     # exchanges by LABEL where the canon argmax is local
-    def word_side(t: pa.Table) -> pa.Table:
+    def word_rows(t: pa.Table) -> pa.Table:
         col = t.column("word")
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
-        wh = _hash64_arrow(col).view(np.int64)
-        out = pa.table({
-            "k": pa.array(wh),
-            "word": col,
-            "cnt": t.column("cnt"),
-            "label": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="k")
+        return pa.table({"k": pa.array(_hash64_arrow(col).view(np.int64)),
+                         "word": col, "cnt": t.column("cnt")})
 
-    def label_side(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        out = pa.table({
-            "k": t.column("node"),
-            "word": pa.nulls(n, type=pa.string()),
-            "cnt": pa.array(np.zeros(n, dtype=np.int64)),
-            "label": t.column("label"),
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
-        })
-        return add_partition_col(out, num_partitions, key="k")
-
-    def attach_label(df: pd.DataFrame) -> pa.Table:
-        w = df[df["side"] == 1][["k", "word", "cnt"]]
-        lb = df[df["side"] == 0][["k", "label"]].drop_duplicates()
+    def attach_label(word: pd.DataFrame, label: pd.DataFrame) -> pa.Table:
         # int64 all the way (a NaN-bearing left merge would float64 the
-        # 64-bit hashes): searchsorted attach, default = self-label
-        want = w["k"].to_numpy(dtype=np.int64)
-        lab = want.copy()
-        kk = lb["k"].to_numpy(dtype=np.int64)
-        if len(kk):
-            order = np.argsort(kk, kind="stable")
-            kk, vv = kk[order], lb["label"].to_numpy(dtype=np.int64)[order]
-            pos = np.searchsorted(kk, want)
-            ok = pos < len(kk)
-            okpos = np.minimum(pos, len(kk) - 1)
-            ok &= kk[okpos] == want
-            lab[ok] = vv[okpos[ok]]
-        out = pa.table({
-            "word": pa.array(w["word"].to_numpy(dtype=object), type=pa.string()),
-            "cnt": pa.array(w["cnt"].to_numpy(dtype=np.int64)),
-            "label": pa.array(lab),
+        # 64-bit hashes); a word in no typo edge labels itself, and the
+        # label side is column-less when the vocabulary has no edge
+        want = word["k"].to_numpy(dtype=np.int64)
+        lab = want
+        if len(label):
+            lb = label[["node", "label"]].drop_duplicates().sort_values("node", kind="stable")
+            lab = lookup(lb["node"].to_numpy(dtype=np.int64),
+                         lb["label"].to_numpy(dtype=np.int64), want, default=want)
+        return pa.table({
+            "word": pa.array(word["word"].to_numpy(dtype=object), type=pa.string()),
+            "cnt": pa.array(word["cnt"].to_numpy(dtype=np.int64)),
+            "label": pa.array(lab.astype(np.int64)),
         })
-        return add_partition_col(out, num_partitions, key="label")
 
     def resolve_canon(df: pd.DataFrame) -> pa.Table:
         df = df.sort_values(["label", "cnt", "word"],
@@ -216,13 +180,7 @@ def typo_clusters(ds, *, text_col: str = "text", num_partitions: int = 32):
             "cnt": pa.array(df["cnt"].to_numpy(dtype=np.int64)),
         })
 
-    return (
-        vocab.map_batches(word_side, batch_format="pyarrow")
-        .union(labels.map_batches(label_side, batch_format="pyarrow"))
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(attach_label, batch_format="pandas")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(resolve_canon, batch_format="pandas")
-    )
+    labelled = copartition({"word": (vocab.map_batches(word_rows, batch_format="pyarrow"), "k"),
+                            "label": (labels, "node")},
+                           num_partitions, attach_label, "pandas")
+    return exchange(labelled, "label", num_partitions, resolve_canon, "pandas")

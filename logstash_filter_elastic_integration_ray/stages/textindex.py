@@ -208,7 +208,7 @@ def bm25_topk(layout_dir: str, terms: list[str], *, k: int = 10,
 
     import ray.data as rd
 
-    from .aggregate import add_partition_col
+    from .exchange import exchange
 
     with open(os.path.join(layout_dir, "_meta.json")) as f:
         meta = json.load(f)
@@ -232,21 +232,14 @@ def bm25_topk(layout_dir: str, terms: list[str], *, k: int = 10,
     pruned = read_parquet_clean(paths, columns=["token", "doc_id", "tf", "dl"])
 
     def keep(t: pa.Table) -> pa.Table:
-        out = t.filter(pc.is_in(t.column("token"), value_set=term_arr))
-        return add_partition_col(out, num_partitions, key="token")
+        return t.filter(pc.is_in(t.column("token"), value_set=term_arr))
 
     # thin df exchange over the pruned postings (one row per (term,
     # posting); the partition pass below needs the postings anyway, so
     # df finalizes in the same co-partition and rides along each row)
-    by_term = (
-        pruned.map_batches(keep, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(lambda df: _score_rows(df, n_docs=n_docs, avgdl=avgdl,
-                                           k1=k1, b=b,
-                                           num_partitions=num_partitions),
-                    batch_format="pandas")
-    )
+    by_term = exchange(pruned.map_batches(keep, batch_format="pyarrow"), "token", num_partitions,
+                       lambda df: _score_rows(df, n_docs=n_docs, avgdl=avgdl, k1=k1, b=b),
+                       "pandas")
 
     def per_doc(df: pd.DataFrame) -> pa.Table:
         if not len(df):
@@ -270,27 +263,21 @@ def bm25_topk(layout_dir: str, terms: list[str], *, k: int = 10,
                 .reset_index(drop=True))
 
     return (
-        by_term.repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(per_doc, batch_format="pandas")
+        exchange(by_term, "doc_id", num_partitions, per_doc, "pandas")
         .repartition(1)
         .map_batches(final_cut, batch_format="pandas")
     )
 
 
 def _score_rows(df: pd.DataFrame, *, n_docs: int, avgdl: float, k1: float,
-                b: float, num_partitions: int) -> pa.Table:
+                b: float) -> pa.Table:
     """Per token partition: finalize df (postings rows are globally
     distinct per (token, doc)), then the fixed BM25 float expression —
     shared token-for-token with the SQL twin."""
-    from .aggregate import add_partition_col
-
     if not len(df):
-        return add_partition_col(
-            pa.table({"doc_id": pa.array([], type=pa.int64()),
-                      "token": pa.array([], type=pa.string()),
-                      "contrib": pa.array([], type=pa.float64())}),
-            num_partitions, key="doc_id")
+        return pa.table({"doc_id": pa.array([], type=pa.int64()),
+                         "token": pa.array([], type=pa.string()),
+                         "contrib": pa.array([], type=pa.float64())})
     import math
 
     uniq_t, inv = np.unique(df["token"].to_numpy(), return_inverse=True)
@@ -304,9 +291,8 @@ def _score_rows(df: pd.DataFrame, *, n_docs: int, avgdl: float, k1: float,
     tf = df["tf"].to_numpy(dtype=np.float64)
     dl = df["dl"].to_numpy(dtype=np.float64)
     contrib = idf * (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * (dl / avgdl)))
-    out = pa.table({
+    return pa.table({
         "doc_id": pa.array(df["doc_id"].to_numpy(dtype=np.int64)),
         "token": pa.array(df["token"].to_numpy(dtype=object), type=pa.string()),
         "contrib": pa.array(contrib),
     })
-    return add_partition_col(out, num_partitions, key="doc_id")

@@ -18,7 +18,7 @@ import pyarrow.compute as pc
 # module-level (NOT function-level): used inside map_batches / map_groups
 # UDFs that execute on workers, where the package is pickled by value and
 # function-level relative imports raise ModuleNotFoundError
-from .aggregate import add_partition_col
+from .exchange import exchange
 from .corpus import _dup_partials
 from .decontam import _GRAM_B, flat_token_hashes, gram_hashes
 from .dedup import _distinct_texts, _hash64_arrow
@@ -354,20 +354,9 @@ def tfidf_topk(ds, *, k: int = 3, num_partitions: int = 32,
     differently per libm.  Ties break by token ascending."""
     tf_rows = ds.map_batches(lambda t: _tf_rows(t, text_col, id_col),
                              batch_format="pyarrow")
-    scored = (
-        tf_rows.map_batches(lambda b: add_partition_col(b, num_partitions, key="token"),
-                            batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(_score_token_partition, batch_format="pandas")
-    )
-    return (
-        scored.map_batches(lambda b: add_partition_col(b, num_partitions, key="doc_id"),
-                           batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(lambda df: _topk_doc_partition(df, k), batch_format="pandas")
-    )
+    scored = exchange(tf_rows, "token", num_partitions, _score_token_partition, "pandas")
+    return exchange(scored, "doc_id", num_partitions,
+                    lambda df: _topk_doc_partition(df, k), "pandas")
 
 
 
@@ -662,13 +651,7 @@ def winnow_dup_stats(ds, *, k: int = 3, w: int = 4, num_partitions: int = 32,
         lambda b: _winnow_doc_counts(b, k, w, text_col, id_col),
         batch_format="pyarrow",
     )
-    partials = (
-        pairs.map_batches(lambda b: add_partition_col(b, num_partitions, key="g"),
-                          batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(_dup_partials, batch_format="pandas")
-    )
+    partials = exchange(pairs, "g", num_partitions, _dup_partials, "pandas")
 
     def final(df: pd.DataFrame) -> pa.Table:
         agg = df.groupby("doc_id", sort=False)[["n_grams", "n_dup"]].sum().reset_index()
@@ -682,13 +665,7 @@ def winnow_dup_stats(ds, *, k: int = 3, w: int = 4, num_partitions: int = 32,
             "dup_fp_frac": pa.array(frac),
         })
 
-    return (
-        partials.map_batches(lambda b: add_partition_col(b, num_partitions, key="doc_id"),
-                             batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(final, batch_format="pandas")
-    )
+    return exchange(partials, "doc_id", num_partitions, final, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +737,7 @@ def token_entropy_batch(batch: pa.Table, text_col: str = "text",
 # corpus-wide PMI bigram statistics
 # ---------------------------------------------------------------------------
 
-def _bigram_pair_counts(t: pa.Table, text_col: str,
-                        num_partitions: int) -> pa.Table:
+def _bigram_pair_counts(t: pa.Table, text_col: str) -> pa.Table:
     """Per-batch (tok1, tok2, cnt) partial counts over adjacent token
     pairs — one dictionary-encode per side, pairs deduped by combined
     code, so the exchange carries each batch's DISTINCT pairs once."""
@@ -772,10 +748,9 @@ def _bigram_pair_counts(t: pa.Table, text_col: str,
     flat = toks.flatten()
     n_flat = len(flat)
     if n_flat == 0:
-        empty = pa.table({"tok1": pa.array([], type=pa.string()),
-                          "tok2": pa.array([], type=pa.string()),
-                          "cnt": pa.array([], type=pa.int64())})
-        return add_partition_col(empty, num_partitions, key="tok1")
+        return pa.table({"tok1": pa.array([], type=pa.string()),
+                         "tok2": pa.array([], type=pa.string()),
+                         "cnt": pa.array([], type=pa.int64())})
     # positions whose successor is in the same doc
     ends = np.cumsum(lens)  # exclusive doc ends in flat coords
     valid = np.ones(n_flat, dtype=bool)
@@ -787,12 +762,11 @@ def _bigram_pair_counts(t: pa.Table, text_col: str,
     combo = codes[pos] * np.int64(k) + codes[pos + 1]
     uniq, first, cnt = np.unique(combo, return_index=True, return_counts=True)
     p = pos[first]
-    out = pa.table({
+    return pa.table({
         "tok1": de.dictionary.take(pa.array(codes[p])),
         "tok2": de.dictionary.take(pa.array(codes[p + 1])),
         "cnt": pa.array(cnt.astype(np.int64)),
     })
-    return add_partition_col(out, num_partitions, key="tok1")
 
 
 def pmi_bigrams(ds, *, min_count: int = 5, num_partitions: int = 32,
@@ -839,20 +813,19 @@ def pmi_bigrams(ds, *, min_count: int = 5, num_partitions: int = 32,
     ).sum("nb")
 
     partials = ds.map_batches(
-        lambda t: _bigram_pair_counts(t, text_col, num_partitions),
+        lambda t: _bigram_pair_counts(t, text_col),
         batch_format="pyarrow",
     )
 
     def merge_by_tok1(df: pd.DataFrame) -> pa.Table:
         agg = df.groupby(["tok1", "tok2"], sort=False)["cnt"].sum().reset_index()
         first = agg.groupby("tok1", sort=False)["cnt"].transform("sum")
-        out = pa.table({
+        return pa.table({
             "tok1": pa.array(agg["tok1"].to_numpy(), type=pa.string()),
             "tok2": pa.array(agg["tok2"].to_numpy(), type=pa.string()),
             "n_pair": pa.array(agg["cnt"].to_numpy(dtype=np.int64)),
             "n_first": pa.array(first.to_numpy(dtype=np.int64)),
         })
-        return add_partition_col(out, num_partitions, key="tok2")
 
     def finish_by_tok2(df: pd.DataFrame) -> pa.Table:
         second = df.groupby("tok2", sort=False)["n_pair"].transform("sum")
@@ -875,14 +848,8 @@ def pmi_bigrams(ds, *, min_count: int = 5, num_partitions: int = 32,
             "pmi": pa.array(pmi),
         })
 
-    return (
-        partials.repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge_by_tok1, batch_format="pandas")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(finish_by_tok2, batch_format="pandas")
-    )
+    by_tok1 = exchange(partials, "tok1", num_partitions, merge_by_tok1, "pandas")
+    return exchange(by_tok1, "tok2", num_partitions, finish_by_tok2, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +917,7 @@ def token_keyness(ds, *, side_col: str, side_a, text_col: str = "text",
             "n_a": pa.array(n_a.to_numpy(dtype=np.int64)),
             "n_b": pa.array((n_all - n_a).to_numpy(dtype=np.int64)),
         })
-        return add_partition_col(out, num_partitions, key="token")
+        return out
 
     def finish(df: pd.DataFrame) -> pa.Table:
         agg = df.groupby("token", sort=False)[["n_a", "n_b"]].sum().reset_index()
@@ -978,12 +945,8 @@ def token_keyness(ds, *, side_col: str, side_a, text_col: str = "text",
             "direction": pa.array(direction, type=pa.string()),
         })
 
-    return (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(finish, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(partials, batch_format="pyarrow"), "token",
+                    num_partitions, finish, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +1027,7 @@ def group_top_tokens(ds, *, group_col: str, k: int = 10,
                               type=pa.string()),
             "cnt": pa.array(cnt["cnt"].to_numpy(dtype=np.int64)),
         })
-        return add_partition_col(out, num_partitions, key="token")
+        return out
 
     def _topk_frame(df: pd.DataFrame) -> pd.DataFrame:
         # rank by (cnt desc, token asc) within group, keep <= k
@@ -1076,13 +1039,12 @@ def group_top_tokens(ds, *, group_col: str, k: int = 10,
     def merge_prune(df: pd.DataFrame) -> pa.Table:
         agg = df.groupby(["g", "token"], sort=False)["cnt"].sum().reset_index()
         pruned = _topk_frame(agg)
-        out = pa.table({
+        return pa.table({
             "g": pa.array(pruned["g"].to_numpy(dtype=object), type=pa.string()),
             "token": pa.array(pruned["token"].to_numpy(dtype=object),
                               type=pa.string()),
             "cnt": pa.array(pruned["cnt"].to_numpy(dtype=np.int64)),
         })
-        return add_partition_col(out, num_partitions, key="g")
 
     def finish(df: pd.DataFrame) -> pa.Table:
         top = _topk_frame(df[["g", "token", "cnt"]])
@@ -1095,15 +1057,9 @@ def group_top_tokens(ds, *, group_col: str, k: int = 10,
             "rnk": pa.array(top["rnk"].to_numpy(dtype=np.int64)),
         })
 
-    return (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge_prune, batch_format="pandas")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(finish, batch_format="pandas")
-    )
+    pruned = exchange(ds.map_batches(partials, batch_format="pyarrow"), "token",
+                      num_partitions, merge_prune, "pandas")
+    return exchange(pruned, "g", num_partitions, finish, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -1286,13 +1242,12 @@ def log_templates(ds, *, text_col: str = "text", wildcard: str = "<*>",
         flat = toks.flatten()
         n_flat = len(flat)
         if n_flat == 0:
-            empty = pa.table({
+            return pa.table({
                 "grp": pa.array([], type=pa.int64()),
                 "pos": pa.array([], type=pa.int64()),
                 "tok": pa.array([], type=pa.string()),
                 "cnt": pa.array([], type=pa.int64()),
             })
-            return add_partition_col(empty, num_partitions, key="grp")
         grp = np.repeat(lens, lens)
         ends = np.cumsum(lens)
         pos = np.arange(n_flat, dtype=np.int64) - np.repeat(ends - lens, lens) + 1
@@ -1316,8 +1271,7 @@ def log_templates(ds, *, text_col: str = "text", wildcard: str = "<*>",
             "tok": pa.nulls(len(gu), pa.string()),
             "cnt": pa.array(gc.astype(np.int64)),
         })
-        return add_partition_col(pa.concat_tables([triples, counts]),
-                                 num_partitions, key="grp")
+        return pa.concat_tables([triples, counts])
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
         lines = (df[df["pos"] == -1].groupby("grp", sort=False)["cnt"].sum())
@@ -1335,12 +1289,8 @@ def log_templates(ds, *, text_col: str = "text", wildcard: str = "<*>",
         })
         return out
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), "grp",
+                    num_partitions, merge, "pandas")
 
 
 # ---------------------------------------------------------------------------

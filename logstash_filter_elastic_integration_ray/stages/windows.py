@@ -8,7 +8,7 @@ Two classic engine surfaces the corpus/aggregate stages don't cover:
   the minimum any window function must pay.  One co-partition by key
   hash, then ONE vectorized pass per partition (lexsort + segmented
   cumsum via group-boundary arithmetic — never a per-group Python
-  loop; see stages/aggregate.py:add_partition_col for why per-group
+  loop; see stages/aggregate.py:_merge_partition for why per-group
   Ray aggregates are ruled out).
 
 - **exact count-distinct per group**: two-phase so the exchange
@@ -35,8 +35,9 @@ from .corpus import _range_part
 from logstash_filter_elastic_integration_ray.stages.aggregate import (
     _dict_codes,
     _first_occurrence_codes,
-    add_partition_col,
 )
+
+from .exchange import copartition, exchange
 
 __all__ = [
     "grouped_running",
@@ -134,9 +135,6 @@ def grouped_running(
     window columns, one row per input row.
     """
 
-    def tag(t: pa.Table) -> pa.Table:
-        return add_partition_col(t, num_partitions, key=key)
-
     # min/max output dtype follows the ARROW source type, exactly like
     # the scan twin — the per-partition pandas view degrades a
     # null-bearing int64 column to float64, which must not leak into a
@@ -148,7 +146,6 @@ def grouped_running(
     )
 
     def per_partition(df: pd.DataFrame) -> pa.Table:
-        df = df.drop(columns="__part")
         codes, _ = pd.factorize(df[key], use_na_sentinel=False)
         orders = [df[c].to_numpy() for c in order_cols]
         for c, a in zip(order_cols, orders):
@@ -242,12 +239,7 @@ def grouped_running(
             )
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return exchange(ds, key, num_partitions, per_partition, "pandas")
 
 
 def grouped_shift(
@@ -290,11 +282,7 @@ def grouped_shift(
         raise ValueError("grouped_shift: delta_col requires lag")
     ext_is_int = _col_is_integer(ds, value_col)
 
-    def tag(t: pa.Table) -> pa.Table:
-        return add_partition_col(t, num_partitions, key=key)
-
     def per_partition(df: pd.DataFrame) -> pa.Table:
-        df = df.drop(columns="__part")
         codes, _ = pd.factorize(df[key], use_na_sentinel=False)
         orders = [df[c].to_numpy() for c in order_cols]
         for c, a in zip(order_cols, orders):
@@ -338,12 +326,7 @@ def grouped_shift(
             out[delta_col] = cur - lag_arr
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return exchange(ds, key, num_partitions, per_partition, "pandas")
 
 
 def counter_increase(
@@ -383,12 +366,13 @@ def counter_increase(
     def finish(t: pa.Table) -> pa.Table:
         d = t.column("__ctr_d")
         v = t.column(value_col)
-        # a float reading meeting an integer delta must round, not
-        # truncate, or the CASE twin diverges (unreachable via
-        # grouped_shift today — its delta is float for float sources —
-        # but pinned so a future caller can't silently hit it)
+        # a float reading meeting an integer delta must round half away
+        # from zero like SQL ``round`` — not truncate, and not Arrow's
+        # default half-to-even — or the CASE twin diverges (unreachable
+        # via grouped_shift today — its delta is float for float
+        # sources — but pinned so a future caller can't silently hit it)
         if pa.types.is_integer(d.type) and pa.types.is_floating(v.type):
-            v = pc.round(v)
+            v = pc.round(v, round_mode="half_towards_infinity")
         v = pc.cast(v, d.type)
         # Arrow if_else propagates a NULL condition to a NULL result,
         # which is exactly the CASE's d-IS-NULL branch
@@ -449,11 +433,7 @@ def grouped_rank_stats(
         if c not in order_cols:
             raise ValueError(f"grouped_rank_stats: peer col {c!r} not in order_cols")
 
-    def tag(t: pa.Table) -> pa.Table:
-        return add_partition_col(t, num_partitions, key=key)
-
     def per_partition(df: pd.DataFrame) -> pa.Table:
-        df = df.drop(columns="__part")
         codes, _ = pd.factorize(df[key], use_na_sentinel=False)
         orders = [df[c].to_numpy() for c in order_cols]
         for c, a in zip(order_cols, orders):
@@ -493,12 +473,7 @@ def grouped_rank_stats(
             ).astype(np.int64) + 1
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return exchange(ds, key, num_partitions, per_partition, "pandas")
 
 
 def distinct_count_by(
@@ -543,7 +518,7 @@ def distinct_count_by(
             _, _, combined = _pair_codes(t)
             _, first = np.unique(combined, return_index=True)
             t = t.take(np.sort(first))
-        return add_partition_col(t, num_partitions, key=key)
+        return t
 
     def per_partition(t: pa.Table) -> pa.Table:
         t = t.select([key, val])
@@ -562,12 +537,8 @@ def distinct_count_by(
             }
         )
 
-    return (
-        ds.map_batches(local_distinct, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pyarrow")
-    )
+    return exchange(ds.map_batches(local_distinct, batch_format="pyarrow"), key,
+                    num_partitions, per_partition, "pyarrow")
 
 
 _NO_PREV = np.iinfo(np.int64).min  # sentinel: key has no earlier partition
@@ -704,7 +675,7 @@ def grouped_running_scan(
                 cols["nn"] = pa.array([], type=pa.int64())
             return pa.table(cols)
         kcodes = _dict_codes(t.column(key))  # ≥ -1; -1 = null key
-        chunk = t.column("__part").to_numpy().astype(np.int64)
+        chunk = t.column("__chunk").to_numpy().astype(np.int64)
         raw = pd.to_numeric(t.column(value_col).to_pandas(), errors="raise")
         v = raw.fillna(0).astype(sum_np).to_numpy()
         o = _o0_int64(t.column(order0)).to_numpy(zero_copy_only=False)
@@ -772,7 +743,7 @@ def grouped_running_scan(
         prev_o[1:] = mo2[:-1]
         prev_o[new2] = _NO_PREV
         out = df.iloc[rep].reset_index(drop=True)[[key]]
-        out["__part"] = ch2  # range-chunk id — the co-group key below
+        out["__chunk"] = ch2  # range-chunk id — the co-group key below
         out["base_s"] = base_s
         out["base_c"] = base_c
         out["prev_o"] = prev_o
@@ -801,64 +772,9 @@ def grouped_running_scan(
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
     kparts = max(4, num_partitions // 4)
-    bases = (
-        partials.map_batches(lambda b: add_partition_col(b, kparts, key=key), batch_format="pyarrow")
-        .repartition(kparts)
-        .groupby("__part")
-        .map_groups(
-            lambda df: per_key_prefix(df.drop(columns="__part")), batch_format="pandas"
-        )
-    )
+    bases = exchange(partials, key, kparts, per_key_prefix, "pandas")
 
-    row_schema = _dataset_schema_of(parted)
-    row_cols = [n for n in row_schema.names if n != "__part"]
-    ext_cols = ["base_mn", "base_mx", "base_nn"] if want_ext else []
-    wide_order = row_cols + ["__part", "base_s", "base_c", "prev_o", *ext_cols, "__side"]
-
-    def widen_rows(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        t = t.append_column("base_s", pa.array(np.zeros(n, dtype=sum_np), type=sum_pa))
-        t = t.append_column("base_c", pa.array(np.zeros(n, dtype=np.int64)))
-        t = t.append_column("prev_o", pa.array(np.full(n, _NO_PREV, dtype=np.int64)))
-        if want_ext:
-            t = t.append_column("base_mn", pa.array(np.full(n, SENT_MN, dtype=sum_np), type=sum_pa))
-            t = t.append_column("base_mx", pa.array(np.full(n, SENT_MX, dtype=sum_np), type=sum_pa))
-            t = t.append_column("base_nn", pa.array(np.zeros(n, dtype=np.int64)))
-        t = t.append_column("__side", pa.array(np.zeros(n, dtype=np.int8)))
-        return t.select(wide_order)
-
-    def widen_bases(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        cols = {}
-        for f in row_schema:
-            if f.name == "__part":
-                continue
-            # typed ZERO sentinels, not nulls: a null-bearing int64
-            # column converts to float64 in the final pandas co-group,
-            # silently corrupting exact int64 row values (> 2^53) and
-            # the output schema.  Base rows' row-columns are never
-            # read (__side distinguishes), only their dtype matters.
-            cols[f.name] = (
-                t.column(key).cast(f.type) if f.name == key else _sentinel_array(n, f.type)
-            )
-        cols["__part"] = t.column("__part").cast(pa.int64())
-        cols["base_s"] = t.column("base_s").cast(sum_pa)
-        for c in ("base_c", "prev_o"):
-            cols[c] = t.column(c).cast(pa.int64())
-        if want_ext:
-            cols["base_mn"] = t.column("base_mn").cast(sum_pa)
-            cols["base_mx"] = t.column("base_mx").cast(sum_pa)
-            cols["base_nn"] = t.column("base_nn").cast(pa.int64())
-        cols["__side"] = pa.array(np.ones(n, dtype=np.int8))
-        return pa.table({c: cols[c] for c in wide_order})
-
-    combined = parted.map_batches(widen_rows, batch_format="pyarrow").union(
-        bases.map_batches(widen_bases, batch_format="pyarrow")
-    )
-
-    def final_chunk(df: pd.DataFrame) -> pa.Table:
-        rows = df[df["__side"] == 0]
-        bs = df[df["__side"] == 1]
+    def final_chunk(rows: pd.DataFrame, bs: pd.DataFrame) -> pa.Table:
         # factorize rows' and bases' keys TOGETHER so codes align even
         # for null keys (Index.get_indexer does not match NaN↔None
         # reliably across dtypes)
@@ -886,8 +802,7 @@ def grouped_running_scan(
         cnt = cnt + base_c[g]
         run_sum = run_sum + base_s[g]
         out = rows.iloc[order].reset_index(drop=True)
-        out = out.drop(columns=["__part", "base_s", "base_c", "prev_o",
-                                *ext_cols, "__side"])
+        out = out.drop(columns=["__chunk"])
         out[cnt_col] = cnt
         out[sum_col] = run_sum
         if want_ext:
@@ -925,24 +840,26 @@ def grouped_running_scan(
             out[gap_col] = pd.array(np.where(np.isnan(gap), None, gap), dtype="Int64")
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
-    return combined.groupby("__part").map_groups(final_chunk, batch_format="pandas")
+    def final(rows: pd.DataFrame, bases: pd.DataFrame) -> pa.Table:
+        # hashing chunk ids may co-locate several chunks: scan each alone
+        chunk = rows["__chunk"].to_numpy()
+        bchunk = bases["__chunk"].to_numpy()
+        chunks = np.unique(chunk)
+        if not len(chunks):  # a partition no chunk hashed to
+            out = rows.drop(columns=["__chunk"])
+            out[cnt_col] = np.zeros(0, dtype=np.int64)
+            out[sum_col] = np.zeros(0, dtype=sum_np)
+            for col in (min_col, max_col):
+                if col is not None:
+                    out[col] = pd.array([], dtype="Int64" if val_is_int else "Float64")
+            if gap_col is not None:
+                out[gap_col] = pd.array([], dtype="Int64")
+            return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
+        return pa.concat_tables([final_chunk(rows[chunk == c], bases[bchunk == c])
+                                 for c in chunks], promote_options="default")
 
-
-def _sentinel_array(n: int, typ: pa.DataType) -> pa.Array:
-    """Null-free placeholder column of ``typ`` (zeros / empty strings /
-    epoch timestamps) — used where a null column would degrade the
-    unioned dtype to float64 in pandas."""
-    if pa.types.is_timestamp(typ):
-        return pa.array(np.zeros(n, dtype=np.int64), type=pa.int64()).cast(typ)
-    if pa.types.is_integer(typ) or pa.types.is_floating(typ):
-        return pa.array(np.zeros(n, dtype=np.int64), type=pa.int64()).cast(typ)
-    if pa.types.is_boolean(typ):
-        return pa.array(np.zeros(n, dtype=bool))
-    if pa.types.is_string(typ) or pa.types.is_large_string(typ):
-        return pa.array([""] * n, type=typ)
-    if pa.types.is_binary(typ) or pa.types.is_large_binary(typ):
-        return pa.array([b""] * n, type=typ)
-    return pa.nulls(n, typ)
+    return copartition({"rows": (parted, "__chunk"), "bases": (bases, "__chunk")},
+                       num_partitions, final, "pandas")
 
 
 def _dataset_schema_of(ds) -> pa.Schema:
@@ -1041,21 +958,15 @@ def window_dedup(ds, *, keys: list[str], ts_col: str = "ts",
             out = t.append_column("win", pa.array([], type=pa.int64()))
         else:
             out = _first_in_window(t, keys, ts_col, id_col, win_ids(t))
-        return add_partition_col(out, num_partitions, key=keys[0])
+        return out
 
     def merge(t: pa.Table) -> pa.Table:
-        if "__part" in t.column_names:
-            t = t.drop_columns(["__part"])
         win = t.column("win").to_numpy(zero_copy_only=False).astype(np.int64)
         t = t.drop_columns(["win"])
         return _first_in_window(t, keys, ts_col, id_col, win)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), keys[0],
+                    num_partitions, merge, "pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -1090,12 +1001,7 @@ def grouped_range_sum(ds, *, key: str, ts_col: str, val_col: str,
     loop only if the band arithmetic would overflow int64 (≈ 4·10¹⁸ —
     key-cardinality × time-range far beyond any real partition)."""
 
-    def tag(t: pa.Table) -> pa.Table:
-        return add_partition_col(t, num_partitions, key=key)
-
     def run(df: pd.DataFrame) -> pd.DataFrame:
-        if "__part" in df.columns:
-            df = df.drop(columns=["__part"])
         n = len(df)
         if n == 0:
             out = df.copy()
@@ -1142,12 +1048,7 @@ def grouped_range_sum(ds, *, key: str, ts_col: str, val_col: str,
         out[cnt_col] = cnts
         return out
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(run, batch_format="pandas")
-    )
+    return exchange(ds, key, num_partitions, run, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -1172,12 +1073,7 @@ def group_broadcast(ds, *, key: str, order_cols: list[str], val_col: str,
     first/last.  One co-partition by key, one lexsort + segment
     gather/reduceat per partition — no per-group loop."""
 
-    def tag(t: pa.Table) -> pa.Table:
-        return add_partition_col(t, num_partitions, key=key)
-
     def run(df: pd.DataFrame) -> pd.DataFrame:
-        if "__part" in df.columns:
-            df = df.drop(columns=["__part"])
         n = len(df)
         if n == 0:
             out = df.copy()
@@ -1222,12 +1118,7 @@ def group_broadcast(ds, *, key: str, order_cols: list[str], val_col: str,
         out.loc[gs == 0, "share"] = None
         return out
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(run, batch_format="pandas")
-    )
+    return exchange(ds, key, num_partitions, run, "pandas")
 
 
 def gapfill_resample(ds, *, key: str, ts_col: str, val_col: str,
@@ -1276,7 +1167,7 @@ def gapfill_resample(ds, *, key: str, ts_col: str, val_col: str,
             bkt_col: pa.array(bkt[order][starts] if len(order) else bkt, type=pa.int64()),
             sum_col: pa.array(sums, type=pa.int64()),
         })
-        return add_partition_col(out, num_partitions, key=key)
+        return out
 
     def per_partition(df: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(df[key], use_na_sentinel=False)
@@ -1324,12 +1215,8 @@ def gapfill_resample(ds, *, key: str, ts_col: str, val_col: str,
         out[fill_col] = filled
         return out
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), key,
+                    num_partitions, per_partition, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -1353,9 +1240,6 @@ def merge_intervals(ds, *, key: str, start_col: str, end_col: str,
     segmented running-max + cumsum island-id pass per partition —
     never a per-key loop.  Exact int64 end-to-end (timestamps ride as
     µs)."""
-
-    def tag(t: pa.Table) -> pa.Table:
-        return add_partition_col(t, num_partitions, key=key)
 
     def coalesce(df: pd.DataFrame) -> pa.Table:
         k = df[key].to_numpy()
@@ -1403,12 +1287,7 @@ def merge_intervals(ds, *, key: str, start_col: str, end_col: str,
         return pa.table({key: tkey, start_col: st_arr, end_col: en_arr,
                          "n_merged": pa.array(counts.astype(np.int64))})
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(coalesce, batch_format="pandas")
-    )
+    return exchange(ds, key, num_partitions, coalesce, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -1467,8 +1346,7 @@ def mad_anomaly_counts(ds, *, group_col: str, bucket_col: str,
     keep them; callers wanting null groups pre-fill a sentinel)."""
     from .aggregate import _count_partials
 
-    partials = _count_partials(ds, [group_col, bucket_col], out_col,
-                               num_partitions)
+    partials = _count_partials(ds, [group_col, bucket_col], out_col)
 
     def per_part(df: pd.DataFrame) -> pa.Table:
         g_dtype, b_dtype = df[group_col].dtype, df[bucket_col].dtype
@@ -1495,11 +1373,7 @@ def mad_anomaly_counts(ds, *, group_col: str, bucket_col: str,
         agg["is_anomaly"] = dev > k * mad
         return pa.Table.from_pandas(agg, preserve_index=False).replace_schema_metadata(None)
 
-    return (
-        partials.repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return exchange(partials, group_col, num_partitions, per_part, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -1535,7 +1409,7 @@ def heavy_change(ds, *, key: str, ts_col: str, a_range: tuple, b_range: tuple,
             empty = pa.table({key: kcol,
                               "cnt_a": pa.array([], type=pa.int64()),
                               "cnt_b": pa.array([], type=pa.int64())})
-            return add_partition_col(empty, num_partitions, key=key)
+            return empty
         codes, rep = _first_occurrence_codes(kcol)
         # float64 bincount weights are EXACT here: per-batch counts are
         # bounded by the batch row count (≪ 2^53); the cross-batch sum
@@ -1546,7 +1420,7 @@ def heavy_change(ds, *, key: str, ts_col: str, a_range: tuple, b_range: tuple,
                          minlength=len(rep)).astype(np.int64)
         out = pa.table({key: kcol.take(pa.array(rep, type=pa.int64())),
                         "cnt_a": pa.array(na), "cnt_b": pa.array(nb)})
-        return add_partition_col(out, num_partitions, key=key)
+        return out
 
     def _topk_frame(df: pd.DataFrame) -> pd.DataFrame:
         df["delta"] = df["cnt_b"] - df["cnt_a"]
@@ -1565,10 +1439,8 @@ def heavy_change(ds, *, key: str, ts_col: str, a_range: tuple, b_range: tuple,
         return _topk_frame(df)
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(per_part, batch_format="pandas")
+        exchange(ds.map_batches(partial, batch_format="pyarrow"), key,
+                 num_partitions, per_part, "pandas")
         .repartition(1)
         .map_batches(final_cut, batch_format="pandas")
     )
@@ -1609,7 +1481,7 @@ def pair_spans(ds, *, key: str, ts_col: str, type_col: str,
             id_col: sub.column(id_col),
             "__is_start": pc.equal(sub.column(type_col), start_val),
         })
-        return add_partition_col(out, num_partitions, key=key)
+        return out
 
     def per_part(df: pd.DataFrame) -> pa.Table:
         k_dtype, ts_dtype, id_dtype = (df[key].dtype, df[ts_col].dtype,
@@ -1661,12 +1533,8 @@ def pair_spans(ds, *, key: str, ts_col: str, type_col: str,
         out = out.sort_values([key, "rn"], kind="mergesort")
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
-    return (
-        ds.map_batches(thin, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(thin, batch_format="pyarrow"), key,
+                    num_partitions, per_part, "pandas")
 
 
 def grouped_ewma(ds, *, key: str, order_cols: list[str], value_col: str,
@@ -1710,11 +1578,7 @@ def grouped_ewma(ds, *, key: str, order_cols: list[str], value_col: str,
         raise ValueError(f"grouped_ewma: alpha must be in (0, 1], got {alpha}")
     beta = 1.0 - alpha
 
-    def tag(t: pa.Table) -> pa.Table:
-        return add_partition_col(t, num_partitions, key=key)
-
     def per_partition(df: pd.DataFrame) -> pa.Table:
-        df = df.drop(columns="__part")
         if not len(df):
             out = df.copy()
             out[out_col] = pd.Series(dtype=np.float64)
@@ -1742,12 +1606,7 @@ def grouped_ewma(ds, *, key: str, order_cols: list[str], value_col: str,
         out[out_col] = out_vals
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return exchange(ds, key, num_partitions, per_partition, "pandas")
 
 
 def sequence_integrity(ds, *, key: str, idx_col: str,
@@ -1779,7 +1638,7 @@ def sequence_integrity(ds, *, key: str, idx_col: str,
     """
     from .aggregate import _count_partials
 
-    partials = _count_partials(ds, [key, idx_col], "__cnt", num_partitions)
+    partials = _count_partials(ds, [key, idx_col], "__cnt")
 
     def per_part(df: pd.DataFrame) -> pa.Table:
         k_dtype = df[key].dtype
@@ -1825,11 +1684,7 @@ def sequence_integrity(ds, *, key: str, idx_col: str,
         })
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
-    return (
-        partials.repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return exchange(partials, key, num_partitions, per_part, "pandas")
 
 
 def psi_drift(ds, *, val_col: str, ts_col: str, a_range: tuple, b_range: tuple,
@@ -1873,7 +1728,7 @@ def psi_drift(ds, *, val_col: str, ts_col: str, a_range: tuple, b_range: tuple,
                 "n_a": pa.array([], type=pa.int64()),
                 "n_b": pa.array([], type=pa.int64()),
             })
-            return add_partition_col(out, num_partitions, key="bin")
+            return out
         ts = t.column(ts_col).to_numpy().astype("datetime64[us]")
         v_arr = t.column(val_col)
         if isinstance(v_arr, pa.ChunkedArray):
@@ -1888,7 +1743,7 @@ def psi_drift(ds, *, val_col: str, ts_col: str, a_range: tuple, b_range: tuple,
         n_a = np.bincount(bins[side_a], minlength=nbins).astype(np.int64)
         n_b = np.bincount(bins[~side_a], minlength=nbins).astype(np.int64)
         out = pa.table({"bin": bin_ids, "n_a": n_a, "n_b": n_b})
-        return add_partition_col(out, num_partitions, key="bin")
+        return out
 
     def per_part(t: pa.Table) -> pa.Table:
         b = t.column("bin").to_numpy()
@@ -1934,14 +1789,8 @@ def psi_drift(ds, *, val_col: str, ts_col: str, a_range: tuple, b_range: tuple,
                                   for x in psi[order]], type=pa.float64()),
         })
 
-    merged = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__part")
-        .map_groups(
-            lambda t: per_part(t.drop_columns(["__part"])), batch_format="pyarrow"
-        )
-    )
+    merged = exchange(ds.map_batches(partial, batch_format="pyarrow"), "bin",
+                      num_partitions, per_part, "pyarrow")
     return merged.repartition(1).map_batches(
         final, batch_format="pyarrow", batch_size=None
     )

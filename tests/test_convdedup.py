@@ -90,6 +90,36 @@ class TestConversationPrefixGroups:
         ).to_pandas()
         assert sorted(out["n_branches"]) == [1, 1]
 
+    def test_null_turn_matches_duckdb_twin(self, ray_session):
+        """A NULL text inside the first k turns joins as '' on both
+        engines: DuckDB's string_agg would SKIP it (dropping a
+        separator), so the SQL twin coalesces first."""
+        import duckdb
+        import ray.data
+
+        df = pd.DataFrame({
+            "conv_id": ["a", "a", "a", "b", "b", "b", "c", "c"],
+            "turn_idx": np.array([0, 1, 2, 0, 1, 2, 0, 1], dtype=np.int32),
+            "text": ["x", None, "y", "x", "", "y", "x", "y"],
+        })
+        got = conversation_prefix_groups(
+            ray.data.from_pandas(df), k=3, num_partitions=2
+        ).to_pandas()
+        con = duckdb.connect()
+        con.register("t", df)
+        want = con.sql(
+            "WITH p AS (SELECT conv_id, md5(string_agg(coalesce(text, ''), chr(31) "
+            "ORDER BY turn_idx)) AS prefix_key FROM t WHERE turn_idx < 3 GROUP BY conv_id) "
+            "SELECT conv_id, prefix_key, count(*) OVER w AS n_branches, "
+            "conv_id = min(conv_id) OVER w AS keep FROM p WINDOW w AS (PARTITION BY prefix_key)"
+        ).df()
+        key = ["conv_id", "prefix_key", "n_branches", "keep"]
+        got = got[key].sort_values("conv_id").reset_index(drop=True)
+        want = want[key].sort_values("conv_id").reset_index(drop=True)
+        assert got.astype(str).equals(want.astype(str))
+        # the NULL turn and the '' turn share a prefix; c skips a slot
+        assert got.set_index("conv_id")["n_branches"].to_dict() == {"a": 2, "b": 2, "c": 1}
+
 
 class TestResponseDedup:
     def test_counts_and_survivor_across_blocks(self, ray_session):

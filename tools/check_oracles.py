@@ -1,6 +1,8 @@
 """Local stand-in for the driver's correctness gate: run every
 ``queries()`` entry and its ``oracle_sql()`` twin on the same sf dir,
-compare row count, column names and order-insensitive values.
+compare row count, column names and order-insensitive values.  Each
+PASS/FAIL line ends with the query's wall seconds (run + collect, not
+the oracle SQL).
 
 Usage: python tools/check_oracles.py [sf_dir] [query ...]
 """
@@ -8,6 +10,7 @@ Usage: python tools/check_oracles.py [sf_dir] [query ...]
 from __future__ import annotations
 
 import sys
+import time
 
 import duckdb
 import numpy as np
@@ -109,14 +112,17 @@ def main():
     for name, fn in qs.items():
         if only and name not in only:
             continue
+        t0 = time.perf_counter()
         try:
             mine = to_pandas(fn(sf_dir))
         except Exception as ex:
             import traceback
             traceback.print_exc()
-            print(f"FAIL {name}: query raised {type(ex).__name__}: {ex}")
+            print(f"FAIL {name} ({time.perf_counter() - t0:.2f} s): "
+                  f"query raised {type(ex).__name__}: {ex}")
             n_fail += 1
             continue
+        secs = time.perf_counter() - t0
         sql = oracles.get(name)
         if sql is None:
             print(f"ROWS-ONLY {name}: {len(mine)} rows, cols={list(mine.columns)}")
@@ -133,12 +139,12 @@ def main():
         except Exception as ex:
             problems = [f"compare raised {type(ex).__name__}: {ex}"]
         if problems:
-            print(f"FAIL {name} ({len(mine)} vs {len(oracle)} rows):")
+            print(f"FAIL {name} ({len(mine)} vs {len(oracle)} rows, {secs:.2f} s):")
             for p in problems:
                 print(f"   - {p}")
             n_fail += 1
         else:
-            print(f"PASS {name} ({len(mine)} rows)")
+            print(f"PASS {name} ({len(mine)} rows, {secs:.2f} s)")
             n_pass += 1
     print(f"\n{n_pass} pass, {n_fail} fail, {n_noracle} rows-only")
     ray.shutdown()
