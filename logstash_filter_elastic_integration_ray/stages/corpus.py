@@ -216,17 +216,16 @@ def ordered_prefix_sum(ds, *, order_col: str, val_col: str,
     bases[1:] = np.cumsum(totals)[:-1]
 
     def scan(df: pd.DataFrame) -> pa.Table:
-        # chunk ids hash into partitions, so one may hold several chunks
-        df = df.sort_values(["__chunk", order_col], kind="stable")
-        chunk = df["__chunk"].to_numpy(dtype=np.int64)
+        chunk = int(df["__chunk"].iloc[0])
+        df = df.sort_values(order_col, kind="stable")
         vals = df[val_col].to_numpy(dtype=np.int64)
-        csum = np.cumsum(vals)
-        first = np.flatnonzero(np.r_[True, chunk[1:] != chunk[:-1]])
-        before = np.repeat(np.r_[0, csum[first[1:] - 1]], np.diff(np.r_[first, len(df)]))
-        out = df.drop(columns="__chunk").assign(off=csum - vals - before + bases[chunk])
+        off = np.zeros(len(vals), dtype=np.int64)
+        off[1:] = np.cumsum(vals)[:-1]
+        out = df.drop(columns="__chunk").assign(off=off + bases[chunk])
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
-    return exchange(parted, "__chunk", num_partitions, scan, "pandas")
+    # the chunk id already is the partition: group on it, no hash
+    return parted.groupby("__chunk").map_groups(scan, batch_format="pandas")
 
 
 def _explode_bins(batch: pa.Table, cap: int, id_col: str) -> pa.Table:
@@ -367,22 +366,22 @@ def shuffle_shards(ds, *, num_shards: int = 16, sub_buckets: int = 8,
     bases[:, 1:] = np.cumsum(per_shard, axis=1)[:, :-1]
     bases = bases.reshape(-1)
 
-    def rank_buckets(df: pd.DataFrame) -> pa.Table:
-        # bucket ids hash into partitions, so one may hold several buckets
-        df = df.sort_values(["__bucket", "h", id_col], kind="stable")
-        bucket = df["__bucket"].to_numpy(dtype=np.int64)
-        first = np.flatnonzero(np.r_[True, bucket[1:] != bucket[:-1]])
-        within = (np.arange(len(df), dtype=np.int64)
-                  - np.repeat(first, np.diff(np.r_[first, len(df)])))
+    def rank_bucket(df: pd.DataFrame) -> pa.Table:
+        bucket = int(df["__bucket"].iloc[0])
+        df = df.sort_values(["h", id_col], kind="stable")
         return pa.table(
             {
                 id_col: pa.array(df[id_col].to_numpy(dtype=np.int64)),
-                "shard": pa.array(bucket // sub_buckets),
-                "pos": pa.array(bases[bucket] + within),
+                "shard": pa.array(np.full(len(df), bucket // sub_buckets, dtype=np.int64)),
+                "pos": pa.array(bases[bucket] + np.arange(len(df), dtype=np.int64)),
             }
         )
 
-    return exchange(assigned, "__bucket", n_parts, rank_buckets, "pandas")
+    return (
+        assigned.repartition(n_parts)
+        .groupby("__bucket")
+        .map_groups(rank_bucket, batch_format="pandas")
+    )
 
 
 # ---------------------------------------------------------------------------

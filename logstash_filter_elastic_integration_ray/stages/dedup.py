@@ -33,7 +33,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import copartition, exchange
+from .exchange import copartition, exchange, lookup
 
 _MERSENNE = (1 << 61) - 1
 
@@ -512,9 +512,7 @@ def connected_components_min_label(edges, max_iters: int = 25, num_partitions: i
                 new[seg_nodes] = np.minimum(new[seg_nodes], mins)
             # compression: label <- label(label); a label value is in
             # `nodes` only if it occurs in this partition
-            li = np.searchsorted(nodes, new)
-            ok = (li < len(nodes)) & (nodes[np.minimum(li, len(nodes) - 1)] == new)
-            new[ok] = np.minimum(new[ok], lab[li[ok]])
+            new = np.minimum(new, lookup(nodes, lab, new, default=new))
             if np.array_equal(new, lab):
                 break
             lab = new

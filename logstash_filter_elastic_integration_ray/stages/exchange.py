@@ -1,8 +1,10 @@
 """The engine's one hash exchange.
 
-Every keyed stage — the ``groupby(conv_id)`` aggregate, joins, windows,
-dedup, the graph tier — reaches its merge through this module, so the
-shuffle and the key-found check each live in one place:
+Every hash-keyed stage — the ``groupby(conv_id)`` aggregate, joins,
+windows, dedup, the graph tier — reaches its merge through this module,
+so the hash shuffle and the key-found check each live in one place.
+(A one-sided scan whose rows already carry their group id — a range
+chunk, a shard bucket — groups on that id directly.)
 
 - :func:`exchange` — one Dataset: rows tagged ``__part`` by the hash of
   ``key`` (:func:`add_partition_col`), then
@@ -10,19 +12,21 @@ shuffle and the key-found check each live in one place:
   hash partition without the tag column.
 - :func:`copartition` — several Datasets hashed on their own keys into
   the same ``P`` partitions; ``fn`` receives one table per side, each
-  holding only that side's own columns.
+  holding only that side's own columns.  :func:`cogroup` is the same
+  merge for sides already keyed by a group id (a range chunk, an IVF
+  bucket): no hash, one id per ``fn`` call.
 - :func:`lookup` — the ``searchsorted`` join a merge does once its
   sides are co-partitioned, with the hit check: a key that should have
   been co-located and was not raises instead of reading a neighbour.
 
-``copartition`` packs each input block into one row per partition whose
-payload is the Arrow IPC stream of that block's slice, so the union it
-shuffles has one fixed schema (``__part``, ``__side``, ``__rows``)
-whatever the sides hold: no side pads dummy columns, no type is widened,
-and no lazy Dataset's ``schema()`` runs (that would execute its plan).
-Every non-empty block sends a slice — possibly empty, always carrying
-its schema — to every partition, so a side that has no rows in a
-partition still reaches ``fn`` as an empty table with its columns.
+``copartition`` and ``cogroup`` pack each input block into one row per
+partition whose payload is the Arrow IPC stream of that block's slice,
+so the union they shuffle has one fixed schema (``__part``, ``__side``,
+``__rows``) whatever the sides hold: no side pads dummy columns, no type
+is widened, and no lazy Dataset's ``schema()`` runs (that would execute
+its plan).  Every non-empty block sends a slice — possibly empty, always
+carrying its schema — to every partition, so a side that has no rows in
+a partition still reaches ``fn`` as an empty table with its columns.
 """
 
 from __future__ import annotations
@@ -112,18 +116,11 @@ def _ipc_payloads(t: pa.Table, part: np.ndarray, num_partitions: int) -> pa.Arra
     )
 
 
-def copartition(sides: dict, num_partitions: int, fn, batch_format: str = "pandas"):
-    """Co-partition several Datasets: ``sides`` maps a name to
-    ``(ds, key)``; rows of every side whose ``key`` hashes alike meet in
-    the same partition, and ``fn(**{name: table})`` runs once per
-    partition with one ``batch_format`` table per side (only that
-    side's columns, rows in arrival order).  Once any side has a row,
-    ``fn`` runs for EVERY partition, also where all sides are empty, so
-    it must return its (empty) output for empty tables.
-
-    A side whose Dataset has no rows at all runs no pack task: it keeps
-    its columns when Ray holds its schema without executing anything (a
-    materialized Dataset) and otherwise reaches ``fn`` with none."""
+def _cogroup(sides: dict, num_groups: int, group_of, grouped, fn, batch_format: str):
+    """Pack every side block into one IPC payload row per group id
+    (``group_of(table, key)`` → ids in ``[0, num_groups)``), union the
+    packed sides, group them with ``grouped`` and unpack each group into
+    one table per side for ``fn``."""
     names = list(sides)
 
     def known_schema(ds) -> pa.Schema:
@@ -135,12 +132,10 @@ def copartition(sides: dict, num_partitions: int, fn, batch_format: str = "panda
 
     def packer(i: int, key: str):
         def pack(t: pa.Table) -> pa.Table:
-            part = add_partition_col(t.select([key]), num_partitions, key=key)
-            part = part.column("__part").to_numpy()
             return pa.table({
-                "__part": pa.array(np.arange(num_partitions, dtype=np.int64)),
-                "__side": pa.array(np.full(num_partitions, i, dtype=np.int32)),
-                "__rows": _ipc_payloads(t, part, num_partitions),
+                "__part": pa.array(np.arange(num_groups, dtype=np.int64)),
+                "__side": pa.array(np.full(num_groups, i, dtype=np.int32)),
+                "__rows": _ipc_payloads(t, group_of(t, key), num_groups),
             })
         return pack
 
@@ -164,7 +159,44 @@ def copartition(sides: dict, num_partitions: int, fn, batch_format: str = "panda
     packed = [ds.map_batches(packer(i, key), batch_format="pyarrow")
               for i, (ds, key) in enumerate(sides.values())]
     tagged = packed[0].union(*packed[1:])
-    return _shuffle(tagged, num_partitions).map_groups(unpack, batch_format="pyarrow")
+    return grouped(tagged).map_groups(unpack, batch_format="pyarrow")
+
+
+def copartition(sides: dict, num_partitions: int, fn, batch_format: str = "pandas"):
+    """Co-partition several Datasets: ``sides`` maps a name to
+    ``(ds, key)``; rows of every side whose ``key`` hashes alike meet in
+    the same partition, and ``fn(**{name: table})`` runs once per
+    partition with one ``batch_format`` table per side (only that
+    side's columns, rows in arrival order).  Once any side has a row,
+    ``fn`` runs for EVERY partition, also where all sides are empty, so
+    it must return its (empty) output for empty tables.
+
+    A side whose Dataset has no rows at all runs no pack task: it keeps
+    its columns when Ray holds its schema without executing anything (a
+    materialized Dataset) and otherwise reaches ``fn`` with none, so a
+    merge must not read a column of a side it has not checked for rows."""
+
+    def hashed(t: pa.Table, key: str) -> np.ndarray:
+        part = add_partition_col(t.select([key]), num_partitions, key=key)
+        return part.column("__part").to_numpy()
+
+    return _cogroup(sides, num_partitions, hashed,
+                    lambda tagged: _shuffle(tagged, num_partitions), fn, batch_format)
+
+
+def cogroup(sides: dict, num_groups: int, fn, batch_format: str = "pandas"):
+    """:func:`copartition` for sides whose ``key`` column already holds
+    a group id in ``[0, num_groups)`` — a range chunk or an IVF bucket:
+    rows are grouped on the id itself, with no hash and no
+    ``repartition``, so ``fn`` sees exactly one id's rows (its ``key``
+    column included).  The empty-side rules of :func:`copartition`
+    hold unchanged."""
+
+    def ids(t: pa.Table, key: str) -> np.ndarray:
+        return t.column(key).to_numpy(zero_copy_only=False).astype(np.int64)
+
+    return _cogroup(sides, num_groups, ids, lambda tagged: tagged.groupby("__part"),
+                    fn, batch_format)
 
 
 def lookup(sorted_keys, values, want, *, default=None) -> np.ndarray:

@@ -1100,6 +1100,8 @@ def hop_distances(edges, *, seeds, num_partitions: int = 16,
     frontier = dist
 
     def emit_candidates(edge: pd.DataFrame, frontier: pd.DataFrame) -> pa.Table:
+        if not len(edge):  # column-less when the edge set is empty
+            return pa.table({"node": pa.array([], type=pa.int64())})
         fr = np.unique(frontier["node"].to_numpy(dtype=np.int64))
         hit = np.isin(edge["src"].to_numpy(dtype=np.int64), fr)
         cand = np.unique(edge["dst"].to_numpy(dtype=np.int64)[hit])

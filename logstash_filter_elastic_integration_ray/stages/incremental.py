@@ -40,7 +40,6 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from logstash_filter_elastic_integration_ray.stages.dedup import exact_dedup
-from logstash_filter_elastic_integration_ray.stages.exchange import exchange
 from logstash_filter_elastic_integration_ray.stages.joins import bloom_add, bloom_test
 
 __all__ = [
@@ -195,10 +194,10 @@ def dedup_against_corpus(
 
     def tag(t: pa.Table) -> pa.Table:
         u = hash_hex_to_u64(t.column("content_hash"))
-        return t.append_column("__bucket", pa.array(_bucket_of(u, num_buckets)))
+        return t.append_column("__slot", pa.array(_bucket_of(u, num_buckets) % num_partitions))
 
     def resolve(t: pa.Table) -> pa.Table:
-        t = t.drop_columns("__bucket")
+        t = t.drop_columns("__slot")
         if t.num_rows == 0:
             return t
         buckets = _bucket_of(hash_hex_to_u64(t.column("content_hash")), num_buckets)
@@ -220,10 +219,14 @@ def dedup_against_corpus(
             present[rows] = hit.to_numpy(zero_copy_only=False)
         return t.filter(pa.array(~present))
 
-    # rows of one corpus bucket meet in one partition, so each partition
-    # reads only the bucket files its rows can collide with
-    resolved = exchange(maybe.map_batches(tag, batch_format="pyarrow"), "__bucket",
-                        num_partitions, resolve, "pyarrow")
+    # rows of one corpus bucket meet in one slot (bucket mod P), so each
+    # group reads only the bucket files its rows can collide with
+    resolved = (
+        maybe.map_batches(tag, batch_format="pyarrow")
+        .repartition(num_partitions)
+        .groupby("__slot")
+        .map_groups(resolve, batch_format="pyarrow")
+    )
     return definite_new.union(resolved)
 
 

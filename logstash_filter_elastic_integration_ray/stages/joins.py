@@ -26,7 +26,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .exchange import copartition
+from .exchange import cogroup, copartition
 
 
 def _dataset_schema(ds) -> pa.Schema:
@@ -233,6 +233,8 @@ def range_join_chunked(
         return t.append_column("__chunk", pa.array(chunks))
 
     def per_chunk(l: pd.DataFrame, r: pd.DataFrame) -> pa.Table:
+        if not len(l) or not len(r):
+            return empty
         # keys are NaN-filtered in tag_left/tag_right; payload int
         # columns may carry genuine source nulls → nullable Int64
         l = _restore_int_dtypes(l[left_cols].copy(), left_schema, plain_cols={on_left})
@@ -253,18 +255,9 @@ def range_join_chunked(
         )[[f.name for f in output_schema]]
         return pa.Table.from_pandas(out, preserve_index=False, schema=output_schema).replace_schema_metadata(None)
 
-    def per_partition(l: pd.DataFrame, r: pd.DataFrame) -> pa.Table:
-        # chunk ids hash into partitions: match chunk by chunk, or an
-        # interval replicated to two co-located chunks pairs twice
-        if not len(l) or not len(r):
-            return empty
-        lc, rc = l["__chunk"].to_numpy(), r["__chunk"].to_numpy()
-        return pa.concat_tables([empty] + [per_chunk(l[lc == c], r[rc == c])
-                                           for c in np.intersect1d(lc, rc)])
-
-    return copartition({"l": (left.map_batches(tag_left, batch_format="pyarrow"), "__chunk"),
-                        "r": (right.map_batches(tag_right, batch_format="pyarrow"), "__chunk")},
-                       num_chunks, per_partition, "pandas")
+    return cogroup({"l": (left.map_batches(tag_left, batch_format="pyarrow"), "__chunk"),
+                    "r": (right.map_batches(tag_right, batch_format="pyarrow"), "__chunk")},
+                   num_chunks, per_chunk, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +292,9 @@ def hash_semi_join(left, right, *, left_key: str, right_key: str,
         return t.append_column("__k", t.column(left_key).cast(pa.int64()))
 
     def resolve(rows: pa.Table, keys: pa.Table) -> pa.Table:
-        # keys is column-less when the right side is empty
+        # either side is column-less when its Dataset has no rows at all
+        if not rows.num_rows:
+            return rows.drop_columns([c for c in rows.column_names if c == "__k"])
         ks = keys.column("__k").combine_chunks() if keys.num_rows else pa.array([], pa.int64())
         hit = pc.fill_null(pc.is_in(rows.column("__k"), value_set=ks), False)
         return rows.filter(pc.invert(hit) if anti else hit).drop_columns(["__k"])

@@ -57,6 +57,7 @@ import pyarrow as pa
 import ray
 
 from .decontam import flat_token_hashes, gram_hashes
+from .exchange import lookup
 
 #: Stupid Backoff's published back-off multiplier.
 ALPHA = 0.4
@@ -129,21 +130,10 @@ class BigramLM:
         self.n_total = n_total
 
     def lookup_uni(self, h: np.ndarray) -> np.ndarray:
-        return _lookup(self.uni_h, self.uni_c, h)
+        return lookup(self.uni_h, self.uni_c, h, default=0)
 
     def lookup_bi(self, h: np.ndarray) -> np.ndarray:
-        return _lookup(self.bi_h, self.bi_c, h)
-
-
-def _lookup(sorted_h: np.ndarray, counts: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """count per probe hash (0 when absent) — one ``searchsorted``."""
-    out = np.zeros(len(probe), dtype=np.int64)
-    if len(sorted_h) and len(probe):
-        pos = np.searchsorted(sorted_h, probe)
-        pos = np.minimum(pos, len(sorted_h) - 1)
-        hit = sorted_h[pos] == probe
-        out[hit] = counts[pos[hit]]
-    return out
+        return lookup(self.bi_h, self.bi_c, h, default=0)
 
 
 def train_bigram_lm(ref_corpus, *, min_count: int = 1, text_col: str = "text"):
@@ -446,7 +436,7 @@ def _kn_score_arrays(lm: KnTrigramLM, fh: np.ndarray, counts: np.ndarray) -> np.
     unif = np.float64(1.0) / (np.float64(lm.U) + np.float64(1.0))
 
     # level 1 — every position
-    cont1 = _lookup(lm.cont1_h, lm.cont1_c, fh).astype(np.float64)
+    cont1 = lookup(lm.cont1_h, lm.cont1_c, fh, default=0).astype(np.float64)
     if lm.B > 0:
         B = np.float64(lm.B)
         p1 = np.maximum(cont1 - D, 0.0) / B + (D * np.float64(lm.W1) / B) * unif
@@ -459,9 +449,9 @@ def _kn_score_arrays(lm: KnTrigramLM, fh: np.ndarray, counts: np.ndarray) -> np.
     if n >= 2:
         bh_raw = fh[:-1] * _GRAM_B + fh[1:]
         intra1 = doc_idx[:-1] == doc_idx[1:]
-        cont2 = _lookup(lm.suf_h, lm.suf_cont2, bh_raw).astype(np.float64)
-        mid = _lookup(lm.mid_h, lm.mid_c, fh[:-1]).astype(np.float64)
-        t2p = _lookup(lm.t2p_h, lm.t2p_c, fh[:-1]).astype(np.float64)
+        cont2 = lookup(lm.suf_h, lm.suf_cont2, bh_raw, default=0).astype(np.float64)
+        mid = lookup(lm.mid_h, lm.mid_c, fh[:-1], default=0).astype(np.float64)
+        t2p = lookup(lm.t2p_h, lm.t2p_c, fh[:-1], default=0).astype(np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
             p2_num = (np.maximum(cont2 - D, 0.0) + D * t2p * p1[1:])
             p2_cond = np.where(mid > 0, p2_num / np.maximum(mid, 1.0), p1[1:])
@@ -470,9 +460,9 @@ def _kn_score_arrays(lm: KnTrigramLM, fh: np.ndarray, counts: np.ndarray) -> np.
         if n >= 3:
             th_raw = bh_raw[:-1] * _GRAM_B + fh[2:]
             intra2 = doc_idx[:-2] == doc_idx[2:]
-            c3 = _lookup(lm.tri_h, lm.tri_c, th_raw).astype(np.float64)
-            cstar = _lookup(lm.pre_h, lm.pre_cstar, bh_raw[:-1]).astype(np.float64)
-            t3p = _lookup(lm.pre_h, lm.pre_t3p, bh_raw[:-1]).astype(np.float64)
+            c3 = lookup(lm.tri_h, lm.tri_c, th_raw, default=0).astype(np.float64)
+            cstar = lookup(lm.pre_h, lm.pre_cstar, bh_raw[:-1], default=0).astype(np.float64)
+            t3p = lookup(lm.pre_h, lm.pre_t3p, bh_raw[:-1], default=0).astype(np.float64)
             with np.errstate(divide="ignore", invalid="ignore"):
                 p3_num = (np.maximum(c3 - D, 0.0) + D * t3p * p2_cond[1:])
                 p3_cond = np.where(cstar > 0, p3_num / np.maximum(cstar, 1.0),

@@ -22,7 +22,7 @@ import pyarrow as pa
 # module-level (NOT function-level): these are used inside map_groups
 # UDFs that execute on workers, where the package is pickled by value
 # and function-level relative imports raise ModuleNotFoundError
-from .exchange import copartition, exchange
+from .exchange import cogroup, copartition, exchange
 from .dedup import _distinct_texts, distinct_pairs, hamming64
 
 
@@ -301,11 +301,13 @@ def knn_join(left, right, *, index: "IvfIndex", k: int = 5, nprobe: int = 4,
         "cosine": pa.array([], type=pa.float64()),
     })
 
-    def bucket_scores(lg: pd.DataFrame, rg: pd.DataFrame) -> pa.Table:
-        lm = np.vstack(lg["emb"].to_numpy())
-        rm = np.vstack(rg["emb"].to_numpy())
-        lids = lg["rid"].to_numpy(dtype=np.int64)
-        rids = rg["rid"].to_numpy(dtype=np.int64)
+    def bucket_scores(left: pd.DataFrame, right: pd.DataFrame) -> pa.Table:
+        if not len(left) or not len(right):
+            return empty
+        lm = np.vstack(left["emb"].to_numpy())
+        rm = np.vstack(right["emb"].to_numpy())
+        lids = left["rid"].to_numpy(dtype=np.int64)
+        rids = right["rid"].to_numpy(dtype=np.int64)
         scores = lm @ rm.T  # (Q, M)
         kk = min(k + 1, scores.shape[1])
         # deterministic local cut: exact per-bucket top-kk under the
@@ -328,18 +330,10 @@ def knn_join(left, right, *, index: "IvfIndex", k: int = 5, nprobe: int = 4,
             "cosine": pa.array(sc[keep]),
         })
 
-    def per_partition(left: pd.DataFrame, right: pd.DataFrame) -> pa.Table:
-        # several IVF buckets may hash to one partition: score each alone
-        if not len(left) or not len(right):
-            return empty
-        lb, rb = left["bucket"].to_numpy(), right["bucket"].to_numpy()
-        return pa.concat_tables([empty] + [bucket_scores(left[lb == b], right[rb == b])
-                                           for b in np.intersect1d(lb, rb)])
-
     probed = left.map_batches(left_rows, batch_format="pyarrow")
     routed = right.map_batches(right_rows, batch_format="pyarrow")
-    cands = copartition({"left": (probed, "bucket"), "right": (routed, "bucket")},
-                        len(index.centroids), per_partition, "pandas")
+    cands = cogroup({"left": (probed, "bucket"), "right": (routed, "bucket")},
+                    len(index.centroids), bucket_scores, "pandas")
     return cands.groupby("query_id").map_groups(
         _final_topk(k, exclude_self), batch_format="pandas")
 

@@ -37,7 +37,7 @@ from logstash_filter_elastic_integration_ray.stages.aggregate import (
     _first_occurrence_codes,
 )
 
-from .exchange import copartition, exchange
+from .exchange import cogroup, exchange
 
 __all__ = [
     "grouped_running",
@@ -775,6 +775,16 @@ def grouped_running_scan(
     bases = exchange(partials, key, kparts, per_key_prefix, "pandas")
 
     def final_chunk(rows: pd.DataFrame, bs: pd.DataFrame) -> pa.Table:
+        if not len(rows):  # a chunk id no row fell into
+            out = rows.drop(columns=["__chunk"])
+            out[cnt_col] = np.zeros(0, dtype=np.int64)
+            out[sum_col] = np.zeros(0, dtype=sum_np)
+            for col in (min_col, max_col):
+                if col is not None:
+                    out[col] = pd.array([], dtype="Int64" if val_is_int else "Float64")
+            if gap_col is not None:
+                out[gap_col] = pd.array([], dtype="Int64")
+            return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
         # factorize rows' and bases' keys TOGETHER so codes align even
         # for null keys (Index.get_indexer does not match NaN↔None
         # reliably across dtypes)
@@ -840,26 +850,8 @@ def grouped_running_scan(
             out[gap_col] = pd.array(np.where(np.isnan(gap), None, gap), dtype="Int64")
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
-    def final(rows: pd.DataFrame, bases: pd.DataFrame) -> pa.Table:
-        # hashing chunk ids may co-locate several chunks: scan each alone
-        chunk = rows["__chunk"].to_numpy()
-        bchunk = bases["__chunk"].to_numpy()
-        chunks = np.unique(chunk)
-        if not len(chunks):  # a partition no chunk hashed to
-            out = rows.drop(columns=["__chunk"])
-            out[cnt_col] = np.zeros(0, dtype=np.int64)
-            out[sum_col] = np.zeros(0, dtype=sum_np)
-            for col in (min_col, max_col):
-                if col is not None:
-                    out[col] = pd.array([], dtype="Int64" if val_is_int else "Float64")
-            if gap_col is not None:
-                out[gap_col] = pd.array([], dtype="Int64")
-            return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
-        return pa.concat_tables([final_chunk(rows[chunk == c], bases[bchunk == c])
-                                 for c in chunks], promote_options="default")
-
-    return copartition({"rows": (parted, "__chunk"), "bases": (bases, "__chunk")},
-                       num_partitions, final, "pandas")
+    return cogroup({"rows": (parted, "__chunk"), "bs": (bases, "__chunk")},
+                   num_partitions, final_chunk, "pandas")
 
 
 def _dataset_schema_of(ds) -> pa.Schema:

@@ -16,10 +16,17 @@ import ray
 
 from logstash_filter_elastic_integration_ray.stages import graph
 from logstash_filter_elastic_integration_ray.stages.exchange import (
+    cogroup,
     copartition,
     exchange,
     lookup,
 )
+from logstash_filter_elastic_integration_ray.stages.joins import (
+    hash_semi_join,
+    hash_semi_join_bloom,
+    range_join_chunked,
+)
+from logstash_filter_elastic_integration_ray.stages.similarity import IvfIndex, knn_join
 
 # the UDFs below are module-level: ship them to workers by value
 ray.cloudpickle.register_pickle_by_value(sys.modules[__name__])
@@ -118,6 +125,76 @@ def test_copartition_empty_side_has_its_columns(ray_session):
     assert set(part_only["cols"]) == {"key,name"}
 
 
+@pytest.mark.parametrize("blocks", [1, 5])
+def test_cogroup_one_id_per_call(ray_session, blocks):
+    """Sides keyed by a ready group id meet per id, with no hashing:
+    each call sees exactly one id, and every id in range gets a call."""
+    groups = 17
+
+    def fn(left: pa.Table, right: pa.Table) -> pa.Table:
+        ids = set(left.column("k").to_pylist()) | set(right.column("key").to_pylist())
+        assert len(ids) <= 1
+        return pa.table({"left": [left.num_rows], "right": [right.num_rows]})
+
+    out = cogroup({"left": (_ds(_KV.select(["k", "v"]), blocks), "k"),
+                   "right": (_ds(_RIGHT, blocks), "key")}, groups, fn, "pyarrow").to_pandas()
+    assert len(out) == groups
+    assert sorted(out["left"]) == sorted(np.bincount(np.arange(N) % 17).tolist())
+    assert out["right"].tolist() == [1] * groups
+
+
+def test_range_join_chunked_matches_nested_loop(ray_session):
+    """Intervals replicate into every chunk they overlap; a pair is
+    emitted once, in the left row's own chunk."""
+    rng = np.random.default_rng(3)
+    xs = rng.integers(0, 1000, 300).astype(np.float64)
+    lo = rng.integers(0, 1000, 40).astype(np.float64)
+    hi = lo + rng.integers(0, 300, 40)
+    left = pa.table({"x": xs, "lid": np.arange(300)})
+    right = pa.table({"lo": lo, "hi": hi, "rid": np.arange(40)})
+    schema = pa.schema([("lid", pa.int64()), ("rid", pa.int64()), ("x", pa.float64()),
+                        ("lo", pa.float64()), ("hi", pa.float64())])
+    out = range_join_chunked(_ds(left, 4), _ds(right, 3), on_left="x", lo_right="lo",
+                             hi_right="hi", num_chunks=8, output_schema=schema)
+    want = sorted((i, j) for i in range(300) for j in range(40) if lo[j] <= xs[i] <= hi[j])
+    assert _rows(out, ["lid", "rid"]) == want
+
+
+def test_knn_join_probing_every_bucket_is_exact(ray_session):
+    rng = np.random.default_rng(5)
+    vecs = rng.normal(size=(60, 6))
+    index = IvfIndex(vecs, n_clusters=5)
+    emb = pa.table({"vec_id": pa.array(np.arange(60), type=pa.int64()),
+                    "embedding": pa.array(vecs.tolist(), type=pa.list_(pa.float64()))})
+    queries = emb.rename_columns(["query_id", "embedding"])
+    out = knn_join(_ds(queries, 3), _ds(emb, 2), index=index, k=3,
+                   nprobe=len(index.centroids), exclude_self=True)
+    unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    cos = unit @ unit.T
+    np.fill_diagonal(cos, -np.inf)
+    want = sorted((q, int(n), r + 1) for q in range(60)
+                  for r, n in enumerate(np.lexsort((np.arange(60), -cos[q]))[:3]))
+    assert _rows(out, ["query_id", "neighbor_id", "rank"]) == want
+
+
+def _lazily_empty(table: pa.Table):
+    """A side whose rows all drop in a map that is not yet executed:
+    Ray runs no later map over its empty blocks, so the side reaches a
+    co-partitioned merge without columns."""
+    return ray.data.from_arrow(table).map_batches(
+        lambda t: t.slice(0, 0), batch_format="pyarrow")
+
+
+@pytest.mark.parametrize("join", ["semi", "anti", "bloom_semi", "bloom_anti"])
+def test_semi_joins_of_an_empty_left(ray_session, join):
+    left = _lazily_empty(_KV.select(["k", "v"]))
+    right = ray.data.from_arrow(_RIGHT)
+    fn = hash_semi_join_bloom if join.startswith("bloom") else hash_semi_join
+    out = fn(left, right, left_key="k", right_key="key",
+             anti=join.endswith("anti"), num_partitions=3)
+    assert out.count() == 0
+
+
 def test_lookup_hits_defaults_and_raises():
     keys = np.array([2, 5, 9], dtype=np.int64)
     vals = np.array([20, 50, 90], dtype=np.int64)
@@ -149,3 +226,10 @@ def test_label_propagation_missing_label_raises(ray_session, monkeypatch):
     }))
     with pytest.raises(Exception, match="not found"):
         graph.label_propagation(edges, n_iters=2, num_partitions=2).to_pandas()
+
+
+def test_hop_distances_of_an_empty_edge_set(ray_session):
+    edges = _lazily_empty(pa.table({"src": pa.array([1], type=pa.int64()),
+                                    "dst": pa.array([2], type=pa.int64())}))
+    out = graph.hop_distances(edges, seeds=[7], num_partitions=3).to_pandas()
+    assert out[["node", "dist"]].values.tolist() == [[7, 0]]
