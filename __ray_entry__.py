@@ -28,7 +28,7 @@ import pyarrow.compute as pc
 # it to Ray workers by VALUE: workers are spawned by the raylet and do
 # not inherit this process's sys.path, so closures referencing the
 # package would otherwise fail to unpickle (ModuleNotFoundError) when
-# the driver runs outside /root/repo.
+# the driver runs outside the checkout.
 _REPO_DIR = _os.path.dirname(_os.path.abspath(__file__))
 if _REPO_DIR not in _sys.path:
     _sys.path.insert(0, _REPO_DIR)

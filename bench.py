@@ -8,7 +8,9 @@ and prints ONE JSON line.
 ``--scaling``: runs the headline pipeline in two fresh processes at
 num_cpus=8 and num_cpus=32 on the same input and reports both
 throughputs + scaling efficiency (the sandbox stand-in for the north
-rule's N vs 4N cluster sizes).
+rule's N vs 4N cluster sizes).  The line records the CPUs in the
+process's affinity mask; below 32 it is labelled as not a scaling
+measurement and carries no efficiency (``value`` is null).
 
 The transcripts parquet is materialized once (untimed) under /tmp —
 synthesis is input preparation, not pipeline work; a warm-up read
@@ -1261,15 +1263,22 @@ def run_scaling(headline_only: bool = False) -> dict:
         return json.loads(out.strip().splitlines()[-1])
 
     lo, hi = 8, 32
+    # ray.init(num_cpus=N) only sets how many tasks Ray runs at once;
+    # with fewer CPUs in this process's affinity mask than ``hi``, both
+    # runs share the same cores and the ratio measures nothing
+    affinity = len(os.sched_getaffinity(0))
+    measured = affinity >= hi
     r_lo = run(lo)
     r_hi = run(hi)
     t_lo = r_lo["value"]
     t_hi = r_hi["value"]
     eff = (t_lo / t_hi) / (hi / lo)
     return {
-        "metric": "scaling efficiency (num_cpus 8 → 32, fresh processes, same input)",
-        "value": round(eff, 3),
+        "metric": ("scaling efficiency (num_cpus 8 → 32, fresh processes, same input)" if measured
+                   else f"not a scaling measurement: num_cpus 8 → 32 on {affinity} CPUs"),
+        "value": round(eff, 3) if measured else None,
         "unit": "efficiency",
+        "affinity_cpus": affinity,
         "sec_8": t_lo,
         "sec_32": t_hi,
         "turns_per_sec_8": r_lo["turns_per_sec"],

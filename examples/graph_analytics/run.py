@@ -8,12 +8,13 @@ composed the way a link-quality curation pass would run them.
 
 from __future__ import annotations
 
+import os
 import sys
 
 import numpy as np
 import pyarrow as pa
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", ".."))
 
 
 def main() -> None:

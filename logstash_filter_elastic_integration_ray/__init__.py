@@ -21,8 +21,14 @@ over zero-copy Arrow batches:
 
 Nothing here is a port: the reference executes one Java processor
 object per event per thread; this engine executes one vectorized
-kernel per *batch* and lets Ray Data's streaming executor schedule,
-pipeline and spill.
+kernel per *batch* and lets Ray Data's streaming executor pipeline and
+spill.  It schedules under one policy, set in ``sources/io.py``
+(``engine_plan``) on every Dataset the package creates: Ray Data's
+per-operator resource reservation is off, so each operator of these
+short CPU-bound plans may run on every CPU (with the reservation, the
+kernel stage of the flagship plan got one CPU of four), while Ray's
+global object-store cap still bounds memory.  Datasets built outside
+the package keep Ray's defaults.
 """
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 
 from ..model import META_INDEX
+from ..sources.io import engine_plan
 from ..sources.transcripts import derive_transcripts_table
 from ..stages.sinks import completed_shards, run_shard, sink_counts_from_dir
 from .flagship import assign_datastream, build_event_processor
@@ -48,7 +49,7 @@ def run_flagship_resumable(
     proc = build_event_processor()
 
     def build(inputs: list[str], dest: str) -> dict:
-        ds = rd.read_parquet(inputs)
+        ds = engine_plan(rd.read_parquet(inputs))
         if events_format:
             ds = ds.map_batches(derive_transcripts_table, batch_format="pyarrow")
         parsed = ds.map_batches(assign_datastream, batch_format="pyarrow").map_batches(
@@ -92,5 +93,5 @@ def aggregate_from_sinks(out_dir: str, num_partitions: int = 64):
         files.extend(sorted(_glob.glob(os.path.join(out_dir, shard_id, "**", "*.parquet"), recursive=True)))
     if not files:
         raise FileNotFoundError(f"no completed shard parquet under {out_dir}")
-    ds = rd.read_parquet(files, columns=["conv_id", "turn_idx", "text", "tool", "ts"])
+    ds = engine_plan(rd.read_parquet(files, columns=["conv_id", "turn_idx", "text", "tool", "ts"]))
     return conv_stats(ds, num_partitions=num_partitions)

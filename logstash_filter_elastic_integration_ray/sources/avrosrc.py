@@ -40,6 +40,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .io import engine_plan
+
 _MAGIC = b"Obj\x01"
 _BLOCK_ROWS = 4096
 
@@ -317,7 +319,7 @@ def read_avro(path, **kwargs):
     the workers (one task per group of files)."""
     import ray.data as rd
 
-    ds = rd.read_binary_files(path, file_extensions=["avro"], **kwargs)
+    ds = engine_plan(rd.read_binary_files(path, file_extensions=["avro"], **kwargs))
 
     def decode_batch(t: pa.Table) -> pa.Table:
         parts = [decode_avro(b.as_py()) for b in t.column("bytes")]

@@ -17,6 +17,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .io import engine_plan
+
 
 def write_csv(ds, out_dir: str, *, timestamp_cols: list[str] | None = None) -> str:
     """Sharded CSV (one file per block), timestamps as ISO strings."""
@@ -45,7 +47,7 @@ def read_csv(path, *, timestamp_cols: list[str] | None = None,
     that must come back as strings."""
     import ray.data as rd
 
-    ds = rd.read_csv(path, **kwargs)
+    ds = engine_plan(rd.read_csv(path, **kwargs))
     ts_cols = timestamp_cols or []
     str_cols = string_cols or []
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .io import engine_plan
+
 
 class _IpcDatasink:
     """Lazy holder so importing this module never imports Ray."""
@@ -52,7 +54,7 @@ def read_ipc(path, *, timestamp_cols: list[str] | None = None, **kwargs):
     zero-copy open) happens in the workers."""
     import ray.data as rd
 
-    ds = rd.read_binary_files(path, file_extensions=["arrow"], **kwargs)
+    ds = engine_plan(rd.read_binary_files(path, file_extensions=["arrow"], **kwargs))
     ts_cols = timestamp_cols or []
 
     def decode(t: pa.Table) -> pa.Table:

@@ -17,6 +17,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .io import engine_plan
+
 
 def write_jsonl(ds, out_dir: str, *, timestamp_cols: list[str] | None = None) -> str:
     """One JSON object per row, newline-delimited, sharded per block.
@@ -46,7 +48,7 @@ def read_jsonl(path, *, timestamp_cols: list[str] | None = None, **kwargs):
     from ISO-8601 strings back to ``timestamp[us]``."""
     import ray.data as rd
 
-    ds = rd.read_json(path, **kwargs)
+    ds = engine_plan(rd.read_json(path, **kwargs))
     ts_cols = timestamp_cols or []
     if not ts_cols:
         return ds
@@ -135,7 +137,7 @@ def read_jsonl_gz(path, *, timestamp_cols: list[str] | None = None, **kwargs):
     timestamp columns restore to ``timestamp[us]``."""
     import ray.data as rd
 
-    ds = rd.read_binary_files(path, file_extensions=["gz"], **kwargs)
+    ds = engine_plan(rd.read_binary_files(path, file_extensions=["gz"], **kwargs))
     ts_cols = timestamp_cols or []
 
     def decode(t: pa.Table) -> pa.Table:
@@ -233,7 +235,7 @@ def read_jsonl_zst(path, *, timestamp_cols: list[str] | None = None, **kwargs):
     timestamp columns restore to ``timestamp[us]``."""
     import ray.data as rd
 
-    ds = rd.read_binary_files(path, file_extensions=["zst"], **kwargs)
+    ds = engine_plan(rd.read_binary_files(path, file_extensions=["zst"], **kwargs))
     ts_cols = timestamp_cols or []
 
     def decode(t: pa.Table) -> pa.Table:

@@ -28,6 +28,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .io import engine_plan
+
 
 class _OrcDatasink:
     """Lazy holder so importing this module never imports Ray."""
@@ -65,7 +67,7 @@ def read_orc(path, *, timestamp_cols: list[str] | None = None, **kwargs):
     workers (one task per group of files)."""
     import ray.data as rd
 
-    ds = rd.read_binary_files(path, file_extensions=["orc"], **kwargs)
+    ds = engine_plan(rd.read_binary_files(path, file_extensions=["orc"], **kwargs))
     ts_cols = timestamp_cols or []
     return ds.map_batches(lambda t: decode_orc_batch(t, ts_cols), batch_format="pyarrow")
 

@@ -50,6 +50,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .io import engine_plan
+
 # ---------------------------------------------------------------------------
 # CRC-32C (Castagnoli), masked per the TFRecord spec
 # ---------------------------------------------------------------------------
@@ -369,7 +371,7 @@ def read_tfrecord(path, *, timestamp_cols: list[str] | None = None,
     ``timestamp[us]`` (the Example format has no timestamp type)."""
     import ray.data as rd
 
-    ds = rd.read_binary_files(path, file_extensions=["tfrecord"], **kwargs)
+    ds = engine_plan(rd.read_binary_files(path, file_extensions=["tfrecord"], **kwargs))
     ts_cols = timestamp_cols or []
 
     def decode_batch(t: pa.Table) -> pa.Table:

@@ -39,6 +39,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..sources.io import engine_plan
 from .exchange import add_partition_col, exchange  # noqa: F401  (re-exported)
 
 P = np.int64(2**31 - 1)
@@ -477,7 +478,7 @@ def _grand_total(partials, keys: list[str], out_col: str, n_keys: int,
             out_col: pa.array([0], type=pa.int64()),
             "grouping_id": pa.array([total_gid], type=pa.int64()),
         })
-        seeded = seeded.union(_ray.data.from_arrow(seed))
+        seeded = seeded.union(engine_plan(_ray.data.from_arrow(seed)))
     return (seeded.repartition(1)
             .map_batches(merge, batch_format="pyarrow"))
 

@@ -37,6 +37,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from ..sources.io import engine_plan
 from .similarity import _to_matrix
 
 #: fixed-point scale — 20 fractional bits
@@ -556,8 +557,8 @@ def kcenter_select(ds, *, k: int = 32, id_col: str = "vec_id",
 
     import ray.data as rd
 
-    return rd.from_arrow(pa.table({
+    return engine_plan(rd.from_arrow(pa.table({
         "rank": pa.array([r[0] for r in out_rows], type=pa.int64()),
         id_col: pa.array([r[1] for r in out_rows], type=pa.int64()),
         "d2q": pa.array([r[2] for r in out_rows], type=pa.int64()),
-    }))
+    })))

@@ -45,6 +45,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..sources.io import engine_plan
 from .exchange import copartition, exchange
 from .decontam import flat_token_hashes, gram_hashes
 from .dedup import _hash64_arrow
@@ -1295,7 +1296,7 @@ def frequent_pairs(ds, *, min_item_count: int, min_pair_count: int = 1,
         # to_pandas, and no pairs can exist — return a TYPED empty result
         import ray
 
-        return ray.data.from_arrow(pa.table({
+        return engine_plan(ray.data.from_arrow(pa.table({
             "item1": pa.array([], type=pa.string()),
             "item2": pa.array([], type=pa.string()),
             "n_pair": pa.array([], type=pa.int64()),
@@ -1303,7 +1304,7 @@ def frequent_pairs(ds, *, min_item_count: int, min_pair_count: int = 1,
             "n_item2": pa.array([], type=pa.int64()),
             "support": pa.array([], type=pa.float64()),
             "lift": pa.array([], type=pa.float64()),
-        }))
+        })))
     order = np.argsort(sup["token"].to_numpy(dtype=object), kind="stable")
     items = sup["token"].to_numpy(dtype=object)[order]
     item_counts = sup["cnt"].to_numpy(dtype=np.int64)[order]

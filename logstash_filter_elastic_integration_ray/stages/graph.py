@@ -35,6 +35,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..sources.io import engine_plan
 from .exchange import copartition, exchange, lookup
 from .joins import _multi_arange
 
@@ -147,11 +148,11 @@ def _pagerank_bsp(edges, *, n_iters, damping_num, damping_den,
     if n_nodes == 0:
         import ray
 
-        return ray.data.from_arrow(pa.table({
+        return engine_plan(ray.data.from_arrow(pa.table({
             "node": pa.array([], type=pa.int64()),
             "q": pa.array([], type=pa.int64()),
             "rank": pa.array([], type=pa.float64()),
-        }))
+        })))
     total_mass = n_nodes * int(SCALE)
     seed_arr = None
     if seeds is not None:
@@ -399,11 +400,11 @@ def _pagerank_pregel(edges, *, n_iters, damping_num, damping_den,
     counts = ray.get([s.finalize.remote() for s in shards])
     n_nodes = int(sum(counts))
     if n_nodes == 0:
-        return rd.from_arrow(pa.table({
+        return engine_plan(rd.from_arrow(pa.table({
             "node": pa.array([], type=pa.int64()),
             "q": pa.array([], type=pa.int64()),
             "rank": pa.array([], type=pa.float64()),
-        }))
+        })))
     total_mass = n_nodes * int(SCALE)
 
     for _ in range(n_iters):
@@ -421,7 +422,7 @@ def _pagerank_pregel(edges, *, n_iters, damping_num, damping_den,
 
     refs = [s.node_table.remote() for s in shards]
     ray.wait(refs, num_returns=len(refs))  # outlive the actors
-    return rd.from_arrow_refs(refs)
+    return engine_plan(rd.from_arrow_refs(refs))
 
 
 # ---------------------------------------------------------------------------
@@ -624,13 +625,13 @@ def hits(edges, *, n_iters: int = 8, num_partitions: int = 32,
     if int(nodes.count()) == 0:
         import ray
 
-        return ray.data.from_arrow(pa.table({
+        return engine_plan(ray.data.from_arrow(pa.table({
             "node": pa.array([], type=pa.int64()),
             "hub_q": pa.array([], type=pa.int64()),
             "auth_q": pa.array([], type=pa.int64()),
             "hub": pa.array([], type=pa.float64()),
             "auth": pa.array([], type=pa.float64()),
-        }))
+        })))
 
     _CAP = np.int64(1) << np.int64(40)
 
@@ -859,13 +860,13 @@ def _hits_pregel(edges, *, n_iters, num_partitions, src_col, dst_col):
     edges.map_batches(route, batch_format="pyarrow").sum("n")
     counts = ray.get([s.finalize.remote() for s in shards])
     if int(sum(counts)) == 0:
-        return rd.from_arrow(pa.table({
+        return engine_plan(rd.from_arrow(pa.table({
             "node": pa.array([], type=pa.int64()),
             "hub_q": pa.array([], type=pa.int64()),
             "auth_q": pa.array([], type=pa.int64()),
             "hub": pa.array([], type=pa.float64()),
             "auth": pa.array([], type=pa.float64()),
-        }))
+        })))
 
     def _half(push_meth: str, apply_meth: str, col: str) -> None:
         outboxes = [getattr(s, push_meth).options(num_returns=P).remote()
@@ -891,7 +892,7 @@ def _hits_pregel(edges, *, n_iters, num_partitions, src_col, dst_col):
     amax = max((x[1] for x in hm_am), default=0) or 1
     refs = [s.node_table.remote(hmax, amax) for s in shards]
     ray.wait(refs, num_returns=len(refs))
-    return rd.from_arrow_refs(refs)
+    return engine_plan(rd.from_arrow_refs(refs))
 
 
 # ---------------------------------------------------------------------------
@@ -1093,10 +1094,10 @@ def hop_distances(edges, *, seeds, num_partitions: int = 16,
 
     import ray.data as _rd
 
-    dist = _rd.from_arrow(pa.table({
+    dist = engine_plan(_rd.from_arrow(pa.table({
         "node": pa.array(seed_arr),
         "dist": pa.array(np.zeros(len(seed_arr), dtype=np.int64)),
-    })).materialize()
+    }))).materialize()
     frontier = dist
 
     def emit_candidates(edge: pd.DataFrame, frontier: pd.DataFrame) -> pa.Table:
@@ -1329,12 +1330,12 @@ def modularity(edges, labels, *, num_partitions: int = 16,
     q = float(num) / float(4 * m * m)
     import ray.data as _rd
 
-    return _rd.from_arrow(pa.table({
+    return engine_plan(_rd.from_arrow(pa.table({
         "m": pa.array([m], type=pa.int64()),
         "e_in": pa.array([e_in], type=pa.int64()),
         "sum_deg_sq": pa.array([sum_deg_sq], type=pa.int64()),
         "modularity": pa.array([q], type=pa.float64()),
-    }))
+    })))
 
 
 def clustering_coefficients(edges, *, num_partitions: int = 16,

@@ -26,6 +26,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..sources.io import engine_plan
 from .exchange import cogroup, copartition
 
 
@@ -206,7 +207,7 @@ def range_join_chunked(
     if not len(st):
         import ray.data as rd
 
-        return rd.from_arrow(empty)
+        return engine_plan(rd.from_arrow(empty))
     mn, mx = float(st["mn"].min()), float(st["mx"].max())
     width = (mx - mn) / num_chunks
 

@@ -196,8 +196,6 @@ def ivf_topk_pruned(layout_dir: str, index: IvfIndex, queries: np.ndarray, query
     directories are read (pruned ``read_parquet``), each batch matmuls
     against just the queries probing its bucket, and the per-query merge
     shuffles ``num_batches × k`` candidate rows."""
-    import ray.data as rd
-
     q = _normalize(np.asarray(queries, dtype=np.float64))
     qids = np.asarray(query_ids, dtype=np.int64)
     probes = np.argsort(-(q @ index.centroids.T), axis=1)[:, :nprobe]  # (q, nprobe)

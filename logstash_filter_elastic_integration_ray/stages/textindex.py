@@ -26,6 +26,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..sources.io import engine_plan
+
 
 def token_bucket(tokens, num_buckets: int) -> np.ndarray:
     """Deterministic bucket per token string: Java String.hashCode
@@ -94,10 +96,10 @@ def lookup_terms(layout_dir: str, terms: list[str], *, num_buckets: int = 64):
         # not an error (write_parquet only creates non-empty partitions)
         import ray.data as rd
 
-        return rd.from_arrow(
+        return engine_plan(rd.from_arrow(
             pa.table({"token": pa.array([], type=pa.string()),
                       "doc_id": pa.array([], type=pa.int64())})
-        )
+        ))
     ds = read_parquet_clean(paths, columns=["token", "doc_id"])
     term_set = set(terms)
 
@@ -224,7 +226,7 @@ def bm25_topk(layout_dir: str, terms: list[str], *, k: int = 10,
     empty = pa.table({"doc_id": pa.array([], type=pa.int64()),
                       "score": pa.array([], type=pa.float64())})
     if not paths:
-        return rd.from_arrow(empty)
+        return engine_plan(rd.from_arrow(empty))
 
     from ..sources.io import read_parquet_clean
 

@@ -1331,8 +1331,6 @@ def clean_text_batch(batch: pa.Table, *, text_col: str = "text",
     published Unicode algorithm, pinned equal in tests."""
     import unicodedata
 
-    from .dedup import _distinct_texts
-
     uniq, inverse = _distinct_texts(batch.column(text_col))
     pat = _clean_re()
     cleaned = []

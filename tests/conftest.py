@@ -1,8 +1,13 @@
+import os
 import sys
 
 import pytest
 
-sys.path.insert(0, "/root/repo")
+#: the checkout holding these tests, and its ``tools/`` (the plain-Python
+#: references the tests compare against)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
+sys.path.insert(0, ROOT)
 
 
 def _register_package_by_value() -> None:

@@ -61,9 +61,6 @@ class TestBpeDistributed:
         return read_parquet_clean(f"{SF}/documents.parquet", columns=["doc_id", "text"])
 
     def test_matches_reference(self, ray_session):
-        import sys
-
-        sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         ids, texts = ref.load_documents(SF)
@@ -86,9 +83,6 @@ class TestBpeDistributed:
         assert m1 == m2
 
     def test_top_v_pruning_is_exact_global(self, ray_session):
-        import sys
-
-        sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         ids, texts = ref.load_documents(SF)
@@ -348,11 +342,6 @@ class TestUnigram:
 
     def test_distributed_encode_matches_plain_reference(self, ray_session):
         import ray.data
-
-        sys_path_guard = True  # tools/ import below
-        import sys as _sys
-
-        _sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         from logstash_filter_elastic_integration_ray.stages.unigram import (

@@ -8,7 +8,7 @@ import sys
 
 import pyarrow.parquet as pq
 
-REPO = "/root/repo"
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _run(args, **kw):

@@ -923,9 +923,6 @@ class TestSemDeDup:
         )
 
     def test_matches_reference(self, ray_session):
-        import sys
-
-        sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         exp = (
@@ -1340,9 +1337,6 @@ class TestGopherRepetition:
         return gopher_repetition_batch(t).to_pandas()
 
     def test_matches_plain_reference(self):
-        import sys
-
-        sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         ids, texts = ref.load_documents("/root/testdata/sf0.001")
@@ -1380,9 +1374,6 @@ class TestWinnowing:
         return winnow_batch(t).to_pandas()
 
     def test_matches_plain_reference(self):
-        import sys
-
-        sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         ids, texts = ref.load_documents("/root/testdata/sf0.001")
@@ -1422,9 +1413,6 @@ class TestWinnowing:
         assert 0.2 < density < 0.6  # theory: 2/(w+1) = 0.4
 
     def test_dup_stats_match_reference_and_detect_planted_dup(self, ray_session):
-        import sys
-
-        sys.path.insert(0, "/root/repo/tools")
         import ray
         import reference_impls as ref
 
@@ -1459,9 +1447,6 @@ class TestWinnowing:
 
 class TestTokenEntropy:
     def test_matches_reference_and_edges(self, ray_session):
-        import sys
-
-        sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         from logstash_filter_elastic_integration_ray.stages.textstats import (
@@ -1489,9 +1474,6 @@ class TestTokenEntropy:
         assert abs(h - np.log(2.0)) < 1e-9
 
     def test_batch_split_invariance(self, ray_session):
-        import sys
-
-        sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         from logstash_filter_elastic_integration_ray.stages.textstats import (
@@ -1553,9 +1535,6 @@ class TestPmiBigrams:
         return out.sort_values(["tok1", "tok2"]).reset_index(drop=True)
 
     def test_matches_reference(self, ray_session):
-        import sys
-
-        sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         ids, texts = ref.load_documents("/root/testdata/sf0.001")

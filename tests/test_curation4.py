@@ -133,9 +133,6 @@ class TestOovRate:
 
 class TestCdcChunks:
     def test_matches_sequential_reference(self, ray_session):
-        import sys
-
-        sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         from logstash_filter_elastic_integration_ray.stages.corpus import cdc_chunk_batch
@@ -152,9 +149,6 @@ class TestCdcChunks:
     def test_boundary_resync_after_insertion(self):
         # the CDC property: inserting bytes near the head re-syncs
         # boundaries, so most tail chunk hashes still match
-        import sys
-
-        sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         from logstash_filter_elastic_integration_ray.stages.corpus import cdc_chunk_batch
@@ -210,9 +204,7 @@ class TestCdcDupStats:
         assert out.loc[1, "n_bytes"] == len(shared.encode())
 
     def test_partition_invariance(self, ray_session):
-        import ray, sys
-
-        sys.path.insert(0, "/root/repo/tools")
+        import ray
         import reference_impls as ref
 
         from logstash_filter_elastic_integration_ray.stages.corpus import cdc_dup_stats

@@ -21,9 +21,6 @@ SF = "/root/testdata/sf0.001"
 
 
 def _ref_df(mod=7, k=100):
-    import sys
-
-    sys.path.insert(0, "/root/repo/tools")
     import reference_impls as ref
 
     ids, texts = ref.load_documents(SF)

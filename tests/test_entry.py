@@ -94,19 +94,22 @@ def test_queries_run_with_driver_outside_repo(tmp_path):
     regression: geoip's apply-time lazy import and ``__ray_entry__``'s
     module-level batch helpers (community_id / url queries) both broke
     exactly this way.  Spawns a fresh driver with cwd=/tmp-like dir and
-    runs the four previously-broken queries at sf0.001."""
+    runs the five previously-broken queries at sf0.001 (``clean_text_docs``
+    first, before any other query has run on the workers)."""
+    import os
     import subprocess
     import sys
     import textwrap
 
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     script = textwrap.dedent(
-        """
+        f"""
         import sys
-        sys.path.insert(0, "/root/repo")
+        sys.path.insert(0, {root!r})
         import ray
         ray.init(address="local", num_cpus=4, include_dashboard=False)
         import __ray_entry__ as e
-        for name in ("geoip_kv", "community_id_flows", "url_canonicalize", "url_dedup"):
+        for name in ("clean_text_docs", "geoip_kv", "community_id_flows", "url_canonicalize", "url_dedup"):
             df = e.queries()[name]("/root/testdata/sf0.001")
             import ray.data
             if isinstance(df, ray.data.Dataset):

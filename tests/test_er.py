@@ -39,11 +39,8 @@ class TestResolveEntities:
         assert ent[6] == ent[7] == 6
 
     def test_matches_plain_reference_on_synth(self, ray_session):
-        import sys
-
         import ray.data
 
-        sys.path.insert(0, "/root/repo/tools")
         import pyarrow.parquet as pq
         import reference_impls as ref
 

@@ -27,9 +27,6 @@ def _split(docs, eq, mod=3):
 
 
 def _ref_df():
-    import sys
-
-    sys.path.insert(0, "/root/repo/tools")
     import reference_impls as ref
 
     ids, texts = ref.load_documents(SF)
@@ -62,9 +59,6 @@ class TestFasttextDistributed:
         discriminate (always-predict-majority was the failure mode the
         log1p featurizer fixed)."""
         exp = _ref_df()
-        import sys
-
-        sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         ids, texts = ref.load_documents(SF)

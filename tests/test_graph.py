@@ -4,16 +4,12 @@ bit-exact q values, batching invariance, dangling mass, ordering."""
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
 
 import ray
-
-sys.path.insert(0, "/root/repo")
 
 from logstash_filter_elastic_integration_ray.stages.graph import pagerank
 from tools.reference_impls import pagerank_reference
@@ -430,11 +426,8 @@ class TestCoreNumbers:
         assert got == {0: 2, 1: 2, 2: 2}
 
     def test_matches_peeling_reference_and_block_invariance(self, ray_session):
-        import sys
-
         import ray
 
-        sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         rng = np.random.RandomState(17)
@@ -566,12 +559,7 @@ class TestLabelPropagation:
         assert all(got[v] == 10 for v in range(10, 14))
 
     def test_matches_independent_reference_and_block_invariant(self, ray_session):
-        import os
-        import sys
-
         import ray.data
-
-        sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
         import reference_impls as ref
 
         from logstash_filter_elastic_integration_ray.stages.graph import label_propagation
@@ -629,12 +617,7 @@ class TestModularity:
         assert float(out["modularity"].iloc[0]) == 70.0 / 196.0
 
     def test_matches_plain_reference_on_random_graph(self, ray_session):
-        import os
-        import sys
-
         import ray.data
-
-        sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
         import reference_impls as ref
 
         from logstash_filter_elastic_integration_ray.stages.graph import (
@@ -754,12 +737,7 @@ class TestBetweennessPivots:
         assert got == {0: 0.0, 1: 6.0, 2: 8.0, 3: 6.0, 4: 0.0}
 
     def test_matches_reference_bitwise_and_block_invariant(self, ray_session):
-        import os
-        import sys
-
         import ray.data
-
-        sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
         import reference_impls as ref
 
         from logstash_filter_elastic_integration_ray.stages.graph import (
@@ -820,12 +798,7 @@ class TestHarmonicCloseness:
         assert got[2] == (4, 3.0, 4.0 / 6.0)
 
     def test_matches_reference_bitwise(self, ray_session):
-        import os
-        import sys
-
         import ray.data
-
-        sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
         import reference_impls as ref
 
         from logstash_filter_elastic_integration_ray.stages.graph import (
@@ -848,12 +821,7 @@ class TestHarmonicCloseness:
 
 class TestEccentricityPivots:
     def test_path_and_reference(self, ray_session):
-        import os
-        import sys
-
         import ray.data
-
-        sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
         import reference_impls as ref
 
         from logstash_filter_elastic_integration_ray.stages.graph import (

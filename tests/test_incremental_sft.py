@@ -157,9 +157,6 @@ class TestJaccardDecontaminate:
         assert got == {1: True, 2: True, 3: False, 4: False}
 
     def test_matches_reference_sf0001(self, ray_session):
-        import sys as _sys
-
-        _sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         ids, texts = ref.load_documents("/root/testdata/sf0.001")
@@ -183,9 +180,6 @@ class TestJaccardDecontaminate:
 
 class TestEmbeddingDecontaminate:
     def test_synthetic_and_reference(self, ray_session):
-        import sys as _sys
-
-        _sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         from logstash_filter_elastic_integration_ray.stages.similarity import (

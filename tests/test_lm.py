@@ -21,9 +21,6 @@ SF = "/root/testdata/sf0.001"
 
 
 def _ref_df(mod=5, min_count=1):
-    import sys
-
-    sys.path.insert(0, "/root/repo/tools")
     import reference_impls as ref
 
     ids, texts = ref.load_documents(SF)
@@ -142,9 +139,6 @@ class TestPerplexityKernel:
         assert np.isfinite(got["logppl"].to_numpy()).all()
 
     def test_min_count_pruning_matches_reference(self, ray_session):
-        import sys
-
-        sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         exp = (
@@ -168,9 +162,6 @@ class TestPerplexityKernel:
 # ---------------------------------------------------------------------------
 
 def _kn_ref_df(mod=5):
-    import sys
-
-    sys.path.insert(0, "/root/repo/tools")
     import reference_impls as ref
 
     ids, texts = ref.load_documents(SF)
@@ -240,9 +231,6 @@ def _kn_score_texts(lm, texts):
 def _kn_ref_score(train_texts, score_texts):
     """Reference scores via the string-keyed dict impl (mod split:
     even synthetic ids = train, odd = score)."""
-    import sys
-
-    sys.path.insert(0, "/root/repo/tools")
     import reference_impls as ref
 
     ids = np.array(
@@ -296,9 +284,6 @@ class TestKnPerplexityKernel:
 
 class TestPerplexityGap:
     def test_matches_reference_bitwise(self, ray_session):
-        import sys
-
-        sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         from logstash_filter_elastic_integration_ray.stages.lm import (

@@ -45,9 +45,6 @@ def _run(repart=None):
 
 class TestPqDistributed:
     def test_matches_reference(self, ray_session):
-        import sys
-
-        sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         exp = (ref.pq_topk_reference(SF)
@@ -124,9 +121,6 @@ class TestIvfPq:
         return layout, index, books, queries, qids
 
     def test_matches_reference(self, ray_session, tmp_path):
-        import sys
-
-        sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         from logstash_filter_elastic_integration_ray.stages.pq import ivfpq_topk

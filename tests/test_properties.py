@@ -426,9 +426,6 @@ def test_cdc_boundaries_cover_and_bound(data):
 @settings(max_examples=25, deadline=None)
 @given(st.text(alphabet=string.printable, min_size=0, max_size=600))
 def test_cdc_vectorized_equals_sequential(text):
-    import sys
-
-    sys.path.insert(0, "/root/repo/tools")
     import reference_impls as ref
 
     from logstash_filter_elastic_integration_ray.stages.corpus import cdc_chunk_batch

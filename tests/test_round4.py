@@ -4,10 +4,6 @@ that must stay pinned from BOTH sides."""
 
 from __future__ import annotations
 
-import sys
-
-sys.path.insert(0, "/root/repo")
-
 
 def _entry_mod():
     import __ray_entry__ as e
@@ -323,9 +319,6 @@ class TestAudioFingerprint:
         assert afp64(encode_wav(short.reshape(-1, 1), 8000)) is None
 
     def test_matches_plain_reference(self):
-        import sys
-
-        sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         from logstash_filter_elastic_integration_ray.stages.multimodal import (
@@ -391,13 +384,10 @@ class TestKCenter:
         assert (out["d2q"].to_numpy()[1:] > 0).all()
 
     def test_block_invariance_and_reference(self, ray_session):
-        import sys
-
         import ray
 
         import pandas as pd
 
-        sys.path.insert(0, "/root/repo/tools")
         import reference_impls as ref
 
         from logstash_filter_elastic_integration_ray.stages.clustering import (

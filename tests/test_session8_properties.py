@@ -33,9 +33,6 @@ def _kn_engine(train_texts, score_texts):
 
 
 def _kn_reference(train_texts, score_texts):
-    import sys
-
-    sys.path.insert(0, "/root/repo/tools")
     import reference_impls as ref
 
     ids = np.array([2 * i for i in range(len(train_texts))]

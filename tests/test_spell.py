@@ -4,7 +4,6 @@ invariance."""
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 
 import numpy as np
@@ -12,8 +11,6 @@ import pyarrow as pa
 import pytest
 
 import ray
-
-sys.path.insert(0, "/root/repo")
 
 from logstash_filter_elastic_integration_ray.stages.spell import _ed1, typo_clusters
 

@@ -19,11 +19,13 @@ Usage: python tools/vendor_psl.py [src.dat] [dest.py]
 
 from __future__ import annotations
 
+import os
 import sys
 from datetime import datetime, timezone
 
 SRC = "/usr/share/publicsuffix/public_suffix_list.dat"
-DEST = "/root/repo/logstash_filter_elastic_integration_ray/functions/psl_data.py"
+DEST = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "logstash_filter_elastic_integration_ray", "functions", "psl_data.py")
 
 
 def puny(rule: str) -> str | None:
