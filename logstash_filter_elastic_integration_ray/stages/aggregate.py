@@ -24,6 +24,21 @@ so no in-group sort or full-text shuffle is ever needed:
   change flips it.  P = 2^31 − 1 keeps partial sums inside int64 for
   billions of partials per key.
 
+**Columnar, both phases.**  Neither phase builds a DataFrame or sorts a
+string: ``conv_id`` is dictionary-encoded to int codes and one lexsort
+by (code, turn) lays each conversation out as a contiguous run; sums,
+counts and ts bounds are ``np.*.reduceat`` over the run starts, and the
+first/last rows are ``take``-n at each run's first/last non-null text.
+The merge does the same over the partials (``batch_format="pyarrow"``).
+
+**Null semantics are SQL's, under any batching.**  first/last text is
+the text of the least/greatest ``(turn_idx, text)`` whose text is not
+null (null when there is none) — DuckDB ``arg_min(text, turn_idx)``
+where turns are unique, and the text breaks a tie between repeated
+turns so the answer never depends on batch order; a null ``conv_id`` is
+a group; ts bounds skip nulls; in ``md5`` mode a null text adds nothing
+to the hash (null when no text does), like SQL ``sum``.
+
 The oracle-checked variant (``turns_concat`` = texts joined in
 ``turn_idx`` order, DuckDB ``string_agg(text, '|' ORDER BY turn_idx)``)
 is exact but carries full text through the shuffle — fine at
@@ -107,66 +122,27 @@ def ordered_hash_contrib(texts, turn_idx: np.ndarray, mode: str = "fast") -> np.
     return (h * powers) % P  # fits: (2^31)^2 < 2^63
 
 
-def conv_partial_batch(batch: pa.Table, hash_mode: str = "fast") -> pa.Table:
-    """Phase 1: collapse one Arrow batch to one partial row per conv.
+_I64_MAX = np.iinfo(np.int64).max
+_I64_MIN = np.iinfo(np.int64).min
 
-    One stable sort by (conv_id, turn_idx) then a single vectorized
-    groupby pass — first/last rows per group ARE the min/max turns."""
-    df = pd.DataFrame(
-        {
-            "conv_id": batch.column("conv_id").to_pandas(),
-            "turn_idx": batch.column("turn_idx").to_numpy(),
-            "ts": batch.column("ts").to_pandas(),
-            "tool_call": batch.column("tool").to_pandas().notna().astype(np.int64),
-            "text": batch.column("text").to_pandas(),
-        }
-    )
-    df["hash_part"] = ordered_hash_contrib(df["text"].to_numpy(), df["turn_idx"].to_numpy(), hash_mode)
-    df.sort_values(["conv_id", "turn_idx"], kind="mergesort", inplace=True, ignore_index=True)
-    g = df.groupby("conv_id", sort=False)
-    agg = g.agg(
-        n_turns=("turn_idx", "size"),
-        n_tool_calls=("tool_call", "sum"),
-        first_ts=("ts", "min"),
-        last_ts=("ts", "max"),
-        min_turn=("turn_idx", "first"),
-        max_turn=("turn_idx", "last"),
-        first_text=("text", "first"),
-        last_text=("text", "last"),
-        hash_part=("hash_part", "sum"),
-    )
-    agg["hash_part"] = agg["hash_part"] % int(P)
-    return pa.Table.from_pandas(agg.reset_index(), preserve_index=False).replace_schema_metadata(None)
+#: one partial row per (batch, conversation); ``min_turn``/``max_turn``
+#: are the turns of ``first_text``/``last_text`` (null with them)
+_PARTIAL_SCHEMA = pa.schema(
+    [
+        ("conv_id", pa.string()),
+        ("n_turns", pa.int64()),
+        ("n_tool_calls", pa.int64()),
+        ("first_ts", pa.timestamp("us")),
+        ("last_ts", pa.timestamp("us")),
+        ("min_turn", pa.int64()),
+        ("max_turn", pa.int64()),
+        ("first_text", pa.string()),
+        ("last_text", pa.string()),
+        ("hash_part", pa.int64()),
+    ]
+)
 
-
-def _merge_partition(df: pd.DataFrame) -> pd.DataFrame:
-    """Merge all partials of one hash partition — vectorized pandas
-    (one Python call per *partition*, not per conversation; Ray's
-    per-group map_groups overhead is ~2 ms/group, which at millions of
-    conversations would dominate wall time)."""
-    g = df.groupby("conv_id", sort=False)
-    agg = g.agg(
-        n_turns=("n_turns", "sum"),
-        n_tool_calls=("n_tool_calls", "sum"),
-        first_ts=("first_ts", "min"),
-        last_ts=("last_ts", "max"),
-        hash_sum=("hash_part", "sum"),
-    )
-    agg["ordered_hash"] = agg.pop("hash_sum") % int(P)
-    first = df.loc[g["min_turn"].idxmin()].set_index("conv_id")
-    last = df.loc[g["max_turn"].idxmax()].set_index("conv_id")
-    agg["first_text"] = first["first_text"]
-    agg["last_text"] = last["last_text"]
-    out = agg.reset_index()
-    out = out[["conv_id", "n_turns", "n_tool_calls", "first_ts", "last_ts",
-               "first_text", "last_text", "ordered_hash"]]
-    # return ARROW with a pinned schema: pandas-born blocks in an Arrow
-    # stream trigger per-block schema-mismatch warnings and a
-    # pandas↔Arrow conversion per downstream op; timestamp[us] matches
-    # the parquet-born input (and the DuckDB oracle) exactly
-    return pa.Table.from_pandas(out, preserve_index=False, schema=_MERGE_SCHEMA).replace_schema_metadata(None)
-
-
+# timestamp[us] matches the parquet-born input (and the DuckDB oracle)
 _MERGE_SCHEMA = pa.schema(
     [
         ("conv_id", pa.string()),
@@ -181,39 +157,206 @@ _MERGE_SCHEMA = pa.schema(
 )
 
 
+def _array(t: pa.Table, name: str, typ: pa.DataType) -> pa.Array:
+    """Column ``name`` of ``t`` as one Array of type ``typ``."""
+    return t.column(name).cast(typ).combine_chunks()
+
+
+def _ints(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """(int64 values with nulls as 0, validity) of an integer or
+    timestamp Array."""
+    valid = arr.is_valid().to_numpy(zero_copy_only=False)
+    return pc.fill_null(arr.cast(pa.int64()), 0).to_numpy(), valid
+
+
+def _runs(codes: np.ndarray, turn: np.ndarray, text: pa.Array, ok: np.ndarray):
+    """Rows ordered by (conversation code, ``turn``, ``text``) and the
+    start of each conversation's run.  ``text`` only breaks ties between
+    ``ok`` rows of one conversation and turn, so its rank (a string
+    sort) is computed only when such a tie exists."""
+    order = np.lexsort((turn, codes))
+    c, t, o = codes[order], turn[order], ok[order]
+    if ((c[1:] == c[:-1]) & (t[1:] == t[:-1]) & o[1:] & o[:-1]).any():
+        rank = pc.rank(text, sort_keys="ascending", tiebreaker="dense").to_numpy()
+        order = np.lexsort((rank, turn, codes))
+        c = codes[order]
+    return order, np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+
+
+def _pick(ok_sorted: np.ndarray, starts: np.ndarray, last: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted position of each run's first (or last) ``ok`` row, and
+    the mask of runs that have none (their position is 0)."""
+    pos = np.arange(len(ok_sorted))
+    if last:
+        p = np.maximum.reduceat(np.where(ok_sorted, pos, -1), starts)
+        none = p < 0
+    else:
+        p = np.minimum.reduceat(np.where(ok_sorted, pos, len(pos)), starts)
+        none = p == len(pos)
+    return np.where(none, 0, p), none
+
+
+_IDENTITY = {np.minimum: _I64_MAX, np.maximum: _I64_MIN, np.add: 0}
+
+
+def _reduce(ufunc, vals: np.ndarray, ok: np.ndarray, order: np.ndarray,
+            starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``ufunc`` (``np.minimum``/``maximum``/``add``) over each run's
+    ``ok`` values, and the mask of runs with none — whose result is
+    null, as in SQL."""
+    ok = ok[order]
+    out = ufunc.reduceat(np.where(ok, vals[order], _IDENTITY[ufunc]), starts)
+    return out, ~np.logical_or.reduceat(ok, starts)
+
+
+def _ts(reduced: tuple[np.ndarray, np.ndarray]) -> pa.Array:
+    vals, none = reduced
+    return pa.array(vals, type=pa.timestamp("us"), mask=none)
+
+
+def _hash(reduced: tuple[np.ndarray, np.ndarray]) -> pa.Array:
+    vals, none = reduced
+    return pa.array(vals % P, mask=none)
+
+
+def _take(arr: pa.Array, idx: np.ndarray, none: np.ndarray) -> pa.Array:
+    return arr.take(pa.array(idx, mask=none))
+
+
+def _codes(arr: pa.Array) -> np.ndarray:
+    """Dictionary codes of ``arr``; null is a key of its own."""
+    return pc.dictionary_encode(arr, null_encoding="encode").indices.to_numpy()
+
+
+def conv_partial_batch(batch: pa.Table, hash_mode: str = "fast") -> pa.Table:
+    """Phase 1: collapse one Arrow batch to one partial row per conv.
+
+    ``conv_id`` is dictionary-encoded to int codes and one lexsort by
+    (code, turn_idx) lays each conversation out as a run; counts, the
+    ts bounds and the hash are ``reduceat`` over the run starts, and the
+    first/last text rows are taken at each run's first/last non-null
+    text."""
+    if batch.num_rows == 0:
+        return _PARTIAL_SCHEMA.empty_table()
+    conv = _array(batch, "conv_id", pa.string())
+    text = _array(batch, "text", pa.string())
+    turn, turn_ok = _ints(_array(batch, "turn_idx", pa.int64()))
+    if not turn_ok.all():
+        raise ValueError("conv_partial_batch: null turn_idx")
+    ts, ts_ok = _ints(_array(batch, "ts", pa.timestamp("us")))
+    tool_ok = batch.column("tool").is_valid().to_numpy(zero_copy_only=False)
+    text_ok = text.is_valid().to_numpy(zero_copy_only=False)
+    contrib = ordered_hash_contrib(text.to_numpy(zero_copy_only=False), turn, hash_mode)
+    # md5 mode is SQL's sum, which skips the NULL md5 of a NULL text
+    contrib_ok = text_ok if hash_mode == "md5" else np.ones(len(turn), dtype=bool)
+
+    order, starts = _runs(_codes(conv), turn, text, text_ok)
+    first, no_first = _pick(text_ok[order], starts, last=False)
+    last, no_last = _pick(text_ok[order], starts, last=True)
+    first_row, last_row = order[first], order[last]
+    return pa.Table.from_arrays(
+        [
+            conv.take(order[starts]),
+            pa.array(np.diff(np.r_[starts, len(order)])),
+            pa.array(np.add.reduceat(tool_ok[order].astype(np.int64), starts)),
+            _ts(_reduce(np.minimum, ts, ts_ok, order, starts)),
+            _ts(_reduce(np.maximum, ts, ts_ok, order, starts)),
+            pa.array(turn[first_row], mask=no_first),
+            pa.array(turn[last_row], mask=no_last),
+            _take(text, first_row, no_first),
+            _take(text, last_row, no_last),
+            _hash(_reduce(np.add, contrib, contrib_ok, order, starts)),
+        ],
+        schema=_PARTIAL_SCHEMA,
+    )
+
+
+def _merge_table(t: pa.Table) -> pa.Table:
+    """Phase 2: merge all partials of one hash partition — one Python
+    call per *partition*, not per conversation: Ray's per-group
+    ``map_groups`` overhead is ~2 ms/group, which at millions of
+    conversations would dominate wall time.
+
+    One lexsort by (code, min_turn) carries the sums, the ts bounds and
+    ``first_text``; one by (code, max_turn) carries ``last_text``.  Both
+    order the codes alike, so run ``i`` is the same conversation in
+    each."""
+    if t.num_rows == 0:
+        return _MERGE_SCHEMA.empty_table()
+    t = t.select(_PARTIAL_SCHEMA.names).cast(_PARTIAL_SCHEMA).combine_chunks()
+    col = {name: t.column(name).chunk(0) for name in t.column_names}
+    codes = _codes(col["conv_id"])
+    lo, lo_ok = _ints(col["min_turn"])
+    hi, hi_ok = _ints(col["max_turn"])
+    first_ts, first_ts_ok = _ints(col["first_ts"])
+    last_ts, last_ts_ok = _ints(col["last_ts"])
+    hash_part, hash_ok = _ints(col["hash_part"])
+
+    order, starts = _runs(codes, lo, col["first_text"], lo_ok)
+    first, no_first = _pick(lo_ok[order], starts, last=False)
+    head = [
+        col["conv_id"].take(order[starts]),
+        pa.array(np.add.reduceat(col["n_turns"].to_numpy()[order], starts)),
+        pa.array(np.add.reduceat(col["n_tool_calls"].to_numpy()[order], starts)),
+        _ts(_reduce(np.minimum, first_ts, first_ts_ok, order, starts)),
+        _ts(_reduce(np.maximum, last_ts, last_ts_ok, order, starts)),
+        _take(col["first_text"], order[first], no_first),
+    ]
+    ordered_hash = _hash(_reduce(np.add, hash_part, hash_ok, order, starts))
+    order, starts = _runs(codes, hi, col["last_text"], hi_ok)
+    last, no_last = _pick(hi_ok[order], starts, last=True)
+    return pa.Table.from_arrays(
+        head + [_take(col["last_text"], order[last], no_last), ordered_hash],
+        schema=_MERGE_SCHEMA,
+    )
+
+
+def _merge_partition(df: pd.DataFrame) -> pa.Table:
+    """:func:`_merge_table` over a pandas frame of partials (columns
+    beyond the partial schema are ignored)."""
+    return _merge_table(pa.Table.from_pandas(df, preserve_index=False))
+
+
 def conv_stats(ds, num_partitions: int = 64, hash_mode: str = "fast"):
     """conv_id → (n_turns, n_tool_calls, first/last ts, first/last text,
     ordered_hash).  Shuffle input = partials only (see module doc); the
     final merge hash-partitions the partials into ``num_partitions``
     groups (size ∝ cluster, not ∝ #conversations) and merges each with
-    one vectorized pandas pass.  ``hash_mode="md5"`` switches the order
+    one columnar pass.  ``hash_mode="md5"`` switches the order
     fingerprint to the SQL-expressible variant (oracle-checked by the
     driver); ``"fast"`` is the vectorized bench path."""
     partials = ds.map_batches(
         lambda b: conv_partial_batch(b, hash_mode), batch_format="pyarrow"
     )
-    return exchange(partials, "conv_id", num_partitions, _merge_partition, "pandas")
+    return exchange(partials, "conv_id", num_partitions, _merge_table, "pyarrow")
 
 
 def conv_stats_reference(table: pa.Table) -> pd.DataFrame:
     """Single-process oracle twin of :func:`conv_stats` (pytest uses it
-    against the Ray path; independent code path: plain pandas sort)."""
-    df = table.to_pandas().sort_values(["conv_id", "turn_idx"], kind="mergesort")
+    against the Ray path; independent code path: a plain Python loop per
+    conversation).  Null ``conv_id`` is a group; first/last text are
+    the text of the least/greatest (turn_idx, text) among non-null
+    texts; ts bounds skip nulls."""
+    groups: dict = {}
+    for r in table.select(["conv_id", "turn_idx", "ts", "tool", "text"]).to_pylist():
+        groups.setdefault(r["conv_id"], []).append(r)
     out = []
-    for conv_id, g in df.groupby("conv_id", sort=True):
-        h = 0
-        contrib = ordered_hash_contrib(g["text"].to_numpy(), g["turn_idx"].to_numpy())
-        h = int(contrib.astype(object).sum() % int(P))
+    for conv_id in sorted(groups, key=lambda c: (c is None, c or "")):
+        g = groups[conv_id]
+        contrib = ordered_hash_contrib(
+            np.array([r["text"] for r in g], dtype=object), np.array([r["turn_idx"] for r in g]))
+        texts = [(r["turn_idx"], r["text"]) for r in g if r["text"] is not None]
+        stamps = [r["ts"] for r in g if r["ts"] is not None]
         out.append(
             {
                 "conv_id": conv_id,
                 "n_turns": len(g),
-                "n_tool_calls": int(g["tool"].notna().sum()),
-                "first_ts": g["ts"].min(),
-                "last_ts": g["ts"].max(),
-                "first_text": g["text"].iloc[0],
-                "last_text": g["text"].iloc[-1],
-                "ordered_hash": h,
+                "n_tool_calls": sum(r["tool"] is not None for r in g),
+                "first_ts": min(stamps, default=None),
+                "last_ts": max(stamps, default=None),
+                "first_text": min(texts)[1] if texts else None,
+                "last_text": max(texts)[1] if texts else None,
+                "ordered_hash": int(contrib.astype(object).sum() % int(P)),
             }
         )
     return pd.DataFrame(out)

@@ -34,8 +34,8 @@ distributed shapes:
 
 All kernels are vectorized (one Arrow split / one ``hash_array`` /
 numpy arithmetic per batch); reductions use the co-partition +
-vectorized-pandas shape (never per-group Ray aggregates — see
-stages/aggregate.py:_merge_partition).
+one-vectorized-pass-per-partition shape (never per-group Ray
+aggregates — see stages/aggregate.py:_merge_table).
 """
 
 from __future__ import annotations

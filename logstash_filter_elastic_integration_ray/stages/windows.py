@@ -8,7 +8,7 @@ Two classic engine surfaces the corpus/aggregate stages don't cover:
   the minimum any window function must pay.  One co-partition by key
   hash, then ONE vectorized pass per partition (lexsort + segmented
   cumsum via group-boundary arithmetic — never a per-group Python
-  loop; see stages/aggregate.py:_merge_partition for why per-group
+  loop; see stages/aggregate.py:_merge_table for why per-group
   Ray aggregates are ruled out).
 
 - **exact count-distinct per group**: two-phase so the exchange

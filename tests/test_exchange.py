@@ -73,6 +73,30 @@ def test_exchange_string_key_pyarrow(ray_session):
     assert got == [(f"s{i}", N // 5) for i in range(5)]
 
 
+def _operator_names(ds) -> set:
+    """The operator names of an executed Dataset's stats, parents too."""
+    names = set()
+    todo = [ds._get_stats_summary()]
+    while todo:
+        s = todo.pop()
+        names.add(s.base_name)
+        todo += s.parents
+    return names
+
+
+@pytest.mark.parametrize("blocks", [64, 2])
+def test_exchange_coalesces_only_more_blocks_than_partitions(ray_session, blocks):
+    """``exchange`` adds its coalescing ``Repartition`` only when the
+    plan holds more blocks than partitions; the rows are the same."""
+    from tests.test_scheduling import _run_within
+
+    step = -(-N // blocks)
+    ds = ray.data.from_arrow([_KV.slice(i * step, step) for i in range(blocks)])
+    out = _run_within(120, lambda: exchange(ds, "k", 4, _sum_by_key, "pandas").materialize())
+    assert ("Repartition" in _operator_names(out)) == (blocks > 4)
+    assert _rows(out, ["k", "v"]) == _rows(ray.data.from_pandas(_sum_by_key(_KV.to_pandas())), ["k", "v"])
+
+
 def _join_fn(left: pa.Table, right: pa.Table) -> pa.Table:
     assert left.column_names == ["k", "v"]
     assert right.column_names == ["key", "name"]

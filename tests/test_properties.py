@@ -6,6 +6,7 @@ import string
 
 import numpy as np
 import pyarrow as pa
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,44 +113,97 @@ def test_ordered_hash_is_order_sensitive(seed):
     assert h1 == h3
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 50)), min_size=1, max_size=40),
-       st.integers(1, 7))
-def test_conv_partial_merge_invariant(rows, split_at):
-    """Two-phase aggregation must equal single-pass regardless of how
-    rows are split into batches (the invariant the Ray pipeline relies
-    on for ANY block layout)."""
-    import pandas as pd
-
-    from logstash_filter_elastic_integration_ray.stages.aggregate import (
-        conv_partial_batch,
-        _merge_partition,
-    )
-
-    base = pa.table({
-        "conv_id": pa.array([f"c{c}" for c, _ in rows], type=pa.string()),
-        "turn_idx": pa.array([t for _, t in rows], type=pa.int32()),
+def _conv_rows_table(rows) -> pa.Table:
+    base = np.datetime64("2026-01-01", "us")
+    return pa.table({
+        "conv_id": pa.array([c for c, *_ in rows], type=pa.string()),
+        "turn_idx": pa.array([t for _, t, *_ in rows], type=pa.int32()),
         "role": pa.array(["user"] * len(rows)),
-        "text": pa.array([f"text-{c}-{t}" for c, t in rows], type=pa.string()),
-        "tool": pa.array([None] * len(rows), type=pa.string()),
-        "ts": pa.array([np.datetime64("2026-01-01", "us")] * len(rows)),
+        "text": pa.array([x for *_, x, _, _ in rows], type=pa.string()),
+        "tool": pa.array(["t" if tool else None for *_, tool, _ in rows], type=pa.string()),
+        "ts": pa.array([None if s is None else base + np.timedelta64(s, "s") for *_, s in rows],
+                       type=pa.timestamp("us")),
     })
-    # dedupe (conv, turn) pairs to keep the oracle well-defined
-    df = base.to_pandas().drop_duplicates(["conv_id", "turn_idx"])
-    base = pa.Table.from_pandas(df, preserve_index=False)
-    k = min(split_at, base.num_rows)
-    parts = [conv_partial_batch(base.slice(0, k))]
-    if base.num_rows > k:
-        parts.append(conv_partial_batch(base.slice(k)))
-    merged = (
-        _merge_partition(pa.concat_tables(parts).to_pandas())
-        .to_pandas().sort_values("conv_id").reset_index(drop=True)
+
+
+def _canon_stats(t: pa.Table) -> list:
+    """conv_stats rows as dicts, null conv_id last."""
+    from logstash_filter_elastic_integration_ray.stages.aggregate import _MERGE_SCHEMA
+
+    rows = t.select(_MERGE_SCHEMA.names).cast(_MERGE_SCHEMA).to_pylist()
+    return sorted(rows, key=lambda r: (r["conv_id"] is None, r["conv_id"] or ""))
+
+
+_conv_row = st.tuples(
+    st.one_of(st.none(), st.integers(0, 4).map(lambda c: f"c{c}")),
+    # few turns, so (conv_id, turn_idx) repeats; >= 65536 takes the pow-table fallback
+    st.one_of(st.integers(0, 6), st.integers(65530, 65540)),
+    st.one_of(st.none(), st.sampled_from(["", "a", "b", "zz"])),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(0, 10**6)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_conv_row, min_size=1, max_size=40),
+       st.lists(st.integers(0, 40), max_size=3))
+def test_conv_partial_merge_invariant(rows, cuts):
+    """Two-phase aggregation must equal single-pass and the reference
+    regardless of how rows are split into batches (the invariant the
+    Ray pipeline relies on for ANY block layout) — with null conv_id,
+    text, tool and ts, repeated (conv_id, turn_idx) rows, and turns past
+    the pow table."""
+    from logstash_filter_elastic_integration_ray.stages.aggregate import (
+        _merge_partition,
+        _merge_table,
+        conv_partial_batch,
+        conv_stats_reference,
     )
-    single = (
-        _merge_partition(conv_partial_batch(base).to_pandas())
-        .to_pandas().sort_values("conv_id").reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(merged, single)
+
+    base = _conv_rows_table(rows)
+    bounds = [0, *sorted({min(c, base.num_rows) for c in cuts}), base.num_rows]
+    pieces = [base.slice(a, b - a) for a, b in zip(bounds[:-1], bounds[1:])]
+    for mode in ("fast", "md5"):
+        split = _merge_table(pa.concat_tables([conv_partial_batch(p, mode) for p in pieces]))
+        single = _merge_table(conv_partial_batch(base, mode))
+        assert _canon_stats(split) == _canon_stats(single), mode
+    # the pandas adapter over the same partials agrees too
+    parts = pa.concat_tables([conv_partial_batch(p) for p in pieces])
+    assert _canon_stats(_merge_partition(parts.to_pandas())) == _canon_stats(_merge_table(parts))
+    ref = pa.Table.from_pandas(conv_stats_reference(base), preserve_index=False)
+    assert _canon_stats(_merge_table(parts)) == _canon_stats(ref)
+
+
+@pytest.mark.parametrize("batch_rows", [1, 2, None])
+def test_conv_stats_nulls_match_sql_twin(batch_rows):
+    """``conv_stats`` in md5 mode equals its DuckDB twin (the
+    ``conv_stats_scalable`` oracle) under any batching, with null text,
+    tool, ts and conv_id: first/last text skip null texts, the null
+    conv_id is a group, a null text adds nothing to the hash."""
+    import duckdb
+
+    import __ray_entry__ as e
+    from logstash_filter_elastic_integration_ray.sources.transcripts import transcripts_sql
+    from logstash_filter_elastic_integration_ray.stages.aggregate import _merge_table, conv_partial_batch
+
+    transcripts = _conv_rows_table([
+        ("c", 0, None, False, 5), ("c", 1, "b", True, None), ("c", 2, None, False, 1),
+        (None, 3, "x", False, None), (None, 0, None, True, None),
+        ("d", 7, None, False, None), ("d", 2, None, False, 9),
+        ("e", 4, "late", False, 3), ("e", 1, "", True, 4), ("e", 9, "last", False, 2),
+    ])
+    n = transcripts.num_rows
+    k = batch_rows or n
+    parts = [conv_partial_batch(transcripts.slice(i, k), "md5") for i in range(0, n, k)]
+    mine = _canon_stats(_merge_table(pa.concat_tables(parts)))
+    # the twin's SELECT, over this table instead of the derived one
+    twin = e.oracle_sql()["conv_stats_scalable"].removeprefix(transcripts_sql(""))
+    con = duckdb.connect()
+    con.register("transcripts", transcripts)
+    want = _canon_stats(con.sql(twin).arrow())
+    assert mine == want
+    assert [(r["conv_id"], r["first_text"], r["last_text"]) for r in mine] == [
+        ("c", "b", "b"), ("d", None, None), ("e", "", "last"), (None, "x", "x")]
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,20 @@ compare row count, column names and order-insensitive values.  Each
 PASS/FAIL line ends with the query's wall seconds (run + collect, not
 the oracle SQL).
 
+The queries run in chunks of ``CHUNK`` in child driver processes, one
+Ray cluster each, so a Ray core crash ends one chunk, not the run: the
+queries of a chunk whose driver died before reporting them are retried
+once in a fresh driver, and a query that still has no result counts as
+a failure.  The summary line adds the sum of the per-query seconds.
+
 Usage: python tools/check_oracles.py [sf_dir] [query ...]
 """
 
 from __future__ import annotations
 
 import os
+import re
+import subprocess
 import sys
 import time
 
@@ -18,6 +26,9 @@ import numpy as np
 import pandas as pd
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+#: queries per child driver process
+CHUNK = 25
 
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 
@@ -87,8 +98,17 @@ def compare(name: str, mine: pd.DataFrame, oracle: pd.DataFrame) -> list[str]:
 
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-    only = set(sys.argv[2:])
+    only = sys.argv[2:]
 
+    import __ray_entry__ as e
+
+    names = [n for n in e.queries() if not only or n in only]
+    sys.exit(0 if gate(sf_dir, names) else 1)
+
+
+def run_chunk(sf_dir: str, names: list[str]) -> None:
+    """Run the queries ``names`` in this process: one result line per
+    query, flushed as it is known."""
     import ray
 
     if not ray.is_initialized():
@@ -109,10 +129,8 @@ def main():
     for t in TABLES:
         con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
 
-    n_pass = n_fail = n_noracle = 0
-    for name, fn in qs.items():
-        if only and name not in only:
-            continue
+    for name in names:
+        fn = qs[name]
         t0 = time.perf_counter()
         try:
             mine = to_pandas(fn(sf_dir))
@@ -120,36 +138,81 @@ def main():
             import traceback
             traceback.print_exc()
             print(f"FAIL {name} ({time.perf_counter() - t0:.2f} s): "
-                  f"query raised {type(ex).__name__}: {ex}")
-            n_fail += 1
+                  f"query raised {type(ex).__name__}: {ex}", flush=True)
             continue
         secs = time.perf_counter() - t0
         sql = oracles.get(name)
         if sql is None:
-            print(f"ROWS-ONLY {name}: {len(mine)} rows, cols={list(mine.columns)}")
-            n_noracle += 1
+            print(f"ROWS-ONLY {name}: {len(mine)} rows, cols={list(mine.columns)}", flush=True)
             continue
         try:
             oracle = con.sql(sql).df()
         except Exception as ex:
-            print(f"FAIL {name}: oracle SQL raised {ex}")
-            n_fail += 1
+            print(f"FAIL {name} ({secs:.2f} s): oracle SQL raised {ex}", flush=True)
             continue
         try:
             problems = compare(name, mine, oracle)
         except Exception as ex:
             problems = [f"compare raised {type(ex).__name__}: {ex}"]
         if problems:
-            print(f"FAIL {name} ({len(mine)} vs {len(oracle)} rows, {secs:.2f} s):")
-            for p in problems:
-                print(f"   - {p}")
-            n_fail += 1
+            print(f"FAIL {name} ({len(mine)} vs {len(oracle)} rows, {secs:.2f} s):\n"
+                  + "\n".join(f"   - {p}" for p in problems), flush=True)
         else:
-            print(f"PASS {name} ({len(mine)} rows, {secs:.2f} s)")
-            n_pass += 1
-    print(f"\n{n_pass} pass, {n_fail} fail, {n_noracle} rows-only")
+            print(f"PASS {name} ({len(mine)} rows, {secs:.2f} s)", flush=True)
     ray.shutdown()
-    sys.exit(1 if n_fail else 0)
+
+
+#: a child's result line: status, query name, and its seconds if timed
+RESULT = re.compile(r"^(PASS|FAIL|ROWS-ONLY) (\S+?):? (?:\(.*?([\d.]+) s\))?")
+
+CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); import check_oracles; "
+         "check_oracles.run_chunk(sys.argv[2], sys.argv[3:])")
+
+
+def run_child(sf_dir: str, names: list[str]) -> tuple[dict, int]:
+    """Run ``names`` in a child driver, echoing its output: ({query:
+    (status, seconds)} for the queries it reported, its exit code)."""
+    results = {}
+    with subprocess.Popen(
+        [sys.executable, "-c", CHILD, os.path.dirname(os.path.abspath(__file__)), sf_dir, *names],
+        stdout=subprocess.PIPE, text=True,
+    ) as proc:
+        for line in proc.stdout:
+            print(line, end="", flush=True)
+            m = RESULT.match(line)
+            if m and m.group(2) in names:
+                results[m.group(2)] = (m.group(1), float(m.group(3) or 0.0))
+    return results, proc.returncode
+
+
+def gate(sf_dir: str, names: list[str]) -> bool:
+    """Run ``names`` chunk by chunk in child drivers and print the
+    summary; True when every query passed."""
+    results: dict = {}
+    deaths = 0
+    for i in range(0, len(names), CHUNK):
+        chunk = names[i:i + CHUNK]
+        for attempt in (1, 2):
+            todo = [n for n in chunk if n not in results]
+            if not todo:
+                break
+            got, code = run_child(sf_dir, todo)
+            results.update(got)
+            missing = [n for n in todo if n not in got]
+            if missing:
+                deaths += 1
+                print(f"DRIVER DIED (exit code {code}, attempt {attempt}) before reporting "
+                      f"{len(missing)} queries, from {missing[0]}", flush=True)
+    lost = [n for n in names if n not in results]
+    for n in lost:
+        print(f"FAIL {n}: no result, its driver died twice")
+    status = [s for s, _ in results.values()]
+    n_pass, n_noracle = status.count("PASS"), status.count("ROWS-ONLY")
+    n_fail = status.count("FAIL") + len(lost)
+    secs = sum(t for _, t in results.values())
+    print(f"\n{n_pass} pass, {n_fail} fail, {n_noracle} rows-only; "
+          f"{secs:.1f} s summed over queries; {deaths} driver deaths")
+    return n_fail == 0
 
 
 if __name__ == "__main__":
