@@ -19,9 +19,11 @@ flow-control kernels (drop/terminate/fail/reroute/pipeline) touch it.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Callable
 
 import numpy as np
+import pyarrow as pa
 
 from ..model import ColumnBatch
 
@@ -87,30 +89,31 @@ def missing_field_mask(batch: ColumnBatch, field: str, mask: np.ndarray) -> np.n
     return mask & ~batch.valid_mask(field)
 
 
-def string_values(batch: ColumnBatch, field: str) -> np.ndarray:
-    """Column as numpy object array of str/None (stringify non-strings).
-
-    Fast path: a column stored as an Arrow string array is already
-    str/None — return the shared derived view without a copy loop.
-    """
-    import pyarrow as pa
-
-    if not batch.has(field):
-        out = np.empty(batch.n, dtype=object)
-        out[:] = None
-        return out
+def string_rows(batch: ColumnBatch, field: str, mask: np.ndarray) -> pa.Array:
+    """The rows ``mask`` selects of ``field`` as an Arrow string array
+    (non-strings read as :meth:`ColumnBatch.read_rows` stringifies
+    them).  A string column is filtered in Arrow, with no Python
+    values."""
     col = batch._cols.get(field)
-    if isinstance(col, pa.Array) and (pa.types.is_string(col.type) or pa.types.is_large_string(col.type)):
-        return batch.objects(field)
-    vals = batch.objects(field)
-    out = np.empty(batch.n, dtype=object)
-    for i, v in enumerate(vals):
-        if v is None:
-            out[i] = None
-        elif isinstance(v, str):
-            out[i] = v
-        elif isinstance(v, bool):
-            out[i] = "true" if v else "false"
+    if isinstance(col, pa.Array) and pa.types.is_string(col.type):
+        return col.filter(pa.array(mask))
+    return pa.array(batch.read_rows(field, mask, stringify=True)[1], type=pa.string())
+
+
+def write_results(batch: ColumnBatch, rows: np.ndarray, results: list) -> None:
+    """Write a per-row kernel's results back: ``results[j]`` is the
+    ``{field: value}`` dict of row ``rows[j]`` (``None`` for a failed
+    row, which writes nothing).  A ``None`` value writes nothing either
+    (the row keeps its old value).  Each field is scattered once, by
+    :meth:`ColumnBatch.write_rows`, in the order fields first appear."""
+    ok = np.array([r is not None for r in results], dtype=bool)
+    if not ok.all():
+        rows = rows[ok]
+        results = [r for r in results if r is not None]
+    for f in dict.fromkeys(chain.from_iterable(results)):
+        col = list(map(dict.get, results, repeat(f)))
+        if None in col:
+            keep = np.array([v is not None for v in col], dtype=bool)
+            batch.write_rows(f, rows[keep], [v for v in col if v is not None])
         else:
-            out[i] = str(v)
-    return out
+            batch.write_rows(f, rows, col)

@@ -26,12 +26,14 @@ from __future__ import annotations
 import datetime as dt
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..model import ColumnBatch, META_INDEX
-from .base import Kernel, KernelCompileError, register_processor
+from .base import Kernel, KernelCompileError, register_processor, string_rows
 from .grok import _normalize_field_path
 from .mutate import render_template
-from .parse import DateKernel, java_format_to_strptime, string_values
+from .parse import DateKernel, java_format_to_strptime
 
 
 class DropKernel(Kernel):
@@ -123,49 +125,44 @@ class RerouteKernel(Kernel):
         namespace = config.get("namespace")
         if self.destination is not None and (dataset is not None or namespace is not None):
             raise KernelCompileError("reroute: [destination] cannot be combined with [dataset]/[namespace]")
-        # ES allows a list of fallback values; we use the first static one
-        self.dataset = dataset[0] if isinstance(dataset, list) else dataset
-        self.namespace = namespace[0] if isinstance(namespace, list) else namespace
+        # ES tries a list of values in order; the first that resolves wins
+        self.datasets = [] if dataset is None else list(dataset) if isinstance(dataset, list) else [dataset]
+        self.namespaces = [] if namespace is None else list(namespace) if isinstance(namespace, list) else [namespace]
 
-    def _resolve(self, template, batch, mask, current: np.ndarray) -> np.ndarray:
-        """{{field}} templates supported; ``{{data_stream.xxx}}`` falls
-        back to the current value when the field is missing."""
-        if template is None:
-            return current
-        rendered = render_template(template, batch, mask)
-        if rendered is None:
-            return np.full(batch.n, str(template), dtype=object)
-        # empty render (missing field) → keep current
-        out = current.copy()
-        for i in np.nonzero(mask)[0]:
-            if rendered[i]:
-                out[i] = rendered[i]
-        return out
+    @staticmethod
+    def _part(templates: list, batch: ColumnBatch, mask: np.ndarray, field: str, default: str) -> pa.Array:
+        """One ``data_stream`` part for the masked rows: the first of
+        ``templates`` that resolves to a non-empty value (a static value
+        always does, a ``{{field}}`` template not when the field is
+        missing), else the row's current ``field``, else ``default``."""
+        k = int(mask.sum())
+        cands = []
+        for t in templates:
+            rendered = render_template(t, batch, mask)
+            if rendered is None:
+                cands.append(pa.scalar(str(t)))
+                break
+            vals = pa.array(rendered[mask].tolist(), type=pa.string())
+            cands.append(pc.if_else(pc.equal(vals, ""), pa.nulls(k, pa.string()), vals))
+        else:
+            if batch.has(field):
+                cands.append(string_rows(batch, field, mask))
+            cands.append(pa.scalar(default))
+        return pc.coalesce(*cands) if len(cands) > 1 else pa.array([cands[0].as_py()] * k, pa.string())
 
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
         if self.destination is not None:
             rendered = render_template(self.destination, batch, mask)
-            dest = rendered if rendered is not None else np.full(batch.n, str(self.destination), dtype=object)
+            dest = rendered[mask].tolist() if rendered is not None else str(self.destination)
             state.mark_reroute(mask, dest)
             return None
-        get = lambda f, default: (
-            batch.get_objects_or_none(f)
-            if batch.has(f)
-            else np.full(batch.n, default, dtype=object)
-        )
-        dtype_col = get("data_stream.type", "logs")
-        dset_col = get("data_stream.dataset", "generic")
-        dns_col = get("data_stream.namespace", "default")
-        new_dset = self._resolve(self.dataset, batch, mask, dset_col)
-        new_dns = self._resolve(self.namespace, batch, mask, dns_col)
-        batch.blend("data_stream.dataset", new_dset, mask)
-        batch.blend("data_stream.namespace", new_dns, mask)
-        dest = np.empty(batch.n, dtype=object)
-        dest[:] = None
-        for i in np.nonzero(mask)[0]:
-            t = dtype_col[i] if dtype_col[i] is not None else "logs"
-            dest[i] = f"{t}-{new_dset[i]}-{new_dns[i]}"
-        state.mark_reroute(mask, dest)
+        rows = np.flatnonzero(mask)
+        dtype = self._part([], batch, mask, "data_stream.type", "logs")
+        dset = self._part(self.datasets, batch, mask, "data_stream.dataset", "generic")
+        dns = self._part(self.namespaces, batch, mask, "data_stream.namespace", "default")
+        batch.write_rows("data_stream.dataset", rows, dset)
+        batch.write_rows("data_stream.namespace", rows, dns)
+        state.mark_reroute(mask, pc.binary_join_element_wise(dtype, dset, dns, "-").to_pylist())
         return None
 
 
@@ -197,27 +194,22 @@ class DateIndexNameKernel(Kernel):
 
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
         fmt = java_format_to_strptime(self.index_format)
-        values = string_values(batch, self.field)
+        rows, values = batch.read_rows(self.field, mask, stringify=True)
         err = np.zeros(batch.n, dtype=bool)
-        out = np.empty(batch.n, dtype=object)
-        out[:] = None
-        for i in np.nonzero(mask)[0]:
-            v = values[i]
-            if v is None:
-                err[i] = True
-                continue
+        ok_rows, out = [], []
+        for i, v in zip(rows.tolist(), values):
             try:
-                d = self._parser._parse_one(v)
+                d = self._parser._parse_one(v) if v is not None else None
             except ValueError:
+                d = None
+            if d is None:
                 err[i] = True
                 continue
-            formatted = d.strftime(fmt)
-            out[i] = (
-                f"<{self.prefix}{{{formatted}||/{self.rounding}{{{self.index_format}|{self.timezone}}}}}>"
+            ok_rows.append(i)
+            out.append(
+                f"<{self.prefix}{{{d.strftime(fmt)}||/{self.rounding}{{{self.index_format}|{self.timezone}}}}}>"
             )
-        ok = mask & ~err
-        if ok.any():
-            batch.blend(META_INDEX, out, ok)
+        batch.write_rows(META_INDEX, np.array(ok_rows, dtype=np.int64), out)
         return err if err.any() else None
 
 

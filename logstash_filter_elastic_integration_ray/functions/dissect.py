@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..model import ColumnBatch
-from .base import Kernel, KernelCompileError, register_processor, string_values
+from .base import Kernel, KernelCompileError, register_processor, write_results
 from .grok import _normalize_field_path
 
 _KEY = re.compile(r"%\{([^}]*)\}")
@@ -148,31 +148,14 @@ class DissectKernel(Kernel):
         return self.pattern.out_fields
 
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        values = string_values(batch, self.field)
-        present = np.array([v is not None for v in values], dtype=bool)
+        present = batch.valid_mask(self.field)
         err = np.zeros(batch.n, dtype=bool)
         if not self.ignore_missing:
             err |= mask & ~present
-        active_idx = np.nonzero(mask & present)[0]
-        cols: dict[str, np.ndarray] = {}
-        hit = np.zeros(batch.n, dtype=bool)
-        for i in active_idx:
-            res = self.pattern.match(values[i], self.append_sep)
-            if res is None:
-                err[i] = True
-                continue
-            hit[i] = True
-            for f, v in res.items():
-                if f not in cols:
-                    c = np.empty(batch.n, dtype=object)
-                    c[:] = None
-                    cols[f] = c
-                cols[f][i] = v
-        for f, c in cols.items():
-            has = np.array([v is not None for v in c], dtype=bool)
-            m = hit & has
-            if m.any():
-                batch.blend(f, c, m)
+        rows, values = batch.read_rows(self.field, mask & present, stringify=True)
+        results = [self.pattern.match(s, self.append_sep) for s in values]
+        err[rows[[r is None for r in results]]] = True
+        write_results(batch, rows, results)
         return err if err.any() else None
 
 

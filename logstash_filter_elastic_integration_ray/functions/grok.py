@@ -11,10 +11,18 @@ failure.  Conformance target:
 
 Execution strategy (Ray-Data-first, NOT the reference's per-event Java
 matcher): each grok expression expands once at compile time into a flat
-regex; per batch we try ``pyarrow.compute.extract_regex`` (RE2, C++,
-vectorized over the whole Arrow string array) and fall back to Python
-``re`` over the batch only when RE2 rejects the pattern.  The pattern
-bank below is the public common grok pattern set, simplified where the
+regex; per batch ``pyarrow.compute.extract_regex`` (RE2, C++) runs over
+the Arrow string array of the masked rows only (``col.filter(mask)``),
+each later expression over the rows no earlier one matched.  Typed
+captures (``int``/``long``/``float``/``double``/``boolean``) are cast in
+Arrow and each field is scattered into the batch once; no capture turns
+into a Python object unless a cast fails.  RE2 reports ``""`` both for
+an empty capture and for an optional group that took no part in the
+match, so rows with a ``""`` capture are re-checked with the Python
+regex and a non-participating group leaves its field absent, as Python
+``re`` and Elasticsearch do.  Python ``re`` runs the whole match, on
+the masked rows only, when RE2 rejects the pattern.  The pattern bank
+below is the public common grok pattern set, simplified where the
 canonical definitions use non-RE2 constructs (atomic groups /
 lookbehind) so the RE2 fast path stays available.
 """
@@ -28,7 +36,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..model import ColumnBatch
-from .base import Kernel, KernelCompileError, register_processor, string_values
+from .base import Kernel, KernelCompileError, register_processor, string_rows
 
 # --------------------------------------------------------------------------
 # Pattern bank (public grok patterns; RE2-compatible simplifications)
@@ -196,6 +204,7 @@ _TYPE_CASTS = {
     "boolean": lambda v: v.lower() == "true",
     "string": str,
 }
+_ARROW_CASTS = {"int": pa.int64(), "long": pa.int64(), "float": pa.float64(), "double": pa.float64()}
 
 
 def _coerce(value: str | None, ftype: str | None):
@@ -210,32 +219,74 @@ def _coerce(value: str | None, ftype: str | None):
         return value
 
 
-def match_patterns(
-    values: np.ndarray, exprs: list[GrokExpr], watchdog_seconds: float = 1.0
-) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, str | None]]:
-    """Match a list of compiled grok expressions against string values.
+def _coerce_array(col: pa.Array, ftype: str | None) -> pa.Array | list:
+    """``_coerce`` over a string array, in Arrow.  A value Arrow cannot
+    cast (``+5``, ``1_000``, an overflow) sends the array through
+    ``_coerce`` per value, which keeps such a value a string."""
+    if ftype == "boolean":
+        return pc.equal(pc.utf8_lower(col), "true")
+    target = _ARROW_CASTS.get(ftype)
+    if target is None:
+        return col
+    try:
+        return col.cast(target)
+    except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
+        return [_coerce(v, ftype) for v in col.to_pylist()]
 
-    First-matching-expression-wins per row.  Returns
-    ``(matched_mask, {field: object-array of extracted values}, {field: type})``.
-    Rows with ``None`` input are left unmatched.
+
+def _field_groups(expr: "GrokExpr") -> dict[str, list[tuple[str, str | None]]]:
+    """field → its ``(group, type)`` captures, in capture order."""
+    out: dict[str, list[tuple[str, str | None]]] = {}
+    for g, f, t in expr.captures:
+        out.setdefault(f, []).append((g, t))
+    return out
+
+
+def match_patterns(
+    values: pa.Array, exprs: list[GrokExpr], watchdog_seconds: float = 1.0
+) -> tuple[np.ndarray, dict[str, tuple[np.ndarray, pa.Array | list]]]:
+    """Match a list of compiled grok expressions against a string array
+    with no nulls.
+
+    First-matching-expression-wins per row.  Returns ``(matched mask,
+    {field: (rows, values)})``: ``rows`` are the ascending positions in
+    ``values`` where the field was captured, ``values`` the typed
+    captures there (an Arrow array, or a list when a cast kept strings
+    or the expressions disagree on the type).  Fields come in the order
+    the expressions name them.
     """
     n = len(values)
     matched = np.zeros(n, dtype=bool)
-    fields: dict[str, np.ndarray] = {}
-    ftypes: dict[str, str | None] = {}
+    pieces: dict[str, list] = {f: [] for e in exprs for _, f, _ in e.captures}
     for expr in exprs:
-        for g, f, t in expr.captures:
-            if f not in fields:
-                out = np.empty(n, dtype=object)
-                out[:] = None
-                fields[f] = out
-                ftypes[f] = t
-        pending = np.nonzero(~matched)[0]
+        pending = np.flatnonzero(~matched)
         if len(pending) == 0:
             break
-        hit = _match_one(values, pending, expr, fields, watchdog_seconds)
-        matched[hit] = True
-    return matched, fields, ftypes
+        sub = values if len(pending) == n else values.filter(pa.array(~matched))
+        hit, caps = _match_one(sub, expr, watchdog_seconds)
+        rows = pending[hit]
+        matched[rows] = True
+        for f, col in caps.items():
+            if isinstance(col, pa.Array):
+                keep = np.asarray(pc.is_valid(col))
+                pieces[f].append((rows[keep], col.filter(pa.array(keep))))
+            else:
+                keep = np.array([v is not None for v in col], dtype=bool)
+                pieces[f].append((rows[keep], [v for v in col if v is not None]))
+    return matched, {f: _merge_pieces(p) for f, p in pieces.items() if p and any(len(r) for r, _ in p)}
+
+
+def _merge_pieces(pieces: list) -> tuple[np.ndarray, pa.Array | list]:
+    """One field's captures from several expressions, in row order."""
+    if len(pieces) == 1:
+        return pieces[0]
+    rows = np.concatenate([r for r, _ in pieces])
+    order = np.argsort(rows, kind="stable")
+    vals = [v for _, v in pieces]
+    if all(isinstance(v, pa.Array) for v in vals) and len({v.type for v in vals}) == 1:
+        return rows[order], pa.concat_arrays(vals).take(pa.array(order))
+    flat = [x for v in vals for x in (v.to_pylist() if isinstance(v, pa.Array) else v)]
+    return rows[order], [flat[k] for k in order]
 
 
 class _WatchdogTimeout(Exception):
@@ -284,48 +335,64 @@ def _search_with_watchdog(rx, value: str, seconds: float):
     return result[0] if result else None
 
 
-def _match_one(values: np.ndarray, pending: np.ndarray, expr: GrokExpr, fields: dict[str, np.ndarray],
-               watchdog_seconds: float = 1.0) -> np.ndarray:
-    """Match one expression over ``pending`` row indices; fill captures.
-    Returns indices that matched."""
-    # ---- RE2 fast path over an Arrow array ------------------------------
-    sub_vals = [values[i] for i in pending]
+def _match_one(values: pa.Array, expr: GrokExpr, watchdog_seconds: float = 1.0) -> tuple[np.ndarray, dict]:
+    """Match one expression over a string array.  Returns ``(hit mask,
+    {field: typed captures of the hit rows, null where absent})``."""
     try:
-        arr = pa.array(sub_vals, type=pa.string())
-        res = pc.extract_regex(arr, pattern=expr.regex_str)
+        res = pc.extract_regex(values, pattern=expr.regex_str)
     except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
-        res = None
-    if res is not None:
-        valid = np.asarray(pc.is_valid(res))
-        if not valid.any():
-            return pending[:0]
-        hit_idx = pending[valid]
-        # convert ONLY the matched rows' capture values to Python
-        sub = res.take(pa.array(np.nonzero(valid)[0]))
-        for g, f, t in expr.captures:
-            col = fields[f]
-            gvals = sub.field(g).to_pylist()
-            for k, v in enumerate(gvals):
-                idx = hit_idx[k]
-                if v is not None and col[idx] is None:
-                    col[idx] = _coerce(v, t)
-        return hit_idx
-    # ---- Python re fallback --------------------------------------------
-    rx = expr.py
-    hits = []
-    for i in pending:
-        v = values[i]
-        if v is None:
-            continue
-        m = _search_with_watchdog(rx, v, watchdog_seconds)
+        return _match_one_re(values, expr, watchdog_seconds)
+    hit = np.asarray(pc.is_valid(res))
+    if not hit.any() or not expr.captures:
+        return hit, {}
+    hit_arr = pa.array(hit)
+    res = res.filter(hit_arr)
+    raw = {g: pc.struct_field(res, g) for g, _, _ in expr.captures}
+    empty = np.zeros(len(res), dtype=bool)
+    for col in raw.values():
+        empty |= np.asarray(pc.fill_null(pc.equal(col, ""), False))
+    if empty.any():
+        # "" from RE2: an empty capture, or a group outside the match
+        absent = {g: np.zeros(len(res), dtype=bool) for g in raw}
+        pos = np.flatnonzero(empty)
+        texts = values.filter(hit_arr).take(pa.array(pos)).to_pylist()
+        for p, text in zip(pos.tolist(), texts):
+            m = _search_with_watchdog(expr.py, text, watchdog_seconds)
+            if m is not None:
+                for g in raw:
+                    if m.group(g) is None:
+                        absent[g][p] = True
+        for g, a in absent.items():
+            if a.any():
+                raw[g] = pc.if_else(pa.array(a), pa.nulls(len(a), pa.string()), raw[g])
+    caps = {}
+    for f, groups in _field_groups(expr).items():
+        if len({t for _, t in groups}) == 1:
+            col = raw[groups[0][0]] if len(groups) == 1 else pc.coalesce(*(raw[g] for g, _ in groups))
+            caps[f] = _coerce_array(col, groups[0][1])
+        else:
+            # one field, differently typed groups: per row, the first
+            # group that captured, with its own type
+            cols = [(raw[g].to_pylist(), t) for g, t in groups]
+            caps[f] = [next((_coerce(c[k], t) for c, t in cols if c[k] is not None), None)
+                       for k in range(len(res))]
+    return hit, caps
+
+
+def _match_one_re(values: pa.Array, expr: GrokExpr, watchdog_seconds: float) -> tuple[np.ndarray, dict]:
+    """Python ``re`` for a pattern RE2 rejects, same result shape as
+    :func:`_match_one`."""
+    groups = _field_groups(expr)
+    hit = np.zeros(len(values), dtype=bool)
+    caps: dict[str, list] = {f: [] for f in groups}
+    for k, text in enumerate(values.to_pylist()):
+        m = _search_with_watchdog(expr.py, text, watchdog_seconds)
         if m is None:
             continue
-        hits.append(i)
-        for g, f, t in expr.captures:
-            v2 = m.group(g)
-            if v2 is not None and fields[f][i] is None:
-                fields[f][i] = _coerce(v2, t)
-    return np.array(hits, dtype=np.int64)
+        hit[k] = True
+        for f, gs in groups.items():
+            caps[f].append(next((_coerce(m.group(g), t) for g, t in gs if m.group(g) is not None), None))
+    return hit, caps
 
 
 def compile_grok_exprs(patterns: list[str], pattern_definitions: dict[str, str] | None = None) -> list[GrokExpr]:
@@ -358,23 +425,19 @@ class GrokKernel(Kernel):
         return sorted({f for e in self.exprs for _, f, _ in e.captures})
 
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        values = string_values(batch, self.field)
-        present = np.array([v is not None for v in values], dtype=bool)
+        present = batch.valid_mask(self.field)
         err = np.zeros(batch.n, dtype=bool)
         if not self.ignore_missing:
             err |= mask & ~present
         active = mask & present
         if active.any():
-            matched, fields, _ = match_patterns(
-                np.where(active, values, None), self.exprs, self.watchdog_seconds
+            rows = np.flatnonzero(active)
+            matched, fields = match_patterns(
+                string_rows(batch, self.field, active), self.exprs, self.watchdog_seconds
             )
-            err |= active & ~matched
-            write = active & matched
-            for f, col in fields.items():
-                has_val = np.array([v is not None for v in col], dtype=bool)
-                m = write & has_val
-                if m.any():
-                    batch.blend(f, col, m)
+            err[rows[~matched]] = True
+            for f, (pos, vals) in fields.items():
+                batch.write_rows(f, rows[pos], vals)
         return err if err.any() else None
 
 
@@ -413,13 +476,10 @@ class RedactKernel(Kernel):
             self.rules.append((expr, f"{self.prefix}{label}{self.suffix}"))
 
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        values = string_values(batch, self.field)
-        present = np.array([v is not None for v in values], dtype=bool)
-        active = mask & present
+        active = mask & batch.valid_mask(self.field)
         if not active.any():
             return None
-        work = np.where(active, values, None)
-        arr = pa.array(work.tolist(), type=pa.string())
+        arr = string_rows(batch, self.field, active)
         for expr, replacement in self.rules:
             try:
                 arr = pc.replace_substring_regex(arr, pattern=expr.regex_str, replacement=replacement)
@@ -429,9 +489,7 @@ class RedactKernel(Kernel):
                 arr = pa.array(
                     [None if v is None else rx.sub(replacement, v) for v in vals], type=pa.string()
                 )
-        out = np.empty(batch.n, dtype=object)
-        out[:] = arr.to_pylist()
-        batch.blend(self.field, out, active)
+        batch.write_rows(self.field, np.flatnonzero(active), arr)
         return None
 
 

@@ -24,7 +24,7 @@ import pyarrow.compute as pc
 
 from ..conditions import _BUILTIN_CALLS, compile_value_expr
 from ..model import ColumnBatch, META_INDEX
-from .base import Kernel, KernelCompileError, register_processor, string_values
+from .base import Kernel, KernelCompileError, register_processor, string_rows
 from .grok import _normalize_field_path
 # module-level (NOT function-level): apply() runs on workers where the
 # by-value-shipped package cannot be imported lazily
@@ -49,19 +49,19 @@ def render_template(template, batch: ColumnBatch, mask: np.ndarray) -> np.ndarra
     parts = _MUSTACHE.split(template)
     # parts = [lit, field, lit, field, ..., lit]
     out = np.empty(batch.n, dtype=object)
-    field_vals = []
-    for j in range(1, len(parts), 2):
-        field_vals.append(batch.get_objects_or_none(_normalize_field_path(parts[j].strip())))
-    idx = np.nonzero(mask)[0]
-    for i in idx:
+    rows = np.flatnonzero(mask)
+    field_vals = [
+        batch.read_rows(_normalize_field_path(parts[j].strip()), mask, stringify=True)[1]
+        for j in range(1, len(parts), 2)
+    ]
+    for k, i in enumerate(rows.tolist()):
         buf = []
         for j, part in enumerate(parts):
             if j % 2 == 0:
                 buf.append(part)
             else:
-                vals = field_vals[j // 2]
-                v = vals[i] if vals is not None else None
-                buf.append("" if v is None else (str(v) if not isinstance(v, bool) else ("true" if v else "false")))
+                v = field_vals[j // 2][k]
+                buf.append("" if v is None else v)
         out[i] = "".join(buf)
     return out
 
@@ -898,45 +898,26 @@ class TranslateKernel(Kernel):
         return [self.target]
 
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        vals = string_values(batch, self.field)
-        arr = pa.array(vals, type=pa.string())
-        present = np.asarray(pc.is_valid(arr))
-        err = np.zeros(batch.n, dtype=bool)
-        if not self.ignore_missing:
-            err |= mask & ~present
-        act = mask & present & ~err
-        if act.any():
-            out = np.empty(batch.n, dtype=object)
-            out[:] = None
-            resolved = np.zeros(batch.n, dtype=bool)
+        present = batch.valid_mask(self.field)
+        err = mask & ~present if not self.ignore_missing else np.zeros(batch.n, dtype=bool)
+        rows = np.flatnonzero(mask & present)
+        if len(rows):
+            arr = string_rows(batch, self.field, mask & present)
             if self.regex:
+                out = pa.nulls(len(arr), pa.string())
                 for pat, val in self.compiled:
-                    m = np.asarray(
-                        pc.match_substring_regex(pc.fill_null(arr, ""), pat)
-                    )
-                    hit = act & m & ~resolved
-                    if hit.any():
-                        out[hit] = val
-                        resolved |= hit
+                    hit = pc.and_(pc.match_substring_regex(arr, pat), pc.is_null(out))
+                    out = pc.if_else(hit, val, out)
             else:
                 # probe once per DISTINCT value: dictionary-encode, map
                 # the (small) dictionary through the table, gather
                 de = arr.dictionary_encode()
-                dict_vals = de.dictionary.to_pylist()
-                mapped = [self.table.get(v) for v in dict_vals]
-                looked_arr = pc.take(pa.array(mapped, type=pa.string()), de.indices)
-                if isinstance(looked_arr, pa.ChunkedArray):
-                    looked_arr = looked_arr.combine_chunks()
-                looked = np.asarray(looked_arr.to_numpy(zero_copy_only=False))
-                hit = act & np.asarray(pc.is_valid(looked_arr))
-                out[hit] = looked[hit]
-                resolved = hit
+                mapped = [self.table.get(v) for v in de.dictionary.to_pylist()]
+                out = pa.array(mapped, type=pa.string()).take(de.indices)
             if self.default is not None:
-                fb = act & ~resolved
-                out[fb] = self.default
-                resolved |= fb
-            if resolved.any():
-                batch.blend(self.target, out, resolved)
+                out = pc.fill_null(out, self.default)
+            resolved = np.asarray(pc.is_valid(out))
+            batch.write_rows(self.target, rows[resolved], out.filter(pa.array(resolved)))
         return err if err.any() else None
 
 

@@ -15,9 +15,11 @@ import json as _json
 import re
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..model import ColumnBatch
-from .base import Kernel, KernelCompileError, register_processor, string_values
+from .base import Kernel, KernelCompileError, register_processor, string_rows, write_results
 from .grok import _normalize_field_path
 
 
@@ -29,7 +31,8 @@ def _per_row(kernel_self, batch, mask, fn):
     """Per-row driver: fn(value) -> dict[field, value] | Exception.
 
     Returns err mask. Shared by kernels whose semantics are inherently
-    per-row; everything stays batch-level above this point.
+    per-row: only the rows ``mask`` selects are read as Python strings,
+    and each output field is written back into those rows only.
 
     A kernel exposing a ``_value_cache`` dict gets input-value
     memoization: real log streams repeat user agents, domains and URLs
@@ -37,51 +40,25 @@ def _per_row(kernel_self, batch, mask, fn):
     worker (None marks "fn raised/returned None" so failures memoize
     too).  Only valid for pure fn(value) kernels.
     """
-    values = string_values(batch, kernel_self.field)
-    present = np.array([v is not None for v in values], dtype=bool)
+    present = batch.valid_mask(kernel_self.field)
     err = np.zeros(batch.n, dtype=bool)
     if not getattr(kernel_self, "ignore_missing", False):
         err |= mask & ~present
-    idx = np.nonzero(mask & present)[0]
-    cols: dict[str, np.ndarray] = {}
-    ok = np.zeros(batch.n, dtype=bool)
+    rows, values = batch.read_rows(kernel_self.field, mask & present, stringify=True)
     cache = getattr(kernel_self, "_value_cache", None)
-    for i in idx:
-        if cache is not None:
-            res = cache.get(values[i], _CACHE_MISS)
-            if res is not _CACHE_MISS:
-                if res is None:
-                    err[i] = True
-                    continue
-                ok[i] = True
-                for f, v in res.items():
-                    if f not in cols:
-                        c = np.empty(batch.n, dtype=object)
-                        c[:] = None
-                        cols[f] = c
-                    cols[f][i] = v
-                continue
-        try:
-            res = fn(values[i])
-        except Exception:
-            res = None
-        if cache is not None and len(cache) < _VALUE_CACHE_CAP:
-            cache[values[i]] = res
-        if res is None:
-            err[i] = True
-            continue
-        ok[i] = True
-        for f, v in res.items():
-            if f not in cols:
-                c = np.empty(batch.n, dtype=object)
-                c[:] = None
-                cols[f] = c
-            cols[f][i] = v
-    for f, c in cols.items():
-        has = np.array([v is not None for v in c], dtype=bool)
-        m = ok & has
-        if m.any():
-            batch.blend(f, c, m)
+    results = []
+    for s in values:
+        res = _CACHE_MISS if cache is None else cache.get(s, _CACHE_MISS)
+        if res is _CACHE_MISS:
+            try:
+                res = fn(s)
+            except Exception:
+                res = None
+            if cache is not None and len(cache) < _VALUE_CACHE_CAP:
+                cache[s] = res
+        results.append(res)
+    err[rows[[r is None for r in results]]] = True
+    write_results(batch, rows, results)
     return err if err.any() else None
 
 
@@ -457,27 +434,22 @@ class ConvertKernel(Kernel):
             if self.ignore_missing:
                 return None
             return mask.copy()
-        vals = batch.objects(self.field)
-        present = np.array([v is not None for v in vals], dtype=bool)
+        present = batch.valid_mask(self.field)
         err = np.zeros(batch.n, dtype=bool)
         if not self.ignore_missing:
             err |= mask & ~present
-        idx = np.nonzero(mask & present)[0]
-        out = np.empty(batch.n, dtype=object)
-        out[:] = None
-        ok = np.zeros(batch.n, dtype=bool)
-        for i in idx:
-            v = vals[i]
+        rows, vals = batch.read_rows(self.field, mask & present)
+        ok_rows, out = [], []
+        for i, v in zip(rows.tolist(), vals):
             try:
                 if isinstance(v, list):
-                    out[i] = [_convert_value(x, self.ctype) for x in v]
+                    out.append([_convert_value(x, self.ctype) for x in v])
                 else:
-                    out[i] = _convert_value(v, self.ctype)
-                ok[i] = True
+                    out.append(_convert_value(v, self.ctype))
+                ok_rows.append(i)
             except (ValueError, TypeError):
                 err[i] = True
-        if ok.any():
-            batch.blend(self.target, out, ok)
+        batch.write_rows(self.target, np.array(ok_rows, dtype=np.int64), out)
         return err if err.any() else None
 
 
@@ -630,11 +602,9 @@ class UriPartsKernel(Kernel):
             ok = mask.copy()
             if err is not None:
                 ok &= ~err
-            if ok.any():
-                # per-document removal (ES semantics), not all-or-nothing
-                import numpy as _np
-
-                batch.blend(self.field, _np.full(batch.n, None, dtype=object), ok)
+            rows = np.flatnonzero(ok)
+            # per-document removal (ES semantics), not all-or-nothing
+            batch.write_rows(self.field, rows, pa.nulls(len(rows), batch.arrow(self.field).type))
         return err
 
 
@@ -694,45 +664,43 @@ class SyslogKernel(Kernel):
         ]
 
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        vals = string_values(batch, self.field)
-        arr = pa.array(vals, type=pa.string())
-        present = np.asarray(pc.is_valid(arr))
+        present = batch.valid_mask(self.field)
+        err = mask & ~present
+        if self.ignore_missing:
+            err[:] = False
+        rows = np.flatnonzero(mask & present)
+        arr = string_rows(batch, self.field, mask & present)
 
         ex5 = pc.extract_regex(arr, SYSLOG_RFC5424_RX)
         ex3 = pc.extract_regex(arr, SYSLOG_RFC3164_RX)
         m5 = np.asarray(pc.is_valid(ex5))
         m3 = np.asarray(pc.is_valid(ex3)) & ~m5
         matched = m5 | m3
-        write = mask & matched
-        if not write.any():
-            err = mask & ~matched
-            if self.ignore_missing:
-                err &= present
+        err[rows[~matched]] = True
+        if not matched.any():
             return err if err.any() else None
 
+        k = len(arr)
         m5a, m3a = pa.array(m5), pa.array(m3)
 
         def pick(name5: str, name3: str | None, *, nil_to_null: bool = False,
                  empty_to_null: bool = False) -> pa.Array:
             v5 = pc.struct_field(ex5, name5)
             v3 = (pc.struct_field(ex3, name3) if name3 is not None
-                  else pa.nulls(batch.n, pa.string()))
-            out = pc.if_else(m5a, v5, pc.if_else(m3a, v3, pa.nulls(batch.n, pa.string())))
+                  else pa.nulls(k, pa.string()))
+            out = pc.if_else(m5a, v5, pc.if_else(m3a, v3, pa.nulls(k, pa.string())))
             if nil_to_null:
-                out = pc.if_else(pc.equal(out, "-"), pa.nulls(batch.n, pa.string()), out)
+                out = pc.if_else(pc.equal(out, "-"), pa.nulls(k, pa.string()), out)
             if empty_to_null:
-                out = pc.if_else(pc.equal(out, ""), pa.nulls(batch.n, pa.string()), out)
-            return out.combine_chunks() if isinstance(out, pa.ChunkedArray) else out
+                out = pc.if_else(pc.equal(out, ""), pa.nulls(k, pa.string()), out)
+            return out
 
         t = self.target
         pri = pick("pri", "pri").cast(pa.int64())
         facility = pc.divide(pri, pa.scalar(8, pa.int64()))  # pri >= 0: trunc == floor
         severity = pc.subtract(pri, pc.multiply(facility, pa.scalar(8, pa.int64())))
         ver5 = pc.struct_field(ex5, "ver").cast(pa.int64())
-        version = pc.if_else(m5a, ver5, pa.nulls(batch.n, pa.int64()))
+        version = pc.if_else(m5a, ver5, pa.nulls(k, pa.int64()))
 
         cols: dict[str, pa.Array] = {
             f"{t}.priority": pri,
@@ -747,14 +715,9 @@ class SyslogKernel(Kernel):
             f"{t}.sd": pick("sd", None, nil_to_null=True),
             f"{t}.message": pick("msg", "msg", empty_to_null=True),
         }
+        hit = pa.array(matched)
         for name, col in cols.items():
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            batch.blend(name, col, write)
-
-        err = mask & ~matched
-        if self.ignore_missing:
-            err &= present
+            batch.write_rows(name, rows[matched], col.filter(hit))
         return err if err.any() else None
 
 
@@ -821,26 +784,21 @@ class CefKernel(Kernel):
         ]
 
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        vals = string_values(batch, self.field)
-        arr = pa.array(vals, type=pa.string())
-        present = np.asarray(pc.is_valid(arr))
-
-        ex = pc.extract_regex(arr, CEF_HEADER_RX)
+        present = batch.valid_mask(self.field)
+        err = mask & ~present
+        if self.ignore_missing:
+            err[:] = False
+        rows = np.flatnonzero(mask & present)
+        ex = pc.extract_regex(string_rows(batch, self.field, mask & present), CEF_HEADER_RX)
         matched = np.asarray(pc.is_valid(ex))
-        write = mask & matched
-        if not write.any():
-            err = mask & ~matched
-            if self.ignore_missing:
-                err &= present
+        err[rows[~matched]] = True
+        if not matched.any():
             return err if err.any() else None
+        ex = ex.filter(pa.array(matched))
 
         def unescape(col: pa.Array) -> pa.Array:
             col = pc.replace_substring(col, pattern="\\|", replacement="|")
-            col = pc.replace_substring(col, pattern="\\\\", replacement="\\")
-            return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+            return pc.replace_substring(col, pattern="\\\\", replacement="\\")
 
         t = self.target
         cols: dict[str, pa.Array] = {
@@ -854,13 +812,7 @@ class CefKernel(Kernel):
             f"{t}.extension": pc.struct_field(ex, "ext"),
         }
         for name, col in cols.items():
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            batch.blend(name, col, write)
-
-        err = mask & ~matched
-        if self.ignore_missing:
-            err &= present
+            batch.write_rows(name, rows[matched], col)
         return err if err.any() else None
 
 

@@ -11,6 +11,16 @@ flight and (optionally) re-nested at the edge — the columnar layout is
 what makes every kernel a batch-level Arrow/numpy operation instead of
 a per-row interpreter.
 
+Columns stay Arrow arrays end to end.  A kernel whose semantics are
+per row (kv, csv, json, dissect, the grok ``re`` fallback, ...) reads
+Python values of only the rows its mask selects
+(:meth:`ColumnBatch.read_rows`) and scatters its results back into
+those rows only (:meth:`ColumnBatch.write_rows`), so the Python cost of
+a step is proportional to the rows it touches, not to the batch.
+Object arrays appear only where a value has no Arrow type (a column
+mixing lists and scalars) or where a kernel that is written per row
+over the whole column still builds one.
+
 Reserved-field sanitization semantics mirror the reference marshaller
 (``IngestDuplexMarshaller.java:237-252, 331-346, 357-377, 395-413,
 456-509``): see :func:`sanitize_reserved_fields`.
@@ -86,13 +96,37 @@ def _objects_to_arrow(arr: np.ndarray) -> pa.Array:
         return pa.array(enc, type=pa.string())
 
 
+def _stringify(v):
+    if v is None or isinstance(v, str):
+        return v
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
+
+
+def _scatter(base: pa.Array, mask: np.ndarray, values: pa.Array) -> pa.Array:
+    """``base`` with the rows ``mask`` selects replaced, in order, by
+    ``values`` (same type).  Nested types, which ``replace_with_mask``
+    has no kernel for, go through one ``take`` over both arrays."""
+    try:
+        return pc.replace_with_mask(base, pa.array(mask), values)
+    except pa.ArrowNotImplementedError:
+        idx = np.arange(len(base), dtype=np.int64)
+        idx[mask] = len(base) + np.arange(len(values), dtype=np.int64)
+        return pa.concat_arrays([base, values]).take(pa.array(idx))
+
+
 class ColumnBatch:
     """Mutable dict-of-columns view over one Arrow batch.
 
-    Columns are stored either as ``pyarrow.Array`` (preferred, zero-copy
-    from the object store) or as numpy object ndarrays (fallback for
-    kernels that need per-row Python values or mixed types).  Conversion
-    happens lazily on access.
+    Columns are stored as ``pyarrow.Array`` (zero-copy from the object
+    store).  Per-row kernels go through the masked pair
+    :meth:`read_rows` / :meth:`write_rows`, which convert and scatter
+    only the selected rows and keep the column Arrow when the written
+    values have an Arrow type.  A numpy object ndarray holds a column
+    only for values Arrow cannot type (mixed lists and scalars) or when
+    a kernel sets a whole object column; it turns back into Arrow
+    lazily on access.
     """
 
     def __init__(self, table: pa.Table | None = None, num_rows: int | None = None):
@@ -160,6 +194,63 @@ class ColumnBatch:
             return np.ones(self.n, dtype=bool)
         return np.asarray(pc.is_valid(v))
 
+    def read_rows(self, name: str, mask: np.ndarray, stringify: bool = False) -> tuple[np.ndarray, list]:
+        """``(row indices, Python values)`` of the rows ``mask`` selects.
+
+        Only those rows are converted to Python.  With ``stringify``
+        non-string values read as strings, the way a string-typed
+        processor sees them: ``true``/``false`` for booleans, ``str(v)``
+        otherwise; nulls stay ``None``."""
+        rows = np.flatnonzero(mask)
+        v = self._cols.get(name)
+        if v is None or len(rows) == 0:
+            return rows, [None] * len(rows)
+        if isinstance(v, np.ndarray):
+            vals = v[rows].tolist()
+        else:
+            cached = self._obj_cache.get(name)
+            vals = cached[rows].tolist() if cached is not None else v.filter(pa.array(mask)).to_pylist()
+            if pa.types.is_string(v.type) or pa.types.is_large_string(v.type):
+                return rows, vals
+        if stringify:
+            vals = [_stringify(x) for x in vals]
+        return rows, vals
+
+    def write_rows(self, name: str, rows: np.ndarray, values) -> None:
+        """Set ``name`` on the ascending row indices ``rows`` to
+        ``values`` (a list or Arrow array, one value per row); every
+        other row keeps its value (null for a new column).
+
+        The values become one Arrow array, scattered with
+        ``pc.replace_with_mask`` when its type is the column's.  When
+        the types differ and the column holds no value outside ``rows``,
+        the column takes the new type.  Otherwise, and for values Arrow
+        cannot type (mixed lists and scalars), the rows are written into
+        an object column whose type is settled once, on output, over
+        the rows that are still there (a dropped row's old value does
+        not decide it)."""
+        if len(rows) == 0:
+            return
+        old = self._cols.get(name)
+        arr = values
+        if not isinstance(arr, pa.Array):
+            try:
+                arr = pa.array(values)
+            except (pa.ArrowInvalid, pa.ArrowTypeError):
+                arr = None
+        mask = np.zeros(self.n, dtype=bool)
+        mask[rows] = True
+        if (isinstance(old, pa.Array) and arr is not None and old.type != arr.type
+                and not np.asarray(pc.is_valid(old))[~mask].any()):
+            old = None  # no value outside ``rows`` to keep
+        if arr is not None and (old is None or (isinstance(old, pa.Array) and old.type == arr.type)):
+            self._store(name, _scatter(pa.nulls(self.n, arr.type) if old is None else old, mask, arr))
+            return
+        out = self.objects(name).copy() if old is not None else np.full(self.n, None, dtype=object)
+        for i, v in zip(rows.tolist(), values.to_pylist() if isinstance(values, pa.Array) else values):
+            out[i] = v
+        self._store(name, out)
+
     # -- mutation -----------------------------------------------------------
     def _store(self, name: str, value) -> None:
         self._cols[name] = value
@@ -195,9 +286,8 @@ class ColumnBatch:
                     arr[:] = [value] * self.n
                     self._store(name, arr)
             return
-        new = np.empty(self.n, dtype=object)
-        new[:] = [value] * self.n
-        self.blend(name, new, mask)
+        rows = np.flatnonzero(mask)
+        self.write_rows(name, rows, [value] * len(rows))
 
     def drop(self, name: str) -> None:
         self._cols.pop(name, None)

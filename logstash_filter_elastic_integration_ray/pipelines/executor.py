@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 
 from ..model import (
@@ -68,9 +69,11 @@ class PipelineState:
     def mark_terminated(self, mask: np.ndarray) -> None:
         self.terminated |= mask
 
-    def mark_reroute(self, mask: np.ndarray, dest: np.ndarray) -> None:
+    def mark_reroute(self, mask: np.ndarray, dest) -> None:
+        """Reroute the masked rows to ``dest``: one index for all of
+        them, or a list of one index per masked row."""
         self.reroute_pending |= mask
-        self.reroute_dest[mask] = dest[mask]
+        self.reroute_dest[mask] = dest
         self.local_done |= mask
 
     def set_failure_messages(self, mask: np.ndarray, messages: np.ndarray) -> None:
@@ -142,6 +145,10 @@ class EventProcessor:
             pipeline_names = self._resolve_template_pipelines(batch)
         else:
             pipeline_names = self._resolve_pipelines(index)
+        # routing runs on int codes into ``names``; -1 is no pipeline
+        codes, uniques = pd.factorize(np.asarray(pipeline_names, dtype=object))
+        names = list(uniques)
+        code_of = {name: c for c, name in enumerate(names)}
         # _resolve_index already prefers an existing __meta_index value
         # and fills nulls from data_stream composition — using the raw
         # column here would lose the composed value for rows whose
@@ -157,13 +164,12 @@ class EventProcessor:
         # the executePipeline completion; bypass/no-op rows complete via
         # the identity path :125-139 and do NOT get it)
         marker = np.zeros(batch.n, dtype=bool)
-        pending = np.array([p is not None for p in pipeline_names], dtype=bool) & ~state.inactive()
+        pending = (codes >= 0) & ~state.inactive()
         while pending.any() and rounds < MAX_REROUTES:
             rounds += 1
-            names = {pipeline_names[i] for i in np.nonzero(pending)[0]}
             round_mask = pending.copy()
-            for name in sorted(names):
-                mask = pending & np.array([p == name for p in pipeline_names], dtype=bool)
+            for name, c in sorted((names[c], c) for c in np.unique(codes[pending])):
+                mask = pending & (codes == c)
                 pipe = self.pipelines.get(name)
                 if pipe is None:
                     self._fail_rows(
@@ -189,8 +195,11 @@ class EventProcessor:
                     hist.add(new_index)
                     cur_index[i] = new_index
                     next_pipe = self._pipeline_for_index(new_index)
-                    pipeline_names[i] = next_pipe
                     if next_pipe is not None:
+                        if next_pipe not in code_of:
+                            code_of[next_pipe] = len(names)
+                            names.append(next_pipe)
+                        codes[i] = code_of[next_pipe]
                         pending[i] = True
                     else:
                         # reroute resolved to no pipeline (or "_none"):
@@ -211,9 +220,8 @@ class EventProcessor:
             state.failed |= pending
 
         # final index column
-        has_index = np.array([v is not None for v in cur_index], dtype=bool)
-        if has_index.any():
-            batch.blend(META_INDEX, cur_index, has_index)
+        has_index = np.flatnonzero(cur_index != None)  # noqa: E711
+        batch.write_rows(META_INDEX, has_index, cur_index[has_index].tolist())
 
         # failed rows: restore originals + tag (EventProcessor.java:176-184, 246-252)
         if state.failed.any():
@@ -299,8 +307,12 @@ class EventProcessor:
             return None
         return name
 
-    def _resolve_pipelines(self, index: np.ndarray) -> list:
-        return [self._pipeline_for_index(ix) for ix in index]
+    def _resolve_pipelines(self, index: np.ndarray) -> np.ndarray:
+        """Pipeline name per row, looked up once per distinct index."""
+        codes, uniques = pd.factorize(index)
+        names = np.array([self._pipeline_for_index(ix) for ix in uniques]
+                         + [self._pipeline_for_index(None)], dtype=object)
+        return names[codes]
 
     _SPRINTF_REF = re.compile(r"%\{([^}]+)\}")
 

@@ -145,3 +145,70 @@ def test_batch_split_invariance_with_routing_and_reroute(seed):
     for i in range(table.num_rows):
         split.extend(table_to_rows(proc(table.slice(i, 1))))
     assert whole == split, f"seed {100 + seed}: routed whole-batch != per-row"
+
+
+def _random_parse_pipeline(rng) -> dict:
+    """Steps drawn from the kernels that read and write masked rows only."""
+    pool = [
+        lambda: {"grok": {"field": "text", "patterns": [r"^%{WORD:g_word}(?: %{INT:g_num:int})?$"],
+                          "if": "ctx.text != null && !ctx.text.contains('=')",
+                          "ignore_failure": bool(rng.integers(0, 2))}},
+        lambda: {"dissect": {"field": "text", "pattern": "%{d_first} %{d_rest}",
+                             "ignore_failure": True}},
+        lambda: {"kv": {"field": "text", "field_split": " ", "value_split": "=",
+                        "if": "ctx.text != null && ctx.text.contains('=')"}},
+        lambda: {"csv": {"field": "text", "target_fields": ["c1", "c2"],
+                         "if": "ctx.text != null && ctx.text.contains(',')"}},
+        lambda: {"json": {"field": "text", "target_field": "j",
+                          "if": "ctx.text != null && ctx.text.startsWith('{')"}},
+        lambda: {"bytes": {"field": "size", "target_field": "size_b", "ignore_missing": True,
+                           "ignore_failure": bool(rng.integers(0, 2))}},
+        lambda: {"convert": {"field": "num", "target_field": "num_i", "type": "integer",
+                             "ignore_missing": True}},
+        lambda: {"reroute": {"if": f"ctx.k == {rng.integers(0, 4)}",
+                             "dataset": ["{{service}}", "fallback"]}},
+    ]
+    n_steps = int(rng.integers(3, 7))
+    return {"processors": [pool[int(rng.integers(0, len(pool)))]() for _ in range(n_steps)]}
+
+
+def _random_parse_rows(rng, n) -> list[dict]:
+    texts = ["foo 12", "foo", "bar 7", "k1=v1 k2=v2", "a,b", "x,y", '{"x": 1}',
+             '{"x": 2, "y": "s"}', "one two three", ""]
+    rows = []
+    for _ in range(n):
+        r = {"k": int(rng.integers(0, 4)), "data_stream.type": "logs",
+             "data_stream.dataset": "test", "data_stream.namespace": "prod"}
+        if rng.integers(0, 8):
+            r["text"] = str(rng.choice(texts))
+        if rng.integers(0, 2):
+            r["size"] = str(rng.choice(["5kb", "12b", "bad", "1.5mb"]))
+        if rng.integers(0, 2):
+            r["num"] = str(rng.choice(["7", "42", "-3"]))
+        if rng.integers(0, 2):
+            r["service"] = str(rng.choice(["billing", "search"]))
+        rows.append(r)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_batch_split_invariance_parse_kernels(seed):
+    # the masked-row kernels, typed: a row's values and their types are
+    # the same whatever rows share its batch
+    rng = np.random.default_rng(200 + seed)
+    defs = {
+        "main": _random_parse_pipeline(rng),
+        "after": {"processors": [{"set": {"field": "after_ran", "value": "y"}}]},
+    }
+    routing = RoutingConfig(index_to_pipeline={
+        "logs-test-prod": "main", "logs-fallback-prod": "after",
+        "logs-billing-prod": "after", "logs-search-prod": "after"})
+    proc = EventProcessor(compile_pipeline_set(defs), routing)
+    table = rows_to_table(_random_parse_rows(rng, 29))
+
+    whole = table_to_rows(proc(table))
+    for size in (1, 7):
+        split = []
+        for start in range(0, table.num_rows, size):
+            split.extend(table_to_rows(proc(table.slice(start, size))))
+        assert whole == split, f"seed {200 + seed}: whole-batch != {size}-row batches"

@@ -294,3 +294,27 @@ def test_unsupported_processor_pipeline_defers_and_tags_events():
 
     with _pytest.raises(Exception):
         compile_pipeline_set(defs)
+
+
+def test_reroute_list_dataset_takes_first_resolving_value():
+    """ES tries a list of dataset values in order: ``{{service}}`` when
+    the row has a ``service``, else the static ``fallback``."""
+    pipelines = compile_pipeline_set({
+        "route": {"processors": [
+            {"reroute": {"dataset": ["{{service}}", "fallback"], "namespace": ["{{env}}", "prod"]}},
+        ]},
+    })
+    routing = RoutingConfig(index_to_pipeline={"logs-generic-default": "route"})
+    rows = [
+        {"id": 1, "service": "billing", "env": "qa"},
+        {"id": 2},
+        {"id": 3, "service": ""},
+    ]
+    for r in rows:
+        r.update({"data_stream.type": "logs", "data_stream.dataset": "generic",
+                  "data_stream.namespace": "default"})
+    out = table_to_rows(EventProcessor(pipelines, routing)(rows_to_table(rows)))
+    assert [r["__meta_index"] for r in out] == [
+        "logs-billing-qa", "logs-fallback-prod", "logs-fallback-prod"]
+    assert [r["data_stream.dataset"] for r in out] == ["billing", "fallback", "fallback"]
+    assert all("tags" not in r for r in out)

@@ -113,16 +113,15 @@ class TestUpstreamCoreBank:
     (public logstash-patterns-core grok-patterns file)."""
 
     def _run(self, pat, line):
-        import numpy as np
+        import pyarrow as pa
 
         from logstash_filter_elastic_integration_ray.functions.grok import (
             compile_grok_exprs, match_patterns,
         )
 
-        matched, fields, _ = match_patterns(
-            np.array([line], dtype=object), compile_grok_exprs([pat]))
-        return bool(matched[0]), {k: v[0] for k, v in fields.items()
-                                  if v[0] not in (None, "")}
+        matched, fields = match_patterns(pa.array([line]), compile_grok_exprs([pat]))
+        values = {k: (v.to_pylist() if isinstance(v, pa.Array) else v)[0] for k, (_, v) in fields.items()}
+        return bool(matched[0]), {k: v for k, v in values.items() if v != ""}
 
     def test_combined_apache_log(self):
         ok, f = self._run(
@@ -178,3 +177,20 @@ class TestUpstreamCoreBank:
 
         for name in GROK_PATTERNS:
             compile_grok_exprs(["%{" + name + "}"])
+
+
+def test_grok_optional_typed_group_absent_and_batch_invariant():
+    """A group outside the match leaves its field absent (RE2 reports
+    it as ""), so a row's typed capture does not depend on which rows
+    share its batch."""
+    pipe = {"processors": [{"grok": {"field": "m", "patterns": [r"^%{WORD:a}(?: %{INT:b:int})?$"]}}]}
+    alone = run_pipeline(pipe, [{"m": "foo 12"}])
+    batched = run_pipeline(pipe, [{"m": "foo"}, {"m": "foo 12"}])
+    assert alone[0]["b"] == 12 and isinstance(alone[0]["b"], int)
+    assert batched[1] == alone[0]
+    assert "b" not in batched[0] and batched[0]["a"] == "foo"
+    # a participating empty capture is still captured
+    empty = run_pipeline(
+        {"processors": [{"grok": {"field": "m", "patterns": [r"^x=(?<v>[a-z]*);$"]}}]},
+        [{"m": "x=;"}])
+    assert empty[0]["v"] == ""
