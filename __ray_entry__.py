@@ -4800,8 +4800,8 @@ def q_append_tags(sf_dir: str):
 
 
 def q_remove_conditional(sf_dir: str):
-    """`remove` (spec:695-725) under a per-row condition — exercises the
-    partial-mask blend path (only tool turns lose the field)."""
+    """`remove` (spec:695-725) under a per-row condition — exercises a
+    null write to the masked rows only (only tool turns lose the field)."""
     pipe = {"processors": [
         {"set": {"field": "tmp", "copy_from": "role"}},
         {"remove": {"field": "tmp", "if": "ctx.role == 'tool'"}},

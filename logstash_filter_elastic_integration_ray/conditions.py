@@ -220,12 +220,9 @@ def _eval_values(node: _Node, batch: ColumnBatch, env: dict | None = None) -> np
         out[:] = node.value
         return out
     if node.kind == "field":
-        vals = batch.get_objects_or_none(node.value)
-        if vals is None:
-            out = np.empty(batch.n, dtype=object)
-            out[:] = None
-            return out
-        return vals
+        if batch.has(node.value):
+            return batch.objects(node.value)
+        return np.full(batch.n, None, dtype=object)
     if node.kind == "var":
         if env is not None and node.value in env:
             return env[node.value]
@@ -294,6 +291,7 @@ def _eval_values(node: _Node, batch: ColumnBatch, env: dict | None = None) -> np
             # consistent with the vectorized fast path for literal keys
             recv_field = node.children[0].value
             keys = args[0]
+            present: dict[str, np.ndarray] = {}  # key path -> rows where it is set
             out = np.empty(batch.n, dtype=object)
             for i in range(batch.n):
                 k = keys[i]
@@ -304,13 +302,12 @@ def _eval_values(node: _Node, batch: ColumnBatch, env: dict | None = None) -> np
                     out[i] = False
                     continue
                 path = f"{recv_field}.{k}" if recv_field else str(k)
-                present = batch.has(path) and batch.objects(path)[i] is not None
-                if not present:
+                if path not in present:
+                    m = batch.valid_mask(path)
                     for c in batch.children(path):
-                        if batch.objects(c)[i] is not None:
-                            present = True
-                            break
-                out[i] = present
+                        m = m | batch.valid_mask(c)
+                    present[path] = m
+                out[i] = bool(present[path][i])
             return out
         out = np.empty(batch.n, dtype=object)
         for i in range(batch.n):

@@ -73,22 +73,6 @@ def build_kernel(ptype: str, config: dict) -> Kernel:
 # shared helpers
 # --------------------------------------------------------------------------
 
-def cfg_field(config: dict, key: str = "field", required: bool = True) -> str | None:
-    v = config.get(key)
-    if v is None and required:
-        raise KernelCompileError(f"missing required config [{key}]")
-    return v
-
-
-def masked_indices(mask: np.ndarray) -> np.ndarray:
-    return np.nonzero(mask)[0]
-
-
-def missing_field_mask(batch: ColumnBatch, field: str, mask: np.ndarray) -> np.ndarray:
-    """Rows (within mask) where ``field`` is absent/null."""
-    return mask & ~batch.valid_mask(field)
-
-
 def string_rows(batch: ColumnBatch, field: str, mask: np.ndarray) -> pa.Array:
     """The rows ``mask`` selects of ``field`` as an Arrow string array
     (non-strings read as :meth:`ColumnBatch.read_rows` stringifies
@@ -117,3 +101,40 @@ def write_results(batch: ColumnBatch, rows: np.ndarray, results: list) -> None:
             batch.write_rows(f, rows[keep], [v for v in col if v is not None])
         else:
             batch.write_rows(f, rows, col)
+
+
+def map_rows(batch: ColumnBatch, field: str, target: str, mask: np.ndarray, fn,
+             ignore_missing: bool = False, arrow_fn=None) -> np.ndarray | None:
+    """The one-field per-row kernel: write ``fn(value)`` of ``field`` to
+    ``target`` on each row ``mask`` selects.  A row where ``fn`` raises
+    ``TypeError``, ``ValueError`` or ``AttributeError`` fails and
+    writes nothing; so does a row where ``field`` is null, unless
+    ``ignore_missing`` (then it is skipped).  ``arrow_fn``, when the
+    field is an Arrow string column, maps the selected rows in Arrow
+    instead (an Arrow error falls back to ``fn``).  Returns the error
+    mask, or None."""
+    valid = batch.valid_mask(field)
+    err = np.zeros(batch.n, dtype=bool) if ignore_missing else mask & ~valid
+    active = mask & valid
+    if not active.any():
+        return err if err.any() else None
+    col = batch._cols.get(field)
+    if arrow_fn is not None and isinstance(col, pa.Array) and pa.types.is_string(col.type):
+        try:
+            new = arrow_fn(col.filter(pa.array(active)))
+        except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
+            new = None  # e.g. a pattern RE2 cannot compile
+        if new is not None:
+            batch.write_rows(target, np.flatnonzero(active), new)
+            return err if err.any() else None
+    rows, vals = batch.read_rows(field, active)
+    ok = np.ones(len(rows), dtype=bool)
+    out = []
+    for j, v in enumerate(vals):
+        try:
+            out.append(fn(v))
+        except (TypeError, ValueError, AttributeError):
+            ok[j] = False
+    err[rows[~ok]] = True
+    batch.write_rows(target, rows[ok], out)
+    return err if err.any() else None

@@ -79,10 +79,7 @@ class FailKernel(Kernel):
 
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
         rendered = render_template(self.message, batch, mask)
-        if rendered is not None:
-            state.set_failure_messages(mask, rendered)
-        else:
-            state.set_failure_messages(mask, np.full(batch.n, str(self.message), dtype=object))
+        state.set_failure_messages(mask, str(self.message) if rendered is None else rendered)
         return mask.copy()  # every masked row "raises"
 
 
@@ -142,7 +139,7 @@ class RerouteKernel(Kernel):
             if rendered is None:
                 cands.append(pa.scalar(str(t)))
                 break
-            vals = pa.array(rendered[mask].tolist(), type=pa.string())
+            vals = pa.array(rendered, type=pa.string())
             cands.append(pc.if_else(pc.equal(vals, ""), pa.nulls(k, pa.string()), vals))
         else:
             if batch.has(field):
@@ -153,7 +150,7 @@ class RerouteKernel(Kernel):
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
         if self.destination is not None:
             rendered = render_template(self.destination, batch, mask)
-            dest = rendered[mask].tolist() if rendered is not None else str(self.destination)
+            dest = rendered if rendered is not None else str(self.destination)
             state.mark_reroute(mask, dest)
             return None
         rows = np.flatnonzero(mask)

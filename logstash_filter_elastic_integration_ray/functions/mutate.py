@@ -24,7 +24,7 @@ import pyarrow.compute as pc
 
 from ..conditions import _BUILTIN_CALLS, compile_value_expr
 from ..model import ColumnBatch, META_INDEX
-from .base import Kernel, KernelCompileError, register_processor, string_rows
+from .base import Kernel, KernelCompileError, map_rows, register_processor, string_rows
 from .grok import _normalize_field_path
 # module-level (NOT function-level): apply() runs on workers where the
 # by-value-shipped package cannot be imported lazily
@@ -40,29 +40,25 @@ from .painless import (
 _MUSTACHE = re.compile(r"\{\{\{?([^}]+?)\}?\}\}")
 
 
-def render_template(template, batch: ColumnBatch, mask: np.ndarray) -> np.ndarray | None:
+def render_template(template, batch: ColumnBatch, mask: np.ndarray) -> list | None:
     """Render a mustache-ish template (``{{field}}`` / ``{{{field}}}``)
-    per row.  Returns None if the template is a plain literal (caller
-    can use the scalar fast path)."""
-    if not isinstance(template, str) or "{{" not in template:
+    on the rows ``mask`` selects: one string per row, in row order.
+    Returns None if the template is a plain literal (caller can use the
+    scalar fast path)."""
+    parts = _MUSTACHE.split(template) if isinstance(template, str) else []
+    if len(parts) < 2:
         return None
-    parts = _MUSTACHE.split(template)
     # parts = [lit, field, lit, field, ..., lit]
-    out = np.empty(batch.n, dtype=object)
-    rows = np.flatnonzero(mask)
     field_vals = [
         batch.read_rows(_normalize_field_path(parts[j].strip()), mask, stringify=True)[1]
         for j in range(1, len(parts), 2)
     ]
-    for k, i in enumerate(rows.tolist()):
-        buf = []
-        for j, part in enumerate(parts):
-            if j % 2 == 0:
-                buf.append(part)
-            else:
-                v = field_vals[j // 2][k]
-                buf.append("" if v is None else v)
-        out[i] = "".join(buf)
+    out = []
+    for vals in zip(*field_vals):
+        buf = [parts[0]]
+        for v, lit in zip(vals, parts[2::2]):
+            buf += ("" if v is None else v, lit)
+        out.append("".join(buf))
     return out
 
 
@@ -98,37 +94,35 @@ class SetKernel(Kernel):
             if not m.any():
                 return None
         if self.copy_from is not None:
-            src = batch.get_objects_or_none(_resolve_field(self.copy_from))
+            src = _resolve_field(self.copy_from)
             # ES applies ignore_empty_value to copy_from too: quietly
             # exit on a missing/null/empty source; without it a null
             # source is a per-row error (never copied silently)
-            if src is None:
+            if not batch.has(src):
                 return None if self.ignore_empty_value else m.copy()
-            empty = np.array(
-                [v is None or v == "" or (isinstance(v, list) and not v) for v in src],
-                dtype=bool,
-            )
+            rows, vals = batch.read_rows(src, m)
             if self.ignore_empty_value:
-                m = m & ~empty
-                if not m.any():
-                    return None
+                keep = [not (v is None or v == "" or (isinstance(v, list) and not v)) for v in vals]
             else:
-                bad = m & np.array([v is None for v in src], dtype=bool)
-                if bad.any():
-                    batch.blend(self.field, src.copy(), m & ~bad)
-                    return bad
-            batch.blend(self.field, src.copy(), m)
-            return None
+                keep = [v is not None for v in vals]
+            keep = np.array(keep, dtype=bool)
+            batch.write_rows(self.field, rows[keep], [v for v, k in zip(vals, keep) if k])
+            if self.ignore_empty_value or keep.all():
+                return None
+            err = np.zeros(batch.n, dtype=bool)
+            err[rows[~keep]] = True
+            return err
         rendered = render_template(self.value, batch, m)
         if rendered is None:
             if self.ignore_empty_value and (self.value is None or self.value == ""):
                 return None
             batch.set_scalar(self.field, self.value, m)
-        else:
-            if self.ignore_empty_value:
-                nonempty = np.array([bool(v) for v in rendered], dtype=bool)
-                m = m & nonempty
-            batch.blend(self.field, rendered, m)
+            return None
+        rows = np.flatnonzero(m)
+        if self.ignore_empty_value:
+            rows = rows[np.array([bool(v) for v in rendered], dtype=bool)]
+            rendered = [v for v in rendered if v]
+        batch.write_rows(self.field, rows, rendered)
         return None
 
 
@@ -153,24 +147,16 @@ class AppendKernel(Kernel):
 
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
         rendered_cols = [render_template(v, batch, mask) for v in self.values]
-        cur = batch.get_objects_or_none(self.field)
-        out = np.empty(batch.n, dtype=object)
-        out[:] = None
-        idx = np.nonzero(mask)[0]
-        for i in idx:
-            base = cur[i] if cur is not None else None
-            if base is None:
-                lst = []
-            elif isinstance(base, list):
-                lst = list(base)
-            else:
-                lst = [base]
-            for j, v in enumerate(self.values):
-                val = rendered_cols[j][i] if rendered_cols[j] is not None else v
+        rows, cur = batch.read_rows(self.field, mask)
+        out = []
+        for j, base in enumerate(cur):
+            lst = [] if base is None else list(base) if isinstance(base, list) else [base]
+            for v, rendered in zip(self.values, rendered_cols):
+                val = v if rendered is None else rendered[j]
                 if self.allow_duplicates or val not in lst:
                     lst.append(val)
-            out[i] = lst
-        batch.blend(self.field, out, mask)
+            out.append(lst)
+        batch.write_rows(self.field, rows, out)
         return None
 
 
@@ -200,7 +186,7 @@ class RemoveKernel(Kernel):
             if bool(mask.all()) and not err.any():
                 batch.drop(f)
             elif hit.any():
-                batch.blend(f, np.full(batch.n, None, dtype=object), hit)
+                batch.write_rows(f, np.flatnonzero(hit), pa.nulls(int(hit.sum())))
         return err if err.any() else None
 
 
@@ -231,11 +217,12 @@ class RenameKernel(Kernel):
         err |= mask & valid & batch.valid_mask(self.target)
         move = mask & valid & ~err
         if move.any():
-            src = batch.objects(self.field)
-            batch.blend(self.target, src.copy(), move)
-            batch.blend(self.field, np.full(batch.n, None, dtype=object), move)
+            rows, vals = batch.read_rows(self.field, move)
+            batch.write_rows(self.target, rows, vals)
             if bool(mask.all()) and not err.any():
                 batch.drop(self.field)
+            else:
+                batch.write_rows(self.field, rows, pa.nulls(len(rows)))
         return err if err.any() else None
 
 
@@ -263,32 +250,10 @@ class _StringOpKernel(Kernel):
         return [self.target]
 
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        valid = batch.valid_mask(self.field)
-        err = np.zeros(batch.n, dtype=bool)
-        if not self.ignore_missing:
-            err |= mask & ~valid
-        active = mask & valid
-        if not active.any():
-            return err if err.any() else None
-        col = batch._cols.get(self.field)
-        if isinstance(col, pa.Array) and pa.types.is_string(col.type):
-            new = self._pc(col)
-            batch.blend(self.target, new, active)
-            return err if err.any() else None
-        vals = batch.objects(self.field)
-        out = np.empty(batch.n, dtype=object)
-        out[:] = None
         fn = self._py
-        for i in np.nonzero(active)[0]:
-            v = vals[i]
-            try:
-                out[i] = [fn(x) for x in v] if isinstance(v, list) else fn(v)
-            except (TypeError, AttributeError):
-                err[i] = True
-        ok = active & ~err
-        if ok.any():
-            batch.blend(self.target, out, ok)
-        return err if err.any() else None
+        return map_rows(batch, self.field, self.target, mask,
+                        lambda v: [fn(x) for x in v] if isinstance(v, list) else fn(v),
+                        self.ignore_missing, self._pc)
 
 
 @register_processor("uppercase")
@@ -331,37 +296,17 @@ class GsubKernel(Kernel):
     def output_fields(self) -> list[str]:
         return [self.target]
 
+    def _sub(self, v):
+        if isinstance(v, list):
+            return [self.rx.sub(self.replacement, str(x)) for x in v]
+        if isinstance(v, str):
+            return self.rx.sub(self.replacement, v)
+        raise TypeError(f"gsub: cannot replace in {type(v).__name__}")
+
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        valid = batch.valid_mask(self.field)
-        err = np.zeros(batch.n, dtype=bool)
-        if not self.ignore_missing:
-            err |= mask & ~valid
-        active = mask & valid
-        if not active.any():
-            return err if err.any() else None
-        col = batch._cols.get(self.field)
-        if isinstance(col, pa.Array) and pa.types.is_string(col.type):
-            try:
-                new = pc.replace_substring_regex(col, pattern=self.pattern, replacement=self.replacement)
-                batch.blend(self.target, new, active)
-                return err if err.any() else None
-            except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
-                pass  # non-RE2 pattern → python path
-        vals = batch.objects(self.field)
-        out = np.empty(batch.n, dtype=object)
-        out[:] = None
-        for i in np.nonzero(active)[0]:
-            v = vals[i]
-            if isinstance(v, list):
-                out[i] = [self.rx.sub(self.replacement, str(x)) for x in v]
-            elif isinstance(v, str):
-                out[i] = self.rx.sub(self.replacement, v)
-            else:
-                err[i] = True
-        ok = active & ~err
-        if ok.any():
-            batch.blend(self.target, out, ok)
-        return err if err.any() else None
+        return map_rows(batch, self.field, self.target, mask, self._sub, self.ignore_missing,
+                        lambda col: pc.replace_substring_regex(
+                            col, pattern=self.pattern, replacement=self.replacement))
 
 
 @register_processor("gsub")
@@ -389,29 +334,17 @@ class SplitKernel(Kernel):
     def output_fields(self) -> list[str]:
         return [self.target]
 
+    def _split(self, v):
+        if not isinstance(v, str):
+            raise TypeError(f"split: not a string: {type(v).__name__}")
+        parts = self.sep.split(v)
+        if not self.preserve_trailing:
+            while parts and parts[-1] == "":
+                parts.pop()
+        return parts
+
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        valid = batch.valid_mask(self.field)
-        err = np.zeros(batch.n, dtype=bool)
-        if not self.ignore_missing:
-            err |= mask & ~valid
-        active = mask & valid
-        vals = batch.objects(self.field) if batch.has(self.field) else None
-        out = np.empty(batch.n, dtype=object)
-        out[:] = None
-        for i in np.nonzero(active)[0]:
-            v = vals[i]
-            if not isinstance(v, str):
-                err[i] = True
-                continue
-            parts = self.sep.split(v)
-            if not self.preserve_trailing:
-                while parts and parts[-1] == "":
-                    parts.pop()
-            out[i] = parts
-        ok = active & ~err
-        if ok.any():
-            batch.blend(self.target, out, ok)
-        return err if err.any() else None
+        return map_rows(batch, self.field, self.target, mask, self._split, self.ignore_missing)
 
 
 @register_processor("split")
@@ -432,23 +365,13 @@ class JoinKernel(Kernel):
     def output_fields(self) -> list[str]:
         return [self.target]
 
+    def _join(self, v):
+        if not isinstance(v, list):
+            raise TypeError(f"join: not a list: {type(v).__name__}")
+        return self.sep.join(str(x) for x in v)
+
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        valid = batch.valid_mask(self.field)
-        err = mask & ~valid
-        vals = batch.objects(self.field) if batch.has(self.field) else None
-        out = np.empty(batch.n, dtype=object)
-        out[:] = None
-        active = mask & valid
-        for i in np.nonzero(active)[0]:
-            v = vals[i]
-            if not isinstance(v, list):
-                err[i] = True
-                continue
-            out[i] = self.sep.join(str(x) for x in v)
-        ok = active & ~err
-        if ok.any():
-            batch.blend(self.target, out, ok)
-        return err if err.any() else None
+        return map_rows(batch, self.field, self.target, mask, self._join)
 
 
 @register_processor("join")
@@ -472,26 +395,13 @@ class SortKernel(Kernel):
         self.desc = order == "desc"
         self.target = _resolve_field(config.get("target_field") or "") or self.field
 
+    def _sort(self, v):
+        if not isinstance(v, list):
+            raise TypeError(f"sort: not a list: {type(v).__name__}")
+        return sorted(v, reverse=self.desc)
+
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        valid = batch.valid_mask(self.field)
-        err = mask & ~valid
-        vals = batch.objects(self.field) if batch.has(self.field) else None
-        out = np.empty(batch.n, dtype=object)
-        out[:] = None
-        active = mask & valid
-        for i in np.nonzero(active)[0]:
-            v = vals[i]
-            if not isinstance(v, list):
-                err[i] = True
-                continue
-            try:
-                out[i] = sorted(v, reverse=self.desc)
-            except TypeError:
-                err[i] = True
-        ok = active & ~err
-        if ok.any():
-            batch.blend(self.target, out, ok)
-        return err if err.any() else None
+        return map_rows(batch, self.field, self.target, mask, self._sort)
 
 
 @register_processor("sort")
@@ -586,26 +496,26 @@ class FingerprintKernel(Kernel):
         return [self.target]
 
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        cols = [batch.get_objects_or_none(f) for f in self.fields]
+        rows = np.flatnonzero(mask)
+        # per field: its values, and those of its dotted children (a
+        # nested map field stored as dotted columns)
+        cols = [(batch.read_rows(f, mask)[1],
+                 [(c[len(f) + 1:], batch.read_rows(c, mask)[1]) for c in batch.children(f)])
+                for f in self.fields]
         err = np.zeros(batch.n, dtype=bool)
-        out = np.empty(batch.n, dtype=object)
-        out[:] = None
-        for i in np.nonzero(mask)[0]:
+        ok_rows, out = [], []
+        for j, i in enumerate(rows.tolist()):
             h = self.hasher()
             if self.salt:
                 h.update(str(self.salt).encode())
             any_field = False
-            for f, c in zip(self.fields, cols):
-                v = c[i] if c is not None else None
+            for vals, children in cols:
+                v = vals[j]
                 if v is None:
-                    # nested map field stored as dotted columns?
-                    children = batch.children(f)
-                    if children:
-                        v = {child[len(f) + 1:]: batch.objects(child)[i] for child in children}
-                    else:
-                        if not self.ignore_missing:
-                            err[i] = True
+                    if not children:
+                        err[i] |= not self.ignore_missing
                         continue
+                    v = {name: cvals[j] for name, cvals in children}
                 any_field = True
                 _fp_traverse(h, v)
             if not any_field and not self.ignore_missing:
@@ -613,10 +523,9 @@ class FingerprintKernel(Kernel):
             if err[i] or not any_field:
                 continue
             digest = h.digest()
-            out[i] = digest.hex() if self.encoding == "hex" else base64.b64encode(digest).decode()
-        ok = mask & ~err
-        if ok.any():
-            batch.blend(self.target, out, ok)
+            ok_rows.append(i)
+            out.append(digest.hex() if self.encoding == "hex" else base64.b64encode(digest).decode())
+        batch.write_rows(self.target, np.array(ok_rows, dtype=np.int64), out)
         return err if err.any() else None
 
 
@@ -644,31 +553,17 @@ class ForeachKernel(Kernel):
         self.ignore_missing = bool(config.get("ignore_missing", False))
 
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        valid = batch.valid_mask(self.field)
-        err = np.zeros(batch.n, dtype=bool)
-        if not self.ignore_missing:
-            err |= mask & ~valid
-        vals = batch.objects(self.field) if batch.has(self.field) else None
-        out = np.empty(batch.n, dtype=object)
-        out[:] = None
-        active = mask & valid
-        for i in np.nonzero(active)[0]:
-            v = vals[i]
+        def each(v):
             if not isinstance(v, list):
-                err[i] = True
-                continue
+                raise TypeError(f"foreach: not a list: {type(v).__name__}")
             sub_batch = ColumnBatch(num_rows=len(v))
             sub_batch.set("_ingest._value", list(v))
-            sub_mask = np.ones(len(v), dtype=bool)
-            sub_err = self.sub.apply(sub_batch, sub_mask, state)
+            sub_err = self.sub.apply(sub_batch, np.ones(len(v), dtype=bool), state)
             if sub_err is not None and sub_err.any():
-                err[i] = True
-                continue
-            out[i] = list(sub_batch.objects("_ingest._value"))
-        ok = active & ~err
-        if ok.any():
-            batch.blend(self.field, out, ok)
-        return err if err.any() else None
+                raise ValueError("foreach: the processor failed on an element")
+            return list(sub_batch.objects("_ingest._value"))
+
+        return map_rows(batch, self.field, self.field, mask, each, self.ignore_missing)
 
 
 @register_processor("foreach")
@@ -809,35 +704,33 @@ class ScriptKernel(Kernel):
         if self.interp is not None:
             return self._apply_interpreted(batch, mask)
         env: dict[str, np.ndarray] = {}
+        rows = np.flatnonzero(mask)
         for kind, name, expr in self.statements:
             vals = expr.evaluate(batch, env)
             if kind == "local":
                 env[name] = vals
             else:
-                batch.blend(name, vals, mask)
+                batch.write_rows(name, rows, vals[rows].tolist())
         return None
 
     def _apply_interpreted(self, batch: ColumnBatch, mask: np.ndarray) -> np.ndarray | None:
         cols = LazyColumns(batch)  # convert only the columns the script touches
         err = np.zeros(batch.n, dtype=bool)
-        write_cols: dict[str, np.ndarray] = {}
-        write_masks: dict[str, np.ndarray] = {}
+        writes: dict[str, tuple[list, list]] = {}  # path -> (rows, values)
         base_env = {"params": self.params}
-        for i in np.nonzero(mask)[0]:
-            rc = RowCtx(cols, int(i), _resolve_field)
+        for i in np.flatnonzero(mask).tolist():
+            rc = RowCtx(cols, i, _resolve_field)
             try:
                 self.interp.run_row(rc, base_env)
             except Exception:
                 err[i] = True
                 continue
             for path, v in rc.writes.items():
-                if path not in write_cols:
-                    write_cols[path] = np.full(batch.n, None, dtype=object)
-                    write_masks[path] = np.zeros(batch.n, dtype=bool)
-                write_cols[path][i] = v
-                write_masks[path][i] = True
-        for path, colv in write_cols.items():
-            batch.blend(path, colv, write_masks[path])
+                rows, vals = writes.setdefault(path, ([], []))
+                rows.append(i)
+                vals.append(v)
+        for path, (rows, vals) in writes.items():
+            batch.write_rows(path, np.array(rows, dtype=np.int64), vals)
         return err if err.any() else None
 
 

@@ -230,14 +230,11 @@ class NetworkDirectionKernel(Kernel):
         return any(addr in n for n in self.networks)
 
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        src = batch.get_objects_or_none(self.source_ip)
-        dst = batch.get_objects_or_none(self.dest_ip)
+        rows, src = batch.read_rows(self.source_ip, mask)
+        dst = batch.read_rows(self.dest_ip, mask)[1]
         err = np.zeros(batch.n, dtype=bool)
-        out = np.empty(batch.n, dtype=object)
-        out[:] = None
-        for i in np.nonzero(mask)[0]:
-            s = src[i] if src is not None else None
-            d = dst[i] if dst is not None else None
+        ok_rows, out = [], []
+        for i, s, d in zip(rows.tolist(), src, dst):
             if s is None or d is None:
                 if not self.ignore_missing:
                     err[i] = True
@@ -247,10 +244,9 @@ class NetworkDirectionKernel(Kernel):
             except ValueError:
                 err[i] = True
                 continue
-            out[i] = "internal" if (si and di) else "inbound" if di else "outbound" if si else "external"
-        ok = mask & ~err & np.array([v is not None for v in out], dtype=bool)
-        if ok.any():
-            batch.blend(self.target, out, ok)
+            ok_rows.append(i)
+            out.append("internal" if (si and di) else "inbound" if di else "outbound" if si else "external")
+        batch.write_rows(self.target, np.array(ok_rows, dtype=np.int64), out)
         return err if err.any() else None
 
 
@@ -302,28 +298,24 @@ class CommunityIdKernel(Kernel):
         return [self.target]
 
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        cols = {
-            name: batch.get_objects_or_none(name)
-            for name in (self.source_ip, self.source_port, self.dest_ip, self.dest_port, self.transport, self.iana_number)
-        }
+        rows = np.flatnonzero(mask)
+        fields = (self.source_ip, self.source_port, self.dest_ip, self.dest_port, self.transport, self.iana_number)
         err = np.zeros(batch.n, dtype=bool)
-        out = np.empty(batch.n, dtype=object)
-        out[:] = None
-        for i in np.nonzero(mask)[0]:
-            v = lambda name: (cols[name][i] if cols[name] is not None else None)
-            transport = v(self.transport) or v(self.iana_number)
-            s, d = v(self.source_ip), v(self.dest_ip)
+        ok_rows, out = [], []
+        for i, s, sport, d, dport, transport, iana in zip(
+                rows.tolist(), *(batch.read_rows(f, mask)[1] for f in fields)):
+            transport = transport or iana
             if s is None or d is None or transport is None:
                 if not self.ignore_missing:
                     err[i] = True
                 continue
             try:
-                out[i] = community_id(s, v(self.source_port), d, v(self.dest_port), transport, self.seed)
+                out.append(community_id(s, sport, d, dport, transport, self.seed))
             except (ValueError, OSError):
                 err[i] = True
-        ok = mask & np.array([v is not None for v in out], dtype=bool)
-        if ok.any():
-            batch.blend(self.target, out, ok)
+                continue
+            ok_rows.append(i)
+        batch.write_rows(self.target, np.array(ok_rows, dtype=np.int64), out)
         return err if err.any() else None
 
 

@@ -11,7 +11,7 @@ SmokeTest.java:240-265, spec:754-810).
 Execution model: the script compiles ONCE (per worker) to a statement
 AST; rows that reach the processor are interpreted one at a time
 against a row view of the columnar batch (reads resolve dotted column
-paths, writes are collected and blended back column-wise).  This is
+paths, writes are collected and written back column-wise).  This is
 deliberately the slow per-row path — scripts with loops are inherently
 per-row — while everything else in the engine stays vectorized.
 
@@ -889,7 +889,7 @@ class RowCtx:
     Container values (lists/dicts) read from a column are DEEP-COPIED
     and registered as pending writes: painless mutates them in place
     (``ctx.tags.add('x')``) and the mutation must (a) persist into the
-    output via the normal blend path and (b) never touch the shared
+    output via the normal write path and (b) never touch the shared
     column arrays, or the executor's failure-isolation snapshot would
     emit "unmodified" failed rows with the mutation applied."""
 
@@ -1074,7 +1074,7 @@ _CTX_RECURSE = _CTX_REJECT + (_JavaSet, _JavaStringBuilder, list, dict, tuple)
 
 
 def _sanitize_ctx_value(value, depth: int = 0):
-    """Make a script value safe to blend into Arrow output columns:
+    """Make a script value safe to write into Arrow output columns:
     Java sets become plain lists; function/stream/entry values (at any
     nesting level) fail the row loudly instead of leaking Python object
     reprs into the data."""

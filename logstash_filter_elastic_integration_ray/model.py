@@ -12,14 +12,21 @@ what makes every kernel a batch-level Arrow/numpy operation instead of
 a per-row interpreter.
 
 Columns stay Arrow arrays end to end.  A kernel whose semantics are
-per row (kv, csv, json, dissect, the grok ``re`` fallback, ...) reads
-Python values of only the rows its mask selects
-(:meth:`ColumnBatch.read_rows`) and scatters its results back into
-those rows only (:meth:`ColumnBatch.write_rows`), so the Python cost of
-a step is proportional to the rows it touches, not to the batch.
-Object arrays appear only where a value has no Arrow type (a column
-mixing lists and scalars) or where a kernel that is written per row
-over the whole column still builds one.
+per row (kv, csv, json, dissect, split, fingerprint, ...) reads Python
+values of only the rows its mask selects
+(:meth:`ColumnBatch.read_rows`), or filters the Arrow column to them,
+so the Python cost of a step is proportional to the rows it touches,
+not to the batch.
+
+There is one write rule: every write to part of a column goes through
+:meth:`ColumnBatch.write_rows`, which scatters one value per selected
+row and leaves the other rows as they were.  Written values that share
+the column's Arrow type are scattered in Arrow; nulls take the
+column's type (a new column of nulls only is ``pa.nulls``); values of
+another type replace the column's type when no other row holds a
+value, and otherwise make an object column that is typed once, on
+output.  Object arrays appear only there, where a batch mixes values
+Arrow cannot type together.
 
 Reserved-field sanitization semantics mirror the reference marshaller
 (``IngestDuplexMarshaller.java:237-252, 331-346, 357-377, 395-413,
@@ -58,20 +65,6 @@ QUARANTINE = {
     RESERVED_METADATA: "_@metadata",
     TAGS: "_tags",
 }
-
-
-def _to_numpy_objects(arr) -> np.ndarray:
-    if isinstance(arr, np.ndarray):
-        if arr.dtype == object:
-            return arr
-        return arr.astype(object)
-    if isinstance(arr, (pa.Array, pa.ChunkedArray)):
-        out = np.empty(len(arr), dtype=object)
-        out[:] = arr.to_pylist()
-        return out
-    out = np.empty(len(arr), dtype=object)
-    out[:] = list(arr)
-    return out
 
 
 def _objects_to_arrow(arr: np.ndarray) -> pa.Array:
@@ -120,22 +113,18 @@ class ColumnBatch:
     """Mutable dict-of-columns view over one Arrow batch.
 
     Columns are stored as ``pyarrow.Array`` (zero-copy from the object
-    store).  Per-row kernels go through the masked pair
-    :meth:`read_rows` / :meth:`write_rows`, which convert and scatter
-    only the selected rows and keep the column Arrow when the written
-    values have an Arrow type.  A numpy object ndarray holds a column
-    only for values Arrow cannot type (mixed lists and scalars) or when
-    a kernel sets a whole object column; it turns back into Arrow
-    lazily on access.
+    store).  Every write to part of a column is one call of
+    :meth:`write_rows`, which sets the selected rows and keeps the
+    others; a null write keeps the column's type.  A kernel reads the
+    rows it writes with :meth:`read_rows`; both touch only the selected
+    rows.  A numpy object ndarray holds a column only for values Arrow
+    cannot type in one batch (mixed lists and scalars) or when a caller
+    sets a whole object column; it is typed once, by :meth:`arrow` or
+    on output.
     """
 
     def __init__(self, table: pa.Table | None = None, num_rows: int | None = None):
         self._cols: dict[str, object] = {}
-        # derived Python-object views of Arrow columns (``objects()``):
-        # kept ALONGSIDE the Arrow array, not replacing it, so a per-row
-        # kernel touching a column doesn't demote later vectorized
-        # conditions/kernels on the same column to Python loops.
-        self._obj_cache: dict[str, np.ndarray] = {}
         if table is not None:
             # flatten Arrow struct columns into dotted paths so nested
             # parquet documents (the natural shape for ES-style docs)
@@ -166,23 +155,18 @@ class ColumnBatch:
         if isinstance(v, np.ndarray):
             v = _objects_to_arrow(v)
             self._cols[name] = v
-            self._obj_cache.pop(name, None)
         return v
 
     def objects(self, name: str) -> np.ndarray:
-        """Column as numpy object array (derived view; treat as
-        read-only — write back via ``set``/``blend``)."""
+        """The whole column as a numpy object array, for callers that
+        read every row (conditions, the painless interpreter).  Treat it
+        as read-only; write back with :meth:`write_rows`."""
         v = self._cols[name]
         if isinstance(v, np.ndarray):
             return v
-        cached = self._obj_cache.get(name)
-        if cached is None:
-            cached = _to_numpy_objects(v)
-            self._obj_cache[name] = cached
-        return cached
-
-    def get_objects_or_none(self, name: str) -> np.ndarray | None:
-        return self.objects(name) if name in self._cols else None
+        out = np.empty(len(v), dtype=object)
+        out[:] = v.to_pylist()
+        return out
 
     def valid_mask(self, name: str) -> np.ndarray:
         if name not in self._cols:
@@ -208,8 +192,7 @@ class ColumnBatch:
         if isinstance(v, np.ndarray):
             vals = v[rows].tolist()
         else:
-            cached = self._obj_cache.get(name)
-            vals = cached[rows].tolist() if cached is not None else v.filter(pa.array(mask)).to_pylist()
+            vals = v.filter(pa.array(mask)).to_pylist()
             if pa.types.is_string(v.type) or pa.types.is_large_string(v.type):
                 return rows, vals
         if stringify:
@@ -222,13 +205,14 @@ class ColumnBatch:
         other row keeps its value (null for a new column).
 
         The values become one Arrow array, scattered with
-        ``pc.replace_with_mask`` when its type is the column's.  When
-        the types differ and the column holds no value outside ``rows``,
-        the column takes the new type.  Otherwise, and for values Arrow
-        cannot type (mixed lists and scalars), the rows are written into
-        an object column whose type is settled once, on output, over
-        the rows that are still there (a dropped row's old value does
-        not decide it)."""
+        ``pc.replace_with_mask`` when its type is the column's.  Nulls
+        take the column's type, so a null write never changes it (a new
+        column of nulls only is ``pa.nulls``).  When the types differ
+        and the column holds no value outside ``rows``, the column takes
+        the new type.  Otherwise, and for values Arrow cannot type
+        (mixed lists and scalars), the rows are written into an object
+        column whose type is settled once, on output, over the rows that
+        are still there (a dropped row's old value does not decide it)."""
         if len(rows) == 0:
             return
         old = self._cols.get(name)
@@ -238,25 +222,31 @@ class ColumnBatch:
                 arr = pa.array(values)
             except (pa.ArrowInvalid, pa.ArrowTypeError):
                 arr = None
-        mask = np.zeros(self.n, dtype=bool)
-        mask[rows] = True
-        if (isinstance(old, pa.Array) and arr is not None and old.type != arr.type
-                and not np.asarray(pc.is_valid(old))[~mask].any()):
-            old = None  # no value outside ``rows`` to keep
-        if arr is not None and (old is None or (isinstance(old, pa.Array) and old.type == arr.type)):
-            self._store(name, _scatter(pa.nulls(self.n, arr.type) if old is None else old, mask, arr))
-            return
+        if arr is not None:
+            if pa.types.is_null(arr.type) and isinstance(old, pa.Array):
+                arr = pa.nulls(len(rows), old.type)
+            if len(rows) == self.n:
+                self._cols[name] = arr
+                return
+            mask = np.zeros(self.n, dtype=bool)
+            mask[rows] = True
+            if (isinstance(old, pa.Array) and old.type != arr.type
+                    and not np.asarray(pc.is_valid(old))[~mask].any()):
+                old = None  # no value outside ``rows`` to keep
+            if old is None or (isinstance(old, pa.Array) and old.type == arr.type):
+                base = pa.nulls(self.n, arr.type) if old is None else old
+                # ``replace_with_mask`` has no kernel for the null type
+                # (pyarrow 16 aborts the process on one)
+                self._cols[name] = base if pa.types.is_null(arr.type) else _scatter(base, mask, arr)
+                return
         out = self.objects(name).copy() if old is not None else np.full(self.n, None, dtype=object)
         for i, v in zip(rows.tolist(), values.to_pylist() if isinstance(values, pa.Array) else values):
             out[i] = v
-        self._store(name, out)
+        self._cols[name] = out
 
     # -- mutation -----------------------------------------------------------
-    def _store(self, name: str, value) -> None:
-        self._cols[name] = value
-        self._obj_cache.pop(name, None)
-
     def set(self, name: str, values) -> None:
+        """Set the whole column ``name``."""
         if isinstance(values, pa.ChunkedArray):
             values = values.combine_chunks()
         if isinstance(values, (pa.Array, np.ndarray)):
@@ -264,83 +254,22 @@ class ColumnBatch:
                 raise ValueError(f"column {name!r}: length {len(values)} != {self.n}")
             if isinstance(values, np.ndarray) and values.dtype != object:
                 values = pa.array(values)
-            self._store(name, values)
+            self._cols[name] = values
         elif isinstance(values, list):
             if len(values) != self.n:
                 raise ValueError(f"column {name!r}: length {len(values)} != {self.n}")
             arr = np.empty(self.n, dtype=object)
             arr[:] = values
-            self._store(name, arr)
+            self._cols[name] = arr
         else:
             raise TypeError(f"unsupported column value type {type(values)}")
 
     def set_scalar(self, name: str, value, mask: np.ndarray | None = None) -> None:
-        if mask is None or bool(mask.all()):
-            if value is None:
-                self._store(name, pa.nulls(self.n))
-            else:
-                try:
-                    self._store(name, pa.array([value] * self.n))
-                except (pa.ArrowInvalid, pa.ArrowTypeError):
-                    arr = np.empty(self.n, dtype=object)
-                    arr[:] = [value] * self.n
-                    self._store(name, arr)
-            return
-        rows = np.flatnonzero(mask)
+        rows = np.arange(self.n) if mask is None else np.flatnonzero(mask)
         self.write_rows(name, rows, [value] * len(rows))
 
     def drop(self, name: str) -> None:
         self._cols.pop(name, None)
-        self._obj_cache.pop(name, None)
-
-    def rename(self, old: str, new: str) -> None:
-        self._store(new, self._cols.pop(old))
-        self._obj_cache.pop(old, None)
-
-    def blend(self, name: str, new_values, mask: np.ndarray) -> None:
-        """Set ``name`` to ``new_values`` on masked rows, keep old elsewhere.
-
-        Fast path: both sides Arrow with a common type → ``pc.if_else``.
-        Fallback: object arrays.
-        """
-        if isinstance(new_values, list):
-            tmp = np.empty(self.n, dtype=object)
-            tmp[:] = new_values
-            new_values = tmp
-        old = self._cols.get(name)
-        if old is None:
-            if isinstance(new_values, pa.Array) or (
-                isinstance(new_values, np.ndarray) and new_values.dtype != object
-            ):
-                arr = new_values if isinstance(new_values, pa.Array) else pa.array(new_values)
-                self._store(name, pc.if_else(pa.array(mask), arr, pa.nulls(self.n, arr.type)))
-            else:
-                out = np.empty(self.n, dtype=object)
-                out[:] = None
-                out[mask] = np.asarray(new_values, dtype=object)[mask]
-                self._store(name, out)
-            return
-        arrow_old = isinstance(old, pa.Array)
-        arrow_new = isinstance(new_values, pa.Array) or (
-            isinstance(new_values, np.ndarray) and new_values.dtype != object
-        )
-        if arrow_old and arrow_new:
-            arr = new_values if isinstance(new_values, pa.Array) else pa.array(new_values)
-            try:
-                if arr.type != old.type:
-                    common = pa.string() if (pa.types.is_string(arr.type) or pa.types.is_string(old.type)) else None
-                    if common is not None:
-                        arr = arr.cast(common) if arr.type != common else arr
-                        old = old.cast(common) if old.type != common else old
-                    else:
-                        arr = arr.cast(old.type)
-                self._store(name, pc.if_else(pa.array(mask), arr, old))
-                return
-            except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
-                pass
-        out = self.objects(name).copy()
-        out[mask] = _to_numpy_objects(new_values)[mask]
-        self._store(name, out)
 
     # -- output -------------------------------------------------------------
     def take_mask(self, keep: np.ndarray) -> None:
@@ -349,11 +278,7 @@ class ColumnBatch:
             return
         kmask = pa.array(keep)
         for name, v in list(self._cols.items()):
-            if isinstance(v, np.ndarray):
-                self._cols[name] = v[keep]
-            else:
-                self._cols[name] = v.filter(kmask)
-        self._obj_cache.clear()
+            self._cols[name] = v[keep] if isinstance(v, np.ndarray) else v.filter(kmask)
         self.n = int(keep.sum())
 
     def to_table(self, include_private: bool = False) -> pa.Table:
@@ -384,28 +309,26 @@ class ColumnBatch:
         ``mask`` is set)."""
         if not mask.any():
             return
-        current = set(self._cols)
-        snap_names = set(snapshot)
-        for name in current - snap_names:
+        rows = np.flatnonzero(mask)
+        for name in [c for c in self._cols if c not in snapshot]:
+            # column added after snapshot: null it out on failed rows
             if mask.all():
                 self.drop(name)
             else:
-                # column added after snapshot: null it out on failed rows
-                self.blend(name, np.full(self.n, None, dtype=object), mask)
-        for name in snap_names:
-            if name in self._cols and self._cols[name] is snapshot[name]:
+                self.write_rows(name, rows, pa.nulls(len(rows)))
+        for name, old in snapshot.items():
+            if self._cols.get(name) is old:
                 continue  # untouched since snapshot (kernels REPLACE columns)
-            old_np = _to_numpy_objects(snapshot[name])
-            if name not in self._cols:
-                # column was dropped mid-pipeline: reinstate values ONLY
-                # for the failed rows, nulls elsewhere
-                restored = np.full(self.n, None, dtype=object)
-                restored[mask] = old_np[mask]
-                if all(v is None for v in restored):
-                    continue
-                self.set(name, restored)
+            if isinstance(old, pa.Array):
+                vals = old.filter(pa.array(mask))
+                empty = vals.null_count == len(vals)
             else:
-                self.blend(name, old_np, mask)
+                vals = old[rows].tolist()
+                empty = all(v is None for v in vals)
+            # a column dropped mid-pipeline comes back only if a failed
+            # row held a value in it
+            if name in self._cols or not empty:
+                self.write_rows(name, rows, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +340,33 @@ def _is_int_string(v) -> bool:
         return False
     s = v[1:] if v[:1] in "+-" else v
     return s.isdigit() and s != ""
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _quarantine(batch: ColumnBatch, name: str, vals: np.ndarray, bad: np.ndarray) -> None:
+    """Move the values of rows ``bad`` (indices into ``vals``, the
+    column ``name``) to the field's quarantine target."""
+    if len(bad):
+        batch.write_rows(QUARANTINE[name], bad, vals[bad].tolist())
+        batch.write_rows(name, bad, pa.nulls(len(bad)))
+
+
+def _to_datetime(v):
+    """``v`` as a datetime: a datetime as is, an ISO-8601 string parsed,
+    anything else None."""
+    import datetime as _dt
+
+    if isinstance(v, _dt.datetime):
+        return v
+    if isinstance(v, str):
+        try:
+            return _dt.datetime.fromisoformat(v.replace("Z", "+00:00"))
+        except ValueError:
+            pass
+    return None
 
 
 def sanitize_reserved_fields(batch: ColumnBatch) -> None:
@@ -435,79 +385,39 @@ def sanitize_reserved_fields(batch: ColumnBatch) -> None:
     Only applied to columns that exist; values on rows that conform are
     left untouched.
     """
-    import datetime as _dt
-
     if batch.has(RESERVED_VERSION):
         vals = batch.objects(RESERVED_VERSION)
-        bad = np.array(
-            [v is not None and not (_is_int_string(v) or isinstance(v, int) and not isinstance(v, bool)) for v in vals],
-            dtype=bool,
-        )
-        if bad.any():
-            quarantined = np.where(bad, vals, None)
-            batch.blend(QUARANTINE[RESERVED_VERSION], quarantined, bad)
-            coerced = vals.copy()
-            coerced[bad] = None
-            batch.set(RESERVED_VERSION, coerced)
+        _quarantine(batch, RESERVED_VERSION, vals, np.flatnonzero(
+            [v is not None and not (_is_int_string(v) or _is_int(v)) for v in vals]))
         # integers become string-encoded
-        vals = batch.objects(RESERVED_VERSION)
-        batch.set(RESERVED_VERSION, np.array(
-            [str(v) if isinstance(v, int) and not isinstance(v, bool) else v for v in vals], dtype=object
-        ))
+        ints = np.flatnonzero([_is_int(v) for v in vals])
+        batch.write_rows(RESERVED_VERSION, ints, [str(v) for v in vals[ints]])
 
     if batch.has(RESERVED_TIMESTAMP):
         col = batch._cols[RESERVED_TIMESTAMP]
-        is_temporal_col = isinstance(col, pa.Array) and pa.types.is_temporal(col.type)
-        if not is_temporal_col:
+        if not (isinstance(col, pa.Array) and pa.types.is_temporal(col.type)):
             vals = batch.objects(RESERVED_TIMESTAMP)
-            coerced = np.empty(batch.n, dtype=object)
-            bad = np.zeros(batch.n, dtype=bool)
-            for i, v in enumerate(vals):
-                if v is None:
-                    coerced[i] = None
-                    continue
-                if isinstance(v, _dt.datetime):
-                    coerced[i] = v
-                    continue
-                if isinstance(v, str):
-                    try:
-                        coerced[i] = _dt.datetime.fromisoformat(v.replace("Z", "+00:00"))
-                        continue
-                    except ValueError:
-                        pass
-                bad[i] = True
-                coerced[i] = None
-            if bad.any():
-                quarantined = np.where(bad, vals, None)
-                batch.blend(QUARANTINE[RESERVED_TIMESTAMP], quarantined, bad)
+            coerced = [_to_datetime(v) for v in vals]
+            _quarantine(batch, RESERVED_TIMESTAMP, vals, np.flatnonzero(
+                [v is not None and c is None for v, c in zip(vals, coerced)]))
             batch.set(RESERVED_TIMESTAMP, coerced)
 
     if batch.has(RESERVED_METADATA):
         vals = batch.objects(RESERVED_METADATA)
-        bad = np.array([v is not None and not isinstance(v, dict) for v in vals], dtype=bool)
-        if bad.any():
-            quarantined = np.where(bad, vals, None)
-            batch.blend(QUARANTINE[RESERVED_METADATA], quarantined, bad)
-            cleaned = vals.copy()
-            cleaned[bad] = None
-            batch.set(RESERVED_METADATA, cleaned)
+        _quarantine(batch, RESERVED_METADATA, vals, np.flatnonzero(
+            [v is not None and not isinstance(v, dict) for v in vals]))
 
     if batch.has(TAGS):
         vals = batch.objects(TAGS)
-
         # coercible shapes first: a set/tuple of strings becomes a list
         # (IngestDuplexMarshallerTest.java:371-385 — coercible
         # collections tag normally, only truly invalid shapes
         # quarantine); sets sort for determinism
-        coerced = vals.copy()
-        changed = False
-        for i, v in enumerate(vals):
-            if isinstance(v, (set, tuple)) and all(isinstance(x, str) for x in v):
-                coerced[i] = sorted(v) if isinstance(v, set) else list(v)
-                changed = True
-        if changed:
-            batch.set(TAGS, coerced)
-            vals = coerced
+        fix = np.flatnonzero(
+            [isinstance(v, (set, tuple)) and all(isinstance(x, str) for x in v) for v in vals])
+        if len(fix):
+            batch.write_rows(TAGS, fix, [sorted(v) if isinstance(v, set) else list(v) for v in vals[fix]])
+            vals = batch.objects(TAGS)
 
         def _tags_ok(v):
             if v is None or isinstance(v, str):
@@ -516,13 +426,7 @@ def sanitize_reserved_fields(batch: ColumnBatch) -> None:
                 return all(isinstance(x, str) for x in v)
             return False
 
-        bad = np.array([not _tags_ok(v) for v in vals], dtype=bool)
-        if bad.any():
-            quarantined = np.where(bad, vals, None)
-            batch.blend(QUARANTINE[TAGS], quarantined, bad)
-            cleaned = vals.copy()
-            cleaned[bad] = None
-            batch.set(TAGS, cleaned)
+        _quarantine(batch, TAGS, vals, np.flatnonzero([not _tags_ok(v) for v in vals]))
 
 
 def apply_timestamp_fallback(batch: ColumnBatch, now=None) -> None:
@@ -540,49 +444,23 @@ def apply_timestamp_fallback(batch: ColumnBatch, now=None) -> None:
     Logstash-shaped contract: every event carries one)."""
     import datetime as _dt
 
-    if batch.has(RESERVED_TIMESTAMP):
-        vals = batch.objects(RESERVED_TIMESTAMP)
-        missing = np.array([v is None for v in vals], dtype=bool)
-    else:
-        missing = np.ones(batch.n, dtype=bool)
+    missing = ~batch.valid_mask(RESERVED_TIMESTAMP)
     if not missing.any():
         return
-    created = batch.get_objects_or_none("event.created")
     if now is None:
         now = _dt.datetime.now(_dt.timezone.utc).replace(tzinfo=None)
-    fill = np.empty(batch.n, dtype=object)
-    fill[:] = None
-    for i in np.nonzero(missing)[0]:
-        c = created[i] if created is not None else None
-        if isinstance(c, str):
-            try:
-                c = _dt.datetime.fromisoformat(c.replace("Z", "+00:00"))
-            except ValueError:
-                c = None
-        if isinstance(c, _dt.datetime):
-            fill[i] = c if c.tzinfo is None else c.astimezone(_dt.timezone.utc).replace(tzinfo=None)
-        else:
-            fill[i] = now
-    batch.blend(RESERVED_TIMESTAMP, fill, missing)
+    rows, created = batch.read_rows("event.created", missing)
+    fill = []
+    for c in map(_to_datetime, created):
+        fill.append(now if c is None else c if c.tzinfo is None
+                    else c.astimezone(_dt.timezone.utc).replace(tzinfo=None))
+    batch.write_rows(RESERVED_TIMESTAMP, rows, fill)
 
 
 def append_tag(batch: ColumnBatch, mask: np.ndarray, tag: str) -> None:
     """Append ``tag`` to the ``tags`` field of masked rows (list-promote)."""
-    if not mask.any():
-        return
-    if batch.has(TAGS):
-        vals = batch.objects(TAGS).copy()
-    else:
-        vals = np.empty(batch.n, dtype=object)
-        vals[:] = None
-    idx = np.nonzero(mask)[0]
-    for i in idx:
-        v = vals[i]
-        if v is None:
-            vals[i] = [tag]
-        elif isinstance(v, list):
-            if tag not in v:
-                vals[i] = v + [tag]
-        else:
-            vals[i] = [v, tag]
-    batch.set(TAGS, vals)
+    rows, vals = batch.read_rows(TAGS, mask)
+    batch.write_rows(TAGS, rows, [
+        [tag] if v is None else (v if tag in v else v + [tag]) if isinstance(v, list) else [v, tag]
+        for v in vals
+    ])

@@ -76,8 +76,10 @@ class PipelineState:
         self.reroute_dest[mask] = dest
         self.local_done |= mask
 
-    def set_failure_messages(self, mask: np.ndarray, messages: np.ndarray) -> None:
-        self.failure_messages[mask] = messages[mask]
+    def set_failure_messages(self, mask: np.ndarray, messages) -> None:
+        """Set the failure message of the masked rows: one message for
+        all of them, or a list of one per masked row."""
+        self.failure_messages[mask] = messages
 
 
 @dataclass
@@ -227,11 +229,10 @@ class EventProcessor:
         if state.failed.any():
             batch.restore_rows(original, state.failed)
             append_tag(batch, state.failed, FAILURE_TAG_VALUE)
-            batch.blend(META_FAILURE_MESSAGE, state.failure_messages, state.failed)
-            has_tag = np.array([t is not None for t in state.failure_tags], dtype=bool)
-            m = state.failed & has_tag
-            if m.any():
-                batch.blend(META_FAILURE_TAG, state.failure_tags, m)
+            rows = np.flatnonzero(state.failed)
+            batch.write_rows(META_FAILURE_MESSAGE, rows, state.failure_messages[rows].tolist())
+            tagged = rows[state.failure_tags[rows] != None]  # noqa: E711
+            batch.write_rows(META_FAILURE_TAG, tagged, state.failure_tags[tagged].tolist())
 
         # success marker (EventProcessor.java:60-61,234)
         ok = marker & ~state.failed & ~state.dropped
@@ -362,7 +363,7 @@ class EventProcessor:
             vals = composed.to_pylist()
             return [None if (v is None or v == "_none") else v for v in vals]
 
-        ref_cols = [batch.get_objects_or_none(r) for r in ref_names]
+        ref_cols = [batch.objects(r) if batch.has(r) else None for r in ref_names]
         out = []
         for i in range(batch.n):
             buf = []
@@ -458,7 +459,7 @@ class EventProcessor:
             err = step.kernel.apply(batch, active, state)
         except Exception:
             # a kernel that raised may have partially written some rows
-            # (e.g. mid-blend) — revert the attempt before isolating, or
+            # (e.g. mid-write) — revert the attempt before isolating, or
             # read-modify-write kernels would re-apply on mutated input
             batch.restore_rows(pre, active)
             err = self._rowwise_fallback(step.kernel, batch, active, state)
@@ -471,12 +472,9 @@ class EventProcessor:
                 batch.set_scalar("_ingest.on_failure_processor_type", step.ptype, err)
                 if step.tag:
                     batch.set_scalar("_ingest.on_failure_processor_tag", step.tag, err)
-                msgs = np.where(
-                    state.failure_messages != None,  # noqa: E711
-                    state.failure_messages,
-                    step.kernel.failure_message,
-                )
-                batch.blend("_ingest.on_failure_message", msgs.astype(object), err)
+                rows = np.flatnonzero(err)
+                batch.write_rows("_ingest.on_failure_message", rows, [
+                    step.kernel.failure_message if m is None else m for m in state.failure_messages[rows]])
                 sub_failed = np.zeros(batch.n, dtype=bool)
                 for h in step.on_failure:
                     act = err & ~state.inactive() & ~sub_failed
@@ -490,12 +488,9 @@ class EventProcessor:
                                 "_ingest.on_failure_processor_tag",
                                 "_ingest.on_failure_message"):
                     if batch.has(ctx_col):
-                        vals = batch.objects(ctx_col).copy()
-                        vals[err] = None
-                        if all(v is None for v in vals):
+                        batch.write_rows(ctx_col, rows, pa.nulls(len(rows)))
+                        if not batch.valid_mask(ctx_col).any():
                             batch.drop(ctx_col)
-                        else:
-                            batch.set(ctx_col, vals)
                 failed_here |= sub_failed
                 return
             self._record_step_failure(step, state, err, failed_here)
@@ -516,7 +511,7 @@ class EventProcessor:
             for name in names:
                 arr = np.empty(1, dtype=object)
                 arr[0] = cols[name][i]
-                single._store(name, arr)
+                single.set(name, arr)
             try:
                 cond[i] = bool(condition.evaluate(single)[0])
             except Exception:

@@ -175,11 +175,14 @@ def _runs(codes: np.ndarray, turn: np.ndarray, text: pa.Array, ok: np.ndarray):
     ``ok`` rows of one conversation and turn, so its rank (a string
     sort) is computed only when such a tie exists."""
     order = np.lexsort((turn, codes))
-    c, t, o = codes[order], turn[order], ok[order]
-    if ((c[1:] == c[:-1]) & (t[1:] == t[:-1]) & o[1:] & o[:-1]).any():
+    # adjacent among the ``ok`` rows only: a row without text sorted
+    # between two texted rows of one turn must not hide their tie
+    sel = order[ok[order]]
+    c, t = codes[sel], turn[sel]
+    if ((c[1:] == c[:-1]) & (t[1:] == t[:-1])).any():
         rank = pc.rank(text, sort_keys="ascending", tiebreaker="dense").to_numpy()
         order = np.lexsort((rank, turn, codes))
-        c = codes[order]
+    c = codes[order]
     return order, np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
 
 

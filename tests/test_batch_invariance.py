@@ -3,6 +3,8 @@ running a pipeline over one N-row batch must equal running it over N
 single-row batches (and any split in between).  Randomized pipelines ×
 randomized events, seeded."""
 
+import copy
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -147,6 +149,47 @@ def test_batch_split_invariance_with_routing_and_reroute(seed):
     assert whole == split, f"seed {100 + seed}: routed whole-batch != per-row"
 
 
+#: one step per kernel that writes through ``ColumnBatch.write_rows``
+#: with a per-row loop or a masked Arrow filter; the tags name them
+WRITE_STEPS = [
+    {"set": {"tag": "set-copy", "field": "cp", "copy_from": "text"}},
+    {"set": {"tag": "set-copy-nonempty", "field": "cp2", "copy_from": "text",
+             "ignore_empty_value": True}},
+    {"set": {"tag": "set-template", "field": "tpl", "value": "{{service}}-{{k}}"}},
+    {"set": {"tag": "set-null", "if": "ctx.k == 1", "field": "num", "value": None}},
+    {"append": {"tag": "append", "field": "lst", "value": ["t{{k}}", "x"]}},
+    {"remove": {"tag": "remove-partial", "if": "ctx.k == 2", "field": "size",
+                "ignore_missing": True}},
+    {"rename": {"tag": "rename", "field": "service", "target_field": "svc",
+                "ignore_missing": True}},
+    {"uppercase": {"tag": "uppercase-target", "field": "text", "target_field": "up",
+                   "ignore_missing": True}},
+    {"gsub": {"tag": "gsub-re2", "field": "text", "pattern": "[0-9]", "replacement": "#",
+              "target_field": "gs", "ignore_missing": True}},
+    {"gsub": {"tag": "gsub-python", "field": "text", "pattern": "o(?=\\w)", "replacement": "0",
+              "target_field": "gp", "ignore_missing": True}},
+    {"split": {"tag": "split", "field": "text", "separator": "[ ,]", "target_field": "parts",
+               "ignore_missing": True}},
+    {"join": {"tag": "join", "if": "ctx.lst != null", "field": "lst", "separator": "+",
+              "target_field": "joined"}},
+    {"sort": {"tag": "sort", "if": "ctx.lst != null", "field": "lst", "order": "desc",
+              "target_field": "sorted"}},
+    {"fingerprint": {"tag": "fingerprint", "fields": ["text", "k"], "target_field": "fp",
+                     "ignore_missing": True}},
+    {"foreach": {"tag": "foreach", "field": "lst", "ignore_missing": True,
+                 "processor": {"uppercase": {"field": "_ingest._value"}}}},
+    {"script": {"tag": "script-dsl", "source": "ctx.k2 = ctx.k * 2"}},
+    {"script": {"tag": "script-painless",
+                "source": "if (ctx.k > 1) { ctx.big = 'y' } else { ctx.big = null }"}},
+    {"network_direction": {"tag": "network-direction", "source_ip": "src_ip",
+                           "destination_ip": "dst_ip", "internal_networks": ["private"],
+                           "target_field": "dir"}},
+    {"community_id": {"tag": "community-id", "source_ip": "src_ip", "destination_ip": "dst_ip",
+                      "source_port": "sport", "destination_port": "dport", "transport": "proto",
+                      "target_field": "cid"}},
+]
+
+
 def _random_parse_pipeline(rng) -> dict:
     """Steps drawn from the kernels that read and write masked rows only."""
     pool = [
@@ -167,8 +210,8 @@ def _random_parse_pipeline(rng) -> dict:
                              "ignore_missing": True}},
         lambda: {"reroute": {"if": f"ctx.k == {rng.integers(0, 4)}",
                              "dataset": ["{{service}}", "fallback"]}},
-    ]
-    n_steps = int(rng.integers(3, 7))
+    ] + [lambda step=step: copy.deepcopy(step) for step in WRITE_STEPS]
+    n_steps = int(rng.integers(6, 12))
     return {"processors": [pool[int(rng.integers(0, len(pool)))]() for _ in range(n_steps)]}
 
 
@@ -187,6 +230,13 @@ def _random_parse_rows(rng, n) -> list[dict]:
             r["num"] = str(rng.choice(["7", "42", "-3"]))
         if rng.integers(0, 2):
             r["service"] = str(rng.choice(["billing", "search"]))
+        if rng.integers(0, 2):
+            r["lst"] = [str(x) for x in rng.choice(["b", "a", "c"], size=int(rng.integers(0, 3)))]
+        if rng.integers(0, 4):
+            r["src_ip"], r["dst_ip"] = (str(x) for x in rng.choice(
+                ["10.0.0.1", "192.168.1.5", "8.8.8.8", "2001:db8::1", "bad"], size=2))
+            r["sport"], r["dport"] = (int(x) for x in rng.integers(1, 65536, size=2))
+            r["proto"] = str(rng.choice(["tcp", "udp", "icmp"]))
         rows.append(r)
     return rows
 

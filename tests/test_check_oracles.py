@@ -1,7 +1,8 @@
 """``tools/check_oracles.py`` isolates driver crashes: a chunk whose
 child driver dies is retried once, a query still unreported counts as
-a failure, and the summary line sums the reported per-query seconds.
-The child here is a stand-in that prints result lines, so no Ray runs."""
+a failure, and the summary line sums the reported per-query seconds and
+counts Ray's schema warnings on the children's stderr.  The child here
+is a stand-in that prints result lines, so no Ray runs."""
 
 from __future__ import annotations
 
@@ -13,10 +14,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import check_oracles  # noqa: E402
 
 # argv: tools dir, a scratch dir (in place of sf_dir), query names.
-# "flaky" kills its driver the first time only, "dead" every time.
+# "flaky" kills its driver the first time only, "dead" every time;
+# "a" logs one schema warning.
 FAKE_CHILD = """
 import os, sys
 for n in sys.argv[3:]:
+    if n == "a":
+        print("Operator produced a RefBundle with a different schema than the previous one.",
+              file=sys.stderr, flush=True)
     once = os.path.join(sys.argv[2], "once")
     if n == "flaky" and not os.path.exists(once):
         open(once, "w").close()
@@ -36,10 +41,14 @@ def test_dead_driver_retried_once_then_reported(tmp_path, monkeypatch, capsys):
     assert out.count("DRIVER DIED") == 3  # flaky once, dead twice
     assert "FAIL dead: no result, its driver died twice" in out
     assert out.rstrip().endswith(
-        "4 pass, 1 fail, 0 rows-only; 2.0 s summed over queries; 3 driver deaths")
+        "4 pass, 1 fail, 0 rows-only; 2.0 s summed over queries; 3 driver deaths; "
+        "1 schema warnings")
 
 
 def test_all_reported_passes(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(check_oracles, "CHILD", FAKE_CHILD)
     assert check_oracles.gate(str(tmp_path), ["a", "b", "c"])
-    assert "3 pass, 0 fail" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "3 pass, 0 fail" in captured.out
+    assert captured.out.rstrip().endswith("0 driver deaths; 1 schema warnings")
+    assert "RefBundle with a different schema" in captured.err  # echoed

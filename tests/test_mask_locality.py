@@ -1,4 +1,5 @@
-"""Mask locality of the flagship processors: a kernel reads and writes
+"""Mask locality of the flagship processors and of every kernel that
+writes through ``ColumnBatch.write_rows``: a kernel reads and writes
 only the rows its mask selects, so every column keeps its value on the
 other rows; and the flagship ``EventProcessor`` output keeps a pinned
 schema (column order and types)."""
@@ -8,12 +9,15 @@ import pyarrow as pa
 import pytest
 
 from logstash_filter_elastic_integration_ray.model import ColumnBatch
+from logstash_filter_elastic_integration_ray.pipelines import compile_pipeline_set
 from logstash_filter_elastic_integration_ray.pipelines.executor import PipelineState
 from logstash_filter_elastic_integration_ray.pipelines.flagship import (
     assign_datastream,
     build_event_processor,
 )
 from logstash_filter_elastic_integration_ray.sources.transcripts import derive_transcripts_table
+from tests.test_batch_invariance import WRITE_STEPS, _random_parse_rows
+from tests.util import rows_to_table
 
 
 def _flagship_batch(n: int = 400) -> pa.Table:
@@ -56,7 +60,14 @@ def _stages():
     return out
 
 
-STAGES = _stages()
+def _write_stages():
+    """(step, batch) of each of ``WRITE_STEPS``, all over one batch."""
+    table = rows_to_table(_random_parse_rows(np.random.default_rng(9), 60))
+    pipes = compile_pipeline_set({str(j): {"processors": [step]} for j, step in enumerate(WRITE_STEPS)})
+    return [(pipes[str(j)].steps[0], table) for j in range(len(WRITE_STEPS))]
+
+
+STAGES = _stages() + _write_stages()
 
 
 @pytest.mark.parametrize("k", range(len(STAGES)), ids=[s.tag for s, _ in STAGES])
@@ -70,7 +81,10 @@ def test_flagship_kernel_touches_only_masked_rows(k):
             batch = ColumnBatch(table)
             err = step.kernel.apply(batch, mask, PipelineState(batch.n))
             assert err is None or not (err & ~mask).any()
-            assert batch.names()[:table.num_columns] == table.column_names
+            # a column may be dropped only by a mask of every row
+            kept = [name for name in table.column_names if batch.has(name)]
+            assert kept == table.column_names or mask.all(), step.tag
+            assert batch.names()[:len(kept)] == kept
             keep = pa.array(~mask)
             for name in batch.names():
                 col = batch._cols[name]

@@ -1,6 +1,12 @@
 """Mutate-family conformance (set/append/remove/rename/case/trim/
 split/join/sort/gsub/dot_expander/fingerprint/foreach/script)."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 from tests.util import run_pipeline
 
 
@@ -203,3 +209,33 @@ def test_script_unsupported_statement_fails_compile():
     # genuinely unparseable painless still fails compilation loudly
     with pytest.raises(KernelCompileError):
         build_kernel("script", {"source": "class Foo @@ not painless"})
+
+
+def test_null_writes_keep_the_interpreter_alive():
+    # a null write into a new column, or one with no value outside the
+    # written rows, once reached ``replace_with_mask`` on Arrow's null
+    # type, which aborts the interpreter under pyarrow 16; it runs in a
+    # child process so such an abort fails this test, not the test run
+    code = textwrap.dedent("""
+        import json
+        from tests.util import run_pipeline
+        tool = "ctx.role == 'tool'"
+        runs = [
+            run_pipeline({"processors": [{"set": {"if": tool, "field": "x", "value": None}}]},
+                         [{"role": "tool"}, {"role": "user"}]),
+            run_pipeline({"processors": [{"remove": {"if": tool, "field": "x"}}]},
+                         [{"role": "tool", "x": "a"}, {"role": "user"}]),
+            run_pipeline({"processors": [{"rename": {"if": tool, "field": "a", "target_field": "b"}}]},
+                         [{"role": "tool", "a": "v"}, {"role": "user"}]),
+        ]
+        print(json.dumps([[{k: v for k, v in r.items() if not k.startswith("__")} for r in rows]
+                          for rows in runs]))
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert json.loads(out.stdout.splitlines()[-1]) == [
+        [{"role": "tool"}, {"role": "user"}],
+        [{"role": "tool"}, {"role": "user"}],
+        [{"role": "tool", "b": "v"}, {"role": "user"}],
+    ]

@@ -7,7 +7,7 @@ import string
 import numpy as np
 import pyarrow as pa
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logstash_filter_elastic_integration_ray.model import ColumnBatch, sanitize_reserved_fields
@@ -147,6 +147,8 @@ _conv_row = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_conv_row, min_size=1, max_size=40),
        st.lists(st.integers(0, 40), max_size=3))
+# one turn's texted rows with a null-text row sorted between them
+@example(rows=[("c1", 0, x, False, None) for x in (None, None, "a", None, "")], cuts=[3])
 def test_conv_partial_merge_invariant(rows, cuts):
     """Two-phase aggregation must equal single-pass and the reference
     regardless of how rows are split into batches (the invariant the

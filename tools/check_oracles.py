@@ -8,7 +8,9 @@ The queries run in chunks of ``CHUNK`` in child driver processes, one
 Ray cluster each, so a Ray core crash ends one chunk, not the run: the
 queries of a chunk whose driver died before reporting them are retried
 once in a fresh driver, and a query that still has no result counts as
-a failure.  The summary line adds the sum of the per-query seconds.
+a failure.  The summary line adds the sum of the per-query seconds and
+the number of Ray's ``RefBundle with a different schema`` warnings the
+children logged (their stderr is echoed to this process's stderr).
 
 Usage: python tools/check_oracles.py [sf_dir] [query ...]
 """
@@ -19,6 +21,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 
 import duckdb
@@ -169,35 +172,52 @@ CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); import check_oracles; "
          "check_oracles.run_chunk(sys.argv[2], sys.argv[3:])")
 
 
-def run_child(sf_dir: str, names: list[str]) -> tuple[dict, int]:
+#: Ray Data's warning for a block whose schema differs from the last
+SCHEMA_WARNING = "RefBundle with a different schema"
+
+
+def run_child(sf_dir: str, names: list[str]) -> tuple[dict, int, int]:
     """Run ``names`` in a child driver, echoing its output: ({query:
-    (status, seconds)} for the queries it reported, its exit code)."""
+    (status, seconds)} for the queries it reported, its exit code, the
+    number of ``SCHEMA_WARNING`` lines on its stderr)."""
     results = {}
+    warnings = []
+
+    def drain(stream) -> None:
+        for line in stream:
+            sys.stderr.write(line)
+            if SCHEMA_WARNING in line:
+                warnings.append(line)
+
     with subprocess.Popen(
         [sys.executable, "-c", CHILD, os.path.dirname(os.path.abspath(__file__)), sf_dir, *names],
-        stdout=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     ) as proc:
+        err_reader = threading.Thread(target=drain, args=(proc.stderr,), daemon=True)
+        err_reader.start()
         for line in proc.stdout:
             print(line, end="", flush=True)
             m = RESULT.match(line)
             if m and m.group(2) in names:
                 results[m.group(2)] = (m.group(1), float(m.group(3) or 0.0))
-    return results, proc.returncode
+        err_reader.join()
+    return results, proc.returncode, len(warnings)
 
 
 def gate(sf_dir: str, names: list[str]) -> bool:
     """Run ``names`` chunk by chunk in child drivers and print the
     summary; True when every query passed."""
     results: dict = {}
-    deaths = 0
+    deaths = warnings = 0
     for i in range(0, len(names), CHUNK):
         chunk = names[i:i + CHUNK]
         for attempt in (1, 2):
             todo = [n for n in chunk if n not in results]
             if not todo:
                 break
-            got, code = run_child(sf_dir, todo)
+            got, code, n_warn = run_child(sf_dir, todo)
             results.update(got)
+            warnings += n_warn
             missing = [n for n in todo if n not in got]
             if missing:
                 deaths += 1
@@ -211,7 +231,8 @@ def gate(sf_dir: str, names: list[str]) -> bool:
     n_fail = status.count("FAIL") + len(lost)
     secs = sum(t for _, t in results.values())
     print(f"\n{n_pass} pass, {n_fail} fail, {n_noracle} rows-only; "
-          f"{secs:.1f} s summed over queries; {deaths} driver deaths")
+          f"{secs:.1f} s summed over queries; {deaths} driver deaths; "
+          f"{warnings} schema warnings")
     return n_fail == 0
 
 
