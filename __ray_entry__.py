@@ -4476,7 +4476,7 @@ def q_rank_stats_events(sf_dir: str):
     """The SQL rank family — ``rank()/dense_rank()/percent_rank()/
     cume_dist()`` over a COARSE tie-heavy ordering (event_type) plus
     ``ntile(4)`` over the full unique ordering — one co-partition by
-    user + one lexsort/boundary-arithmetic pass
+    user + one sorted-run/boundary-arithmetic pass
     (stages/windows.py:grouped_rank_stats)."""
     from logstash_filter_elastic_integration_ray.stages.windows import grouped_rank_stats
 
@@ -4493,7 +4493,7 @@ def q_mad_anomaly_events(sf_dir: str):
     """Robust per-type daily spike detection
     (stages/windows.py:mad_anomaly_counts): per (event_type, day)
     counts, then exact median/MAD per event_type flags burst days —
-    deduped count partials, ONE exchange by type, two lexsort passes
+    deduped count partials, ONE exchange by type, two sorted-run passes
     per partition.  Median/MAD match DuckDB's median()/mad() bitwise
     (count-derived doubles are exactly representable)."""
     from logstash_filter_elastic_integration_ray.stages.windows import mad_anomaly_counts
@@ -4549,7 +4549,7 @@ def q_pair_spans_events(sf_dir: str):
     logstash `aggregate`-filter shape): per user the n-th 'view' pairs
     with the n-th 'purchase' in (ts, id) order — the twin of two
     row_number() windows joined on (user, rn).  Only start/end rows
-    ride the exchange; one co-partition by user, one lexsort pass."""
+    ride the exchange; one co-partition by user, one sorted-run pass."""
     from logstash_filter_elastic_integration_ray.stages.windows import pair_spans
 
     ds = read_parquet_clean(f"{sf_dir}/events.parquet",
@@ -5054,7 +5054,7 @@ def q_multiline_assemble(sf_dir: str):
 def q_throttle_events(sf_dir: str):
     """Per-key event throttling (the Logstash throttle-filter shape:
     at most N events per key per window pass, the rest are flagged):
-    one hash exchange on user_id, per-partition lexsort, vectorized
+    one hash exchange on user_id, per-partition sorted runs, vectorized
     within-(key, 6h-window) arrival rank
     (stages/logflow.py:throttle_events).  row_number SQL twin."""
     from logstash_filter_elastic_integration_ray.stages.logflow import (
@@ -5344,7 +5344,7 @@ def q_group_broadcast_events(sf_dir: str):
     """Whole-partition window family in one pass: first_value /
     last_value (unbounded-following frame) / sum-over-partition /
     count-over-partition / share-of-group per event — one co-partition
-    by user, one lexsort + segment gather
+    by user, one sorted-run pass + segment gather
     (stages/windows.py:group_broadcast)."""
     from logstash_filter_elastic_integration_ray.stages.windows import group_broadcast
 

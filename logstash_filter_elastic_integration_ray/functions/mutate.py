@@ -106,7 +106,7 @@ class SetKernel(Kernel):
             else:
                 keep = [v is not None for v in vals]
             keep = np.array(keep, dtype=bool)
-            batch.write_rows(self.field, rows[keep], [v for v, k in zip(vals, keep) if k])
+            batch.copy_rows(src, self.field, rows[keep])
             if self.ignore_empty_value or keep.all():
                 return None
             err = np.zeros(batch.n, dtype=bool)
@@ -217,8 +217,8 @@ class RenameKernel(Kernel):
         err |= mask & valid & batch.valid_mask(self.target)
         move = mask & valid & ~err
         if move.any():
-            rows, vals = batch.read_rows(self.field, move)
-            batch.write_rows(self.target, rows, vals)
+            rows = np.flatnonzero(move)
+            batch.copy_rows(self.field, self.target, rows)
             if bool(mask.all()) and not err.any():
                 batch.drop(self.field)
             else:

@@ -244,6 +244,13 @@ class ColumnBatch:
             out[i] = v
         self._cols[name] = out
 
+    def copy_rows(self, src: str, dst: str, rows: np.ndarray) -> None:
+        """Write ``src``'s values on ``rows`` into ``dst`` through
+        :meth:`write_rows`; an Arrow column's rows go as Arrow, so its
+        type (``int32``, say) is kept."""
+        v = self._cols[src]
+        self.write_rows(dst, rows, v.take(rows) if isinstance(v, pa.Array) else v[rows].tolist())
+
     # -- mutation -----------------------------------------------------------
     def set(self, name: str, values) -> None:
         """Set the whole column ``name``."""

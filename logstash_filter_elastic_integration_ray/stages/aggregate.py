@@ -25,11 +25,12 @@ so no in-group sort or full-text shuffle is ever needed:
   billions of partials per key.
 
 **Columnar, both phases.**  Neither phase builds a DataFrame or sorts a
-string: ``conv_id`` is dictionary-encoded to int codes and one lexsort
-by (code, turn) lays each conversation out as a contiguous run; sums,
-counts and ts bounds are ``np.*.reduceat`` over the run starts, and the
-first/last rows are ``take``-n at each run's first/last non-null text.
-The merge does the same over the partials (``batch_format="pyarrow"``).
+string: ``conv_id`` is dictionary-encoded to int codes and one
+:func:`segments.runs` by (code, turn) lays each conversation out as a
+contiguous run; sums, counts and ts bounds are segment reductions over
+the runs, and the first/last rows are ``take``-n at each run's
+first/last non-null text.  The merge does the same over the partials
+(``batch_format="pyarrow"``).
 
 **Null semantics are SQL's, under any batching.**  first/last text is
 the text of the least/greatest ``(turn_idx, text)`` whose text is not
@@ -55,6 +56,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.io import engine_plan
+from . import segments
 from .exchange import add_partition_col, exchange  # noqa: F401  (re-exported)
 
 P = np.int64(2**31 - 1)
@@ -169,61 +171,27 @@ def _ints(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
     return pc.fill_null(arr.cast(pa.int64()), 0).to_numpy(), valid
 
 
-def _runs(codes: np.ndarray, turn: np.ndarray, text: pa.Array, ok: np.ndarray):
-    """Rows ordered by (conversation code, ``turn``, ``text``) and the
-    start of each conversation's run.  ``text`` only breaks ties between
-    ``ok`` rows of one conversation and turn, so its rank (a string
-    sort) is computed only when such a tie exists."""
-    order = np.lexsort((turn, codes))
-    # adjacent among the ``ok`` rows only: a row without text sorted
-    # between two texted rows of one turn must not hide their tie
-    sel = order[ok[order]]
-    c, t = codes[sel], turn[sel]
-    if ((c[1:] == c[:-1]) & (t[1:] == t[:-1])).any():
+def _turn_runs(codes: np.ndarray, turn: np.ndarray, text: pa.Array,
+               ok: np.ndarray) -> segments.Runs:
+    """Conversation runs ordered by (turn, text): ``text`` only breaks
+    ties between ``ok`` rows of one conversation and turn, so its rank
+    (a string sort) is computed only when such a tie exists."""
+    r = segments.runs(codes, (turn,), ok=ok)
+    if r.tied():
         rank = pc.rank(text, sort_keys="ascending", tiebreaker="dense").to_numpy()
-        order = np.lexsort((rank, turn, codes))
-    c = codes[order]
-    return order, np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+        r = segments.runs(codes, (turn, rank), ok=ok)
+    return r
 
 
-def _pick(ok_sorted: np.ndarray, starts: np.ndarray, last: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted position of each run's first (or last) ``ok`` row, and
-    the mask of runs that have none (their position is 0)."""
-    pos = np.arange(len(ok_sorted))
-    if last:
-        p = np.maximum.reduceat(np.where(ok_sorted, pos, -1), starts)
-        none = p < 0
-    else:
-        p = np.minimum.reduceat(np.where(ok_sorted, pos, len(pos)), starts)
-        none = p == len(pos)
-    return np.where(none, 0, p), none
+def _ts(vals: np.ma.MaskedArray) -> pa.Array:
+    return pa.array(vals, type=pa.timestamp("us"))
 
 
-_IDENTITY = {np.minimum: _I64_MAX, np.maximum: _I64_MIN, np.add: 0}
-
-
-def _reduce(ufunc, vals: np.ndarray, ok: np.ndarray, order: np.ndarray,
-            starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``ufunc`` (``np.minimum``/``maximum``/``add``) over each run's
-    ``ok`` values, and the mask of runs with none — whose result is
-    null, as in SQL."""
-    ok = ok[order]
-    out = ufunc.reduceat(np.where(ok, vals[order], _IDENTITY[ufunc]), starts)
-    return out, ~np.logical_or.reduceat(ok, starts)
-
-
-def _ts(reduced: tuple[np.ndarray, np.ndarray]) -> pa.Array:
-    vals, none = reduced
-    return pa.array(vals, type=pa.timestamp("us"), mask=none)
-
-
-def _hash(reduced: tuple[np.ndarray, np.ndarray]) -> pa.Array:
-    vals, none = reduced
-    return pa.array(vals % P, mask=none)
-
-
-def _take(arr: pa.Array, idx: np.ndarray, none: np.ndarray) -> pa.Array:
-    return arr.take(pa.array(idx, mask=none))
+def _take(vals, rows: np.ma.MaskedArray) -> pa.Array:
+    """``vals`` (an Arrow or numpy array) at ``rows``; null where masked."""
+    if isinstance(vals, pa.Array):
+        return vals.take(pa.array(rows))
+    return pa.array(np.ma.MaskedArray(vals[rows.data], mask=rows.mask))
 
 
 def _codes(arr: pa.Array) -> np.ndarray:
@@ -234,11 +202,11 @@ def _codes(arr: pa.Array) -> np.ndarray:
 def conv_partial_batch(batch: pa.Table, hash_mode: str = "fast") -> pa.Table:
     """Phase 1: collapse one Arrow batch to one partial row per conv.
 
-    ``conv_id`` is dictionary-encoded to int codes and one lexsort by
-    (code, turn_idx) lays each conversation out as a run; counts, the
-    ts bounds and the hash are ``reduceat`` over the run starts, and the
-    first/last text rows are taken at each run's first/last non-null
-    text."""
+    ``conv_id`` is dictionary-encoded to int codes and
+    :func:`segments.runs` by (code, turn_idx) lays each conversation out
+    as a run; counts, the ts bounds and the hash are segment reductions,
+    and the first/last text rows are taken at each run's first/last
+    non-null text."""
     if batch.num_rows == 0:
         return _PARTIAL_SCHEMA.empty_table()
     conv = _array(batch, "conv_id", pa.string())
@@ -253,22 +221,20 @@ def conv_partial_batch(batch: pa.Table, hash_mode: str = "fast") -> pa.Table:
     # md5 mode is SQL's sum, which skips the NULL md5 of a NULL text
     contrib_ok = text_ok if hash_mode == "md5" else np.ones(len(turn), dtype=bool)
 
-    order, starts = _runs(_codes(conv), turn, text, text_ok)
-    first, no_first = _pick(text_ok[order], starts, last=False)
-    last, no_last = _pick(text_ok[order], starts, last=True)
-    first_row, last_row = order[first], order[last]
+    r = _turn_runs(_codes(conv), turn, text, text_ok)
+    first, last = segments.first(r, text_ok), segments.last(r, text_ok)
     return pa.Table.from_arrays(
         [
-            conv.take(order[starts]),
-            pa.array(np.diff(np.r_[starts, len(order)])),
-            pa.array(np.add.reduceat(tool_ok[order].astype(np.int64), starts)),
-            _ts(_reduce(np.minimum, ts, ts_ok, order, starts)),
-            _ts(_reduce(np.maximum, ts, ts_ok, order, starts)),
-            pa.array(turn[first_row], mask=no_first),
-            pa.array(turn[last_row], mask=no_last),
-            _take(text, first_row, no_first),
-            _take(text, last_row, no_last),
-            _hash(_reduce(np.add, contrib, contrib_ok, order, starts)),
+            conv.take(r.order[r.starts]),
+            pa.array(r.sizes),
+            pa.array(segments.count(r, tool_ok)),
+            _ts(segments.min(r, ts, ts_ok)),
+            _ts(segments.max(r, ts, ts_ok)),
+            _take(turn, first),
+            _take(turn, last),
+            _take(text, first),
+            _take(text, last),
+            pa.array(segments.sum(r, contrib, contrib_ok) % P),
         ],
         schema=_PARTIAL_SCHEMA,
     )
@@ -280,10 +246,10 @@ def _merge_table(t: pa.Table) -> pa.Table:
     ``map_groups`` overhead is ~2 ms/group, which at millions of
     conversations would dominate wall time.
 
-    One lexsort by (code, min_turn) carries the sums, the ts bounds and
-    ``first_text``; one by (code, max_turn) carries ``last_text``.  Both
-    order the codes alike, so run ``i`` is the same conversation in
-    each."""
+    Conversation runs ordered by ``min_turn`` carry the sums, the ts
+    bounds and ``first_text``; runs ordered by ``max_turn`` carry
+    ``last_text``.  Both order the codes alike, so run ``i`` is the
+    same conversation in each."""
     if t.num_rows == 0:
         return _MERGE_SCHEMA.empty_table()
     t = t.select(_PARTIAL_SCHEMA.names).cast(_PARTIAL_SCHEMA).combine_chunks()
@@ -295,21 +261,19 @@ def _merge_table(t: pa.Table) -> pa.Table:
     last_ts, last_ts_ok = _ints(col["last_ts"])
     hash_part, hash_ok = _ints(col["hash_part"])
 
-    order, starts = _runs(codes, lo, col["first_text"], lo_ok)
-    first, no_first = _pick(lo_ok[order], starts, last=False)
+    r = _turn_runs(codes, lo, col["first_text"], lo_ok)
     head = [
-        col["conv_id"].take(order[starts]),
-        pa.array(np.add.reduceat(col["n_turns"].to_numpy()[order], starts)),
-        pa.array(np.add.reduceat(col["n_tool_calls"].to_numpy()[order], starts)),
-        _ts(_reduce(np.minimum, first_ts, first_ts_ok, order, starts)),
-        _ts(_reduce(np.maximum, last_ts, last_ts_ok, order, starts)),
-        _take(col["first_text"], order[first], no_first),
+        col["conv_id"].take(r.order[r.starts]),
+        pa.array(segments.sum(r, col["n_turns"].to_numpy())),
+        pa.array(segments.sum(r, col["n_tool_calls"].to_numpy())),
+        _ts(segments.min(r, first_ts, first_ts_ok)),
+        _ts(segments.max(r, last_ts, last_ts_ok)),
+        _take(col["first_text"], segments.first(r, lo_ok)),
     ]
-    ordered_hash = _hash(_reduce(np.add, hash_part, hash_ok, order, starts))
-    order, starts = _runs(codes, hi, col["last_text"], hi_ok)
-    last, no_last = _pick(hi_ok[order], starts, last=True)
+    ordered_hash = pa.array(segments.sum(r, hash_part, hash_ok) % P)
+    r = _turn_runs(codes, hi, col["last_text"], hi_ok)
     return pa.Table.from_arrays(
-        head + [_take(col["last_text"], order[last], no_last), ordered_hash],
+        head + [_take(col["last_text"], segments.last(r, hi_ok)), ordered_hash],
         schema=_MERGE_SCHEMA,
     )
 
@@ -420,23 +384,17 @@ def pivot_counts(ds, *, key: str, cat: str, categories: list[str],
     def merge(t: pa.Table) -> pa.Table:
         """Pure-Arrow per-partition sum: a pandas round trip would
         degrade a null-bearing int64 key to float64 (exact > 2^53 keys
-        corrupt and the output schema drifts per partition).  Sorted
-        ``add.reduceat``, NOT ``bincount(weights=...)`` — the weighted
+        corrupt and the output schema drifts per partition).  Segment
+        sums, NOT ``bincount(weights=...)`` — the weighted
         bincount path accumulates in float64, silently rounding counts
         past 2^53 (the same reason group_counts below uses it)."""
         kcodes, kuniq_first = _first_occurrence_codes(t.column(key))
-        nk = len(kuniq_first)
-        order = np.argsort(kcodes, kind="stable")
-        sk = kcodes[order]
-        starts = np.flatnonzero(np.diff(sk, prepend=-1))
-        seg = sk[starts]
+        # codes are dense 0..k-1, so run i is code i
+        r = segments.runs(kcodes)
         out = {key: t.column(key).take(kuniq_first)}
         for c in cols:
             vals = t.column(c).to_numpy(zero_copy_only=False).astype(np.int64)
-            sums = np.zeros(nk, dtype=np.int64)
-            if len(vals):
-                sums[seg] = np.add.reduceat(vals[order], starts)
-            out[c] = pa.array(sums, type=pa.int64())
+            out[c] = pa.array(segments.sum(r, vals).data, type=pa.int64())
         return pa.table(out)
 
     return exchange(ds.map_batches(partial, batch_format="pyarrow"), key,
@@ -464,13 +422,10 @@ def group_counts(ds, *, key: str, out_col: str = "n", num_partitions: int = 32):
     def merge(t: pa.Table) -> pa.Table:
         kcodes, kuniq_first = _first_occurrence_codes(t.column(key))
         vals = t.column(out_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        # sorted reduceat: exact int64 (bincount's weighted path sums in
-        # float64) and vectorized (ufunc.at is ~1 µs/element).  Codes
-        # are dense 0..k-1 with every code present, so segment order ==
-        # kuniq_first order.
-        order = np.argsort(kcodes, kind="stable")
-        starts = np.flatnonzero(np.diff(kcodes[order], prepend=-1))
-        sums = np.add.reduceat(vals[order], starts) if len(vals) else vals
+        # segment sums: exact int64 (bincount's weighted path sums in
+        # float64).  Codes are dense 0..k-1 with every code present, so
+        # run order == kuniq_first order.
+        sums = segments.sum(segments.runs(kcodes), vals).data
         return pa.table(
             {key: t.column(key).take(kuniq_first), out_col: pa.array(sums, type=pa.int64())}
         )
@@ -512,37 +467,23 @@ def _multi_group_codes(cols: list) -> tuple[np.ndarray, np.ndarray]:
     """Dense 0..g-1 group codes over a TUPLE of columns plus one
     representative row index per group — the multi-key twin of
     :func:`_first_occurrence_codes` (nulls group like SQL ``GROUP
-    BY``).  Built on per-column dictionary codes + one lexsort, so
-    exact for any dtype including int64 > 2^53."""
-    codes = [_dict_codes(c) for c in cols]
-    n = len(codes[0])
-    if n == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    order = np.lexsort(tuple(codes))
-    stacked = np.stack([c[order] for c in codes])
-    new = np.ones(n, dtype=bool)
-    if n > 1:
-        new[1:] = (stacked[:, 1:] != stacked[:, :-1]).any(axis=0)
-    gid_sorted = np.cumsum(new) - 1
-    gids = np.empty(n, dtype=np.int64)
-    gids[order] = gid_sorted
-    rep = order[new]
-    return gids, rep
+    BY``).  Built on per-column dictionary codes + one
+    :func:`segments.runs`, so exact for any dtype including int64 >
+    2^53."""
+    r = segments.runs(tuple(_dict_codes(c) for c in reversed(cols)))
+    gids = np.empty(len(r.order), dtype=np.int64)
+    gids[r.order] = r.ids
+    return gids, r.order[r.starts]
 
 
 def _weighted_tuple_sums(t: pa.Table, keys: list[str], val_col: str):
-    """Exact int64 sum of ``val_col`` per distinct key tuple: lexsorted
-    ``np.add.reduceat`` (never ``bincount(weights=...)``, which
-    accumulates in float64 and silently rounds past 2^53).  Returns
-    (representative row indices, sums)."""
-    gids, rep = _multi_group_codes([t.column(k) for k in keys])
+    """Exact int64 sum of ``val_col`` per distinct key tuple: segment
+    sums (never ``bincount(weights=...)``, which accumulates in float64
+    and silently rounds past 2^53).  Returns (representative row
+    indices, sums)."""
+    r = segments.runs(tuple(_dict_codes(t.column(k)) for k in reversed(keys)))
     vals = t.column(val_col).to_numpy(zero_copy_only=False).astype(np.int64)
-    if not len(vals):
-        return rep, vals
-    order = np.argsort(gids, kind="stable")
-    starts = np.flatnonzero(np.diff(gids[order], prepend=-1))
-    sums = np.add.reduceat(vals[order], starts)
-    return rep, sums
+    return r.order[r.starts], segments.sum(r, vals).data
 
 
 def _level_table(t: pa.Table, keys: list[str], keep: int, val_col: str,
@@ -815,7 +756,7 @@ def group_mode(ds, *, key: str, val_col: str, num_partitions: int = 32):
     Two-phase: batches forward distinct (key, value, cnt) rows — a
     million repeats of one pair forward one row — then one
     co-partition by key sums pair counts and takes the per-key argmax
-    in a single lexsort pass (no per-group loop).  NULL values are
+    in a single sort pass (no per-group loop).  NULL values are
     excluded (SQL aggregates ignore NULLs); NULL keys form one group."""
 
     def partial(t: pa.Table) -> pa.Table:
@@ -856,7 +797,7 @@ def group_regr(ds, *, key: str, x_col: str, y_col: str, num_partitions: int = 32
     twin of :func:`~.sketches.exact_corr_stats`, with the same exact-sum
     discipline: per-batch per-key integer partials
     (n, Σx, Σy, Σx², Σy², Σxy) are computed in exact integers (int64
-    reduceat behind an overflow guard, unbounded Python ints past it)
+    segment sums behind an overflow guard, unbounded Python ints past it)
     and shipped as DECIMAL STRINGS — one row per key per batch, so the
     exchange is keys × batches, never rows — then ONE co-partition by
     key merges them and evaluates the fixed float expressions
@@ -889,24 +830,20 @@ def group_regr(ds, *, key: str, x_col: str, y_col: str, num_partitions: int = 32
         kcodes, kfirst = _first_occurrence_codes(t.column(key))
         x = t.column(x_col).to_numpy(zero_copy_only=False).astype(np.int64)
         y = t.column(y_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(kcodes, kind="stable")
-        starts = np.flatnonzero(np.diff(kcodes[order], prepend=-1))
+        r = segments.runs(kcodes)
         k = len(kfirst)
         n_g = np.bincount(kcodes, minlength=k)
         mx = int(np.abs(x).max())
         my = int(np.abs(y).max())
         if max(mx, my) ** 2 * len(x) < (1 << 62):
             # vectorized exact int64 path (guarded against overflow)
-            xs = x[order]
-            ys = y[order]
-            sums = [np.add.reduceat(v, starts) for v in
-                    (xs, ys, xs * xs, ys * ys, xs * ys)]
+            sums = [segments.sum(r, v) for v in (x, y, x * x, y * y, x * y)]
             cols = [np.array([str(int(s)) for s in col], dtype=object) for col in sums]
         else:  # huge magnitudes: per-group unbounded Python ints, still exact
             cols = [np.empty(k, dtype=object) for _ in range(5)]
-            bounds = np.append(starts, len(x))
+            bounds = np.append(r.starts, len(x))
             for g in range(k):
-                seg = order[bounds[g]:bounds[g + 1]]
+                seg = r.order[bounds[g]:bounds[g + 1]]
                 gx = [int(v) for v in x[seg]]
                 gy = [int(v) for v in y[seg]]
                 vals = (sum(gx), sum(gy), sum(v * v for v in gx),
@@ -1013,32 +950,24 @@ def group_string_agg(ds, *, key: str, val_col: str, order_cols: list[str],
     rows — an ordered concat is NOT mergeable from per-batch partials
     (batch order interleaves arbitrarily with the order columns), so
     the rows ship once, like every ordered window stage.  Per
-    partition: ONE lexsort, then a single pandas groupby join over the
-    sorted view.  A pathological hot key produces one giant output
+    partition: one :func:`segments.runs`, then a single pandas groupby
+    join over the sorted view.  A pathological hot key produces one giant output
     string on one worker — cap upstream (group_topk) if a key can hold
     a meaningful fraction of the corpus."""
     cols = [key, *order_cols, val_col]
 
     def per_partition(df: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(df[key], use_na_sentinel=False)
-        for c in order_cols:
-            if df[c].isna().any():
-                raise ValueError(f"group_string_agg: null in order column {c!r}")
-        order = np.lexsort(tuple(
-            df[c].to_numpy() for c in reversed(order_cols)) + (codes,))
-        sdf = df.iloc[order]
-        vals = sdf[val_col]
+        r = segments.runs(codes, {c: df[c].to_numpy() for c in order_cols})
+        vals = df[val_col].iloc[r.order]
         joined = (
             vals.dropna().astype(str)
-            .groupby(codes[order][vals.notna().to_numpy()])
+            .groupby(r.ids[vals.notna().to_numpy()])
             .agg(sep.join)
         )
-        firsts = sdf[~pd.Series(codes[order]).duplicated().to_numpy()]
-        # firsts is in ascending-code order (codes are the lexsort's
-        # primary key) and so is reindex(unique(codes)) — aligned 1:1
-        agg = joined.reindex(np.unique(codes)).astype(object).to_numpy()
+        agg = joined.reindex(np.arange(len(r))).astype(object).to_numpy()
         agg[pd.isna(agg)] = None  # all-NULL group → NULL, dtype stays string
-        out = pd.DataFrame({key: firsts[key].to_numpy()})
+        out = pd.DataFrame({key: df[key].to_numpy()[r.order[r.starts]]})
         out[out_col] = agg
         return out
 
@@ -1074,9 +1003,9 @@ def group_moments(ds, *, key: str, x_col: str, num_partitions: int = 32):
 
     int64-overflow discipline: x⁴ of a 5-digit cents value already
     exceeds int64, so the vectorized path is guarded per power — sums
-    whose worst case fits use ``np.add.reduceat`` on int64; the rest
-    switch the SAME reduceat to an object-dtype view (unbounded Python
-    ints, still one C-loop pass, never a per-group Python loop)."""
+    whose worst case fits use segment sums on int64; the rest switch the
+    SAME segment sum to an object-dtype view (unbounded Python ints,
+    still one C-loop pass, never a per-group Python loop)."""
 
     POWERS = ("s1", "s2", "s3", "s4")
 
@@ -1090,25 +1019,23 @@ def group_moments(ds, *, key: str, x_col: str, num_partitions: int = 32):
             })
         kcodes, kfirst = _first_occurrence_codes(t.column(key))
         x = t.column(x_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(kcodes, kind="stable")
-        starts = np.flatnonzero(np.diff(kcodes[order], prepend=-1))
+        r = segments.runs(kcodes)
         n_g = np.bincount(kcodes, minlength=len(kfirst))
-        xs = x[order]
         mx = max(int(np.abs(x).max()), 1)
         cols = {}
-        xp64 = xs.copy()
+        xp64 = x.copy()
         xpobj = None
         for p, name in enumerate(POWERS, start=1):
             if mx ** p * len(x) < (1 << 62):
                 if p > 1:
-                    xp64 = xp64 * xs  # exact: mx**p bounded above
-                sums = np.add.reduceat(xp64, starts)
+                    xp64 = xp64 * x  # exact: mx**p bounded above
+                sums = segments.sum(r, xp64)
             else:
                 if xpobj is None:  # first power past int64 range
-                    xpobj = xs.astype(object) ** p
+                    xpobj = x.astype(object) ** p
                 else:
-                    xpobj = xpobj * xs.astype(object)
-                sums = np.add.reduceat(xpobj, starts)
+                    xpobj = xpobj * x.astype(object)
+                sums = segments.sum(r, xpobj)
             cols[name] = np.array([str(int(s)) for s in sums], dtype=object)
         return pa.table({
             key: t.column(key).take(pa.array(kfirst, type=pa.int64())),

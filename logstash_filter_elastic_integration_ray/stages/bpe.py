@@ -48,6 +48,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from .dsir import _segment_sums
 from .exchange import exchange
 
 #: end-of-word marker (the published algorithm's word-boundary symbol)
@@ -234,10 +235,7 @@ class BpeEncoder:
         piece_ns = np.empty(len(words), dtype=np.int64)
         for k, w in enumerate(words):
             piece_strs[k], piece_ns[k] = self._encode(w)
-        flat_n = piece_ns[indices]
-        starts = np.r_[0, np.cumsum(counts)]
-        totals = np.add.reduceat(flat_n, starts[:-1])
-        totals = np.where(counts > 0, totals, 0)
+        totals = _segment_sums(piece_ns[indices], counts)
         # per-doc join via one Arrow kernel over the rebuilt list array
         flat_pieces = pa.array(piece_strs[indices], type=pa.string())
         la = pa.ListArray.from_arrays(toks.offsets, flat_pieces)

@@ -40,6 +40,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .dedup import min_id_per_text
 from .exchange import exchange
 
 #: unit separator — joins prefix turns; cannot occur in text columns
@@ -164,13 +165,8 @@ def response_dedup(
     """
 
     def partial(t: pa.Table) -> pa.Table:
-        texts = np.asarray(t.column(text_col).to_pylist(), dtype=object)
-        texts[pd.isna(texts)] = ""
         keys = t.column(key_col).to_numpy().astype(np.int64)
-        uniq, inverse = np.unique(texts, return_inverse=True)
-        best = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(best, inverse, keys)
-        cnt = np.bincount(inverse, minlength=len(uniq)).astype(np.int64)
+        uniq, best, cnt = min_id_per_text(t.column(text_col), keys)
         hashes = [hashlib.md5(x.encode("utf-8")).hexdigest() for x in uniq]
         return pa.table({
             "content_hash": pa.array(hashes, type=pa.string()),

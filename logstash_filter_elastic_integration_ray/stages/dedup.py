@@ -33,6 +33,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import segments
 from .exchange import copartition, exchange, lookup
 
 _MERSENNE = (1 << 61) - 1
@@ -71,6 +72,16 @@ def _distinct_texts(col) -> tuple[list, np.ndarray]:
     return de.dictionary.to_pylist(), inverse
 
 
+def min_id_per_text(col, ids: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """(distinct texts, least id per text, rows per text) — one run per
+    distinct text, null folded into "" like every dedup hash here."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    col = pc.fill_null(col, "")
+    r = segments.runs(col)
+    return col.take(r.order[r.starts]).to_pylist(), segments.min(r, ids).data, r.sizes
+
+
 # --------------------------------------------------------------------------
 # exact dedup
 # --------------------------------------------------------------------------
@@ -79,12 +90,8 @@ def exact_dedup_partial(batch: pa.Table, text_col: str = "text", id_col: str = "
     once per distinct text (the md5 digest must stay the content key —
     it is the cross-engine oracle contract — but hashing only local
     survivors cuts the dominant cost on dup-heavy batches)."""
-    texts = np.asarray(batch.column(text_col).to_pylist(), dtype=object)
-    texts[pd.isna(texts)] = ""
     ids = batch.column(id_col).to_numpy().astype(np.int64)
-    uniq, inverse = np.unique(texts, return_inverse=True)
-    best = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(best, inverse, ids)
+    uniq, best, _ = min_id_per_text(batch.column(text_col), ids)
     hashes = [hashlib.md5(t.encode("utf-8")).hexdigest() for t in uniq]
     return pa.table(
         {

@@ -51,6 +51,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from . import segments
 from .corpus import _RACE_MOD, _RACE_MULT, group_topk
 from .decontam import flat_token_hashes, gram_hashes
 
@@ -114,12 +115,12 @@ def dsir_log_ratio(target_counts: np.ndarray, raw_counts: np.ndarray,
 
 
 def _segment_sums(vals: np.ndarray, seg_lengths: np.ndarray) -> np.ndarray:
-    """Left-to-right per-segment sums; 0.0 for empty segments."""
-    out = np.zeros(len(seg_lengths), dtype=np.float64)
-    nz = seg_lengths > 0
-    if vals.size and nz.any():
-        starts = np.r_[0, np.cumsum(seg_lengths)][:-1][nz]
-        out[nz] = np.add.reduceat(vals, starts)
+    """Sums of the flat ``vals`` cut into consecutive ``seg_lengths``
+    (0 for empty segments), in ``vals``' dtype — exact for integers."""
+    seg = np.repeat(np.arange(len(seg_lengths), dtype=np.int64), seg_lengths)
+    r = segments.runs(seg)
+    out = np.zeros(len(seg_lengths), dtype=np.asarray(vals).dtype)
+    out[seg[r.order[r.starts]]] = segments.sum(r, vals)
     return out
 
 

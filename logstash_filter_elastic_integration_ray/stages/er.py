@@ -35,6 +35,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import segments
 from .exchange import copartition, exchange, lookup
 from .dedup import connected_components_min_label
 from .spell import _ed1
@@ -109,17 +110,13 @@ def _block_edges(df: pd.DataFrame) -> pa.Table:
     # exact-key lanes (phone/email): vectorized star per block
     ex = df[df["kind"] == 0]
     if len(ex):
-        sub = ex[["bkey", "id"]].drop_duplicates().sort_values(
-            ["bkey", "id"], kind="mergesort")
-        bk = sub["bkey"].to_numpy()
+        sub = ex[["bkey", "id"]].drop_duplicates()
         ids = sub["id"].to_numpy(dtype=np.int64)
-        new = np.r_[True, bk[1:] != bk[:-1]]
-        starts = np.flatnonzero(new)
-        lens = np.diff(np.r_[starts, len(bk)])
-        root = np.repeat(ids[starts], lens)
-        others = ~new
+        r = segments.runs(sub["bkey"].to_numpy(), (ids,))
+        root = np.repeat(ids[r.order[r.starts]], r.sizes)
+        others = ~r.new
         ea_parts.append(root[others])
-        eb_parts.append(ids[others])
+        eb_parts.append(ids[r.order][others])
 
     ea: list[int] = []
     eb: list[int] = []

@@ -8,7 +8,8 @@ event_type) stream, built on the repo's standard thin-exchange idioms:
   first ``steps[1]`` AFTER it, ...).  Rows are pre-filtered to the
   step types, so the single co-partition by entity carries only
   funnel-relevant rows; each partition resolves its entities with K
-  vectorized masked group-min passes — never a per-entity loop.
+  masked segment-min passes over the entity runs — never a per-entity
+  loop.
 
 - **cohort_retention**: entities cohorted by their first-activity
   period; the output counts, per (cohort period, periods since), how
@@ -31,6 +32,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from logstash_filter_elastic_integration_ray.stages import segments
 from logstash_filter_elastic_integration_ray.stages.exchange import exchange
 
 __all__ = ["funnel_steps", "cohort_retention"]
@@ -57,10 +59,13 @@ def funnel_steps(
     timestamp do not both count, the standard ordered-funnel
     definition; the SQL twin uses the same comparison.
 
+    A null ``ts_col`` on a step row raises ``ValueError``.
+
     Scale shape: the pre-filter to step types bounds the exchange at
-    the funnel-relevant rows; per-partition work is K masked
-    ``minimum.at`` passes over sorted codes.  Entities hash-partition,
-    so a single entity's events co-locate but distinct entities spread.
+    the funnel-relevant rows; per-partition work is K masked segment-min
+    passes over the entity runs (:func:`funnel_partition`).  Entities
+    hash-partition, so a single entity's events co-locate but distinct
+    entities spread.
     """
     if len(steps) < 1:
         raise ValueError("funnel_steps: need at least one step")
@@ -71,37 +76,7 @@ def funnel_steps(
         return t.filter(m).select([key, ts_col, type_col])
 
     def per_partition(df: pd.DataFrame) -> pa.Table:
-        codes, uniq = pd.factorize(df[key], use_na_sentinel=False)
-        ts = df[ts_col].to_numpy()
-        if pd.isna(ts).any():
-            raise ValueError("funnel_steps: null timestamp")
-        ts_i = ts.astype("datetime64[us]").astype(np.int64)
-        types = df[type_col].to_numpy()
-        n_ent = len(uniq)
-        sentinel = np.iinfo(np.int64).max
-        prev = np.full(n_ent, np.iinfo(np.int64).min, dtype=np.int64)
-        cols: dict[str, np.ndarray] = {}
-        reached = np.ones(n_ent, dtype=bool)
-        completed = np.zeros(n_ent, dtype=np.int64)
-        for k, s in enumerate(steps, start=1):
-            cur = np.full(n_ent, sentinel, dtype=np.int64)
-            m = (types == s) & (ts_i > prev[codes]) & reached[codes]
-            if m.any():
-                np.minimum.at(cur, codes[m], ts_i[m])
-            reached = reached & (cur != sentinel)
-            completed += reached.astype(np.int64)
-            cols[f"step{k}_ts"] = cur
-            prev = cur
-        entered = cols["step1_ts"] != sentinel
-        out: dict[str, pa.Array] = {}
-        out[key] = pa.array(np.asarray(uniq)[entered])
-        for name, vals in cols.items():
-            v = vals[entered]
-            out[name] = pa.array(v, type=pa.int64(), mask=v == sentinel).cast(
-                pa.timestamp("us")
-            )
-        out["steps_completed"] = pa.array(completed[entered], type=pa.int64())
-        return pa.table(out)
+        return funnel_partition(df, key=key, ts_col=ts_col, type_col=type_col, steps=steps)
 
     # NOTE: a funnel nobody entered yields a zero-ROW dataset; Ray
     # 2.49's to_pandas() drops the column schema of all-empty datasets
@@ -110,6 +85,37 @@ def funnel_steps(
     # emptiness should check count() first, as the tests do.
     return exchange(ds.map_batches(prefilter, batch_format="pyarrow"), key,
                     num_partitions, per_partition, "pandas")
+
+
+def funnel_partition(df: pd.DataFrame, *, key: str, ts_col: str, type_col: str,
+                     steps: list[str]) -> pa.Table:
+    """:func:`funnel_steps` over every row of the entities in ``df``:
+    skip-till-next-match, one masked segment-min per step over each
+    entity's run — step k's time is the least ts of a ``steps[k-1]``
+    row after step k-1's."""
+    codes, uniq = pd.factorize(df[key], use_na_sentinel=False)
+    ts = df[ts_col].to_numpy()
+    # factorize codes are dense in first-seen order, so run i is entity i
+    r = segments.runs(codes, {ts_col: ts})
+    ts_i = ts.astype("datetime64[us]").astype(np.int64)
+    types = df[type_col].to_numpy()
+    prev = np.ma.MaskedArray(np.full(len(uniq), np.iinfo(np.int64).min, dtype=np.int64))
+    cols: dict[str, np.ma.MaskedArray] = {}
+    completed = np.zeros(len(uniq), dtype=np.int64)
+    for k, s in enumerate(steps, start=1):
+        # an entity whose chain broke has prev masked: none of its rows pass
+        cur = segments.min(r, ts_i, (types == s) & (ts_i > prev.data[codes])
+                           & ~np.ma.getmaskarray(prev)[codes])
+        completed += ~np.ma.getmaskarray(cur)
+        cols[f"step{k}_ts"] = prev = cur
+    entered = ~np.ma.getmaskarray(cols["step1_ts"])
+    # the key from a row of each run: a null key stays null, not NaN
+    first_rows = r.order[r.starts][entered]
+    out: dict[str, pa.Array] = {key: pa.Array.from_pandas(df[key]).take(first_rows)}
+    for name, vals in cols.items():
+        out[name] = pa.array(vals[entered], type=pa.int64()).cast(pa.timestamp("us"))
+    out["steps_completed"] = pa.array(completed[entered], type=pa.int64())
+    return pa.table(out)
 
 
 def cohort_retention(
@@ -156,11 +162,8 @@ def cohort_retention(
         df = df.drop_duplicates()
         codes, _ = pd.factorize(df[key], use_na_sentinel=False)
         periods = df["__period"].to_numpy(dtype=np.int64)
-        n_ent = int(codes.max()) + 1 if len(codes) else 0
-        first = np.full(n_ent, np.iinfo(np.int64).max, dtype=np.int64)
-        if len(codes):
-            np.minimum.at(first, codes, periods)
-        cohort = first[codes]
+        # factorize codes are dense, so run i is entity i
+        cohort = segments.min(segments.runs(codes), periods).data[codes]
         return pa.table({
             "cohort_period": pa.array(cohort, type=pa.int64()),
             "periods_since": pa.array(periods - cohort, type=pa.int64()),

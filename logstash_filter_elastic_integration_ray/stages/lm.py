@@ -56,7 +56,9 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from . import segments
 from .decontam import flat_token_hashes, gram_hashes
+from .dsir import _segment_sums
 from .exchange import lookup
 
 #: Stupid Backoff's published back-off multiplier.
@@ -87,16 +89,14 @@ def _unpack_row(uni_h, uni_c, bi_h, bi_c):
 
 
 def _merge_tables(hs: list[np.ndarray], cs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Exact merge of sorted (hash, count) tables: concat + lexsort +
-    ``add.reduceat`` on segment starts — int64 counts, no float."""
+    """Exact merge of sorted (hash, count) tables: concat + one run per
+    hash, counts summed — int64 counts, no float."""
     h = np.concatenate(hs)
     c = np.concatenate(cs)
     if len(h) == 0:
         return h.astype(np.uint64), c.astype(np.int64)
-    order = np.argsort(h, kind="mergesort")
-    h, c = h[order], c[order]
-    starts = np.flatnonzero(np.r_[True, h[1:] != h[:-1]])
-    return h[starts], np.add.reduceat(c, starts)
+    r = segments.runs(h)
+    return h[r.order[r.starts]], segments.sum(r, c).data
 
 
 def _merge_count_batch(t: pa.Table) -> pa.Table:
@@ -201,9 +201,7 @@ def _score_arrays(lm: BigramLM, fh: np.ndarray, counts: np.ndarray) -> np.ndarra
 
     logs = np.log2(s)
     nz = counts > 0
-    starts = np.r_[0, np.cumsum(counts)][:-1][nz]
-    sums = np.add.reduceat(logs, starts) if len(starts) else np.empty(0)
-    out[nz] = -sums / counts[nz].astype(np.float64)
+    out[nz] = -_segment_sums(logs, counts)[nz] / counts[nz].astype(np.float64)
     return out
 
 
@@ -281,27 +279,23 @@ def _type_table(h: np.ndarray, *sats: np.ndarray):
     if len(h) == 0:
         return (np.empty(0, np.uint64), np.empty(0, np.int64),
                 *[np.empty(0, s.dtype) for s in sats])
-    order = np.argsort(h, kind="mergesort")
-    hs = h[order]
-    starts = np.flatnonzero(np.r_[True, hs[1:] != hs[:-1]])
-    counts = np.diff(np.r_[starts, len(hs)]).astype(np.int64)
-    return (hs[starts], counts, *[s[order][starts] for s in sats])
+    r = segments.runs(h)
+    head = r.order[r.starts]
+    return (h[head], r.sizes.astype(np.int64), *[s[head] for s in sats])
 
 
 def _merge_typed(hs, cs, sats_list):
-    """Merge sorted (hash, count, satellites...) tables: concat +
-    mergesort + add.reduceat on counts; satellites at segment starts."""
+    """Merge sorted (hash, count, satellites...) tables: concat + one
+    run per hash, counts summed; satellites at each run's first row."""
     h = np.concatenate(hs)
     if len(h) == 0:
         return (h.astype(np.uint64), np.empty(0, np.int64),
                 *[np.empty(0, s[0].dtype if len(s) else np.uint64) for s in sats_list])
     c = np.concatenate(cs)
     sats = [np.concatenate(s) for s in sats_list]
-    order = np.argsort(h, kind="mergesort")
-    h, c = h[order], c[order]
-    starts = np.flatnonzero(np.r_[True, h[1:] != h[:-1]])
-    return (h[starts], np.add.reduceat(c, starts),
-            *[s[order][starts] for s in sats])
+    r = segments.runs(h)
+    head = r.order[r.starts]
+    return (h[head], segments.sum(r, c).data, *[s[head] for s in sats])
 
 
 _KN_COLS = ("tri_h", "tri_c", "tri_pre", "tri_suf", "tri_v",
@@ -365,12 +359,11 @@ def _group_count(keys: np.ndarray, weights: np.ndarray | None = None):
     """(sorted unique keys, per-key sum of weights — or type count)."""
     if len(keys) == 0:
         return np.empty(0, np.uint64), np.empty(0, np.int64)
-    order = np.argsort(keys, kind="mergesort")
-    k = keys[order]
-    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+    r = segments.runs(keys)
+    k = keys[r.order[r.starts]]
     if weights is None:
-        return k[starts], np.diff(np.r_[starts, len(k)]).astype(np.int64)
-    return k[starts], np.add.reduceat(weights[order], starts)
+        return k, r.sizes.astype(np.int64)
+    return k, segments.sum(r, weights).data
 
 
 class KnTrigramLM:
@@ -471,9 +464,7 @@ def _kn_score_arrays(lm: KnTrigramLM, fh: np.ndarray, counts: np.ndarray) -> np.
 
     logs = np.log2(s)
     nz = counts > 0
-    starts = np.r_[0, np.cumsum(counts)][:-1][nz]
-    sums = np.add.reduceat(logs, starts) if len(starts) else np.empty(0)
-    out[nz] = -sums / counts[nz].astype(np.float64)
+    out[nz] = -_segment_sums(logs, counts)[nz] / counts[nz].astype(np.float64)
     return out
 
 

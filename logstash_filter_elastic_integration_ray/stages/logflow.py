@@ -17,12 +17,12 @@ Distributed shapes:
   cumsum event ids → per-event join); only the stream's own lines ride
   the exchange.  Same partitioning contract as the per-conversation
   SFT packing (``stages/sft.py``).
-- **throttle_events**: one hash exchange on the key, then a
-  per-partition lexsort (key, window, order cols) and a vectorized
-  within-group cumulative count — rows ranked past the limit flag
-  ``throttled``.  A hot key concentrates one partition, which is the
-  op's semantic requirement (rank WITHIN key×window); the window
-  bucketing bounds each group at limit-relevant size.
+- **throttle_events**: one hash exchange on the key, then
+  per-partition ``segments.runs`` by (key, window) in order-column
+  order and each row's position in its run — rows ranked past the
+  limit flag ``throttled``.  A hot key concentrates one partition,
+  which is the op's semantic requirement (rank WITHIN key×window); the
+  window bucketing bounds each group at limit-relevant size.
 
 Both are bit-exact against window-function SQL twins.
 """
@@ -32,6 +32,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from . import segments
 
 
 def multiline_assemble(ds, *, stream_col: str, idx_col: str, line_col: str,
@@ -57,9 +59,9 @@ def multiline_assemble(ds, *, stream_col: str, idx_col: str, line_col: str,
             lines_arr = lines_arr.combine_chunks()
         cont = pc.match_substring_regex(lines_arr, cont_pattern).to_numpy(
             zero_copy_only=False)
-        order = np.lexsort((idx, streams))
-        s, i, c = streams[order], idx[order], cont[order]
-        lines = lines_arr.take(pa.array(order))
+        r = segments.runs(streams, {idx_col: idx})
+        s, c = streams[r.order], cont[r.order]
+        lines = lines_arr.take(pa.array(r.order))
         n = len(s)
         if n == 0:
             return pa.table({
@@ -68,17 +70,12 @@ def multiline_assemble(ds, *, stream_col: str, idx_col: str, line_col: str,
                 "n_lines": pa.array([], type=pa.int64()),
                 "message": pa.array([], type=pa.string()),
             })
-        new_stream = np.r_[True, s[1:] != s[:-1]]
-        start = ~c | new_stream  # an orphan continuation opens an event
-        ev = np.cumsum(start)    # global event id across the sorted batch
+        start = ~c | r.new  # an orphan continuation opens an event
+        ev = np.cumsum(start)  # global event id across the sorted batch
         starts = np.flatnonzero(start)
         counts = np.diff(np.r_[starts, n])
         # event_idx: rank of the event within its stream
-        stream_first_ev = ev[np.flatnonzero(new_stream)]
-        ev_stream_base = np.repeat(
-            stream_first_ev,
-            np.diff(np.r_[np.flatnonzero(new_stream), n]))[starts]
-        event_idx = ev[starts] - ev_stream_base + 1
+        event_idx = (ev - ev[r.head])[starts] + 1
         # newline-join each event's lines: one Arrow list rebuild
         offsets = np.r_[starts, n].astype(np.int32)
         lst = pa.ListArray.from_arrays(pa.array(offsets), lines)
@@ -109,8 +106,8 @@ def throttle_events(ds, *, key_col: str, ts_col: str, order_col: str,
         ts = t.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         oid = t.column(order_col).to_numpy(zero_copy_only=False)
         bkt = ts // window_us
-        order = np.lexsort((oid, ts, bkt, keys))
-        k, b, o = keys[order], bkt[order], oid[order]
+        r = segments.runs((keys, bkt), {ts_col: ts, order_col: oid})
+        k, b, o = keys[r.order], bkt[r.order], oid[r.order]
         n = len(k)
         if n == 0:
             return pa.table({
@@ -120,9 +117,7 @@ def throttle_events(ds, *, key_col: str, ts_col: str, order_col: str,
                 "seq": pa.array([], type=pa.int64()),
                 "throttled": pa.array([], type=pa.bool_()),
             })
-        new_grp = np.r_[True, (k[1:] != k[:-1]) | (b[1:] != b[:-1])]
-        grp_start = np.maximum.accumulate(np.where(new_grp, np.arange(n), 0))
-        seq = np.arange(n) - grp_start + 1
+        seq = r.pos + 1
         return pa.table({
             key_col: pa.array(k),
             "bkt": pa.array(b.astype(np.int64)),

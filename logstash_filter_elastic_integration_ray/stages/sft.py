@@ -17,14 +17,15 @@ rows gets a NULL context (SQL ``string_agg`` over an empty frame) and
 
 Shape (the 100-TB contract): ONE co-partition by conversation hash —
 the irreducible exchange, every turn must meet its conversation — then
-one lexsort + a per-target-row ``str.join`` over the group's prefix
-slice.  The join cost is exactly the bytes emitted, so the stage is
-output-bound by construction; there is no per-turn accumulation (which
-would be O(len²) per conversation).  ``max_context_chars`` bounds each
-emitted context to its LAST N characters (keep the recent turns),
-which also bounds worker memory when conversations are pathological —
-the cap is applied per emitted row, not to the join input, so it
-changes bytes stored, not bytes scanned.
+one :func:`segments.runs` + a per-target-row ``str.join`` over the
+group's prefix slice.  The join cost is exactly the bytes emitted, so
+the stage is output-bound by construction; there is no per-turn
+accumulation (which would be O(len²) per conversation).
+``max_context_chars`` bounds each emitted context to its LAST N
+characters (keep the recent turns), which also bounds worker memory
+when conversations are pathological — the cap is applied per emitted
+row, not to the join input, so it changes bytes stored, not bytes
+scanned.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from logstash_filter_elastic_integration_ray.stages import segments
 from logstash_filter_elastic_integration_ray.stages.exchange import exchange
-from logstash_filter_elastic_integration_ray.stages.windows import _lexsort_segments
 
 __all__ = ["context_response_pairs", "context_response_reference"]
 
@@ -59,14 +60,10 @@ def context_response_pairs(
         raise ValueError("context_response_pairs: max_context_chars must be >= 1")
 
     def per_partition(df: pd.DataFrame) -> pa.Table:
-        if df[order_col].isna().any():
-            raise ValueError(f"context_response_pairs: null in order column {order_col!r}")
         codes, _ = pd.factorize(df[key], use_na_sentinel=False)
-        order, g, _, starts, sizes = _lexsort_segments(
-            codes, [df[order_col].to_numpy()]
-        )
-        df = df.iloc[order].reset_index(drop=True)
-        group_start = np.repeat(starts, sizes)
+        r = segments.runs(codes, {order_col: df[order_col].to_numpy()})
+        df = df.iloc[r.order].reset_index(drop=True)
+        group_start = r.head
         # rendered "role: text" lines; null text renders '' (the twin's
         # COALESCE(text, '')) but a null ROLE nulls the whole element,
         # which string_agg SKIPS — mark those lines absent

@@ -34,6 +34,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from . import segments
 from .aggregate import _first_occurrence_codes
 from .exchange import exchange
 
@@ -374,10 +375,8 @@ def group_quantiles(ds, key: str, col: str, qs: list[float], names: list[str],
         df = df.sort_values([key, col], kind="mergesort")
         k = df[key].to_numpy()
         v = df[col].to_numpy()
-        new = np.r_[True, k[1:] != k[:-1]]
-        starts = np.flatnonzero(new)
-        ends = np.r_[starts[1:], len(k)]
-        n = ends - starts
+        kr = segments.runs(k)  # k is sorted, so the runs keep the frame's order
+        starts, n = kr.starts, kr.sizes
         cols = {key: k[starts]}
         for q, name in zip(qs, names):
             r = np.maximum(1, np.ceil(q * n).astype(np.int64))
@@ -395,7 +394,7 @@ def group_quantiles(ds, key: str, col: str, qs: list[float], names: list[str],
 def _hll_registers(values: np.ndarray, p: int) -> np.ndarray:
     """2^p max-rank registers from a uint64 hash array, vectorized:
     register index = top p bits, rank = 1 + leading zeros of the
-    remaining 64-p bits (capped).  One maximum.reduceat over the
+    remaining 64-p bits (capped).  One segment max over the
     index-sorted ranks — no per-value loop."""
     m = 1 << p
     idx = (values >> np.uint64(64 - p)).astype(np.int64)
@@ -410,10 +409,8 @@ def _hll_registers(values: np.ndarray, p: int) -> np.ndarray:
         x[big] >>= np.uint64(shift)
     rank = (64 - nbits).astype(np.uint8)  # 1 + clz(rest)
     regs = np.zeros(m, dtype=np.uint8)
-    order = np.argsort(idx)
-    si, sr = idx[order], rank[order]
-    starts = np.flatnonzero(np.diff(si, prepend=-1))
-    regs[si[starts]] = np.maximum.reduceat(sr, starts)
+    r = segments.runs(idx)
+    regs[idx[r.order[r.starts]]] = segments.max(r, rank)
     return regs
 
 
@@ -666,12 +663,10 @@ def cms_partials(batch: pa.Table, col: str, *, d: int = 4, w: int = 1 << 16,
         if weight_col is not None:
             wts = np.asarray([wraw[i] for i in keep], dtype=np.int64)
             # exact int64 accumulation: bincount's weighted path sums in
-            # float64 (lossy past 2^53) — sorted add.reduceat instead
+            # float64 (lossy past 2^53) — segment sums instead
             for r in range(d):
-                order = np.argsort(idx[r], kind="stable")
-                si = idx[r][order]
-                starts = np.flatnonzero(np.diff(si, prepend=-1))
-                counts[r][si[starts]] = np.add.reduceat(wts[order], starts)
+                cells = segments.runs(idx[r])
+                counts[r][idx[r][cells.order[cells.starts]]] = segments.sum(cells, wts)
         else:
             for r in range(d):
                 counts[r] = np.bincount(idx[r], minlength=w)
@@ -738,10 +733,8 @@ def _hll_register_rows(kcodes: np.ndarray, hashes: np.ndarray, nk: int, p: int) 
     rank = (64 - nbits).astype(np.uint8)
     addr = kcodes * np.int64(m) + idx
     regs = np.zeros(nk * m, dtype=np.uint8)
-    order = np.argsort(addr)
-    sa, sr = addr[order], rank[order]
-    starts = np.flatnonzero(np.diff(sa, prepend=-1))
-    regs[sa[starts]] = np.maximum.reduceat(sr, starts)
+    r = segments.runs(addr)
+    regs[addr[r.order[r.starts]]] = segments.max(r, rank)
     return regs.reshape(nk, m)
 
 
@@ -805,12 +798,9 @@ def hll_group_distinct(ds, *, key: str, val: str, p: int = 12,
     def merge(df: pd.DataFrame) -> pa.Table:
         codes, _ = pd.factorize(df[key], use_na_sentinel=False)
         blobs = np.frombuffer(b"".join(df["regs"].tolist()), dtype=np.uint8).reshape(len(df), m)
-        order = np.argsort(codes, kind="stable")
-        sc = codes[order]
-        starts = np.flatnonzero(np.diff(sc, prepend=-1))
-        merged = np.maximum.reduceat(blobs[order], starts, axis=0)
-        est = hll_estimate_rows(merged)
-        rep = df.index.to_numpy()[order[starts]]
+        r = segments.runs(codes)
+        est = hll_estimate_rows(segments.max(r, blobs).data)
+        rep = df.index.to_numpy()[r.order[r.starts]]
         out = df.loc[rep, [key]].reset_index(drop=True)
         out[out_col] = est
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)

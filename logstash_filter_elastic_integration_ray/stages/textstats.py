@@ -18,9 +18,11 @@ import pyarrow.compute as pc
 # module-level (NOT function-level): used inside map_batches / map_groups
 # UDFs that execute on workers, where the package is pickled by value and
 # function-level relative imports raise ModuleNotFoundError
+from . import segments
 from .exchange import exchange
 from .corpus import _dup_partials
 from .decontam import _GRAM_B, flat_token_hashes, gram_hashes
+from .dsir import _segment_sums
 from .dedup import _distinct_texts, _hash64_arrow
 from .sketches import top_k_tokens
 
@@ -66,24 +68,13 @@ def token_count_batch(batch: pa.Table) -> pa.Table:
     return pa.table({"doc_id": batch.column("doc_id"), "n_tokens": n})
 
 
-def _seg_sum_int(flags: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Exact int64 per-segment sums (0 for empty segments) — the
-    integer twin of stages/dsir.py:_segment_sums."""
-    out = np.zeros(len(lengths), dtype=np.int64)
-    nz = lengths > 0
-    if flags.size and nz.any():
-        starts = np.r_[0, np.cumsum(lengths)][:-1][nz]
-        out[nz] = np.add.reduceat(flags, starts)
-    return out
-
-
 def quality_batch(batch: pa.Table) -> pa.Table:
     """Quality metrics: char/word counts, stopword count + ratio.
 
     ``stop_ratio`` is an exact int/int double division so the DuckDB
     oracle reproduces it bit-for-bit.  Fully vectorized: one Arrow
     split kernel, one ``is_in`` membership pass over the flat token
-    array, one segmented ``add.reduceat`` — no per-row Python (the
+    array, one segment sum per doc — no per-row Python (the
     old loop measured 0.57 s per 80k docs single-core; null text
     yields all-zero counts, same as before)."""
     col = batch.column("text")
@@ -99,7 +90,7 @@ def quality_batch(batch: pa.Table) -> pa.Table:
     is_stop = pc.cast(
         pc.is_in(flat, value_set=pa.array(STOPWORDS)), pa.int8()
     ).to_numpy(zero_copy_only=False).astype(np.int64)
-    n_stop = _seg_sum_int(is_stop, lengths)
+    n_stop = _segment_sums(is_stop, lengths)
     ratio = n_stop / np.maximum(lengths, 1)
     return pa.table(
         {
@@ -158,7 +149,7 @@ def lang_id_batch(batch: pa.Table) -> pa.Table:
     for i, (_lang, arr) in enumerate(_PROFILE_ARRAYS):
         member = pc.cast(pc.is_in(flat, value_set=arr), pa.int8()).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        scores[i] = _seg_sum_int(member, lengths)
+        scores[i] = _segment_sums(member, lengths)
     best_idx = np.argmax(scores, axis=0)
     best_score = scores[best_idx, np.arange(n)]
     names = np.array([lang for lang, _ in _PROFILE_ARRAYS], dtype=object)
@@ -206,8 +197,8 @@ def repetition_batch(batch: pa.Table) -> pa.Table:
     fraction of the most frequent bigram.
 
     One ``split_pattern`` + one ``hash_array`` per batch; distinct and
-    top-bigram counts come from lexsort + run-length ``reduceat`` over
-    the flat token-hash array (no per-doc Python loop).  Distinctness
+    top-bigram counts come from (doc, hash) runs over the flat
+    token-hash array (no per-doc Python loop).  Distinctness
     is tested on 64-bit token hashes (collision odds ~n²/2⁶⁴).
     ``top_bigram_frac = 2·top/n`` can exceed 1.0 for overlapping
     repeats (e.g. "a a a"); it is a monotone repetition signal, not a
@@ -215,37 +206,19 @@ def repetition_batch(batch: pa.Table) -> pa.Table:
     """
     fh, counts = flat_token_hashes(batch.column("text"))
     n_docs = len(counts)
-    n_flat = len(fh)
     doc_idx = np.repeat(np.arange(n_docs, dtype=np.int64), counts)
 
-    # distinct tokens per doc: sort (doc, hash), count group changes
-    order = np.lexsort((fh, doc_idx))
-    sd, sh = doc_idx[order], fh[order]
-    new = np.ones(n_flat, dtype=bool)
-    if n_flat > 1:
-        new[1:] = (sd[1:] != sd[:-1]) | (sh[1:] != sh[:-1])
-    starts = np.zeros(n_docs, dtype=np.int64)
-    if n_docs:
-        starts[1:] = np.cumsum(counts)[:-1]
-    n_distinct = (
-        np.add.reduceat(new.astype(np.int64), starts) if n_flat else np.zeros(n_docs, dtype=np.int64)
-    )
+    # distinct tokens per doc: one run per distinct (doc, hash)
+    r = segments.runs((doc_idx, fh))
+    n_distinct = np.bincount(doc_idx[r.order[r.starts]], minlength=n_docs)
 
-    # most frequent bigram per doc: run lengths over sorted (doc, gram)
+    # most frequent bigram per doc: longest (doc, gram) run per doc
     gh, gdoc = gram_hashes(fh, counts, 2)
     top = np.zeros(n_docs, dtype=np.int64)
     if len(gh):
-        o2 = np.lexsort((gh, gdoc))
-        gh_s, gd_s = gh[o2], gdoc[o2]
-        rb = np.ones(len(gh_s), dtype=bool)
-        rb[1:] = (gd_s[1:] != gd_s[:-1]) | (gh_s[1:] != gh_s[:-1])
-        run_idx = np.flatnonzero(rb)
-        run_len = np.diff(np.append(run_idx, len(gh_s)))
-        run_doc = gd_s[run_idx]
-        db = np.ones(len(run_doc), dtype=bool)
-        db[1:] = run_doc[1:] != run_doc[:-1]
-        doc_starts_r = np.flatnonzero(db)
-        top[run_doc[doc_starts_r]] = np.maximum.reduceat(run_len, doc_starts_r)
+        r = segments.runs((gdoc, gh))
+        run_doc = segments.runs(gdoc[r.order[r.starts]])
+        top[gdoc[r.order[r.starts]][run_doc.starts]] = segments.max(run_doc, r.sizes)
 
     n_tokens = counts  # always >= 1: '' splits to ['']
     return pa.table(
@@ -270,9 +243,8 @@ def _tf_rows(t: pa.Table, text_col: str, id_col: str) -> pa.Table:
     count.  Text tokens leave the batch exactly once, as these rows.
 
     Vectorized: dictionary-encode the flat token array (no Python
-    string objects), then one (doc, code) lexsort + run-length
-    ``reduceat`` replaces the pandas object groupby (which dominated
-    the batch cost)."""
+    string objects), then one run per (doc, code) replaces the pandas
+    object groupby (which dominated the batch cost)."""
     col = t.column(text_col).combine_chunks() if isinstance(t.column(text_col), pa.ChunkedArray) else t.column(text_col)
     toks = pc.split_pattern(pc.fill_null(col, ""), " ")
     counts = pc.list_value_length(toks).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -285,15 +257,13 @@ def _tf_rows(t: pa.Table, text_col: str, id_col: str) -> pa.Table:
     de = flat.dictionary_encode()
     codes = de.indices.to_numpy(zero_copy_only=False).astype(np.int64)
     doc_rep = np.repeat(ids, counts)
-    order = np.lexsort((codes, doc_rep))
-    d_s, c_s = doc_rep[order], codes[order]
-    starts = np.flatnonzero(np.r_[True, (d_s[1:] != d_s[:-1]) | (c_s[1:] != c_s[:-1])])
-    tf = np.diff(np.r_[starts, len(c_s)])
+    r = segments.runs((doc_rep, codes))
+    head = r.order[r.starts]
     return pa.table(
         {
-            "doc_id": pa.array(d_s[starts], type=pa.int64()),
-            "token": de.dictionary.take(pa.array(c_s[starts])),
-            "tf": pa.array(tf.astype(np.int64)),
+            "doc_id": pa.array(doc_rep[head], type=pa.int64()),
+            "token": de.dictionary.take(pa.array(codes[head])),
+            "tf": pa.array(r.sizes.astype(np.int64)),
         }
     )
 
@@ -402,16 +372,11 @@ def _gram_pos(fh: np.ndarray, counts: np.ndarray, w: int):
 
 
 def _gram_runs(gh, gdoc, gpos):
-    """Sorted (doc, gram) run stats: per run — doc, occurrence count,
-    earliest start position, and the index (into the sorted order) of
-    the run head."""
-    order = np.lexsort((gpos, gh, gdoc))
-    gd, gg, gp = gdoc[order], gh[order], gpos[order]
-    head = np.ones(len(gd), dtype=bool)
-    head[1:] = (gd[1:] != gd[:-1]) | (gg[1:] != gg[:-1])
-    heads = np.flatnonzero(head)
-    run_len = np.diff(np.append(heads, len(gd)))
-    return gd[heads], run_len, gp[heads], order, head
+    """(doc, gram) runs ordered by start position, and per run: doc,
+    earliest start position and the row of that occurrence."""
+    r = segments.runs((gdoc, gh), (gpos,))
+    head = r.order[r.starts]
+    return r, gdoc[head], gpos[head], head
 
 
 def gopher_repetition_batch(batch: pa.Table, *, top_ns=(2, 3, 4),
@@ -451,7 +416,6 @@ def gopher_repetition_batch(batch: pa.Table, *, top_ns=(2, 3, 4),
     fh = _hash64_arrow(flat)
     n_docs = len(counts)
     n_flat = len(fh)
-    doc_starts = np.r_[0, np.cumsum(counts)][:-1]
     csum = np.r_[0, np.cumsum(tok_len)]
 
     out = {id_col: batch.column(id_col)}
@@ -466,13 +430,10 @@ def gopher_repetition_batch(batch: pa.Table, *, top_ns=(2, 3, 4),
         gh, gdoc, gpos = grams[n]
         if len(gh):
             glen = csum[gpos + n] - csum[gpos] + (n - 1)  # chars incl. gaps
-            run_doc, run_len, run_first, order, head = _gram_runs(gh, gdoc, gpos)
-            run_chars = glen[order][head]
-            sel = np.lexsort((run_first, -run_len, run_doc))
-            rd = run_doc[sel]
-            first = np.ones(len(rd), dtype=bool)
-            first[1:] = rd[1:] != rd[:-1]
-            chosen = sel[first]
+            r, run_doc, run_first, head = _gram_runs(gh, gdoc, gpos)
+            run_len, run_chars = r.sizes, glen[head]
+            # per doc, the most frequent gram; a tie → the earliest
+            chosen = segments.first(segments.runs(run_doc, (-run_len, run_first))).data
             num = (run_len[chosen] * run_chars[chosen]).astype(np.float64)
             frac[run_doc[chosen]] = num / denom[run_doc[chosen]]
         out[f"top_{n}gram_char_frac"] = pa.array(frac[inverse])
@@ -481,10 +442,10 @@ def gopher_repetition_batch(batch: pa.Table, *, top_ns=(2, 3, 4),
         frac = np.zeros(n_docs, dtype=np.float64)
         gh, gdoc, gpos = grams[n]
         if len(gh):
-            run_doc, run_len, run_first, order, head = _gram_runs(gh, gdoc, gpos)
+            r = _gram_runs(gh, gdoc, gpos)[0]
             # per-position occurrence count: run length back-scattered
             pos_count = np.empty(len(gh), dtype=np.int64)
-            pos_count[order] = np.repeat(run_len, run_len)
+            pos_count[r.order] = np.repeat(r.sizes, r.sizes)
             dup_pos = gpos[pos_count >= 2]
             if len(dup_pos):
                 # token coverage [p, p+n) and gap coverage [p, p+n-1)
@@ -496,10 +457,8 @@ def gopher_repetition_batch(batch: pa.Table, *, top_ns=(2, 3, 4),
                     np.bincount(dup_pos, minlength=n_flat + 1)[:n_flat]
                     - np.bincount(dup_pos + n - 1, minlength=n_flat + 1)[:n_flat]
                 ) > 0
-                covered = np.add.reduceat(
-                    tok_len * tok_cov, doc_starts) if n_flat else np.zeros(n_docs)
-                gaps = np.add.reduceat(
-                    gap_cov.astype(np.int64), doc_starts)
+                covered = _segment_sums(tok_len * tok_cov, counts)
+                gaps = _segment_sums(gap_cov.astype(np.int64), counts)
                 # a doc's LAST token has no following gap inside the doc;
                 # gram validity guarantees gap_cov is False there, so the
                 # per-doc segment sum over flat indices is exact
@@ -587,10 +546,7 @@ def winnow_batch(batch: pa.Table, *, k: int = 3, w: int = 4,
         rpos = np.concatenate(out_pos)
         # distinct (doc, pos) selections — adjacent windows often pick
         # the same gram; that dedup IS the winnowing compression
-        order = np.lexsort((rpos, rdoc))
-        rdoc, rfp, rpos = rdoc[order], rfp[order], rpos[order]
-        keep = np.ones(len(rdoc), dtype=bool)
-        keep[1:] = (rdoc[1:] != rdoc[:-1]) | (rpos[1:] != rpos[:-1])
+        keep = segments.first(segments.runs((rdoc, rpos))).data
         rdoc, rfp, rpos = rdoc[keep], rfp[keep], rpos[keep]
     else:
         rdoc = np.empty(0, dtype=np.int64)
@@ -681,44 +637,28 @@ def token_entropy_batch(batch: pa.Table, text_col: str = "text",
     token — a repetition-insensitive [0, 1] quality score).
 
     Stateless and fully vectorized: one ``flat_token_hashes`` split and
-    one (doc, hash) lexsort for the count runs.  The per-doc Σ uses the
+    one run per (doc, hash) for the counts.  The per-doc Σ uses the
     repo's int64 fixed-point idiom (``floor(c·ln c · 2³² + ½)`` —
     exact integer sums are order-independent, unlike float addition,
-    where even ``np.add.reduceat``'s pairwise order breaks ULP parity
+    where even a segment sum's pairwise order breaks ULP parity
     with a sequential reference), so the value is deterministic under
     any batching/token order at ~2⁻³² relative quantization — the
     pinned-fixture oracle relies on this.
     """
     fh, counts = flat_token_hashes(batch.column(text_col))
     n_docs = len(counts)
-    n_flat = len(fh)
     doc_idx = np.repeat(np.arange(n_docs, dtype=np.int64), counts)
 
     # run lengths per (doc, token-hash) — c values
-    order = np.lexsort((fh, doc_idx))
-    sd, sh = doc_idx[order], fh[order]
-    new = np.ones(n_flat, dtype=bool)
-    if n_flat > 1:
-        new[1:] = (sd[1:] != sd[:-1]) | (sh[1:] != sh[:-1])
-    run_idx = np.flatnonzero(new)
-    run_len = np.diff(np.append(run_idx, n_flat))
-    run_doc = sd[run_idx]
-
-    rl, rd = run_len, run_doc
-    addend = np.floor(
-        rl.astype(np.float64) * np.log(rl.astype(np.float64)) * 2.0**32 + 0.5
-    ).astype(np.int64)
-    db = np.ones(len(rd), dtype=bool)
-    if len(rd) > 1:
-        db[1:] = rd[1:] != rd[:-1]
-    doc_starts = np.flatnonzero(db)
+    r = segments.runs((doc_idx, fh))
+    rl = r.sizes.astype(np.float64)
+    addend = np.floor(rl * np.log(rl) * 2.0**32 + 0.5).astype(np.int64)
+    docs = segments.runs(doc_idx[r.order[r.starts]])
     s_fp = np.zeros(n_docs, dtype=np.int64)
     n_distinct = np.zeros(n_docs, dtype=np.int64)
-    if len(rd):
-        s_fp[rd[doc_starts]] = np.add.reduceat(addend, doc_starts)
-        n_distinct[rd[doc_starts]] = np.add.reduceat(
-            np.ones(len(rd), dtype=np.int64), doc_starts
-        )
+    d = doc_idx[r.order[r.starts]][docs.starts]
+    s_fp[d] = segments.sum(docs, addend)
+    n_distinct[d] = docs.sizes
     n = counts.astype(np.float64)  # '' splits to [''] → n >= 1
     entropy = np.log(n) - (s_fp.astype(np.float64) / 2.0**32) / n
     denom = np.log(n_distinct.astype(np.float64))
@@ -1101,21 +1041,14 @@ def oov_score_batch(batch: pa.Table, vocab: pa.Array,
     ``n_oov`` tokens not in ``vocab``, and the single-division rate
     (IEEE-deterministic, bit-identical to SQL's
     ``CAST(n_oov AS DOUBLE)/n_tokens``).  One Arrow ``is_in`` over the
-    flattened tokens + one ``reduceat`` per doc — no per-row loop."""
+    flattened tokens + one segment sum per doc — no per-row loop."""
     col = batch.column(text_col)
     col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
     toks = pc.split_pattern(pc.fill_null(col, ""), " ")
     counts = pc.list_value_length(toks).to_numpy(zero_copy_only=False).astype(np.int64)
     flat = toks.flatten()
     inv = pc.is_in(flat, value_set=vocab).to_numpy(zero_copy_only=False)
-    oov_flags = (~inv).astype(np.int64)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    n_docs = len(counts)
-    n_oov = np.zeros(n_docs, dtype=np.int64)
-    nz = counts > 0
-    if nz.any():
-        sums = np.add.reduceat(oov_flags, starts[nz])
-        n_oov[nz] = sums
+    n_oov = _segment_sums((~inv).astype(np.int64), counts)
     rate = n_oov.astype(np.float64) / counts.astype(np.float64)
     return pa.table({
         id_col: batch.column(id_col),
@@ -1460,9 +1393,9 @@ def gopher_quality_batch(batch: pa.Table, *, text_col: str = "text",
                                value_set=pa.array(_GOPHER_STOPS)),
                       pa.int8()).to_numpy(zero_copy_only=False).astype(np.int64)
     lens_for_seg = pc.list_value_length(toks).to_numpy(zero_copy_only=False).astype(np.int64)
-    sum_len = _seg_sum_int(tok_len, lens_for_seg)
-    sum_alpha = _seg_sum_int(has_alpha, lens_for_seg)
-    sum_stop = _seg_sum_int(is_stop, lens_for_seg)
+    sum_len = _segment_sums(tok_len, lens_for_seg)
+    sum_alpha = _segment_sums(has_alpha, lens_for_seg)
+    sum_stop = _segment_sums(is_stop, lens_for_seg)
     n_hash = pc.count_substring(filled, "#").to_numpy(zero_copy_only=False).astype(np.int64)
     n_ell = pc.count_substring(filled, "...").to_numpy(zero_copy_only=False).astype(np.int64)
     wsafe = np.maximum(n_words, 1)

@@ -6,10 +6,12 @@ Two classic engine surfaces the corpus/aggregate stages don't cover:
   ORDER BY ...)`` / ``lag()``): every input row gets an output row, so
   the exchange necessarily carries the (thin) projected rows once —
   the minimum any window function must pay.  One co-partition by key
-  hash, then ONE vectorized pass per partition (lexsort + segmented
-  cumsum via group-boundary arithmetic — never a per-group Python
-  loop; see stages/aggregate.py:_merge_table for why per-group
-  Ray aggregates are ruled out).
+  hash, then ONE vectorized pass per partition over the key's sorted
+  run from :func:`segments.runs` (segmented cumsums via run-boundary
+  arithmetic — never a per-group Python loop; see
+  stages/aggregate.py:_merge_table for why per-group Ray aggregates
+  are ruled out).  Null keys, null order keys and ties follow the
+  rules stated once in stages/segments.py.
 
 - **exact count-distinct per group**: two-phase so the exchange
   carries *distinct (key, value) pairs per batch*, not rows — a batch
@@ -29,7 +31,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .aggregate import _multi_group_codes
+from . import segments
 from .corpus import _range_part
 
 from logstash_filter_elastic_integration_ray.stages.aggregate import (
@@ -60,18 +62,12 @@ def _order_view(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _lexsort_segments(codes: np.ndarray, orders: list[np.ndarray]):
-    """(order, sorted_codes, new_group_mask, starts, sizes) for rows
-    sorted by (key code, order columns...) — the single shared kernel
-    behind BOTH window plans (grouped_running's per-partition pass and
-    grouped_running_scan's final chunk), so the twins cannot drift."""
-    sort_keys = [_order_view(a) for a in reversed(orders)] + [codes]
-    order = np.lexsort(tuple(sort_keys))
-    g = codes[order]
-    new = np.r_[True, g[1:] != g[:-1]]
-    starts = np.flatnonzero(new)
-    sizes = np.diff(np.r_[starts, len(g)])
-    return order, g, new, starts, sizes
+def _window_runs(df: pd.DataFrame, key: str, order_cols: list[str]) -> segments.Runs:
+    """``df``'s rows in per-key runs ordered by ``order_cols`` — the one
+    sort behind every window plan here (grouped_running's partition
+    pass and grouped_running_scan's final chunk alike)."""
+    codes, _ = pd.factorize(df[key], use_na_sentinel=False)
+    return segments.runs(codes, {c: df[c].to_numpy() for c in order_cols})
 
 
 def _value_vector(series: pd.Series) -> np.ndarray:
@@ -130,7 +126,7 @@ def grouped_running(
 
     Shape: one co-partition by key hash (every row must meet its
     group — the irreducible exchange of a window function; project to
-    the needed columns BEFORE calling), then one lexsort + segmented
+    the needed columns BEFORE calling), then one sort into key runs + segmented
     cumsum per partition.  Output = input columns + the appended
     window columns, one row per input row.
     """
@@ -146,19 +142,16 @@ def grouped_running(
     )
 
     def per_partition(df: pd.DataFrame) -> pa.Table:
-        codes, _ = pd.factorize(df[key], use_na_sentinel=False)
         orders = [df[c].to_numpy() for c in order_cols]
-        for c, a in zip(order_cols, orders):
-            if pd.isna(a).any():
-                raise ValueError(f"grouped_running: null in order column {c!r}")
-        order, g, new, starts, sizes = _lexsort_segments(codes, orders)
+        r = _window_runs(df, key, order_cols)
+        order, g = r.order, r.ids
         # 1-based running count: position within group
-        cnt = np.arange(len(g), dtype=np.int64) - np.repeat(starts, sizes) + 1
+        cnt = r.pos + 1
         v = _value_vector(df[value_col])
         vs = v[order]
         cs0 = np.r_[0, np.cumsum(vs)]  # padded prefix: cs0[i+1]-cs0[j] = sum(vs[j:i+1])
         idx = np.arange(len(g), dtype=np.int64)
-        group_start = np.repeat(starts, sizes)
+        group_start = r.head
         if frame_rows is None:
             lo = group_start
         else:
@@ -233,7 +226,7 @@ def grouped_running(
             o0 = _order_view(orders[0])[order]
             gap = np.empty(len(g), dtype=np.float64)
             gap[1:] = (o0[1:] - o0[:-1]).astype(np.float64)
-            gap[new] = np.nan
+            gap[r.new] = np.nan
             out[gap_col] = pd.array(
                 np.where(np.isnan(gap), None, gap), dtype="Int64"
             )
@@ -274,7 +267,7 @@ def grouped_shift(
 
     Shape: identical to :func:`grouped_running` — one co-partition by
     key hash (the irreducible window exchange; project to the needed
-    columns BEFORE calling), then one lexsort + index-arithmetic pass
+    columns BEFORE calling), then one sort into key runs + index arithmetic
     per partition.  One output row per input row."""
     if lag is None and lead is None:
         raise ValueError("grouped_shift: need lag and/or lead")
@@ -283,16 +276,12 @@ def grouped_shift(
     ext_is_int = _col_is_integer(ds, value_col)
 
     def per_partition(df: pd.DataFrame) -> pa.Table:
-        codes, _ = pd.factorize(df[key], use_na_sentinel=False)
-        orders = [df[c].to_numpy() for c in order_cols]
-        for c, a in zip(order_cols, orders):
-            if pd.isna(a).any():
-                raise ValueError(f"grouped_shift: null in order column {c!r}")
-        order, g, new, starts, sizes = _lexsort_segments(codes, orders)
-        n = len(g)
+        r = _window_runs(df, key, order_cols)
+        order = r.order
+        n = len(order)
         idx = np.arange(n, dtype=np.int64)
-        group_start = np.repeat(starts, sizes)
-        group_end = group_start + np.repeat(sizes, sizes) - 1
+        group_start = r.head
+        group_end = group_start + np.repeat(r.sizes, r.sizes) - 1
         raw = pd.to_numeric(df[value_col], errors="raise")
         notnull = raw.notna().to_numpy()[order]
         if ext_is_int and pd.api.types.is_integer_dtype(raw):
@@ -423,40 +412,31 @@ def grouped_rank_stats(
 
     Shape: identical to :func:`grouped_running` — one co-partition by
     key hash (the irreducible window exchange; project first), then one
-    lexsort + boundary-arithmetic pass per partition.  Ranks need the
+    sort into key runs + boundary arithmetic per partition.  Ranks need the
     whole group co-located; for hot-key-skewed inputs rank (unlike
     running sums) cannot split across chunks without a second exchange,
-    so this deliberately ships the hash plan only.
+    so this deliberately ships the hash plan only.  ``peer_cols`` must
+    be a prefix of ``order_cols``.
     """
     peers = list(peer_cols) if peer_cols is not None else list(order_cols)
-    for c in peers:
-        if c not in order_cols:
-            raise ValueError(f"grouped_rank_stats: peer col {c!r} not in order_cols")
+    if peers != list(order_cols)[:len(peers)]:
+        raise ValueError(f"grouped_rank_stats: peer cols {peers!r} not a prefix of order_cols")
 
     def per_partition(df: pd.DataFrame) -> pa.Table:
-        codes, _ = pd.factorize(df[key], use_na_sentinel=False)
-        orders = [df[c].to_numpy() for c in order_cols]
-        for c, a in zip(order_cols, orders):
-            if pd.isna(a).any():
-                raise ValueError(f"grouped_rank_stats: null in order column {c!r}")
-        order, g, new, starts, sizes = _lexsort_segments(codes, orders)
-        n = len(g)
+        r = _window_runs(df, key, order_cols)
+        order = r.order
+        n = len(order)
         idx = np.arange(n, dtype=np.int64)
-        group_start = np.repeat(starts, sizes)
-        n_rows = np.repeat(sizes, sizes)
-        # peer boundaries: group change OR any peer column change
-        new_peer = new.copy()
-        for c in peers:
-            a = _order_view(df[c].to_numpy())[order]
-            if n > 1:
-                new_peer[1:] |= a[1:] != a[:-1]
-        peer_starts = np.flatnonzero(new_peer)
-        peer_sizes = np.diff(np.r_[peer_starts, n])
-        peer_first = np.repeat(peer_starts, peer_sizes)
-        peer_last = np.repeat(peer_starts + peer_sizes - 1, peer_sizes)
+        group_start = r.head
+        n_rows = np.repeat(r.sizes, r.sizes)
+        # peer groups: runs of (key, peer cols) over the already sorted
+        # rows (peers are a prefix of the order, so the sort keeps them)
+        p = segments.runs((r.ids, *(_order_view(df[c].to_numpy())[order] for c in peers)))
+        peer_first = p.head
+        peer_last = peer_first + np.repeat(p.sizes, p.sizes) - 1
         rank = peer_first - group_start + 1
-        dr_cum = np.cumsum(new_peer.astype(np.int64))
-        dense = dr_cum - np.repeat(dr_cum[starts], sizes) + 1
+        dr_cum = np.cumsum(p.new.astype(np.int64))
+        dense = dr_cum - dr_cum[group_start] + 1
         prank = np.where(n_rows > 1, (rank - 1) / np.maximum(n_rows - 1, 1), 0.0)
         cdist = (peer_last - group_start + 1) / n_rows
         out = df.iloc[order].reset_index(drop=True)
@@ -575,8 +555,8 @@ def grouped_running_scan(
        (stages/corpus.py:_range_part — equal order values land in one
        chunk, so a key's rows are monotone across chunks);
     2. per-BATCH partials ``(key, chunk, sum, cnt, max_order)`` —
-       sorted ``reduceat``, no shuffle; a hot key adds ≤1 row per
-       batch×chunk;
+       segment reductions over (key, chunk) runs, no shuffle; a hot
+       key adds ≤1 row per batch×chunk;
     3. per-key exclusive prefix over chunks: partials co-partition by
        key hash (the ONLY per-key exchange — thin rows bounded by
        keys × chunks, not data rows) → ``(key, chunk, base_sum,
@@ -659,7 +639,7 @@ def grouped_running_scan(
 
     def batch_partials(t: pa.Table) -> pa.Table:
         """Per-(key, chunk) partial (sum, cnt, max_order) for one batch
-        — sorted reduceat keeps int64 sums exact (bincount weights are
+        — segment sums keep int64 sums exact (bincount weights are
         float64)."""
         if t.num_rows == 0:
             cols = {
@@ -679,31 +659,22 @@ def grouped_running_scan(
         raw = pd.to_numeric(t.column(value_col).to_pandas(), errors="raise")
         v = raw.fillna(0).astype(sum_np).to_numpy()
         o = _o0_int64(t.column(order0)).to_numpy(zero_copy_only=False)
-        comb = (kcodes + 1) * np.int64(num_partitions + 1) + chunk
-        order = np.argsort(comb, kind="stable")
-        cs = comb[order]
-        new = np.r_[True, cs[1:] != cs[:-1]]
-        starts = np.flatnonzero(new)
-        rep = order[starts]
+        r = segments.runs((kcodes, chunk))
+        rep = r.order[r.starts]
         cols = {
             key: t.column(key).take(rep),
             "__chunk": pa.array(chunk[rep], type=pa.int64()),
-            "s": pa.array(np.add.reduceat(v[order], starts), type=sum_pa),
-            "c": pa.array(np.diff(np.r_[starts, len(comb)]), type=pa.int64()),
-            "mo": pa.array(np.maximum.reduceat(o[order], starts), type=pa.int64()),
+            "s": pa.array(segments.sum(r, v), type=sum_pa),
+            "c": pa.array(r.sizes, type=pa.int64()),
+            "mo": pa.array(segments.max(r, o), type=pa.int64()),
         }
         if want_ext:
-            notnull = raw.notna().to_numpy()[order]
-            vo = v[order]
-            cols["mn"] = pa.array(
-                np.minimum.reduceat(np.where(notnull, vo, SENT_MN), starts), type=sum_pa
-            )
-            cols["mx"] = pa.array(
-                np.maximum.reduceat(np.where(notnull, vo, SENT_MX), starts), type=sum_pa
-            )
-            cols["nn"] = pa.array(
-                np.add.reduceat(notnull.astype(np.int64), starts), type=pa.int64()
-            )
+            # all-null runs keep the per-op sentinel (the identity), not
+            # null: the prefix exchange merges them as values
+            notnull = raw.notna().to_numpy()
+            cols["mn"] = pa.array(segments.min(r, v, notnull).data, type=sum_pa)
+            cols["mx"] = pa.array(segments.max(r, v, notnull).data, type=sum_pa)
+            cols["nn"] = pa.array(segments.count(r, notnull), type=pa.int64())
         return pa.table(cols)
 
     partials = parted.map_batches(batch_partials, batch_format="pyarrow")
@@ -718,30 +689,21 @@ def grouped_running_scan(
         s = df["s"].to_numpy(dtype=sum_np)
         c = df["c"].to_numpy(dtype=np.int64)
         mo = df["mo"].to_numpy(dtype=np.int64)
-        comb = codes.astype(np.int64) * np.int64(num_partitions + 1) + chunk
-        order = np.argsort(comb, kind="stable")
-        cs = comb[order]
-        new = np.r_[True, cs[1:] != cs[:-1]]
-        starts = np.flatnonzero(new)
         # collapse duplicate (key, chunk) partials from different batches
-        s2 = np.add.reduceat(s[order], starts)
-        c2 = np.add.reduceat(c[order], starts)
-        mo2 = np.maximum.reduceat(mo[order], starts)
-        g2 = codes[order][starts]
-        ch2 = chunk[order][starts]
-        rep = order[starts]
+        r = segments.runs((codes, chunk))
+        rep = r.order[r.starts]
+        s2 = segments.sum(r, s).data
+        c2 = segments.sum(r, c).data
+        mo2 = segments.max(r, mo).data
+        g2 = codes[rep]
+        ch2 = chunk[rep]
         # rows are now sorted (key, chunk): segmented exclusive prefix
-        new2 = np.r_[True, g2[1:] != g2[:-1]]
-        starts2 = np.flatnonzero(new2)
-        sizes2 = np.diff(np.r_[starts2, len(g2)])
-        cs_s = np.cumsum(s2)
-        cs_c = np.cumsum(c2)
-        base_s = np.r_[0, cs_s[:-1]] - np.repeat(np.r_[0, cs_s[starts2[1:] - 1]], sizes2)
-        base_c = np.r_[0, cs_c[:-1]] - np.repeat(np.r_[0, cs_c[starts2[1:] - 1]], sizes2)
+        k = segments.runs(g2)
+        base_s = segments.prefix(k, s2)
+        base_c = segments.prefix(k, c2)
         prev_o = np.empty(len(g2), dtype=np.int64)
-        prev_o[0] = _NO_PREV
         prev_o[1:] = mo2[:-1]
-        prev_o[new2] = _NO_PREV
+        prev_o[k.starts] = _NO_PREV
         out = df.iloc[rep].reset_index(drop=True)[[key]]
         out["__chunk"] = ch2  # range-chunk id — the co-group key below
         out["base_s"] = base_s
@@ -751,24 +713,20 @@ def grouped_running_scan(
             mn = df["mn"].to_numpy(dtype=sum_np)
             mx = df["mx"].to_numpy(dtype=sum_np)
             nn = df["nn"].to_numpy(dtype=np.int64)
-            mn2 = np.minimum.reduceat(mn[order], starts)
-            mx2 = np.maximum.reduceat(mx[order], starts)
-            nn2 = np.add.reduceat(nn[order], starts)
+            mn2 = segments.min(r, mn).data
+            mx2 = segments.max(r, mx).data
+            nn2 = segments.sum(r, nn).data
             # exclusive per-key prefix min/max over chunks: shifted
             # segmented cummin/cummax, sentinel at each key's first chunk
             cmn = pd.Series(mn2).groupby(g2).cummin().to_numpy()
             cmx = pd.Series(mx2).groupby(g2).cummax().to_numpy()
             base_mn = np.empty_like(cmn)
             base_mx = np.empty_like(cmx)
-            base_mn[0], base_mx[0] = SENT_MN, SENT_MX
             base_mn[1:], base_mx[1:] = cmn[:-1], cmx[:-1]
-            base_mn[new2], base_mx[new2] = SENT_MN, SENT_MX
-            cs_nn = np.cumsum(nn2)
+            base_mn[k.starts], base_mx[k.starts] = SENT_MN, SENT_MX
             out["base_mn"] = base_mn
             out["base_mx"] = base_mx
-            out["base_nn"] = np.r_[0, cs_nn[:-1]] - np.repeat(
-                np.r_[0, cs_nn[starts2[1:] - 1]], sizes2
-            )
+            out["base_nn"] = segments.prefix(k, nn2)
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
     kparts = max(4, num_partitions // 4)
@@ -794,8 +752,10 @@ def grouped_running_scan(
         codes = codes_all[: len(rows)]
         bcodes = codes_all[len(rows):]
         orders = [rows[c].to_numpy() for c in order_cols]
-        order, g, new, starts, sizes = _lexsort_segments(codes, orders)
-        cnt = np.arange(len(g), dtype=np.int64) - np.repeat(starts, sizes) + 1
+        r = segments.runs(codes, dict(zip(order_cols, orders)))
+        order, starts, sizes, new = r.order, r.starts, r.sizes, r.new
+        g = codes[order]
+        cnt = r.pos + 1
         v = _value_vector(rows[value_col]).astype(sum_np)
         vs = v[order]
         csum = np.cumsum(vs)
@@ -907,18 +867,12 @@ def unpivot(ds, *, id_cols: list[str], value_cols: list[str],
 def _first_in_window(t: pa.Table, keys: list[str], ts_col: str, id_col: str,
                      win: np.ndarray) -> pa.Table:
     """Select each (keys..., window) tuple's first row by (ts, id) —
-    one lexsort, no per-group loop.  ``win`` is the precomputed int64
-    window id per row."""
-    cols = [t.column(k) for k in keys] + [pa.array(win)]
-    gids, _ = _multi_group_codes(cols)
-    ts = t.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-    ids = t.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-    order = np.lexsort((ids, ts, gids))
-    sg = gids[order]
-    new = np.ones(len(sg), dtype=bool)
-    if len(sg) > 1:
-        new[1:] = sg[1:] != sg[:-1]
-    keep = order[new]
+    one :func:`segments.runs`, no per-group loop.  ``win`` is the
+    precomputed int64 window id per row."""
+    r = segments.runs(tuple(t.column(k) for k in keys) + (win,),
+                      {ts_col: t.column(ts_col).cast(pa.int64()),
+                       id_col: t.column(id_col).cast(pa.int64())})
+    keep = segments.first(r).data
     out = t.take(pa.array(keep, type=pa.int64()))
     return out.append_column("win", pa.array(win[keep]))
 
@@ -984,7 +938,7 @@ def grouped_range_sum(ds, *, key: str, ts_col: str, val_col: str,
     0 to the sum but still count (SQL ``count(*)``).
 
     One co-partition by key, then ONE fully vectorized pass per
-    partition — no per-group loop: rows lexsort by (key, ts) and each
+    partition — no per-group loop: rows sort into (key) runs by ts and each
     segment is lifted onto a disjoint int64 band
     (``seg_id·span + (ts − t_min)`` with ``span > ts-range + range_us``),
     which makes the whole partition ONE sorted axis where two global
@@ -1007,11 +961,10 @@ def grouped_range_sum(ds, *, key: str, ts_col: str, val_col: str,
         codes = _dict_codes(pa.Array.from_pandas(df[key]))
         ts = df[ts_col].astype("int64").to_numpy()
         vals = df[val_col].fillna(0).astype(np.int64).to_numpy()
-        order = np.lexsort((ts, codes))
-        sc, st, sv = codes[order], ts[order], vals[order]
-        seg_new = np.ones(n, dtype=bool)
-        seg_new[1:] = sc[1:] != sc[:-1]
-        seg_id = np.cumsum(seg_new) - 1
+        r = segments.runs(codes, (ts,))
+        order = r.order
+        st, sv = ts[order], vals[order]
+        seg_id = r.ids
         t0 = int(st.min())
         rel = st - t0
         span = int(rel.max()) + int(range_us) + 2
@@ -1024,9 +977,7 @@ def grouped_range_sum(ds, *, key: str, ts_col: str, val_col: str,
         else:  # pragma: no cover - astronomically large band fallback
             lo = np.empty(n, dtype=np.int64)
             hi = np.empty(n, dtype=np.int64)
-            starts = np.flatnonzero(seg_new)
-            ends = np.append(starts[1:], n)
-            for s, e in zip(starts, ends):
+            for s, e in zip(r.starts, r.starts + r.sizes):
                 lo[s:e] = s + np.searchsorted(st[s:e], st[s:e] - range_us, "left")
                 hi[s:e] = s + np.searchsorted(st[s:e], st[s:e], "right")
         sums_sorted = csum[hi - 1] - np.where(lo > 0, csum[np.maximum(lo - 1, 0)], 0)
@@ -1062,8 +1013,8 @@ def group_broadcast(ds, *, key: str, order_cols: list[str], val_col: str,
 
     ``val_col`` must be int64 (exact order-independent totals); order
     columns must be non-null and unique per key for deterministic
-    first/last.  One co-partition by key, one lexsort + segment
-    gather/reduceat per partition — no per-group loop."""
+    first/last.  One co-partition by key, one :func:`segments.runs` +
+    segment gather/sum per partition — no per-group loop."""
 
     def run(df: pd.DataFrame) -> pd.DataFrame:
         n = len(df)
@@ -1074,31 +1025,17 @@ def group_broadcast(ds, *, key: str, order_cols: list[str], val_col: str,
                           ("share", np.float64)):
                 out[c] = pd.Series([], dtype=dt)
             return out
-        for oc in order_cols:
-            if df[oc].isna().any():
-                raise ValueError(f"group_broadcast: null order col {oc!r}")
-        codes = _dict_codes(pa.Array.from_pandas(df[key]))
-        orders = [_order_view(df[oc].to_numpy()) for oc in order_cols]
-        order = np.lexsort(tuple(reversed(orders)) + (codes,))
-        sc = codes[order]
-        sv = df[val_col].fillna(0).astype(np.int64).to_numpy()[order]
-        seg_new = np.ones(n, dtype=bool)
-        seg_new[1:] = sc[1:] != sc[:-1]
-        starts = np.flatnonzero(seg_new)
-        seg_id = np.cumsum(seg_new) - 1
-        lens = np.diff(np.append(starts, n))
-        firsts = sv[starts]
-        lasts = sv[np.append(starts[1:], n) - 1]
-        totals = np.add.reduceat(sv, starts)
+        r = segments.runs(pa.Array.from_pandas(df[key]),
+                          {oc: df[oc].to_numpy() for oc in order_cols})
+        v = df[val_col].fillna(0).astype(np.int64).to_numpy()
         fv = np.empty(n, dtype=np.int64)
         lv = np.empty(n, dtype=np.int64)
         gs = np.empty(n, dtype=np.int64)
         gc = np.empty(n, dtype=np.int64)
-        fv[order] = firsts[seg_id]
-        lv[order] = lasts[seg_id]
-        gs[order] = totals[seg_id]
-        gc[order] = lens[seg_id]
-        v = df[val_col].fillna(0).astype(np.int64).to_numpy()
+        fv[r.order] = v[segments.first(r).data][r.ids]
+        lv[r.order] = v[segments.last(r).data][r.ids]
+        gs[r.order] = segments.sum(r, v).data[r.ids]
+        gc[r.order] = r.sizes[r.ids]
         share = np.where(gs != 0, v.astype(np.float64) / gs.astype(np.float64),
                          np.nan)
         out = df.copy()
@@ -1138,7 +1075,7 @@ def gapfill_resample(ds, *, key: str, ts_col: str, val_col: str,
 
     Shape: per-batch partial (key, bkt, sum) rows — the exchange is
     distinct (key, bucket) pairs per batch, never events — then ONE
-    co-partition by key; per partition one sorted reduceat merge, one
+    co-partition by key; per partition one segment-sum merge, one
     arange-difference bucket expansion, one maximum.accumulate fill.
     Output volume is Σ(hi−lo+1) per key: bounded by time-range/E per
     key, independent of event count."""
@@ -1149,37 +1086,24 @@ def gapfill_resample(ds, *, key: str, ts_col: str, val_col: str,
         v = t.column(val_col).to_numpy(zero_copy_only=False).astype(np.int64)
         bkt = ts // E
         kcol = t.column(key)
-        kcodes, kfirst = _first_occurrence_codes(kcol)
-        pair = kcodes * np.int64(1 << 42) + (bkt - bkt.min() if len(bkt) else bkt)
-        order = np.argsort(pair, kind="stable")
-        starts = np.flatnonzero(np.diff(pair[order], prepend=np.int64(-1) << 62))
-        sums = np.add.reduceat(v[order], starts) if len(order) else np.empty(0, np.int64)
-        out = pa.table({
-            key: kcol.take(pa.array(order[starts], type=pa.int64())),
-            bkt_col: pa.array(bkt[order][starts] if len(order) else bkt, type=pa.int64()),
-            sum_col: pa.array(sums, type=pa.int64()),
+        r = segments.runs((kcol, bkt))
+        rep = r.order[r.starts]
+        return pa.table({
+            key: kcol.take(pa.array(rep, type=pa.int64())),
+            bkt_col: pa.array(bkt[rep], type=pa.int64()),
+            sum_col: pa.array(segments.sum(r, v), type=pa.int64()),
         })
-        return out
 
     def per_partition(df: pd.DataFrame) -> pd.DataFrame:
         codes, _ = pd.factorize(df[key], use_na_sentinel=False)
         bkt = df[bkt_col].to_numpy()
-        order = np.lexsort((bkt, codes))
-        g = codes[order]
-        b = bkt[order]
-        s = df[sum_col].to_numpy()[order]
-        new = np.r_[True, g[1:] != g[:-1]]
-        gstarts = np.flatnonzero(new)
-        gsizes = np.diff(np.r_[gstarts, len(g)])
-        # merge duplicate (key, bkt) partials
-        dup = np.r_[False, (g[1:] == g[:-1]) & (b[1:] == b[:-1])]
-        mstarts = np.flatnonzero(~dup)
-        b = b[mstarts]
-        s = np.add.reduceat(s, mstarts)
-        g = g[mstarts]
-        new = np.r_[True, g[1:] != g[:-1]]
-        gstarts = np.flatnonzero(new)
-        gsizes = np.diff(np.r_[gstarts, len(g)])
+        # merge duplicate (key, bkt) partials, then one run per key
+        r = segments.runs((codes, bkt))
+        rep = r.order[r.starts]
+        b = bkt[rep]
+        s = segments.sum(r, df[sum_col].to_numpy()).data
+        k = segments.runs(codes[rep])
+        gstarts, gsizes = k.starts, k.sizes
         lo = b[gstarts]
         hi = b[gstarts + gsizes - 1]
         out_sizes = (hi - lo + 1).astype(np.int64)
@@ -1199,7 +1123,7 @@ def gapfill_resample(ds, *, key: str, ts_col: str, val_col: str,
         lastp = np.maximum.accumulate(
             np.where(present, np.arange(total, dtype=np.int64), -1))
         filled = vals[lastp]
-        keys_first = df[key].to_numpy()[order][mstarts][gstarts]
+        keys_first = df[key].to_numpy()[rep][gstarts]
         out = pd.DataFrame({key: keys_first[row_g]})
         out[bkt_col] = flat_b
         out[sum_col] = pd.array(vals, dtype="Int64")
@@ -1228,7 +1152,7 @@ def merge_intervals(ds, *, key: str, start_col: str, end_col: str,
     end of all earlier intervals of the key (ordered by start, then
     end); touching intervals (start == prev end) MERGE.
 
-    Shape: ONE co-partition by key, then a vectorized lexsort +
+    Shape: ONE co-partition by key, then one :func:`segments.runs` +
     segmented running-max + cumsum island-id pass per partition —
     never a per-key loop.  Exact int64 end-to-end (timestamps ride as
     µs)."""
@@ -1242,7 +1166,8 @@ def merge_intervals(ds, *, key: str, start_col: str, end_col: str,
         e_i = e.astype("datetime64[us]").astype(np.int64) if np.issubdtype(
             e.dtype, np.datetime64) else e.astype(np.int64)
         codes, _ = pd.factorize(k, use_na_sentinel=False)
-        order = np.lexsort((e_i, s_i, codes))
+        r = segments.runs(codes, (s_i, e_i))
+        order = r.order
         codes, s_i, e_i = codes[order], s_i[order], e_i[order]
         n = len(codes)
         if not n:
@@ -1252,21 +1177,19 @@ def merge_intervals(ds, *, key: str, start_col: str, end_col: str,
                              "n_merged": pa.array([], type=pa.int64())})
         # segmented running max of end within each key: pandas'
         # Cython groupby cummax — C-speed, no per-segment Python loop
-        new_key = np.r_[True, codes[1:] != codes[:-1]]
         acc = pd.Series(e_i).groupby(codes).cummax().to_numpy(dtype=np.int64)
         prev_max = np.empty(n, dtype=np.int64)
-        prev_max[0] = np.iinfo(np.int64).min
         prev_max[1:] = acc[:-1]
-        prev_max[new_key] = np.iinfo(np.int64).min
-        new_island = new_key | (s_i > prev_max)
-        island = np.cumsum(new_island) - 1
-        out_k = k[order][np.flatnonzero(new_island)]
-        starts = s_i[np.flatnonzero(new_island)]
-        ends = np.maximum.reduceat(acc, np.flatnonzero(new_island))
-        # acc within a segment is the running max; the island end is the
-        # max end over the island's rows = last acc value of the island
-        # (acc is monotone within a segment) — reduceat(max) of acc works
-        counts = np.bincount(island)
+        prev_max[r.starts] = np.iinfo(np.int64).min
+        # islands are runs of the sorted rows: a new key or a start past
+        # every earlier end of the key
+        isl = segments.runs(np.cumsum(r.new | (s_i > prev_max)))
+        out_k = k[order][isl.starts]
+        starts = s_i[isl.starts]
+        # acc within a key is the running max; the island end is the
+        # max end over the island's rows = its greatest acc value
+        ends = segments.max(isl, acc).data
+        counts = isl.sizes
         tkey = pa.array(out_k.astype(np.int64)) if np.issubdtype(
             out_k.dtype, np.integer) else pa.array(out_k, type=pa.string())
         st_dtype = df[start_col].dtype
@@ -1289,23 +1212,17 @@ def merge_intervals(ds, *, key: str, start_col: str, end_col: str,
 
 def _segment_median(codes: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Exact per-group median of ``v`` (float64), returned row-aligned
-    with the inputs.  ``codes`` are dense group ids (0..G-1).  One
-    lexsort + group-boundary index arithmetic — no per-group loop.
-    Even-count groups average the two middles, matching DuckDB's
-    ``median``/``quantile_cont(0.5)``; for values derived from modest
-    int64 counts the average is exactly representable, so parity with
-    the SQL twin is bitwise."""
-    o = np.lexsort((v, codes))
-    sc, sv = codes[o], v[o]
-    starts = np.flatnonzero(np.r_[True, sc[1:] != sc[:-1]])
-    ends = np.r_[starts[1:], len(sc)]
-    n = ends - starts
-    lo = sv[starts + (n - 1) // 2]
-    hi = sv[starts + n // 2]
-    med_g = (lo + hi) / 2.0
-    by_gid = np.empty(int(codes.max()) + 1, dtype=np.float64)
-    by_gid[sc[starts]] = med_g
-    return by_gid[codes]
+    with the inputs: each group's run sorted by value, its middle rows
+    picked by index.  Even-count groups average the two middles,
+    matching DuckDB's ``median``/``quantile_cont(0.5)``; for values
+    derived from modest int64 counts the average is exactly
+    representable, so parity with the SQL twin is bitwise."""
+    r = segments.runs(codes, (v,))
+    sv = v[r.order]
+    med = (sv[r.starts + (r.sizes - 1) // 2] + sv[r.starts + r.sizes // 2]) / 2.0
+    out = np.empty(len(v), dtype=np.float64)
+    out[r.order] = med[r.ids]
+    return out
 
 
 def mad_anomaly_counts(ds, *, group_col: str, bucket_col: str,
@@ -1328,7 +1245,7 @@ def mad_anomaly_counts(ds, *, group_col: str, bucket_col: str,
     Shape: per-batch deduped (group, bucket, cnt) partials — a batch
     with a million rows of one (group, bucket) forwards ONE row — then
     ONE exchange by group hash; each partition finalizes counts and
-    computes median + MAD with two lexsort passes of index arithmetic
+    computes median + MAD with two sorted-run passes of index arithmetic
     (no per-group Python loop).  Driver state: none.  Output volume is
     the number of distinct (group, bucket) pairs — bounded by the time
     range, not the row count, so the exchange stays thin at any scale.
@@ -1455,10 +1372,14 @@ def pair_spans(ds, *, key: str, ts_col: str, type_col: str,
     (ts, id) order — the twin of two ``row_number()`` windows joined
     on (key, rn).  Starts without a matching end keep NULL
     end/duration (a LEFT join from the start side); surplus ends are
-    dropped.  Rows of other types never ride the exchange — they are
-    filtered in the per-batch pass, so the co-partition carries only
-    start/end rows.  One exchange by key hash, one lexsort + segment
-    index arithmetic per partition, no per-key loop."""
+    dropped.  A start with a NULL key keeps a NULL end (``ON s.key =
+    e.key`` never matches NULL), and a NULL ``ts_col`` on a start or end
+    row raises ``ValueError`` (SQL null ordering is dialect-dependent).
+    Rows of other types never ride the exchange — they are filtered in
+    the per-batch pass, so the co-partition carries only start/end rows.
+    One exchange by key hash, then :func:`pair_partition` per partition:
+    one :func:`segments.runs` and each row's position in its run, no
+    per-key loop."""
 
     def thin(t: pa.Table) -> pa.Table:
         t = t.combine_chunks()
@@ -1476,57 +1397,57 @@ def pair_spans(ds, *, key: str, ts_col: str, type_col: str,
         return out
 
     def per_part(df: pd.DataFrame) -> pa.Table:
-        k_dtype, ts_dtype, id_dtype = (df[key].dtype, df[ts_col].dtype,
-                                       df[id_col].dtype)
-        if not len(df):
-            empty = pd.DataFrame({
-                key: pd.Series(dtype=k_dtype),
-                "rn": pd.Series(dtype=np.int64),
-                "start_ts": pd.Series(dtype=ts_dtype),
-                "start_id": pd.Series(dtype=id_dtype),
-                "end_ts": pd.Series(dtype=ts_dtype),
-                "end_id": pd.Series(dtype="Int64"),
-                "duration_us": pd.Series(dtype="Int64"),
-            })
-            return pa.Table.from_pandas(empty, preserve_index=False).replace_schema_metadata(None)
-        kv = df[key].to_numpy()
-        codes, _ = pd.factorize(kv, sort=False)
-        ts = df[ts_col].to_numpy()
-        ids = df[id_col].to_numpy()
-        is_start = df["__is_start"].to_numpy().astype(bool)
-        # rank each start/end within its (key, kind) lane in (ts, id) order
-        lane = codes.astype(np.int64) * 2 + (~is_start).astype(np.int64)
-        o = np.lexsort((ids, ts.astype("datetime64[us]").astype(np.int64), lane))
-        sl = lane[o]
-        seg_start = np.r_[True, sl[1:] != sl[:-1]]
-        seg_idx = np.cumsum(seg_start) - 1
-        first_of_seg = np.flatnonzero(seg_start)
-        rn_sorted = np.arange(len(sl)) - first_of_seg[seg_idx] + 1
-        rn = np.empty(len(sl), dtype=np.int64)
-        rn[o] = rn_sorted
-        s_mask, e_mask = is_start, ~is_start
-        s = pd.DataFrame({key: kv[s_mask], "rn": rn[s_mask],
-                          "start_ts": ts[s_mask], "start_id": ids[s_mask]})
-        e = pd.DataFrame({key: kv[e_mask], "rn": rn[e_mask],
-                          "end_ts": ts[e_mask], "end_id": ids[e_mask]})
-        out = s.merge(e, on=[key, "rn"], how="left")
-        # NaT → float64 would yield INT64_MIN, not NaN: mask explicitly
-        valid = out["end_ts"].notna().to_numpy()
-        dur_i = np.zeros(len(out), dtype=np.int64)
-        if valid.any():
-            dur_i[valid] = (
-                out["end_ts"].to_numpy()[valid].astype("datetime64[us]").astype(np.int64)
-                - out["start_ts"].to_numpy()[valid].astype("datetime64[us]").astype(np.int64)
-            )
-        dur = pd.array(dur_i, dtype="Int64")
-        dur[~valid] = pd.NA
-        out["duration_us"] = dur
-        out["end_id"] = out["end_id"].astype("Int64")
-        out = out.sort_values([key, "rn"], kind="mergesort")
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
+        return pair_partition(df, key=key, ts_col=ts_col, id_col=id_col)
 
     return exchange(ds.map_batches(thin, batch_format="pyarrow"), key,
                     num_partitions, per_part, "pandas")
+
+
+def pair_partition(df: pd.DataFrame, *, key: str, ts_col: str, id_col: str) -> pa.Table:
+    """:func:`pair_spans` over every start/end row (``__is_start``) of
+    the keys in ``df``."""
+    k_dtype, ts_dtype, id_dtype = (df[key].dtype, df[ts_col].dtype,
+                                   df[id_col].dtype)
+    if not len(df):
+        empty = pd.DataFrame({
+            key: pd.Series(dtype=k_dtype),
+            "rn": pd.Series(dtype=np.int64),
+            "start_ts": pd.Series(dtype=ts_dtype),
+            "start_id": pd.Series(dtype=id_dtype),
+            "end_ts": pd.Series(dtype=ts_dtype),
+            "end_id": pd.Series(dtype="Int64"),
+            "duration_us": pd.Series(dtype="Int64"),
+        })
+        return pa.Table.from_pandas(empty, preserve_index=False).replace_schema_metadata(None)
+    kv = df[key].to_numpy()
+    ts = df[ts_col].to_numpy()
+    ids = df[id_col].to_numpy()
+    is_start = df["__is_start"].to_numpy().astype(bool)
+    # rank each start/end within its (key, kind) lane in (ts, id) order
+    r = segments.runs((kv, ~is_start), {ts_col: ts, id_col: ids})
+    rn = np.empty(len(kv), dtype=np.int64)
+    rn[r.order] = r.pos + 1
+    # SQL's ON s.key = e.key never matches a NULL key (pandas merge does)
+    s_mask, e_mask = is_start, ~is_start & ~pd.isna(kv)
+    s = pd.DataFrame({key: kv[s_mask], "rn": rn[s_mask],
+                      "start_ts": ts[s_mask], "start_id": ids[s_mask]})
+    e = pd.DataFrame({key: kv[e_mask], "rn": rn[e_mask],
+                      "end_ts": ts[e_mask], "end_id": ids[e_mask]})
+    out = s.merge(e, on=[key, "rn"], how="left")
+    # NaT → float64 would yield INT64_MIN, not NaN: mask explicitly
+    valid = out["end_ts"].notna().to_numpy()
+    dur_i = np.zeros(len(out), dtype=np.int64)
+    if valid.any():
+        dur_i[valid] = (
+            out["end_ts"].to_numpy()[valid].astype("datetime64[us]").astype(np.int64)
+            - out["start_ts"].to_numpy()[valid].astype("datetime64[us]").astype(np.int64)
+        )
+    dur = pd.array(dur_i, dtype="Int64")
+    dur[~valid] = pd.NA
+    out["duration_us"] = dur
+    out["end_id"] = out["end_id"].astype("Int64")
+    out = out.sort_values([key, "rn"], kind="mergesort")
+    return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
 
 def grouped_ewma(ds, *, key: str, order_cols: list[str], value_col: str,
@@ -1552,7 +1473,7 @@ def grouped_ewma(ds, *, key: str, order_cols: list[str], value_col: str,
     unique per key for determinism (pass ``[ts, event_id]``).
 
     Shape: one co-partition by key hash (the irreducible window
-    exchange), then per partition ONE lexsort + a rank-sequential /
+    exchange), then per partition ONE sort into key runs + a rank-sequential /
     key-parallel loop: iteration r updates ALL groups that still have
     an r-th row with one fused numpy expression, so the Python-level
     loop count is max(group size) per partition — never rows, and
@@ -1575,15 +1496,11 @@ def grouped_ewma(ds, *, key: str, order_cols: list[str], value_col: str,
             out = df.copy()
             out[out_col] = pd.Series(dtype=np.float64)
             return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
-        codes, _ = pd.factorize(df[key], use_na_sentinel=False)
-        orders = [df[c].to_numpy() for c in order_cols]
-        for c, a in zip(order_cols, orders):
-            if pd.isna(a).any():
-                raise ValueError(f"grouped_ewma: null in order column {c!r}")
-        order, g, new, starts, sizes = _lexsort_segments(codes, orders)
+        r = _window_runs(df, key, order_cols)
+        order, starts, sizes = r.order, r.starts, r.sizes
         vs = pd.to_numeric(df[value_col], errors="raise").fillna(0.0).to_numpy(
             dtype=np.float64)[order]
-        out_vals = np.empty(len(g), dtype=np.float64)
+        out_vals = np.empty(len(order), dtype=np.float64)
         # rank 0 seeds: y_1 = x_1
         y = vs[starts].copy()
         out_vals[starts] = y
@@ -1652,20 +1569,16 @@ def sequence_integrity(ds, *, key: str, idx_col: str,
                 .sum().reset_index())
         idx = pair[idx_col].to_numpy(dtype=np.int64)
         cnt = pair["__cnt"].to_numpy(dtype=np.int64)
-        codes, uniques = pd.factorize(pair[key], sort=False)
-        order = np.argsort(codes, kind="stable")
-        c = codes[order]
-        starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
-        sizes = np.diff(np.r_[starts, len(c)])
-        cs = np.r_[0, np.cumsum(cnt[order])]
-        n_turns = cs[starts + sizes] - cs[starts]
-        n_distinct = sizes.astype(np.int64)
-        mins = np.minimum.reduceat(idx[order], starts)
-        maxs = np.maximum.reduceat(idx[order], starts)
+        codes, _ = pd.factorize(pair[key], sort=False)
+        r = segments.runs(codes)
+        n_turns = segments.sum(r, cnt).data
+        n_distinct = r.sizes.astype(np.int64)
+        mins = segments.min(r, idx).data
+        maxs = segments.max(r, idx).data
         n_missing = maxs - mins + 1 - n_distinct
         n_dups = n_turns - n_distinct
         out = pd.DataFrame({
-            key: pair[key].iloc[order[starts]].reset_index(drop=True),
+            key: pair[key].iloc[r.order[r.starts]].reset_index(drop=True),
             "n_turns": n_turns,
             "n_distinct": n_distinct,
             "min_idx": mins,
@@ -1739,18 +1652,11 @@ def psi_drift(ds, *, val_col: str, ts_col: str, a_range: tuple, b_range: tuple,
 
     def per_part(t: pa.Table) -> pa.Table:
         b = t.column("bin").to_numpy()
-        na = t.column("n_a").to_numpy()
-        nb = t.column("n_b").to_numpy()
-        order = np.argsort(b, kind="stable")
-        bs = b[order]
-        starts = np.flatnonzero(np.r_[True, bs[1:] != bs[:-1]])
-        cs_a = np.r_[0, np.cumsum(na[order])]
-        cs_b = np.r_[0, np.cumsum(nb[order])]
-        ends = np.r_[starts[1:], len(bs)]
+        r = segments.runs(b)
         return pa.table({
-            "bin": bs[starts],
-            "n_a": cs_a[ends] - cs_a[starts],
-            "n_b": cs_b[ends] - cs_b[starts],
+            "bin": b[r.order[r.starts]],
+            "n_a": segments.sum(r, t.column("n_a").to_numpy()).data,
+            "n_b": segments.sum(r, t.column("n_b").to_numpy()).data,
         })
 
     def final(t: pa.Table) -> pa.Table:

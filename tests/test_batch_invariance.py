@@ -190,6 +190,16 @@ WRITE_STEPS = [
 ]
 
 
+#: run first on every batch: an ``int32`` column copied, renamed over
+#: the whole mask and renamed under a condition keeps its type
+INT32_STEPS = [
+    {"set": {"tag": "set-copy-int32", "field": "cp32", "copy_from": "n32"}},
+    {"rename": {"tag": "rename-int32", "field": "n32", "target_field": "m32"}},
+    {"rename": {"tag": "rename-int32-if", "if": "ctx.k == 1", "field": "m32",
+                "target_field": "c32"}},
+]
+
+
 def _random_parse_pipeline(rng) -> dict:
     """Steps drawn from the kernels that read and write masked rows only."""
     pool = [
@@ -246,8 +256,10 @@ def test_batch_split_invariance_parse_kernels(seed):
     # the masked-row kernels, typed: a row's values and their types are
     # the same whatever rows share its batch
     rng = np.random.default_rng(200 + seed)
+    main = _random_parse_pipeline(rng)
+    main["processors"][:0] = copy.deepcopy(INT32_STEPS)
     defs = {
-        "main": _random_parse_pipeline(rng),
+        "main": main,
         "after": {"processors": [{"set": {"field": "after_ran", "value": "y"}}]},
     }
     routing = RoutingConfig(index_to_pipeline={
@@ -255,8 +267,12 @@ def test_batch_split_invariance_parse_kernels(seed):
         "logs-billing-prod": "after", "logs-search-prod": "after"})
     proc = EventProcessor(compile_pipeline_set(defs), routing)
     table = rows_to_table(_random_parse_rows(rng, 29))
+    table = table.append_column("n32", pa.array(np.arange(29), type=pa.int32()))
 
-    whole = table_to_rows(proc(table))
+    out = proc(table)
+    whole = table_to_rows(out)
+    for c in ("cp32", "m32", "c32"):
+        assert out.schema.field(c).type == pa.int32(), c
     for size in (1, 7):
         split = []
         for start in range(0, table.num_rows, size):

@@ -6,6 +6,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 WEEK_US = 7 * 24 * 3600 * 1_000_000
 ORIGIN = np.datetime64("2025-01-06", "us")  # a Monday
@@ -192,3 +194,42 @@ class TestCohortRetention:
         base = got[got.periods_since == 0].set_index("cohort_period")["n_active"]
         ebase = exp[exp.periods_since == 0].set_index("cohort_period")["n_active"]
         assert (base == ebase).all()
+
+
+_funnel_row = st.tuples(
+    st.one_of(st.none(), st.integers(0, 4)),                 # user (None = null key)
+    st.integers(0, 12),                                       # ts: ties are common
+    st.sampled_from(["view", "click", "purchase", "error"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_funnel_row, min_size=1, max_size=40),
+       st.lists(st.integers(0, 2), min_size=6, max_size=6), st.randoms(use_true_random=False))
+def test_funnel_partition_random_split_invariant(rows, part_of, rnd):
+    """The per-partition kernel over any split of the entities into
+    partitions, rows in any order, equals one pass over every row."""
+    from logstash_filter_elastic_integration_ray.stages.funnel import funnel_partition
+
+    steps = ["view", "click", "purchase"]
+    df = pd.DataFrame({
+        "user_id": pd.array([u for u, _, _ in rows], dtype="Int64"),
+        "ts": ORIGIN + np.array([t for _, t, _ in rows]).astype("timedelta64[s]"),
+        "event_type": [e for _, _, e in rows],
+    })
+
+    def canon(t: pa.Table) -> list:
+        return sorted(t.to_pylist(), key=lambda r: (r["user_id"] is None, r["user_id"] or 0))
+
+    run = lambda part: funnel_partition(part, key="user_id", ts_col="ts",  # noqa: E731
+                                        type_col="event_type", steps=steps)
+    whole = run(df)
+    part = np.array([part_of[5 if u is None else u] for u, _, _ in rows])
+    pieces = []
+    for p in range(3):
+        sub = df[part == p]
+        idx = list(range(len(sub)))
+        rnd.shuffle(idx)
+        if len(sub):
+            pieces.append(run(sub.iloc[idx].reset_index(drop=True)))
+    assert canon(pa.concat_tables(pieces)) == canon(whole)

@@ -6,6 +6,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 def _events_frame(n=500, seed=11):
@@ -998,14 +1000,16 @@ class TestPairSpans:
         from logstash_filter_elastic_integration_ray.stages.windows import pair_spans
 
         df = pd.DataFrame({
-            "event_id": np.arange(7, dtype=np.int64),
-            "user_id": np.array([1, 1, 1, 2, 2, 2, 2], dtype=np.int64),
+            "event_id": np.arange(9, dtype=np.int64),
+            "user_id": pd.array([1, 1, 1, 2, 2, 2, 2, None, None], dtype="Int64"),
             "event_type": ["start", "start", "end",      # u1: 2 starts, 1 end
-                           "end", "start", "end", "end"],  # u2: surplus ends
+                           "end", "start", "end", "end",  # u2: surplus ends
+                           "start", "end"],               # null user: never pairs
             "ts": np.array(["2025-04-01T00:00:00", "2025-04-01T00:01:00",
                             "2025-04-01T00:02:00", "2025-04-01T00:00:30",
                             "2025-04-01T00:01:30", "2025-04-01T00:02:30",
-                            "2025-04-01T00:03:30"], dtype="datetime64[us]"),
+                            "2025-04-01T00:03:30", "2025-04-01T00:00:10",
+                            "2025-04-01T00:00:20"], dtype="datetime64[us]"),
         })
         outs = []
         for parts in (1, 4):
@@ -1024,6 +1028,18 @@ class TestPairSpans:
         # precedes the start but index pairing is by rank, so rn 1 end is event 3)
         u2 = o[o.user_id == 2]
         assert len(u2) == 1 and int(u2["end_id"].iloc[0]) == 3
+        # a null key never matches an end (SQL ON s.key = e.key), so its
+        # start keeps a NULL end
+        nul = o[o.user_id.isna()]
+        assert nul["start_id"].tolist() == [7]
+        assert nul["end_id"].astype("Int64").fillna(-1).tolist() == [-1]
+        # a null ts on an end row raises, as the sibling window kernels do
+        bad = df.copy()
+        bad.loc[5, "ts"] = pd.NaT
+        with pytest.raises(Exception, match="null in order column"):
+            pair_spans(ray.data.from_pandas(bad), key="user_id", ts_col="ts",
+                       type_col="event_type", start_val="start", end_val="end",
+                       id_col="event_id", num_partitions=3).materialize()
 
 
 def _ewma_reference(df: pd.DataFrame, alpha=0.25) -> dict:
@@ -1395,3 +1411,67 @@ def _counter_deltas(df: pd.DataFrame):
         v = g["cents"].to_numpy()
         for i in range(1, len(v)):
             yield int(g["event_id"].iloc[i]), int(v[i] - v[i - 1])
+
+
+_win_row = st.tuples(
+    st.one_of(st.none(), st.integers(0, 3)),   # key (None = null)
+    st.integers(0, 40),                         # ts µs: windows of 10, ties common
+    st.sampled_from(["start", "end", "other"]),
+)
+
+
+def _canon_rows(t: pa.Table, by: str) -> list:
+    return sorted(t.to_pylist(), key=lambda r: r[by])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_win_row, min_size=1, max_size=40),
+       st.lists(st.integers(0, 40), max_size=3),
+       st.lists(st.integers(0, 2), min_size=5, max_size=5),
+       st.randoms(use_true_random=False))
+def test_window_kernels_random_split_invariant(rows, cuts, part_of, rnd):
+    """Each batch kernel on random cuts, then its merge, equals one pass
+    over the whole batch: ``window_dedup``'s keep-first partial and
+    merge (cut by rows) and ``pair_spans``' partition kernel (cut by key,
+    rows shuffled), null keys included."""
+    from logstash_filter_elastic_integration_ray.stages.windows import (
+        _first_in_window,
+        pair_partition,
+    )
+
+    n = len(rows)
+    t = pa.table({
+        "k": pa.array([k for k, _, _ in rows], type=pa.int64()),
+        "ts": pa.array([s for _, s, _ in rows], type=pa.int64()),
+        "event_id": pa.array(np.arange(n), type=pa.int64()),
+    })
+    win = t.column("ts").to_numpy() // 10
+    whole = _first_in_window(t, ["k"], "ts", "event_id", win)
+    bounds = [0, *sorted({min(c, n) for c in cuts}), n]
+    parts = pa.concat_tables([
+        _first_in_window(t.slice(a, b - a), ["k"], "ts", "event_id", win[a:b])
+        for a, b in zip(bounds[:-1], bounds[1:])])
+    merged = _first_in_window(parts.drop_columns(["win"]), ["k"], "ts", "event_id",
+                              parts.column("win").to_numpy())
+    assert _canon_rows(merged, "event_id") == _canon_rows(whole, "event_id")
+
+    # the exchange hands a partition an int key with nulls as float NaN
+    df = pd.DataFrame({
+        "k": np.array([np.nan if k is None else k for k, _, _ in rows], dtype=np.float64),
+        "ts": np.datetime64("2025-01-01", "us")
+        + np.array([s for _, s, _ in rows]).astype("timedelta64[us]"),
+        "event_id": np.arange(n, dtype=np.int64),
+        "__is_start": [e == "start" for _, _, e in rows],
+    })[[e != "other" for _, _, e in rows]].reset_index(drop=True)
+    run = lambda d: pair_partition(d, key="k", ts_col="ts", id_col="event_id")  # noqa: E731
+    part = np.array([part_of[4 if np.isnan(k) else int(k)] for k in df["k"]])
+    pieces = []
+    for p in range(3):
+        sub = df[part == p]
+        idx = list(range(len(sub)))
+        rnd.shuffle(idx)
+        if len(sub):
+            pieces.append(run(sub.iloc[idx].reset_index(drop=True)))
+    if len(df):
+        assert (_canon_rows(pa.concat_tables(pieces), "start_id")
+                == _canon_rows(run(df), "start_id"))
