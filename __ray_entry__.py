@@ -1658,16 +1658,34 @@ def q_embedding_drift_by_label(sf_dir: str):
     return embedding_drift_by_label(emb)
 
 
-def q_triangle_counts_docs(sf_dir: str):
-    """Exact per-node triangle counts over a deterministic doc graph
-    (stages/graph.py:triangle_counts — degree-ordered wedge check,
-    O(m^1.5) wedge volume, every exchange int64-thin).  Edge rule
-    shared with tools/reference_impls.triangle_edges_for_docs (chains +
-    skip-links close triangles; self-loop / reverse-duplicate noise
-    lanes exercise the simple-graph normalization); fixture from the
-    plain adjacency-set reference."""
-    from logstash_filter_elastic_integration_ray.stages.graph import triangle_counts
+def _doc_link_edges(sf_dir: str):
+    """``(edges, n_docs)``: the shared doc link graph over
+    ``documents.parquet`` — every 5th doc dangling, the others emit
+    1 + d%3 edges to hashed targets, self-loops allowed (the rule of
+    tools/reference_impls.pagerank_edges_for_docs)."""
+    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    n_docs = int(docs.count())
 
+    def synth_edges(t: pa.Table) -> pa.Table:
+        ids = t.column("doc_id").to_numpy()
+        src, dst = [], []
+        for d in ids:
+            d = int(d)
+            if d % 5 == 0:
+                continue
+            for j in range(1 + d % 3):
+                src.append(d)
+                dst.append((d * 17 + 1 + 97 * j) % n_docs)
+        return pa.table({"src": pa.array(src, type=pa.int64()),
+                         "dst": pa.array(dst, type=pa.int64())})
+
+    return docs.map_batches(synth_edges, batch_format="pyarrow"), n_docs
+
+
+def _doc_triangle_edges(sf_dir: str):
+    """The triangle-lane doc graph: within-decade chains plus
+    skip-links that close triangles, with self-loop and reverse-duplicate
+    noise lanes (the rule of tools/reference_impls.triangle_edges_for_docs)."""
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
 
     def synth_edges(t: pa.Table) -> pa.Table:
@@ -1687,7 +1705,20 @@ def q_triangle_counts_docs(sf_dir: str):
         return pa.table({"src": pa.array(src, type=pa.int64()),
                          "dst": pa.array(dst, type=pa.int64())})
 
-    edges = docs.map_batches(synth_edges, batch_format="pyarrow")
+    return docs.map_batches(synth_edges, batch_format="pyarrow")
+
+
+def q_triangle_counts_docs(sf_dir: str):
+    """Exact per-node triangle counts over a deterministic doc graph
+    (stages/graph.py:triangle_counts — degree-ordered wedge check,
+    O(m^1.5) wedge volume, every exchange int64-thin).  Edge rule
+    shared with tools/reference_impls.triangle_edges_for_docs (chains +
+    skip-links close triangles; self-loop / reverse-duplicate noise
+    lanes exercise the simple-graph normalization); fixture from the
+    plain adjacency-set reference."""
+    from logstash_filter_elastic_integration_ray.stages.graph import triangle_counts
+
+    edges = _doc_triangle_edges(sf_dir)
     return triangle_counts(edges, num_partitions=32)
 
 
@@ -1755,23 +1786,7 @@ def q_kcore_docs(sf_dir: str):
     algorithm converging to the same coreness values."""
     from logstash_filter_elastic_integration_ray.stages.graph import core_numbers
 
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    n_docs = int(docs.count())
-
-    def synth_edges(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        src, dst = [], []
-        for d in ids:
-            d = int(d)
-            if d % 5 == 0:
-                continue
-            for j in range(1 + d % 3):
-                src.append(d)
-                dst.append((d * 17 + 1 + 97 * j) % n_docs)
-        return pa.table({"src": pa.array(src, type=pa.int64()),
-                         "dst": pa.array(dst, type=pa.int64())})
-
-    edges = docs.map_batches(synth_edges, batch_format="pyarrow")
+    edges, _ = _doc_link_edges(sf_dir)
     return core_numbers(edges, num_partitions=16)
 
 
@@ -1989,23 +2004,7 @@ def q_hits_docs(sf_dir: str):
     independent dict-and-loop reference."""
     from logstash_filter_elastic_integration_ray.stages.graph import hits
 
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    n_docs = int(docs.count())
-
-    def synth_edges(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        src, dst = [], []
-        for d in ids:
-            d = int(d)
-            if d % 5 == 0:
-                continue
-            for j in range(1 + d % 3):
-                src.append(d)
-                dst.append((d * 17 + 1 + 97 * j) % n_docs)
-        return pa.table({"src": pa.array(src, type=pa.int64()),
-                         "dst": pa.array(dst, type=pa.int64())})
-
-    edges = docs.map_batches(synth_edges, batch_format="pyarrow")
+    edges, _ = _doc_link_edges(sf_dir)
     return hits(edges, n_iters=8)
 
 
@@ -2017,28 +2016,13 @@ def q_pagerank_personalized_docs(sf_dir: str):
     fixture from the independently-extended dict reference."""
     from logstash_filter_elastic_integration_ray.stages.graph import pagerank
 
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    n_docs = int(docs.count())
+    edges, _ = _doc_link_edges(sf_dir)
     import pyarrow.parquet as _pq
 
     all_ids = _pq.read_table(f"{sf_dir}/documents.parquet",
                              columns=["doc_id"]).column("doc_id").to_numpy()
     seeds = [int(d) for d in all_ids if d % 50 == 0]
 
-    def synth_edges(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        src, dst = [], []
-        for d in ids:
-            d = int(d)
-            if d % 5 == 0:
-                continue
-            for j in range(1 + d % 3):
-                src.append(d)
-                dst.append((d * 17 + 1 + 97 * j) % n_docs)
-        return pa.table({"src": pa.array(src, type=pa.int64()),
-                         "dst": pa.array(dst, type=pa.int64())})
-
-    edges = docs.map_batches(synth_edges, batch_format="pyarrow")
     return pagerank(edges, n_iters=8, seeds=seeds)
 
 
@@ -2082,31 +2066,14 @@ def q_pagerank_docs(sf_dir: str):
     shares, integer damping, one global leftover term — so the scores
     are bit-identical under any batching and the fixture from the
     independent dict-and-loop reference
-    (tools/reference_impls.pagerank_reference) matches exactly.  Per
-    iteration: ranks join edges by src, contributions join nodes by
-    dst (two co-partition exchanges — the BSP PageRank cost model);
-    driver state is two scalars.  Edge rule shared with
+    (tools/reference_impls.pagerank_reference) matches exactly.  The
+    edges load once into shard actors; per superstep only per-dst
+    summed shares move, and the driver holds two scalars.  Edge rule shared with
     tools/reference_impls.pagerank_edges_for_docs: every 5th doc
     dangling, others emit 1 + d%3 hashed-target edges."""
     from logstash_filter_elastic_integration_ray.stages.graph import pagerank
 
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    n_docs = int(docs.count())
-
-    def synth_edges(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        src, dst = [], []
-        for d in ids:
-            d = int(d)
-            if d % 5 == 0:
-                continue
-            for j in range(1 + d % 3):
-                src.append(d)
-                dst.append((d * 17 + 1 + 97 * j) % n_docs)
-        return pa.table({"src": pa.array(src, type=pa.int64()),
-                         "dst": pa.array(dst, type=pa.int64())})
-
-    edges = docs.map_batches(synth_edges, batch_format="pyarrow")
+    edges, _ = _doc_link_edges(sf_dir)
     return pagerank(edges, n_iters=8)
 
 
@@ -2114,54 +2081,31 @@ def q_assortativity_docs(sf_dir: str):
     """Degree assortativity of the shared doc link graph — Newman's
     degree-correlation r in the directed out→in form: the Pearson
     correlation of (out-degree of src, in-degree of dst) over every
-    edge.  Degrees via the two-phase group_counts (keys × batches
-    exchange, never a per-group Ray aggregate), attached with two
-    native hash-partitioned ``Dataset.join`` exchanges, correlation
-    via the exact-sum formulation shared with ``corr_lineitem``
-    (stages/sketches.py:exact_corr_stats) so the scalar is
-    bit-identical to the HUGEINT SQL twin.  Edge rule shared with
-    ``pagerank_docs``: every 5th doc dangling, others emit 1 + d%3
+    edge.  One exchange by src gives each edge its src's out-degree
+    (every edge of a src meets in one partition, so the degree is the
+    size of its run), one by dst its dst's in-degree; no join.  The
+    correlation uses the exact-sum formulation shared with
+    ``corr_lineitem`` (stages/sketches.py:exact_corr_stats) so the
+    scalar is bit-identical to the HUGEINT SQL twin.  Edge rule shared
+    with ``pagerank_docs``: every 5th doc dangling, others emit 1 + d%3
     hashed-target edges."""
-    from logstash_filter_elastic_integration_ray.stages.aggregate import group_counts
+    from logstash_filter_elastic_integration_ray.stages import segments
+    from logstash_filter_elastic_integration_ray.stages.exchange import exchange
     from logstash_filter_elastic_integration_ray.stages.sketches import exact_corr_stats
 
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    n_docs = int(docs.count())
+    edges, _ = _doc_link_edges(sf_dir)
 
-    def synth_edges(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        src, dst = [], []
-        for d in ids:
-            d = int(d)
-            if d % 5 == 0:
-                continue
-            for j in range(1 + d % 3):
-                src.append(d)
-                dst.append((d * 17 + 1 + 97 * j) % n_docs)
-        return pa.table({"src": pa.array(src, type=pa.int64()),
-                         "dst": pa.array(dst, type=pa.int64())})
-
-    def ensure_schema(key: str, cnt: str):
+    def with_degree(key: str, out_col: str):
         def fn(t: pa.Table) -> pa.Table:
-            # zero-column empty blocks crash Dataset.join (the
-            # left_join_customer_orders guard)
-            if t.num_columns == 0:
-                return pa.table({key: pa.array([], type=pa.int64()),
-                                 cnt: pa.array([], type=pa.int64())})
-            return t
+            r = segments.runs(t.column(key))
+            deg = np.empty(t.num_rows, dtype=np.int64)
+            deg[r.order] = np.repeat(r.sizes, r.sizes)
+            return t.append_column(out_col, pa.array(deg))
 
         return fn
 
-    # edges fans into THREE consumers (two group_counts + the join
-    # spine); a lazy Dataset consumed twice re-executes, so pin the
-    # synth pass once (ADVICE r4)
-    edges = docs.map_batches(synth_edges, batch_format="pyarrow").materialize()
-    od = group_counts(edges, key="src", out_col="od", num_partitions=8).map_batches(
-        ensure_schema("src", "od"), batch_format="pyarrow")
-    idg = group_counts(edges, key="dst", out_col="idg", num_partitions=8).map_batches(
-        ensure_schema("dst", "idg"), batch_format="pyarrow")
-    j = edges.join(od, "inner", num_partitions=2, on=("src",)).join(
-        idg, "inner", num_partitions=2, on=("dst",))
+    od = exchange(edges, "src", 8, with_degree("src", "od"), "pyarrow")
+    j = exchange(od, "dst", 8, with_degree("dst", "idg"), "pyarrow")
 
     def xy(t: pa.Table) -> pa.Table:
         return pa.table({"x": t.column("od"), "y": t.column("idg")})
@@ -2172,32 +2116,15 @@ def q_assortativity_docs(sf_dir: str):
 def q_hop_distance_docs(sf_dir: str):
     """Multi-source BFS hop distance from a seed set over the shared
     doc link graph (the TrustRank-style link-distance feature) —
-    frontier-BSP rounds where only the frontier rides the exchanges
+    one shard superstep per level, only the frontier sends
     (stages/graph.py:hop_distances).  Seeds = ``doc_id % 50 == 0``
     (the personalized-PageRank seed rule); undirected view; fixture
     oracle from the independent deque-BFS reference
     (tools/reference_impls.hop_distance_docs_reference)."""
     from logstash_filter_elastic_integration_ray.stages.graph import hop_distances
 
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    n_docs = int(docs.count())
-
-    def synth_edges(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        src, dst = [], []
-        for d in ids:
-            d = int(d)
-            if d % 5 == 0:
-                continue
-            for j in range(1 + d % 3):
-                src.append(d)
-                dst.append((d * 17 + 1 + 97 * j) % n_docs)
-        return pa.table({"src": pa.array(src, type=pa.int64()),
-                         "dst": pa.array(dst, type=pa.int64())})
-
-    edges = docs.map_batches(synth_edges, batch_format="pyarrow")
-    seeds = [d for d in range(0, n_docs, 50)]
-    return hop_distances(edges, seeds=seeds, num_partitions=16)
+    edges, n_docs = _doc_link_edges(sf_dir)
+    return hop_distances(edges, seeds=range(0, n_docs, 50), num_partitions=16)
 
 
 def q_label_prop_docs(sf_dir: str):
@@ -2210,31 +2137,15 @@ def q_label_prop_docs(sf_dir: str):
     Edge rule shared with ``pagerank_docs``."""
     from logstash_filter_elastic_integration_ray.stages.graph import label_propagation
 
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    n_docs = int(docs.count())
-
-    def synth_edges(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        src, dst = [], []
-        for d in ids:
-            d = int(d)
-            if d % 5 == 0:
-                continue
-            for j in range(1 + d % 3):
-                src.append(d)
-                dst.append((d * 17 + 1 + 97 * j) % n_docs)
-        return pa.table({"src": pa.array(src, type=pa.int64()),
-                         "dst": pa.array(dst, type=pa.int64())})
-
-    edges = docs.map_batches(synth_edges, batch_format="pyarrow")
+    edges, _ = _doc_link_edges(sf_dir)
     return label_propagation(edges, n_iters=5, num_partitions=16)
 
 
 def q_betweenness_docs(sf_dir: str):
     """Pivot-sampled betweenness centrality over the shared doc link
     graph (stages/graph.py:betweenness_pivots — synchronized
-    multi-pivot Brandes with PINNED float accumulation order, thin
-    int64 BFS state, two exchanges per level each way).  Pivots =
+    multi-pivot Brandes with PINNED float accumulation order, one
+    shard superstep per BFS level each way).  Pivots =
     ``doc_id % 50 == 0`` (the hop_distance seed rule); fixture oracle
     from the independent deque-BFS Brandes reference
     (tools/reference_impls.betweenness_pivots_reference) — doubles
@@ -2243,27 +2154,8 @@ def q_betweenness_docs(sf_dir: str):
         betweenness_pivots,
     )
 
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    n_docs = int(docs.count())
-
-    def synth_edges(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        src, dst = [], []
-        for d in ids:
-            d = int(d)
-            if d % 5 == 0:
-                continue
-            for j in range(1 + d % 3):
-                src.append(d)
-                dst.append((d * 17 + 1 + 97 * j) % n_docs)
-        return pa.table({"src": pa.array(src, type=pa.int64()),
-                         "dst": pa.array(dst, type=pa.int64())})
-
-    edges = docs.map_batches(synth_edges, batch_format="pyarrow")
-    seeds = list(range(0, n_docs, 50))
-    # wall time is BSP-round-count x stage overhead, not data volume,
-    # at this scale — fewer partitions = fewer tasks per round
-    return betweenness_pivots(edges, pivots=seeds, num_partitions=8)
+    edges, n_docs = _doc_link_edges(sf_dir)
+    return betweenness_pivots(edges, pivots=range(0, n_docs, 50), num_partitions=8)
 
 
 def q_harmonic_docs(sf_dir: str):
@@ -2277,23 +2169,7 @@ def q_harmonic_docs(sf_dir: str):
         harmonic_closeness_pivots,
     )
 
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    n_docs = int(docs.count())
-
-    def synth_edges(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        src, dst = [], []
-        for d in ids:
-            d = int(d)
-            if d % 5 == 0:
-                continue
-            for j in range(1 + d % 3):
-                src.append(d)
-                dst.append((d * 17 + 1 + 97 * j) % n_docs)
-        return pa.table({"src": pa.array(src, type=pa.int64()),
-                         "dst": pa.array(dst, type=pa.int64())})
-
-    edges = docs.map_batches(synth_edges, batch_format="pyarrow")
+    edges, n_docs = _doc_link_edges(sf_dir)
     return harmonic_closeness_pivots(
         edges, pivots=range(0, n_docs, 50), num_partitions=8)
 
@@ -2307,23 +2183,7 @@ def q_eccentricity_docs(sf_dir: str):
         eccentricity_pivots,
     )
 
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    n_docs = int(docs.count())
-
-    def synth_edges(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        src, dst = [], []
-        for d in ids:
-            d = int(d)
-            if d % 5 == 0:
-                continue
-            for j in range(1 + d % 3):
-                src.append(d)
-                dst.append((d * 17 + 1 + 97 * j) % n_docs)
-        return pa.table({"src": pa.array(src, type=pa.int64()),
-                         "dst": pa.array(dst, type=pa.int64())})
-
-    edges = docs.map_batches(synth_edges, batch_format="pyarrow")
+    edges, n_docs = _doc_link_edges(sf_dir)
     return eccentricity_pivots(
         edges, pivots=range(0, n_docs, 50), num_partitions=8)
 
@@ -2342,26 +2202,7 @@ def q_clustering_coeff_docs(sf_dir: str):
         clustering_coefficients,
     )
 
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-
-    def synth_edges(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        src, dst = [], []
-        for d in ids:
-            d = int(d)
-            r = d % 10
-            if r >= 1:
-                src.append(d); dst.append(d - 1)
-            if r >= 2 and d % 3 != 0:
-                src.append(d); dst.append(d - 2)
-            if d % 13 == 0:
-                src.append(d); dst.append(d)
-            if d % 9 == 0 and r >= 1:
-                src.append(d - 1); dst.append(d)
-        return pa.table({"src": pa.array(src, type=pa.int64()),
-                         "dst": pa.array(dst, type=pa.int64())})
-
-    edges = docs.map_batches(synth_edges, batch_format="pyarrow")
+    edges = _doc_triangle_edges(sf_dir)
     return clustering_coefficients(edges, num_partitions=16)
 
 
@@ -2379,23 +2220,8 @@ def q_modularity_docs(sf_dir: str):
         modularity,
     )
 
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    n_docs = int(docs.count())
-
-    def synth_edges(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        src, dst = [], []
-        for d in ids:
-            d = int(d)
-            if d % 5 == 0:
-                continue
-            for j in range(1 + d % 3):
-                src.append(d)
-                dst.append((d * 17 + 1 + 97 * j) % n_docs)
-        return pa.table({"src": pa.array(src, type=pa.int64()),
-                         "dst": pa.array(dst, type=pa.int64())})
-
-    edges = docs.map_batches(synth_edges, batch_format="pyarrow").materialize()
+    edges, _ = _doc_link_edges(sf_dir)
+    edges = edges.materialize()  # read by both calls
     labels = label_propagation(edges, n_iters=5, num_partitions=16)
     return modularity(edges, labels, num_partitions=16)
 

@@ -658,9 +658,8 @@ def run_bench() -> dict:
 
     def pagerank_16x():
         # 8-iteration integer PageRank over a 1.28M-node synthetic link
-        # graph (16 edges per dup-heavy doc id): per iteration the edges
-        # ride one exchange and the node table another — the BSP cost
-        # model at 20.5M edge rows total
+        # graph (16 edges per dup-heavy doc id, 20.5M edge rows): edges
+        # load once into shard actors, supersteps move summed shares
         from logstash_filter_elastic_integration_ray.stages.graph import pagerank
 
         heavy = read_parquet_clean(dup_path, override_num_blocks=NUM_CPUS * 2)
@@ -681,7 +680,7 @@ def run_bench() -> dict:
 
     def hits_16x():
         # 8-iteration exact-integer HITS over the same 20.5M-edge graph
-        # (Pregel engine: edges stationary in both orientations)
+        # (shard engine: edges stationary in both orientations)
         from logstash_filter_elastic_integration_ray.stages.graph import hits
 
         heavy = read_parquet_clean(dup_path, override_num_blocks=NUM_CPUS * 2)
@@ -1089,7 +1088,7 @@ def run_bench() -> dict:
         timed("minhash_dedup_dup_heavy_64x", minhash_64x, reps=1)
 
         def pagerank_64x():
-            # 82M edges through the Pregel engine: edges load once into
+            # 82M edges through the shard engine: edges load once into
             # shard actors, 8 supersteps move contribution partials only
             from logstash_filter_elastic_integration_ray.stages.graph import pagerank
 
@@ -1190,8 +1189,8 @@ def run_bench() -> dict:
 
     def label_prop_16x():
         # 5 synchronous LPA rounds over the same 1.28M-node synthetic
-        # link graph as pagerank_16x: 2 co-partition exchanges per
-        # round over ~20.5M directed message rows
+        # link graph as pagerank_16x: one shard superstep per round
+        # over ~20.5M directed message rows
         from logstash_filter_elastic_integration_ray.stages.graph import (
             label_propagation,
         )

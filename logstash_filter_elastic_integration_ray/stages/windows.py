@@ -1396,58 +1396,44 @@ def pair_spans(ds, *, key: str, ts_col: str, type_col: str,
         })
         return out
 
-    def per_part(df: pd.DataFrame) -> pa.Table:
-        return pair_partition(df, key=key, ts_col=ts_col, id_col=id_col)
+    def per_part(t: pa.Table) -> pa.Table:
+        return pair_partition(t, key=key, ts_col=ts_col, id_col=id_col)
 
     return exchange(ds.map_batches(thin, batch_format="pyarrow"), key,
-                    num_partitions, per_part, "pandas")
+                    num_partitions, per_part, "pyarrow")
 
 
-def pair_partition(df: pd.DataFrame, *, key: str, ts_col: str, id_col: str) -> pa.Table:
+def pair_partition(t: pa.Table, *, key: str, ts_col: str, id_col: str) -> pa.Table:
     """:func:`pair_spans` over every start/end row (``__is_start``) of
-    the keys in ``df``."""
-    k_dtype, ts_dtype, id_dtype = (df[key].dtype, df[ts_col].dtype,
-                                   df[id_col].dtype)
-    if not len(df):
-        empty = pd.DataFrame({
-            key: pd.Series(dtype=k_dtype),
-            "rn": pd.Series(dtype=np.int64),
-            "start_ts": pd.Series(dtype=ts_dtype),
-            "start_id": pd.Series(dtype=id_dtype),
-            "end_ts": pd.Series(dtype=ts_dtype),
-            "end_id": pd.Series(dtype="Int64"),
-            "duration_us": pd.Series(dtype="Int64"),
-        })
-        return pa.Table.from_pandas(empty, preserve_index=False).replace_schema_metadata(None)
-    kv = df[key].to_numpy()
-    ts = df[ts_col].to_numpy()
-    ids = df[id_col].to_numpy()
-    is_start = df["__is_start"].to_numpy().astype(bool)
+    the keys in ``t``.  Every output column keeps its Arrow type from
+    ``t``, so partitions with and without a null key agree."""
+    is_start = t.column("__is_start").to_numpy(zero_copy_only=False).astype(bool)
+    kv = t.column(key)
     # rank each start/end within its (key, kind) lane in (ts, id) order
-    r = segments.runs((kv, ~is_start), {ts_col: ts, id_col: ids})
-    rn = np.empty(len(kv), dtype=np.int64)
+    r = segments.runs((kv, ~is_start), {ts_col: t.column(ts_col), id_col: t.column(id_col)})
+    rn = np.empty(t.num_rows, dtype=np.int64)
     rn[r.order] = r.pos + 1
-    # SQL's ON s.key = e.key never matches a NULL key (pandas merge does)
-    s_mask, e_mask = is_start, ~is_start & ~pd.isna(kv)
-    s = pd.DataFrame({key: kv[s_mask], "rn": rn[s_mask],
-                      "start_ts": ts[s_mask], "start_id": ids[s_mask]})
-    e = pd.DataFrame({key: kv[e_mask], "rn": rn[e_mask],
-                      "end_ts": ts[e_mask], "end_id": ids[e_mask]})
-    out = s.merge(e, on=[key, "rn"], how="left")
-    # NaT → float64 would yield INT64_MIN, not NaN: mask explicitly
-    valid = out["end_ts"].notna().to_numpy()
-    dur_i = np.zeros(len(out), dtype=np.int64)
-    if valid.any():
-        dur_i[valid] = (
-            out["end_ts"].to_numpy()[valid].astype("datetime64[us]").astype(np.int64)
-            - out["start_ts"].to_numpy()[valid].astype("datetime64[us]").astype(np.int64)
-        )
-    dur = pd.array(dur_i, dtype="Int64")
-    dur[~valid] = pd.NA
-    out["duration_us"] = dur
-    out["end_id"] = out["end_id"].astype("Int64")
-    out = out.sort_values([key, "rn"], kind="mergesort")
-    return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
+    # SQL's ON s.key = e.key never matches a NULL key
+    is_end = ~is_start & kv.is_valid().to_numpy(zero_copy_only=False)
+
+    def lane(mask, prefix: str) -> pa.Table:
+        rows = pa.array(np.flatnonzero(mask))
+        return pa.table({key: kv.take(rows), "rn": pa.array(rn[mask]),
+                         f"{prefix}_ts": t.column(ts_col).take(rows),
+                         f"{prefix}_id": t.column(id_col).take(rows)})
+
+    out = lane(is_start, "start").join(lane(is_end, "end"), keys=[key, "rn"],
+                                       join_type="left outer")
+
+    def micros(c):
+        if pa.types.is_timestamp(c.type):
+            c = c.cast(pa.timestamp("us", c.type.tz), safe=False)
+        return c.cast(pa.int64())
+
+    dur = pc.subtract(micros(out.column("end_ts")), micros(out.column("start_ts")))
+    out = out.append_column("duration_us", dur).select(
+        [key, "rn", "start_ts", "start_id", "end_ts", "end_id", "duration_us"])
+    return out.sort_by([(key, "ascending"), ("rn", "ascending")]).combine_chunks()
 
 
 def grouped_ewma(ds, *, key: str, order_cols: list[str], value_col: str,

@@ -235,21 +235,16 @@ def test_lookup_hits_defaults_and_raises():
         lookup(keys[:0], vals[:0], np.array([1]))
 
 
-def test_label_propagation_missing_label_raises(ray_session, monkeypatch):
-    """A labels side that lost a node must fail the message join, not
-    hand that node's neighbours the label of the next node id."""
-    real = graph._initial_labels
-
-    def drop_node_3(edges2, num_partitions):
-        return real(edges2, num_partitions).filter(lambda r: r["node"] != 3)
-
-    monkeypatch.setattr(graph, "_initial_labels", drop_node_3)
-    edges = ray.data.from_arrow(pa.table({
-        "src": pa.array([1, 2, 3, 4], type=pa.int64()),
-        "dst": pa.array([2, 3, 4, 5], type=pa.int64()),
-    }))
-    with pytest.raises(Exception, match="not found"):
-        graph.label_propagation(edges, n_iters=2, num_partitions=2).to_pandas()
+def test_label_propagation_missing_label_raises():
+    """A shard that receives a label message for a node it does not hold
+    must fail, not hand that message to the next node id."""
+    shard = graph._Shard(0, 1, graph._Lpa(2, None))
+    shard.add("fwd", np.array([1, 2, 4]), np.array([2, 4, 1]))
+    shard.add("fwd", np.array([2, 4, 1]), np.array([1, 2, 4]))
+    assert shard.finalize(simple=True) == 3
+    inbox = {"dst": np.array([2, 3]), "v": np.array([1, 1])}
+    with pytest.raises(KeyError, match="not found"):
+        shard.receive(inbox)
 
 
 def test_hop_distances_of_an_empty_edge_set(ray_session):

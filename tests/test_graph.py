@@ -15,12 +15,16 @@ from logstash_filter_elastic_integration_ray.stages.graph import pagerank
 from tools.reference_impls import pagerank_reference
 
 
-def _run(edges, blocks=1, **kw):
+#: shard counts every shard-engine reference test runs under
+SHARDS = (1, 3, 8)
+
+
+def _run(edges, blocks=1, P=4, **kw):
     ds = ray.data.from_arrow(pa.table({
         "src": pa.array([s for s, _ in edges], type=pa.int64()),
         "dst": pa.array([d for _, d in edges], type=pa.int64()),
     })).repartition(blocks)
-    got = pagerank(ds, num_partitions=4, **kw).to_pandas()
+    got = pagerank(ds, num_partitions=P, **kw).to_pandas()
     return {int(r.node): (int(r.q), float(r.rank)) for r in got.itertuples()}
 
 
@@ -39,9 +43,9 @@ GRAPH = [
 
 @pytest.mark.parametrize("blocks", [1, 3])
 def test_pagerank_bit_exact_vs_reference(ray_session, blocks):
-    got = _run(GRAPH, blocks=blocks)
     want = _want(GRAPH)
-    assert got == want  # q int64 AND float rank, bitwise
+    for P in SHARDS:
+        assert _run(GRAPH, blocks=blocks, P=P) == want  # q AND float rank, bitwise
 
 
 def test_pagerank_star_hub_wins(ray_session):
@@ -70,21 +74,6 @@ def test_pagerank_all_dangling(ray_session):
     assert got == want
 
 
-@pytest.mark.parametrize("P", [1, 4])
-def test_pagerank_engines_bit_identical(ray_session, P):
-    """pregel (stationary edge shards) and bsp (all-Dataset loop) are
-    the SAME exact-integer function — bitwise, any shard count."""
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array([s for s, _ in GRAPH], type=pa.int64()),
-        "dst": pa.array([d for _, d in GRAPH], type=pa.int64()),
-    })).repartition(3)
-    a = pagerank(ds, num_partitions=P, engine="pregel").to_pandas()
-    b = pagerank(ds, num_partitions=P, engine="bsp").to_pandas()
-    ga = {int(r.node): (int(r.q), float(r.rank)) for r in a.itertuples()}
-    gb = {int(r.node): (int(r.q), float(r.rank)) for r in b.itertuples()}
-    assert ga == gb == _want(GRAPH)
-
-
 def test_pagerank_pregel_pure_sink_shard(ray_session):
     """A node owned by a shard that receives NO edges (pure sink) must
     still exist in the output with teleport-only mass."""
@@ -99,13 +88,49 @@ def test_pagerank_pregel_pure_sink_shard(ray_session):
     assert gmap == _want(edges)
 
 
-def test_pagerank_unknown_engine_raises(ray_session):
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array([1], type=pa.int64()),
-        "dst": pa.array([2], type=pa.int64()),
-    }))
-    with pytest.raises(ValueError):
-        pagerank(ds, engine="spark")
+def test_empty_edge_set_typed_outputs_and_no_live_shards(ray_session):
+    """Each shard program turns an edge set with no rows into its typed
+    output (the seeds alone for hop distance), and no shard actor
+    outlives the call."""
+    import time
+
+    from ray._private import state
+
+    from logstash_filter_elastic_integration_ray.stages import graph
+
+    empty = ray.data.from_arrow(pa.table({"src": pa.array([], type=pa.int64()),
+                                          "dst": pa.array([], type=pa.int64())}))
+    i64, f64 = pa.int64(), pa.float64()
+    calls = [
+        (lambda e: graph.pagerank(e, num_partitions=3), {"node": i64, "q": i64, "rank": f64}),
+        (lambda e: graph.pagerank(e, num_partitions=3, seeds=[1]),
+         {"node": i64, "q": i64, "rank": f64}),
+        (lambda e: graph.hits(e, num_partitions=3),
+         {"node": i64, "hub_q": i64, "auth_q": i64, "hub": f64, "auth": f64}),
+        (lambda e: graph.core_numbers(e, num_partitions=3), {"node": i64, "core": i64}),
+        (lambda e: graph.label_propagation(e, num_partitions=3), {"node": i64, "label": i64}),
+        (lambda e: graph.betweenness_pivots(e, pivots=[1], num_partitions=3),
+         {"node": i64, "bc": f64}),
+        (lambda e: graph.harmonic_closeness_pivots(e, pivots=[1], num_partitions=3),
+         {"pivot": i64, "n_reached": i64, "harmonic": f64, "closeness": f64}),
+        (lambda e: graph.eccentricity_pivots(e, pivots=[1], num_partitions=3),
+         {"pivot": i64, "eccentricity": i64, "n_reached": i64}),
+        (lambda e: graph.hop_distances(e, seeds=[7], num_partitions=3),
+         {"node": i64, "dist": i64}),
+    ]
+    for call, schema in calls:
+        got = pa.concat_tables(ray.get(call(empty).to_arrow_refs()))
+        assert got.schema == pa.schema(schema)
+        assert got.to_pylist() == ([{"node": 7, "dist": 0}] if "dist" in schema else [])
+
+    def live_shards():
+        return [a for a in state.actors().values()
+                if a["ActorClassName"].endswith("_Shard") and a["State"] != "DEAD"]
+
+    deadline = time.time() + 30
+    while live_shards() and time.time() < deadline:
+        time.sleep(0.2)
+    assert not live_shards()
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +338,12 @@ def test_personalized_pagerank_bit_exact_and_concentrates(ray_session):
         "src": pa.array([s for s, _ in star], type=pa.int64()),
         "dst": pa.array([d for _, d in star], type=pa.int64()),
     }))
-    got = pagerank(ds, num_partitions=4, seeds=[3]).to_pandas()
-    gmap = {int(r.node): int(r.q) for r in got.itertuples()}
     ref = pagerank_reference(star, seeds=[3])
     want = {int(r.node): int(r.q) for r in ref.itertuples()}
-    assert gmap == want
+    for P in SHARDS:
+        got = pagerank(ds, num_partitions=P, seeds=[3]).to_pandas()
+        gmap = {int(r.node): int(r.q) for r in got.itertuples()}
+        assert gmap == want
     # seed 3 holds strictly more mass than symmetric non-seed leaves
     assert gmap[3] > gmap[4]
     with pytest.raises(ValueError):
@@ -340,13 +366,14 @@ def test_hits_bit_exact_vs_reference(ray_session, blocks):
         "src": pa.array([s for s, _ in g], type=pa.int64()),
         "dst": pa.array([d for _, d in g], type=pa.int64()),
     })).repartition(blocks)
-    got = hits(ds, num_partitions=4).to_pandas()
-    gmap = {int(r.node): (int(r.hub_q), int(r.auth_q), float(r.hub), float(r.auth))
-            for r in got.itertuples()}
     ref = hits_reference(g)
     want = {int(r.node): (int(r.hub_q), int(r.auth_q), float(r.hub), float(r.auth))
             for r in ref.itertuples()}
-    assert gmap == want
+    for P in SHARDS:
+        got = hits(ds, num_partitions=P).to_pandas()
+        gmap = {int(r.node): (int(r.hub_q), int(r.auth_q), float(r.hub), float(r.auth))
+                for r in got.itertuples()}
+        assert gmap == want
     # 2 and 3 receive from the most hubs -> top authorities
     top_auth = max(gmap, key=lambda n: gmap[n][1])
     assert top_auth in (2, 3)
@@ -361,44 +388,19 @@ def test_hits_rescale_engages(ray_session):
         "src": pa.array([s for s, _ in g], type=pa.int64()),
         "dst": pa.array([d for _, d in g], type=pa.int64()),
     }))
-    got = hits(ds, n_iters=8, num_partitions=4).to_pandas()
     ref = hits_reference(g, n_iters=8)
-    gmap = {int(r.node): (int(r.hub_q), int(r.auth_q)) for r in got.itertuples()}
-    want = {int(r.node): (int(r.hub_q), int(r.auth_q)) for r in ref.itertuples()}
-    assert gmap == want
-    assert max(q for q, _ in gmap.values()) <= 1 << 41
-
-
-@pytest.mark.parametrize("P", [1, 4])
-def test_hits_engines_bit_identical(ray_session, P):
-    """pregel (stationary double-oriented edge shards) and bsp are the
-    SAME exact-integer function — bitwise, any shard count, rescale
-    shifts included."""
-    g = ([(1, 2), (1, 3), (4, 3), (3, 2), (2, 5), (6, 3), (6, 2)]
-         + [(i, 100 + j) for i in range(9) for j in range(9)])
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array([s for s, _ in g], type=pa.int64()),
-        "dst": pa.array([d for _, d in g], type=pa.int64()),
-    })).repartition(3)
-    a = hits(ds, num_partitions=P, engine="pregel").to_pandas()
-    b = hits(ds, num_partitions=P, engine="bsp").to_pandas()
-    key = lambda df: {int(r.node): (int(r.hub_q), int(r.auth_q),
-                                    float(r.hub), float(r.auth))
-                      for r in df.itertuples()}
-    assert key(a) == key(b)
-
-
-def test_hits_unknown_engine_raises(ray_session):
-    ds = ray.data.from_arrow(pa.table({
-        "src": pa.array([1], type=pa.int64()),
-        "dst": pa.array([2], type=pa.int64()),
-    }))
-    with pytest.raises(ValueError):
-        hits(ds, engine="flink")
+    want = {int(r.node): (int(r.hub_q), int(r.auth_q), float(r.hub), float(r.auth))
+            for r in ref.itertuples()}
+    for P in SHARDS:
+        got = hits(ds, n_iters=8, num_partitions=P).to_pandas()
+        gmap = {int(r.node): (int(r.hub_q), int(r.auth_q), float(r.hub), float(r.auth))
+                for r in got.itertuples()}
+        assert gmap == want
+    assert max(q for q, *_ in gmap.values()) <= 1 << 41
 
 
 class TestCoreNumbers:
-    def _run(self, ray, edges, parts=3, **kw):
+    def _run(self, ray, edges, parts=3, P=4, **kw):
         import ray.data as rd
 
         from logstash_filter_elastic_integration_ray.stages.graph import core_numbers
@@ -406,7 +408,7 @@ class TestCoreNumbers:
         t = pa.table({"src": pa.array([e[0] for e in edges], type=pa.int64()),
                       "dst": pa.array([e[1] for e in edges], type=pa.int64())})
         out = core_numbers(rd.from_arrow(t).repartition(parts),
-                           num_partitions=4, **kw)
+                           num_partitions=P, **kw)
         return dict(zip(*[out.to_pandas()[c].tolist() for c in ("node", "core")]))
 
     def test_known_graph(self, ray_session):
@@ -437,8 +439,8 @@ class TestCoreNumbers:
         expect = dict(zip(ref.kcore_reference(edges)["node"],
                           ref.kcore_reference(edges)["core"]))
         for parts in (1, 7):
-            got = self._run(ray, edges, parts=parts)
-            assert got == expect
+            for P in SHARDS:
+                assert self._run(ray, edges, parts=parts, P=P) == expect
 
     def test_nonconvergence_guard(self, ray_session):
         import ray
@@ -483,10 +485,11 @@ class TestHopDistances:
         rng = np.random.RandomState(17)
         edges = [(int(a), int(b)) for a, b in rng.randint(0, 120, (500, 2))]
         seeds = [0, 7, 99]
-        out = hop_distances(self._ds(edges), seeds=seeds,
-                            num_partitions=4).to_pandas()
-        got = dict(zip(out["node"].astype(int), out["dist"].astype(int)))
-        assert got == self._bfs(edges, seeds)
+        for P in SHARDS:
+            out = hop_distances(self._ds(edges), seeds=seeds,
+                                num_partitions=P).to_pandas()
+            got = dict(zip(out["node"].astype(int), out["dist"].astype(int)))
+            assert got == self._bfs(edges, seeds)
 
     def test_directed_vs_undirected(self, ray_session):
         from logstash_filter_elastic_integration_ray.stages.graph import hop_distances
@@ -572,9 +575,10 @@ class TestLabelPropagation:
         for nblocks in (1, 6):
             ds = ray.data.from_items(
                 [{"src": s, "dst": d} for s, d in edges]).repartition(nblocks)
-            out = (label_propagation(ds, n_iters=5, num_partitions=4)
-                   .to_pandas().sort_values("node").reset_index(drop=True))
-            pd.testing.assert_frame_equal(out, want)
+            for P in SHARDS:
+                out = (label_propagation(ds, n_iters=5, num_partitions=P)
+                       .to_pandas().sort_values("node").reset_index(drop=True))
+                pd.testing.assert_frame_equal(out, want)
 
     def test_early_stop_is_fixpoint(self, ray_session):
         import ray.data
@@ -751,9 +755,10 @@ class TestBetweennessPivots:
         for blocks in (1, 5):
             ds = ray.data.from_items(
                 [{"src": s, "dst": d} for s, d in edges]).repartition(blocks)
-            out = (betweenness_pivots(ds, pivots=pivots, num_partitions=3)
-                   .to_pandas().sort_values("node").reset_index(drop=True))
-            pd.testing.assert_frame_equal(out, want)  # doubles BITWISE
+            for P in SHARDS:
+                out = (betweenness_pivots(ds, pivots=pivots, num_partitions=P)
+                       .to_pandas().sort_values("node").reset_index(drop=True))
+                pd.testing.assert_frame_equal(out, want)  # doubles BITWISE
 
     def test_diamond_split_paths(self, ray_session):
         import ray.data
@@ -812,11 +817,12 @@ class TestHarmonicCloseness:
         for blocks in (1, 4):
             ds = ray.data.from_items(
                 [{"src": s, "dst": d} for s, d in edges]).repartition(blocks)
-            out = (harmonic_closeness_pivots(ds, pivots=pivots,
-                                             num_partitions=3)
-                   .to_pandas().sort_values("pivot").reset_index(drop=True))
-            pd.testing.assert_frame_equal(
-                out, want.sort_values("pivot").reset_index(drop=True))
+            for P in SHARDS:
+                out = (harmonic_closeness_pivots(ds, pivots=pivots,
+                                                 num_partitions=P)
+                       .to_pandas().sort_values("pivot").reset_index(drop=True))
+                pd.testing.assert_frame_equal(
+                    out, want.sort_values("pivot").reset_index(drop=True))
 
 
 class TestEccentricityPivots:
@@ -843,7 +849,8 @@ class TestEccentricityPivots:
         want = ref.eccentricity_reference(redges, pivots)
         ds2 = ray.data.from_items(
             [{"src": s, "dst": d} for s, d in redges]).repartition(3)
-        out2 = (eccentricity_pivots(ds2, pivots=pivots, num_partitions=3)
-                .to_pandas().sort_values("pivot").reset_index(drop=True))
-        pd.testing.assert_frame_equal(
-            out2, want.sort_values("pivot").reset_index(drop=True))
+        for P in SHARDS:
+            out2 = (eccentricity_pivots(ds2, pivots=pivots, num_partitions=P)
+                    .to_pandas().sort_values("pivot").reset_index(drop=True))
+            pd.testing.assert_frame_equal(
+                out2, want.sort_values("pivot").reset_index(drop=True))

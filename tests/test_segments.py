@@ -142,7 +142,6 @@ _COPY = re.compile(
 
 #: files that may still hold a copy, one reason each
 ALLOWED = {
-    "graph.py": "ROADMAP item 4 rewrites the graph engine",
     "dedup.py": "MinHash/LSH band grouping and union-find label sites",
     "similarity.py": "SimHash/LSH band grouping and top-k neighbour sites",
     "corpus.py": "near-dup cluster and group_topk selections",

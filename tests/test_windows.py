@@ -1040,6 +1040,21 @@ class TestPairSpans:
             pair_spans(ray.data.from_pandas(bad), key="user_id", ts_col="ts",
                        type_col="event_type", start_val="start", end_val="end",
                        id_col="event_id", num_partitions=3).materialize()
+        # int keys spread over partitions, only one of which holds the
+        # null key: every output block types the key int64 (a pandas
+        # partition would type it double beside a null, int64 without)
+        keyed = pd.DataFrame({
+            "event_id": np.arange(12, dtype=np.int64),
+            "user_id": pd.array([1, 1, 2, 2, 3, 3, 4, 4, 5, 5, None, None], dtype="Int64"),
+            "event_type": ["start", "end"] * 6,
+            "ts": np.datetime64("2025-04-01", "us") + np.arange(12).astype("timedelta64[s]"),
+        })
+        spans = pair_spans(ray.data.from_pandas(keyed), key="user_id", ts_col="ts",
+                           type_col="event_type", start_val="start", end_val="end",
+                           id_col="event_id", num_partitions=4)
+        blocks = pa.concat_tables(ray.get(spans.to_arrow_refs()))
+        assert blocks.schema.field("user_id").type == pa.int64()
+        assert sorted(blocks.column("end_id").to_pylist(), key=str) == [1, 3, 5, 7, 9, None]
 
 
 def _ewma_reference(df: pd.DataFrame, alpha=0.25) -> dict:
@@ -1455,23 +1470,23 @@ def test_window_kernels_random_split_invariant(rows, cuts, part_of, rnd):
                               parts.column("win").to_numpy())
     assert _canon_rows(merged, "event_id") == _canon_rows(whole, "event_id")
 
-    # the exchange hands a partition an int key with nulls as float NaN
-    df = pd.DataFrame({
-        "k": np.array([np.nan if k is None else k for k, _, _ in rows], dtype=np.float64),
-        "ts": np.datetime64("2025-01-01", "us")
-        + np.array([s for _, s, _ in rows]).astype("timedelta64[us]"),
-        "event_id": np.arange(n, dtype=np.int64),
-        "__is_start": [e == "start" for _, _, e in rows],
-    })[[e != "other" for _, _, e in rows]].reset_index(drop=True)
+    keep = np.array([e != "other" for _, _, e in rows], dtype=bool)
+    spans = pa.table({
+        "k": pa.array([k for k, _, _ in rows], type=pa.int64()),
+        "ts": pa.array(np.datetime64("2025-01-01", "us")
+                       + np.array([s for _, s, _ in rows]).astype("timedelta64[us]")),
+        "event_id": pa.array(np.arange(n), type=pa.int64()),
+        "__is_start": pa.array([e == "start" for _, _, e in rows]),
+    }).filter(pa.array(keep))
     run = lambda d: pair_partition(d, key="k", ts_col="ts", id_col="event_id")  # noqa: E731
-    part = np.array([part_of[4 if np.isnan(k) else int(k)] for k in df["k"]])
+    part = np.array([part_of[4 if k is None else k] for k in spans.column("k").to_pylist()])
     pieces = []
     for p in range(3):
-        sub = df[part == p]
-        idx = list(range(len(sub)))
+        idx = np.flatnonzero(part == p)
         rnd.shuffle(idx)
-        if len(sub):
-            pieces.append(run(sub.iloc[idx].reset_index(drop=True)))
-    if len(df):
+        if len(idx):
+            pieces.append(run(spans.take(pa.array(idx))))
+    if spans.num_rows:
+        # concat_tables raises if two partitions typed a column apart
         assert (_canon_rows(pa.concat_tables(pieces), "start_id")
-                == _canon_rows(run(df), "start_id"))
+                == _canon_rows(run(spans), "start_id"))
