@@ -1787,7 +1787,7 @@ def q_kcore_docs(sf_dir: str):
     from logstash_filter_elastic_integration_ray.stages.graph import core_numbers
 
     edges, _ = _doc_link_edges(sf_dir)
-    return core_numbers(edges, num_partitions=16)
+    return core_numbers(edges)
 
 
 def q_kcenter_embeddings(sf_dir: str):
@@ -2124,7 +2124,7 @@ def q_hop_distance_docs(sf_dir: str):
     from logstash_filter_elastic_integration_ray.stages.graph import hop_distances
 
     edges, n_docs = _doc_link_edges(sf_dir)
-    return hop_distances(edges, seeds=range(0, n_docs, 50), num_partitions=16)
+    return hop_distances(edges, seeds=range(0, n_docs, 50))
 
 
 def q_label_prop_docs(sf_dir: str):
@@ -2138,7 +2138,7 @@ def q_label_prop_docs(sf_dir: str):
     from logstash_filter_elastic_integration_ray.stages.graph import label_propagation
 
     edges, _ = _doc_link_edges(sf_dir)
-    return label_propagation(edges, n_iters=5, num_partitions=16)
+    return label_propagation(edges, n_iters=5)
 
 
 def q_betweenness_docs(sf_dir: str):
@@ -2155,7 +2155,7 @@ def q_betweenness_docs(sf_dir: str):
     )
 
     edges, n_docs = _doc_link_edges(sf_dir)
-    return betweenness_pivots(edges, pivots=range(0, n_docs, 50), num_partitions=8)
+    return betweenness_pivots(edges, pivots=range(0, n_docs, 50))
 
 
 def q_harmonic_docs(sf_dir: str):
@@ -2170,8 +2170,7 @@ def q_harmonic_docs(sf_dir: str):
     )
 
     edges, n_docs = _doc_link_edges(sf_dir)
-    return harmonic_closeness_pivots(
-        edges, pivots=range(0, n_docs, 50), num_partitions=8)
+    return harmonic_closeness_pivots(edges, pivots=range(0, n_docs, 50))
 
 
 def q_eccentricity_docs(sf_dir: str):
@@ -2184,8 +2183,7 @@ def q_eccentricity_docs(sf_dir: str):
     )
 
     edges, n_docs = _doc_link_edges(sf_dir)
-    return eccentricity_pivots(
-        edges, pivots=range(0, n_docs, 50), num_partitions=8)
+    return eccentricity_pivots(edges, pivots=range(0, n_docs, 50))
 
 
 def q_clustering_coeff_docs(sf_dir: str):
@@ -2222,7 +2220,7 @@ def q_modularity_docs(sf_dir: str):
 
     edges, _ = _doc_link_edges(sf_dir)
     edges = edges.materialize()  # read by both calls
-    labels = label_propagation(edges, n_iters=5, num_partitions=16)
+    labels = label_propagation(edges, n_iters=5)
     return modularity(edges, labels, num_partitions=16)
 
 

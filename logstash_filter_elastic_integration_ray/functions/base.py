@@ -84,23 +84,104 @@ def string_rows(batch: ColumnBatch, field: str, mask: np.ndarray) -> pa.Array:
     return pa.array(batch.read_rows(field, mask, stringify=True)[1], type=pa.string())
 
 
-def write_results(batch: ColumnBatch, rows: np.ndarray, results: list) -> None:
-    """Write a per-row kernel's results back: ``results[j]`` is the
-    ``{field: value}`` dict of row ``rows[j]`` (``None`` for a failed
-    row, which writes nothing).  A ``None`` value writes nothing either
-    (the row keeps its old value).  Each field is scattered once, by
-    :meth:`ColumnBatch.write_rows`, in the order fields first appear."""
-    ok = np.array([r is not None for r in results], dtype=bool)
-    if not ok.all():
-        rows = rows[ok]
-        results = [r for r in results if r is not None]
-    for f in dict.fromkeys(chain.from_iterable(results)):
-        col = list(map(dict.get, results, repeat(f)))
-        if None in col:
-            keep = np.array([v is not None for v in col], dtype=bool)
-            batch.write_rows(f, rows[keep], [v for v in col if v is not None])
+_VALUE_CACHE_CAP = 65536
+_CACHE_MISS = object()
+
+
+def row_results(kernel, values: list, fn) -> list:
+    """The per-row path: ``fn(value)`` of each value, a ``{field:
+    value}`` dict, or None where ``fn`` raised or returned None.
+
+    A kernel exposing a ``_value_cache`` dict gets input-value
+    memoization: real log streams repeat user agents, domains and URLs
+    heavily, so parse results are computed once per DISTINCT value per
+    worker (None memoizes a failure too).  Only valid for pure
+    ``fn(value)`` kernels."""
+    cache = getattr(kernel, "_value_cache", None)
+    out = []
+    for s in values:
+        res = _CACHE_MISS if cache is None else cache.get(s, _CACHE_MISS)
+        if res is _CACHE_MISS:
+            try:
+                res = fn(s)
+            except Exception:
+                res = None
+            if cache is not None and len(cache) < _VALUE_CACHE_CAP:
+                cache[s] = res
+        out.append(res)
+    return out
+
+
+def parse_rows(kernel, batch: ColumnBatch, mask: np.ndarray, fn, arrow_fn=None) -> np.ndarray | None:
+    """The driver of the parse kernels: parse ``kernel.field`` on the
+    rows ``mask`` selects into ``{field: value}`` per row, and write
+    each field back into those rows.  A null ``field`` fails the row,
+    or is skipped with ``kernel.ignore_missing``.  Returns the error
+    mask, or None.
+
+    ``arrow_fn(arr)`` gets the selected rows as one Arrow string array
+    (non-strings read as strings) and returns ``(ok, bad, cols)``: numpy
+    masks over ``arr`` of the rows it parsed and of the rows that fail,
+    and ``{field: Arrow array over arr}`` in the key order ``fn`` gives a
+    row, a null meaning the row writes nothing there.  Every other row
+    goes through :func:`row_results` with ``fn``.  The writes are those
+    of the per-row results for every row: one ``write_rows`` per field
+    (a None value writes nothing), fields in the order they first
+    appear over the rows, in a row's key order within the row."""
+    present = batch.valid_mask(kernel.field)
+    err = np.zeros(batch.n, dtype=bool)
+    if not getattr(kernel, "ignore_missing", False):
+        err |= mask & ~present
+    active = mask & present
+    rows = np.flatnonzero(active)
+    ok, cols = np.zeros(len(rows), dtype=bool), {}
+    if arrow_fn is not None and len(rows):
+        ok, bad, cols = arrow_fn(string_rows(batch, kernel.field, active))
+        err[rows[bad]] = True
+        rest = np.flatnonzero(~(ok | bad))
+    else:
+        rest = np.arange(len(rows))
+    results = []
+    if len(rest):
+        sel = np.zeros(batch.n, dtype=bool)
+        sel[rows[rest]] = True
+        results = row_results(kernel, batch.read_rows(kernel.field, sel, stringify=True)[1], fn)
+        err[rows[rest[[r is None for r in results]]]] = True
+
+    settled = [(j, res) for j, res in zip(rest.tolist(), results) if res is not None]
+    at, results = rows[[j for j, _ in settled]], [res for _, res in settled]
+    in_rows = dict.fromkeys(chain.from_iterable(results))
+    hits = {}
+    for f, col in cols.items():
+        hit = ok & np.asarray(col.is_valid()) if col.null_count else ok
+        if hit.any():
+            hits[f] = hit
+    # fields in the order they first appear: (position among ``rows``,
+    # key position in that row); a row is settled in Arrow or per row
+    first = {f: (0, p) for p, f in enumerate(in_rows)}
+    if hits:
+        first = {}
+        for j, res in settled:
+            for p, f in enumerate(res):
+                first.setdefault(f, (j, p))
+        for p, (f, hit) in enumerate(hits.items()):
+            j = int(hit.argmax())
+            if (j, p) < first.get(f, (len(rows), 0)):
+                first[f] = (j, p)
+    for f in sorted(first, key=first.__getitem__):
+        vals = list(map(dict.get, results, repeat(f))) if f in in_rows else []
+        keep = np.array([v is not None for v in vals], dtype=bool)
+        vals = [v for v in vals if v is not None]
+        hit = hits.get(f)
+        if hit is None:
+            batch.write_rows(f, at[keep], vals)
+        elif vals:  # both paths wrote ``f``: one write, in row order
+            by_row = sorted([*zip(rows[hit].tolist(), cols[f].filter(pa.array(hit)).to_pylist()),
+                             *zip(at[keep].tolist(), vals)])
+            batch.write_rows(f, np.array([i for i, _ in by_row]), [v for _, v in by_row])
         else:
-            batch.write_rows(f, rows, col)
+            batch.write_rows(f, rows[hit], cols[f].filter(pa.array(hit)))
+    return err if err.any() else None
 
 
 def map_rows(batch: ColumnBatch, field: str, target: str, mask: np.ndarray, fn,

@@ -10,6 +10,11 @@ Supported key modifiers (public dissect syntax):
 ``%{}`` skip, ``%{?name}`` named skip, ``%{key->}`` right-padding skip,
 ``%{+key}`` append (with ``append_separator``), ``%{+key/2}`` ordered
 append, ``%{*key}``/``%{&key}`` reference key/value pairs.
+
+A pattern runs as one anchored RE2 ``pc.extract_regex`` over the
+selected rows (:attr:`DissectPattern.regex`), unless it has reference
+keys, whose field names come from the data: those run
+:meth:`DissectPattern.match` per row.
 """
 
 from __future__ import annotations
@@ -18,9 +23,11 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..model import ColumnBatch
-from .base import Kernel, KernelCompileError, register_processor, write_results
+from .base import Kernel, KernelCompileError, parse_rows, register_processor
 from .grok import _normalize_field_path
 
 _KEY = re.compile(r"%\{([^}]*)\}")
@@ -35,6 +42,11 @@ class _DissectKey:
     ref_key: bool = False    # *key
     ref_value: bool = False  # &key
     pad_right: bool = False  # ->
+
+
+def _re2_literal(s: str) -> str:
+    """``s`` as an RE2 pattern that matches exactly ``s``."""
+    return "".join(c if c.isalnum() or ord(c) > 127 else f"\\x{{{ord(c):x}}}" for c in s)
 
 
 def _parse_key(raw: str) -> _DissectKey:
@@ -84,6 +96,25 @@ class DissectPattern:
         self.out_fields = sorted(
             {k.name for k in keys if not k.skip and not k.ref_key and not k.ref_value and k.name}
         )
+        # (name, the last plain key of that name, its append keys in
+        # join order) in the order :meth:`match` returns the fields
+        plain = {k.name: i for i, k in enumerate(keys) if not (k.skip or k.append or k.ref_key or k.ref_value)}
+        appends = [(k.order, i, k.name) for i, k in enumerate(keys) if k.append]
+        self.fields = [(name, plain.get(name), [i for _, i, n in sorted(appends) if n == name])
+                       for name in dict.fromkeys([*plain, *(n for _, _, n in appends)])]
+        self.regex = None if any(k.ref_key or k.ref_value for k in keys) else self._regex()
+
+    def _regex(self) -> str:
+        """Key ``i`` captures ``g<i>`` lazily up to its literal (the last
+        one, with no literal, takes the rest); ``->`` repeats the literal
+        greedily, and ``r<i>`` then captures all that follows it."""
+        out, close = ["(?s)^", _re2_literal(self.prefix)], ""
+        for i, (key, lit) in enumerate(zip(self.keys, self.literals)):
+            out.append(f"(?P<g{i}>.*?){_re2_literal(lit)}" if lit else f"(?P<g{i}>.*)")
+            if key.pad_right and lit:
+                out.append(f"(?:{_re2_literal(lit)})*(?P<r{i}>")
+                close += ")"
+        return "".join(out) + (".*" + close if close else "")
 
     def match(self, s: str, append_sep: str) -> dict[str, str] | None:
         if not s.startswith(self.prefix):
@@ -147,16 +178,33 @@ class DissectKernel(Kernel):
     def output_fields(self) -> list[str]:
         return self.pattern.out_fields
 
+    def _arrow(self, arr: pa.Array):
+        p = self.pattern
+        ex = pc.extract_regex(arr, p.regex)
+        ok = np.asarray(pc.is_valid(ex))
+        g = [pc.struct_field(ex, f"g{i}") for i in range(len(p.keys))]
+        pads = [i for i, (key, lit) in enumerate(zip(p.keys, p.literals)) if key.pad_right and lit]
+        if pads:
+            # Without ``->`` the match is str.find's: each literal at its
+            # first occurrence.  With it the regex may backtrack, to a
+            # shorter run or a later occurrence, where str.find fails:
+            # keep only the matches that took neither step.
+            for i, lit in enumerate(p.literals):
+                if lit:
+                    at = pc.find_substring(pc.binary_join_element_wise(g[i], lit, ""), lit)
+                    ok &= np.asarray(pc.fill_null(pc.equal(at, pc.binary_length(g[i])), False))
+            for i in pads:
+                ok &= ~np.asarray(pc.fill_null(pc.starts_with(pc.struct_field(ex, f"r{i}"), p.literals[i]), True))
+        cols = {}
+        for name, plain, appends in p.fields:
+            parts = ([] if plain is None else [g[plain]]) + [g[i] for i in appends]
+            cols[name] = pc.binary_join_element_wise(*parts, self.append_sep) if appends else parts[0]
+        return ok, ~ok, cols
+
     def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        present = batch.valid_mask(self.field)
-        err = np.zeros(batch.n, dtype=bool)
-        if not self.ignore_missing:
-            err |= mask & ~present
-        rows, values = batch.read_rows(self.field, mask & present, stringify=True)
-        results = [self.pattern.match(s, self.append_sep) for s in values]
-        err[rows[[r is None for r in results]]] = True
-        write_results(batch, rows, results)
-        return err if err.any() else None
+        p, sep = self.pattern, self.append_sep
+        arrow = p.regex is not None and isinstance(sep, str)
+        return parse_rows(self, batch, mask, lambda s: p.match(s, sep), self._arrow if arrow else None)
 
 
 @register_processor("dissect")

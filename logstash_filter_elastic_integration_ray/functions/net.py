@@ -28,10 +28,8 @@ import numpy as np
 from ..model import ColumnBatch, append_tag
 from ..state.geoip_holder import managed_reader
 from ..state.mmdb import MmdbReader
-from .base import Kernel, KernelCompileError, register_processor
+from .base import Kernel, KernelCompileError, parse_rows, register_processor
 from .grok import _normalize_field_path
-from .parse import _per_row  # top-level: function-level relative imports fail on
-# workers when the package ships pickled by value (workers cannot import it)
 
 # --------------------------------------------------------------------------
 # user_agent — vendored uap-core-style rule bank (ua_bank.py; compiled
@@ -105,7 +103,7 @@ class UserAgentKernel(Kernel):
             out[f"{t}.original"] = s
             return out
 
-        return _per_row(self, batch, mask, parse)
+        return parse_rows(self, batch, mask, parse)
 
 
 @register_processor("user_agent")
@@ -179,7 +177,7 @@ class RegisteredDomainKernel(Kernel):
                 raise ValueError(f"unable to determine registered domain for [{s}]")
             return {(f"{t}.{k}" if t else k): v for k, v in res.items()}
 
-        return _per_row(self, batch, mask, parse)
+        return parse_rows(self, batch, mask, parse)
 
 
 @register_processor("registered_domain")
@@ -428,7 +426,7 @@ class GeoIpKernel(Kernel):
                     return {}
                 return {f"{t}.{k}": v for k, v in rec.items()}
 
-            return _per_row(self, batch, mask, parse)
+            return parse_rows(self, batch, mask, parse)
 
         if self.use_manager:
             reader, version = managed_reader(self.database_file, self.manager_poll_seconds)
@@ -453,7 +451,7 @@ class GeoIpKernel(Kernel):
                     cache[s] = hit
             return hit
 
-        return _per_row(self, batch, mask, parse_mmdb)
+        return parse_rows(self, batch, mask, parse_mmdb)
 
 
 @register_processor("geoip")

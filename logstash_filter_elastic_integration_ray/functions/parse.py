@@ -19,47 +19,20 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..model import ColumnBatch
-from .base import Kernel, KernelCompileError, register_processor, string_rows, write_results
+from .base import Kernel, KernelCompileError, parse_rows, register_processor, string_rows
 from .grok import _normalize_field_path
 
 
-_VALUE_CACHE_CAP = 65536
-_CACHE_MISS = object()
+def _literal(pattern) -> bool:
+    """Whether the regex ``pattern`` matches only itself, a nonempty
+    string: then Python's ``re.split`` and Arrow's ``split_pattern``
+    agree."""
+    return isinstance(pattern, str) and pattern != "" and not any(c in ".^$*+?{}[]\\|()" for c in pattern)
 
 
-def _per_row(kernel_self, batch, mask, fn):
-    """Per-row driver: fn(value) -> dict[field, value] | Exception.
-
-    Returns err mask. Shared by kernels whose semantics are inherently
-    per-row: only the rows ``mask`` selects are read as Python strings,
-    and each output field is written back into those rows only.
-
-    A kernel exposing a ``_value_cache`` dict gets input-value
-    memoization: real log streams repeat user agents, domains and URLs
-    heavily, so parse results are computed once per DISTINCT value per
-    worker (None marks "fn raised/returned None" so failures memoize
-    too).  Only valid for pure fn(value) kernels.
-    """
-    present = batch.valid_mask(kernel_self.field)
-    err = np.zeros(batch.n, dtype=bool)
-    if not getattr(kernel_self, "ignore_missing", False):
-        err |= mask & ~present
-    rows, values = batch.read_rows(kernel_self.field, mask & present, stringify=True)
-    cache = getattr(kernel_self, "_value_cache", None)
-    results = []
-    for s in values:
-        res = _CACHE_MISS if cache is None else cache.get(s, _CACHE_MISS)
-        if res is _CACHE_MISS:
-            try:
-                res = fn(s)
-            except Exception:
-                res = None
-            if cache is not None and len(cache) < _VALUE_CACHE_CAP:
-                cache[s] = res
-        results.append(res)
-    err[rows[[r is None for r in results]]] = True
-    write_results(batch, rows, results)
-    return err if err.any() else None
+def _null_empty(col: pa.Array) -> pa.Array:
+    """``col`` with its empty strings null (a row writes nothing)."""
+    return pc.if_else(pc.equal(col, ""), pa.scalar(None, pa.string()), col)
 
 
 # --------------------------------------------------------------------------
@@ -95,35 +68,84 @@ class KvKernel(Kernel):
         name = self.prefix + key
         return f"{self.target}.{name}" if self.target else name
 
-    def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        def parse(s: str):
-            out: dict[str, object] = {}
-            for token in self.field_split.split(s):
-                if token == "":
-                    continue
-                parts = self.value_split.split(token, maxsplit=1)
-                if len(parts) != 2:
-                    raise ValueError(f"cannot split key-value from {token!r}")
-                k, v = parts
-                if self.trim_key:
-                    k = k.strip(self.trim_key)
-                if self.trim_value:
-                    v = v.strip(self.trim_value)
-                if self.strip_brackets:
-                    v = v.strip("()<>[]\"'")
-                if self.include and k not in self.include:
-                    continue
-                if k in self.exclude:
-                    continue
-                f = self._fieldname(k)
-                if f in out:
-                    prev = out[f]
-                    out[f] = (prev if isinstance(prev, list) else [prev]) + [v]
-                else:
-                    out[f] = v
-            return out
+    def _parse(self, s: str) -> dict:
+        out: dict[str, object] = {}
+        for token in self.field_split.split(s):
+            if token == "":
+                continue
+            parts = self.value_split.split(token, maxsplit=1)
+            if len(parts) != 2:
+                raise ValueError(f"cannot split key-value from {token!r}")
+            k, v = parts
+            if self.trim_key:
+                k = k.strip(self.trim_key)
+            if self.trim_value:
+                v = v.strip(self.trim_value)
+            if self.strip_brackets:
+                v = v.strip("()<>[]\"'")
+            if self.include and k not in self.include:
+                continue
+            if k in self.exclude:
+                continue
+            f = self._fieldname(k)
+            if f in out:
+                prev = out[f]
+                out[f] = (prev if isinstance(prev, list) else [prev]) + [v]
+            else:
+                out[f] = v
+        return out
 
-        return _per_row(self, batch, mask, parse)
+    def _arrow(self, arr: pa.Array):
+        """Split every row at once; a row whose kept keys repeat (a list
+        value) goes to :meth:`_parse`."""
+        n = len(arr)
+        tokens = pc.split_pattern(arr, self.field_split.pattern)
+        row = np.asarray(pc.list_parent_indices(tokens))
+        tok = pc.list_flatten(tokens)
+        keep = np.asarray(pc.not_equal(tok, ""))
+        row, tok = row[keep], tok.filter(pa.array(keep))
+        pairs = pc.split_pattern(tok, self.value_split.pattern, max_splits=1)
+        two = np.asarray(pc.equal(pc.list_value_length(pairs), 2))
+        bad = np.zeros(n, dtype=bool)
+        bad[row[~two]] = True
+        kv = pc.list_flatten(pairs.filter(pa.array(two)))
+        row = row[two]
+        k, v = kv.take(np.arange(0, len(kv), 2)), kv.take(np.arange(1, len(kv), 2))
+        if self.trim_key:
+            k = pc.utf8_trim(k, self.trim_key)
+        if self.trim_value:
+            v = pc.utf8_trim(v, self.trim_value)
+        if self.strip_brackets:
+            v = pc.utf8_trim(v, "()<>[]\"'")
+        keep = np.ones(len(k), dtype=bool)
+        if self.include:
+            keep &= np.asarray(pc.is_in(k, pa.array([x for x in self.include if isinstance(x, str)], pa.string())))
+        if self.exclude:
+            keep &= ~np.asarray(pc.is_in(k, pa.array([x for x in self.exclude if isinstance(x, str)], pa.string())))
+        row, k, v = row[keep], k.filter(pa.array(keep)), v.filter(pa.array(keep))
+        code = pc.dictionary_encode(k).indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        m = int(code.max(initial=0)) + 1
+        pair = np.sort(row * m + code)
+        ok = ~bad
+        ok[pair[1:][pair[1:] == pair[:-1]] // m] = False
+        t_ok = ok[row]
+        row, k, v = row[t_ok], k.filter(pa.array(t_ok)), v.filter(pa.array(t_ok))
+        # one column per key; dictionary codes follow first appearance
+        enc = pc.dictionary_encode(k)
+        code = enc.indices.to_numpy(zero_copy_only=False)
+        by_key = np.argsort(code, kind="stable")
+        cuts = np.searchsorted(code[by_key], np.arange(len(enc.dictionary) + 1))
+        cols = {}
+        for c, key in enumerate(enc.dictionary.to_pylist()):
+            at = by_key[cuts[c]:cuts[c + 1]]
+            idx = np.full(n, -1, dtype=np.int64)
+            idx[row[at]] = at
+            cols[self._fieldname(key)] = v.take(pa.array(idx, mask=idx < 0))
+        return ok, bad, cols
+
+    def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
+        literal = _literal(self.field_split.pattern) and _literal(self.value_split.pattern)
+        return parse_rows(self, batch, mask, self._parse, self._arrow if literal else None)
 
 
 @register_processor("kv")
@@ -179,19 +201,38 @@ class CsvKernel(Kernel):
             return out
         return s.split(self.sep)
 
-    def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        def parse(s: str):
-            vals = self._split(s)
-            out = {}
-            for f, v in zip(self.target_fields, vals):
-                if self.trim:
-                    v = v.strip()
-                if v == "" and self.empty_value is not None:
-                    v = self.empty_value
-                out[f] = v
-            return out
+    def _parse(self, s: str) -> dict:
+        out = {}
+        for f, v in zip(self.target_fields, self._split(s)):
+            if self.trim:
+                v = v.strip()
+            if v == "" and self.empty_value is not None:
+                v = self.empty_value
+            out[f] = v
+        return out
 
-        return _per_row(self, batch, mask, parse)
+    def _arrow(self, arr: pa.Array):
+        """Split every row at once; a row holding the quote goes to
+        :meth:`_parse`."""
+        ok = np.ones(len(arr), dtype=bool)
+        if self.quote:
+            ok = ~np.asarray(pc.match_substring(arr, self.quote))
+        parts = pc.split_pattern(arr, self.sep)
+        start = parts.offsets.to_numpy()[:-1]
+        count = np.asarray(pc.list_value_length(parts))
+        flat = pc.list_flatten(parts)
+        cols = {}
+        for i, f in enumerate(self.target_fields):
+            v = flat.take(pa.array(start + i, mask=count <= i))
+            if self.empty_value is not None:
+                v = pc.if_else(pc.equal(v, ""), self.empty_value, v)
+            cols[f] = pc.coalesce(v, cols[f]) if f in cols else v
+        return ok, np.zeros(len(arr), dtype=bool), cols
+
+    def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
+        arrow = (isinstance(self.sep, str) and self.sep != "" and not self.trim
+                 and isinstance(self.empty_value, (str, type(None))) and isinstance(self.quote, (str, type(None))))
+        return parse_rows(self, batch, mask, self._parse, self._arrow if arrow else None)
 
 
 @register_processor("csv")
@@ -238,7 +279,7 @@ class JsonKernel(Kernel):
             target = self.target if self.target else self.field
             return flatten_json(v, target)
 
-        return _per_row(self, batch, mask, parse)
+        return parse_rows(self, batch, mask, parse)
 
 
 @register_processor("json")
@@ -351,7 +392,7 @@ class DateKernel(Kernel):
                 return {self.target: d.strftime(java_format_to_strptime(self.output_format))}
             return {self.target: format_iso8601(d)}
 
-        return _per_row(self, batch, mask, parse)
+        return parse_rows(self, batch, mask, parse)
 
 
 @register_processor("date")
@@ -461,11 +502,23 @@ def _convert_factory(config: dict) -> Kernel:
 # --------------------------------------------------------------------------
 # bytes
 # --------------------------------------------------------------------------
-_BYTES_RE = re.compile(r"^\s*([0-9]*\.?[0-9]+)\s*(b|kb|mb|gb|tb|pb)\s*$", re.I)
-_BYTES_MULT = {"b": 1, "kb": 1 << 10, "mb": 1 << 20, "gb": 1 << 30, "tb": 1 << 40, "pb": 1 << 50}
+#: every character Python's ``re`` ``\s`` matches in a str pattern
+#: (``str.isspace``), as an RE2 class body
+_PY_SPACE = (r"\t\n\x0b\x0c\r\x1c-\x20\x85\xa0\x{1680}\x{2000}-\x{200a}"
+            r"\x{2028}\x{2029}\x{202f}\x{205f}\x{3000}")
+#: ``^\s*([0-9]*\.?[0-9]+)\s*(b|kb|mb|gb|tb|pb)\s*$`` under Python's
+#: ``re.I``, which also folds the Kelvin sign into ``k``
+_BYTES_RX = ("^[" + _PY_SPACE + "]*(?P<num>[0-9]*\\.?[0-9]+)[" + _PY_SPACE + "]*"
+             "(?P<unit>[kK\\x{212a}mMgGtTpP]?)[bB][" + _PY_SPACE + "]*$")
+_BYTES_UNITS = pa.array(["", "k", "m", "g", "t", "p"])
+_BYTES_MULT = np.array([1 << (10 * i) for i in range(6)], dtype=np.float64)
 
 
 class BytesKernel(Kernel):
+    """``<number><unit>`` → ``int(float(number) * 1024**unit)`` in
+    int64, in Arrow: one RE2 extract and a float multiply.  A row that
+    does not match, or whose value is beyond int64, fails."""
+
     failure_message = "failed to parse bytes value"
 
     def __init__(self, config: dict):
@@ -478,15 +531,17 @@ class BytesKernel(Kernel):
     def output_fields(self) -> list[str]:
         return [self.target]
 
-    def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        def parse(s: str):
-            m = _BYTES_RE.match(s)
-            if not m:
-                raise ValueError(f"failed to parse setting [{s}]")
-            num, unit = m.group(1), m.group(2).lower()
-            return {self.target: int(float(num) * _BYTES_MULT[unit])}
+    def _arrow(self, arr: pa.Array):
+        ex = pc.extract_regex(arr, _BYTES_RX)
+        num = pc.struct_field(ex, "num").cast(pa.float64()).to_numpy(zero_copy_only=False)
+        unit = pc.index_in(pc.utf8_lower(pc.struct_field(ex, "unit")), value_set=_BYTES_UNITS)
+        value = num * _BYTES_MULT[unit.fill_null(0).to_numpy(zero_copy_only=False)]
+        ok = value < 2.0 ** 63  # False where no match (NaN)
+        out = pa.array(np.trunc(np.where(ok, value, 0)).astype(np.int64))
+        return ok, ~ok, {self.target: out}
 
-        return _per_row(self, batch, mask, parse)
+    def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
+        return parse_rows(self, batch, mask, None, self._arrow)
 
 
 @register_processor("bytes")
@@ -513,7 +568,7 @@ class UrldecodeKernel(Kernel):
         def parse(s: str):
             return {self.target: unquote_plus(s)}
 
-        return _per_row(self, batch, mask, parse)
+        return parse_rows(self, batch, mask, parse)
 
 
 @register_processor("urldecode")
@@ -521,11 +576,10 @@ def _urldecode_factory(config: dict) -> Kernel:
     return UrldecodeKernel(config)
 
 
-_TAG_RE = re.compile(r"<[^>]*>")
-_MULTI_NL = re.compile(r"\n{2,}")
-
-
 class HtmlStripKernel(Kernel):
+    """Each tag becomes a newline, then each run of newlines one
+    newline: two RE2 replaces over the selected rows."""
+
     failure_message = "html_strip failed"
 
     def __init__(self, config: dict):
@@ -535,11 +589,13 @@ class HtmlStripKernel(Kernel):
         self.target = _normalize_field_path(config.get("target_field") or self.field)
         self.ignore_missing = bool(config.get("ignore_missing", False))
 
-    def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
-        def parse(s: str):
-            return {self.target: _MULTI_NL.sub("\n", _TAG_RE.sub("\n", s))}
+    def _arrow(self, arr: pa.Array):
+        out = pc.replace_substring_regex(arr, "<[^>]*>", "\n")
+        out = pc.replace_substring_regex(out, "\n{2,}", "\n")
+        return np.ones(len(arr), dtype=bool), np.zeros(len(arr), dtype=bool), {self.target: out}
 
-        return _per_row(self, batch, mask, parse)
+    def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
+        return parse_rows(self, batch, mask, None, self._arrow)
 
 
 @register_processor("html_strip")
@@ -550,7 +606,25 @@ def _html_strip_factory(config: dict) -> Kernel:
 # --------------------------------------------------------------------------
 # uri_parts
 # --------------------------------------------------------------------------
+#: ``scheme://host[:port][/path][?query][#fragment]`` with an ASCII host
+#: and no userinfo, brackets, ``%`` in the host, whitespace or control
+#: characters: the URLs ``urlsplit`` takes apart by plain splitting.
+#: ``ext`` is the last segment's last ``.`` onwards.
+_URI_RX = (
+    r"^(?P<scheme>[A-Za-z][A-Za-z0-9+.\-]*)://"
+    r"(?P<host>[\x21\x22\x24\x26-\x2e\x30-\x39\x3b-\x3e\x41-\x5a\x5c\x5e-\x7e]*)"
+    r"(?::(?P<port>[0-9]{0,5}))?"
+    r"(?P<path>(?:/[^?#\x00-\x20\x7f]*?(?P<ext>\.[^./?#\x00-\x20\x7f]*)?)?)"
+    r"(?:\?(?P<query>[^#\x00-\x20\x7f]*))?"
+    r"(?:#(?P<fragment>[^\x00-\x20\x7f]*))?$"
+)
+
+
 class UriPartsKernel(Kernel):
+    """``urlsplit`` fields of a URL.  A URL of the plain shape
+    ``_URI_RX`` describes, with a port up to 65535, is split in Arrow;
+    any other goes to :meth:`_parse`."""
+
     failure_message = "unable to parse URI"
 
     def __init__(self, config: dict):
@@ -563,41 +637,55 @@ class UriPartsKernel(Kernel):
         self.remove_if_successful = bool(config.get("remove_if_successful", False))
         self.ignore_missing = bool(config.get("ignore_missing", False))
 
-    def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
+    def _parse(self, s: str) -> dict:
         from urllib.parse import urlsplit
 
         t = self.target
+        u = urlsplit(s)
+        if not u.scheme and not u.netloc:
+            raise ValueError(f"unable to parse URI [{s}]")
+        out: dict[str, object] = {}
+        if self.keep_original:
+            out[f"{t}.original"] = s
+        if u.scheme:
+            out[f"{t}.scheme"] = u.scheme
+        if u.hostname:
+            out[f"{t}.domain"] = u.hostname
+        if u.port is not None:
+            out[f"{t}.port"] = int(u.port)
+        if u.path:
+            out[f"{t}.path"] = u.path
+            seg = u.path.rsplit("/", 1)[-1]
+            if "." in seg:
+                out[f"{t}.extension"] = seg.rsplit(".", 1)[1]
+        if u.query:
+            out[f"{t}.query"] = u.query
+        if u.fragment:
+            out[f"{t}.fragment"] = u.fragment
+        if u.username:
+            out[f"{t}.username"] = u.username
+            out[f"{t}.user_info"] = f"{u.username}:{u.password or ''}"
+        if u.password:
+            out[f"{t}.password"] = u.password
+        return out
 
-        def parse(s: str):
-            u = urlsplit(s)
-            if not u.scheme and not u.netloc:
-                raise ValueError(f"unable to parse URI [{s}]")
-            out: dict[str, object] = {}
-            if self.keep_original:
-                out[f"{t}.original"] = s
-            if u.scheme:
-                out[f"{t}.scheme"] = u.scheme
-            if u.hostname:
-                out[f"{t}.domain"] = u.hostname
-            if u.port is not None:
-                out[f"{t}.port"] = int(u.port)
-            if u.path:
-                out[f"{t}.path"] = u.path
-                seg = u.path.rsplit("/", 1)[-1]
-                if "." in seg:
-                    out[f"{t}.extension"] = seg.rsplit(".", 1)[1]
-            if u.query:
-                out[f"{t}.query"] = u.query
-            if u.fragment:
-                out[f"{t}.fragment"] = u.fragment
-            if u.username:
-                out[f"{t}.username"] = u.username
-                out[f"{t}.user_info"] = f"{u.username}:{u.password or ''}"
-            if u.password:
-                out[f"{t}.password"] = u.password
-            return out
+    def _arrow(self, arr: pa.Array):
+        ex = pc.extract_regex(arr, _URI_RX)
+        port = _null_empty(pc.struct_field(ex, "port")).cast(pa.int64())
+        ok = np.asarray(pc.is_valid(ex)) & ~np.asarray(pc.fill_null(pc.greater(port, 65535), False))
+        t = self.target
+        cols = {f"{t}.original": arr} if self.keep_original else {}
+        cols[f"{t}.scheme"] = pc.ascii_lower(pc.struct_field(ex, "scheme"))
+        cols[f"{t}.domain"] = pc.ascii_lower(_null_empty(pc.struct_field(ex, "host")))
+        cols[f"{t}.port"] = port
+        cols[f"{t}.path"] = _null_empty(pc.struct_field(ex, "path"))
+        cols[f"{t}.extension"] = pc.utf8_slice_codeunits(_null_empty(pc.struct_field(ex, "ext")), 1)
+        cols[f"{t}.query"] = _null_empty(pc.struct_field(ex, "query"))
+        cols[f"{t}.fragment"] = _null_empty(pc.struct_field(ex, "fragment"))
+        return ok, np.zeros(len(arr), dtype=bool), cols
 
-        err = _per_row(self, batch, mask, parse)
+    def apply(self, batch: ColumnBatch, mask: np.ndarray, state) -> np.ndarray | None:
+        err = parse_rows(self, batch, mask, self._parse, self._arrow)
         if self.remove_if_successful and batch.has(self.field) and self.field != self.target:
             ok = mask.copy()
             if err is not None:
@@ -890,7 +978,7 @@ class XmlKernel(Kernel):
             walk(root, "")
             return out
 
-        return _per_row(self, batch, mask, parse)
+        return parse_rows(self, batch, mask, parse)
 
 
 @register_processor("xml")

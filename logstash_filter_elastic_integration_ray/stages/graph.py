@@ -190,11 +190,12 @@ class _Program:
     done = False
 
 
-def _run(edges, program: _Program, *, num_partitions: int, src_col: str,
+def _run(edges, program: _Program, *, num_partitions: int | None, src_col: str,
          dst_col: str, reverse: str | None = None, simple: bool = False,
          extra_nodes=()):
-    """Load ``edges`` into ``num_partitions`` shards, run ``program`` to
-    its end and return the Dataset of the shards' output tables.
+    """Load ``edges`` into ``num_partitions`` shards (None: one per CPU
+    of the cluster), run ``program`` to its end and return the Dataset
+    of the shards' output tables.
 
     ``reverse``: None keeps out-edges only (a dst's shard still learns
     the node exists); ``"rev"`` also keeps every edge at its dst's
@@ -205,7 +206,7 @@ def _run(edges, program: _Program, *, num_partitions: int, src_col: str,
     import ray
     import ray.data as rd
 
-    P = int(num_partitions)
+    P = int(num_partitions or max(1, ray.cluster_resources().get("CPU", 1)))
     Shard = ray.remote(_Shard)
     shards = [Shard.remote(p, P, program) for p in range(P)]
     back = {None: "nodes", "rev": "rev", "both": "fwd"}[reverse]
@@ -301,7 +302,7 @@ class _PageRank(_Program):
 
 
 def pagerank(edges, *, n_iters: int = 8, damping_num: int = 85,
-             damping_den: int = 100, num_partitions: int = 32,
+             damping_den: int = 100, num_partitions: int | None = None,
              src_col: str = "src", dst_col: str = "dst", seeds=None):
     """PageRank with damping ``damping_num/damping_den`` over an edge
     Dataset — exact int64 fixed point (see the module docstring), so
@@ -383,7 +384,7 @@ class _Hits(_Program):
         })
 
 
-def hits(edges, *, n_iters: int = 8, num_partitions: int = 32,
+def hits(edges, *, n_iters: int = 8, num_partitions: int | None = None,
          src_col: str = "src", dst_col: str = "dst"):
     """Kleinberg's HITS over a directed edge Dataset — hub and
     authority scores by power iteration, made bit-deterministic the
@@ -462,7 +463,7 @@ class _Core(_Rounds):
         return pa.table({"node": pa.array(g.nodes), "core": pa.array(self.est)})
 
 
-def core_numbers(edges, *, num_partitions: int = 16, max_iters: int = 64,
+def core_numbers(edges, *, num_partitions: int | None = None, max_iters: int = 64,
                  src_col: str = "src", dst_col: str = "dst"):
     """Coreness of every node — the distributed k-core decomposition of
     Montresor/De Pellegrini/Miorandi (2011) via the h-index fixpoint
@@ -514,7 +515,7 @@ class _Hop(_Rounds):
         return pa.table({"node": pa.array(g.nodes[hit]), "dist": pa.array(self.dist[hit])})
 
 
-def hop_distances(edges, *, seeds, num_partitions: int = 16,
+def hop_distances(edges, *, seeds, num_partitions: int | None = None,
                   max_iters: int = 128, src_col: str = "src",
                   dst_col: str = "dst", directed: bool = False):
     """Minimum hop distance from a seed set to every reachable node —
@@ -570,7 +571,7 @@ class _Lpa(_Rounds):
         return pa.table({"node": pa.array(g.nodes), "label": pa.array(self.lbl)})
 
 
-def label_propagation(edges, *, n_iters: int = 5, num_partitions: int = 16,
+def label_propagation(edges, *, n_iters: int = 5, num_partitions: int | None = None,
                       src_col: str = "src", dst_col: str = "dst"):
     """Synchronous label-propagation community detection (Raghavan,
     Albert & Kumara 2007) made fully deterministic: every node starts
@@ -717,7 +718,7 @@ def _pivot_bfs(edges, pivots, mode, *, num_partitions, max_levels, src_col,
                 reverse="both", simple=True)
 
 
-def betweenness_pivots(edges, *, pivots, num_partitions: int = 16,
+def betweenness_pivots(edges, *, pivots, num_partitions: int | None = None,
                        max_levels: int = 64,
                        src_col: str = "src", dst_col: str = "dst"):
     """Pivot-sampled betweenness centrality (Brandes 2001 dependency
@@ -748,7 +749,7 @@ def betweenness_pivots(edges, *, pivots, num_partitions: int = 16,
                       name="betweenness_pivots")
 
 
-def harmonic_closeness_pivots(edges, *, pivots, num_partitions: int = 16,
+def harmonic_closeness_pivots(edges, *, pivots, num_partitions: int | None = None,
                               max_levels: int = 64,
                               src_col: str = "src", dst_col: str = "dst"):
     """Exact harmonic and closeness centrality of a DETERMINISTIC
@@ -769,7 +770,7 @@ def harmonic_closeness_pivots(edges, *, pivots, num_partitions: int = 16,
                       name="harmonic_closeness_pivots")
 
 
-def eccentricity_pivots(edges, *, pivots, num_partitions: int = 16,
+def eccentricity_pivots(edges, *, pivots, num_partitions: int | None = None,
                         max_levels: int = 64,
                         src_col: str = "src", dst_col: str = "dst"):
     """Exact eccentricity of a deterministic pivot set — the max BFS

@@ -216,6 +216,10 @@ def _random_parse_pipeline(rng) -> dict:
                           "if": "ctx.text != null && ctx.text.startsWith('{')"}},
         lambda: {"bytes": {"field": "size", "target_field": "size_b", "ignore_missing": True,
                            "ignore_failure": bool(rng.integers(0, 2))}},
+        lambda: {"html_strip": {"field": "text", "target_field": "plain",
+                                "if": "ctx.text != null && ctx.text.contains('<')"}},
+        lambda: {"uri_parts": {"field": "url", "target_field": "u", "ignore_missing": True,
+                               "ignore_failure": bool(rng.integers(0, 2))}},
         lambda: {"convert": {"field": "num", "target_field": "num_i", "type": "integer",
                              "ignore_missing": True}},
         lambda: {"reroute": {"if": f"ctx.k == {rng.integers(0, 4)}",
@@ -227,7 +231,7 @@ def _random_parse_pipeline(rng) -> dict:
 
 def _random_parse_rows(rng, n) -> list[dict]:
     texts = ["foo 12", "foo", "bar 7", "k1=v1 k2=v2", "a,b", "x,y", '{"x": 1}',
-             '{"x": 2, "y": "s"}', "one two three", ""]
+             '{"x": 2, "y": "s"}', "one two three", "", "<p>a</p>\n\n<b>b</b>"]
     rows = []
     for _ in range(n):
         r = {"k": int(rng.integers(0, 4)), "data_stream.type": "logs",
@@ -238,6 +242,9 @@ def _random_parse_rows(rng, n) -> list[dict]:
             r["size"] = str(rng.choice(["5kb", "12b", "bad", "1.5mb"]))
         if rng.integers(0, 2):
             r["num"] = str(rng.choice(["7", "42", "-3"]))
+        if rng.integers(0, 2):
+            r["url"] = str(rng.choice(["https://Example.com:8080/a/b.txt?q=1", "http://u:p@h/x",
+                                       "http://h:99999/", "not a url", "ftp://[::1]/p#f"]))
         if rng.integers(0, 2):
             r["service"] = str(rng.choice(["billing", "search"]))
         if rng.integers(0, 2):

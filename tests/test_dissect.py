@@ -72,3 +72,58 @@ def test_dissect_reference_keys():
         [{"f": "color=red"}],
     )
     assert rows[0]["color"] == "red"
+
+
+# the RE2 path equals DissectPattern.match, row by row (values, types,
+# column order, failures), on generated near-miss strings
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from tests.util import assert_same_as_per_row, rows_of  # noqa: E402
+
+PATTERNS = [
+    '%{clientip} %{ident} %{auth} "%{verb} %{path} HTTP/%{httpversion}" %{status_code} %{resp_bytes}',
+    "%{a} %{b}",
+    "[%{a}] %{b}!",
+    "%{}-%{?junk}-%{keep}",
+    "%{a->} %{b}",
+    "%{a->}ab%{b}aba%{c}",
+    "x%{a->}--%{b->}-%{c}",
+    "%{+name/2} %{+name/1} %{other}",
+    "%{+a} %{b} %{+a}",
+    "%{a} %{a}:%{b}",
+    "<%{a}>\n%{b}",
+    "%{*k}=%{&k} %{rest}",
+]
+DISSECT_TOKENS = [" ", "  ", '"', "[", "]", "-", "--", "!", "<", ">", "\n", ":", "=", "ab", "aba",
+                  "x", "HTTP/", "1.1", "GET", "é", "10.0.0.1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=rows_of(DISSECT_TOKENS), pattern=st.sampled_from(PATTERNS), sep=st.sampled_from(["", " ", ","]),
+       some=st.booleans(), miss=st.booleans())
+def test_dissect_arrow_equals_match(rows, pattern, sep, some, miss):
+    proc = {"dissect": {"field": "f", "pattern": pattern, "append_separator": sep, "ignore_missing": miss,
+                        **({"if": "ctx.sel == 1"} if some else {})}}
+    assert_same_as_per_row(proc, rows, lambda k: lambda s: k.pattern.match(s, k.append_sep))
+
+
+PAD_PATTERNS = ["%{a}-%{b->}--x%{c}", "%{a->}-%{b}--x%{c}", "%{a}ab%{b->}ba%{c}", "%{a->}ab%{b}aba%{c}",
+                "x%{a->}--%{b->}-%{c}", "%{a->}abab%{b}abX%{c}"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=rows_of(["a", "b", "-", "--", "ab", "aba", "ba", "x", "--x", "abab", "X"]),
+       pattern=st.sampled_from(PAD_PATTERNS))
+def test_dissect_pad_arrow_equals_match(rows, pattern):
+    assert_same_as_per_row({"dissect": {"field": "f", "pattern": pattern}}, rows,
+                           lambda k: lambda s: k.pattern.match(s, k.append_sep))
+
+
+def test_dissect_pad_backtracking_fails_like_find():
+    # the regex could match "a---x" by giving the pad run one "-" less;
+    # str.find takes the whole run and then finds no "--x"
+    rows = [{"f": "a---x"}, {"f": "a-b--x"}, {"f": "zababq"}]
+    for pattern in ("%{a}-%{b->}--x%{c}", "%{a->}-%{b}--x%{c}", "%{a}ab%{b->}ba%{c}"):
+        assert_same_as_per_row({"dissect": {"field": "f", "pattern": pattern}}, rows,
+                               lambda k: lambda s: k.pattern.match(s, k.append_sep))

@@ -1,5 +1,6 @@
 """``tools/profile_executor.py`` prints one line per flagship processor
-with the rows its kernel was handed, and the whole EventProcessor."""
+with the rows its kernel was handed and how many of them the per-row
+parse path took, and the whole EventProcessor."""
 
 import os
 import subprocess
@@ -24,5 +25,9 @@ def test_profile_executor_lists_every_tag(tmp_path):
     rows = {line.split()[0]: line.split() for line in out[2:-1]}
     for tag in ("parse-toolcall", "parse-access", "parse-web", "error-to-alerts", "alert-mark"):
         assert tag in rows, tag
-    assert int(rows["parse-access"][-3]) == 100  # every 8th turn is an access line
+    assert int(rows["parse-access"][-4]) == 100  # every 8th turn is an access line
+    # every flagship parse row is settled in Arrow
+    for tag in ("parse-access", "toolcall-bytes", "parse-html", "web-uri", "parse-kv", "parse-csv"):
+        assert int(rows[tag][-4]) > 0 and int(rows[tag][-3]) == 0, rows[tag]
+    assert int(rows["parse-json"][-3]) == int(rows["parse-json"][-4])  # json stays per row
     assert out[-1].startswith("EventProcessor total") and int(out[-1].split()[-2]) == 800

@@ -5,7 +5,9 @@ or its ``data/`` directory), cuts it into the batches a Ray job sees
 (``perfbench/gen.py:batches``), runs ``assign_datastream`` and then the
 flagship ``EventProcessor`` over them in this process, and prints, per
 processor, the calls, the rows its kernel was handed (the step's mask
-after its condition) and the seconds spent in its condition and in its
+after its condition), how many of those the per-row path parsed
+(``functions/base.py:row_results``, where a parse kernel's Arrow path
+leaves a row), and the seconds spent in its condition and in its
 kernel.  A ``pipeline`` step's seconds include the steps of the pipeline
 it calls.  The last line is the whole ``EventProcessor`` over all
 batches.  Each figure is the best of ``--repeat`` passes.
@@ -50,10 +52,22 @@ def _label(pid, step) -> str:
 
 
 def instrument(proc) -> dict:
-    """Wrap every step's condition and kernel of ``proc`` with timers;
-    returns the dict they add to: label → [calls, rows, cond_s, apply_s]."""
-    stats: dict = defaultdict(lambda: [0, 0, 0.0, 0.0])
+    """Wrap every step's condition and kernel of ``proc`` with timers,
+    and the per-row parse path with a row count; returns the dict they
+    add to: label → [calls, rows, cond_s, apply_s, per-row rows]."""
+    from logstash_filter_elastic_integration_ray.functions import base
+
+    stats: dict = defaultdict(lambda: [0, 0, 0.0, 0.0, 0])
     pipeline_calls = {}
+    applying: list = []  # label of the kernel running now
+    row_results = getattr(base.row_results, "__wrapped__", base.row_results)
+
+    def counted_rows(kernel, values, fn):
+        stats[applying[-1]][4] += len(values)
+        return row_results(kernel, values, fn)
+
+    counted_rows.__wrapped__ = row_results
+    base.row_results = counted_rows
 
     for pid, step in _steps(proc.pipelines):
         label = _label(pid, step)
@@ -74,10 +88,12 @@ def instrument(proc) -> dict:
         kernel = step.kernel
 
         def timed_apply(batch, mask, state, _apply=kernel.apply, _label=label):
+            applying.append(_label)
             t0 = time.perf_counter()
             try:
                 return _apply(batch, mask, state)
             finally:
+                applying.pop()
                 s = stats[_label]
                 s[0] += 1
                 s[1] += int(mask.sum())
@@ -129,19 +145,19 @@ def main(argv=None) -> None:
         for b in batches:
             proc(b)
         best_total = min(best_total, time.perf_counter() - t0)
-        for label, (calls, n, cond_s, apply_s) in stats.items():
+        for label, (calls, n, cond_s, apply_s, per_row) in stats.items():
             prev = best.get(label)
             if prev is None:
-                best[label] = [calls, n, cond_s, apply_s]
+                best[label] = [calls, n, cond_s, apply_s, per_row]
             else:
                 prev[2] = min(prev[2], cond_s)
                 prev[3] = min(prev[3], apply_s)
 
     print(f"{len(batches)} batches, {rows} rows, best of {args.repeat}")
-    print(f"{'processor':<52} {'calls':>6} {'rows in':>8} {'if s':>8} {'apply s':>8}")
-    for label, (calls, n, cond_s, apply_s) in best.items():
-        print(f"{label:<52} {calls:>6} {n:>8} {cond_s:>8.3f} {apply_s:>8.3f}")
-    print(f"{'EventProcessor total':<52} {'':>6} {rows:>8} {'':>8} {best_total:>8.3f}")
+    print(f"{'processor':<52} {'calls':>6} {'rows in':>8} {'per row':>8} {'if s':>8} {'apply s':>8}")
+    for label, (calls, n, cond_s, apply_s, per_row) in best.items():
+        print(f"{label:<52} {calls:>6} {n:>8} {per_row:>8} {cond_s:>8.3f} {apply_s:>8.3f}")
+    print(f"{'EventProcessor total':<52} {'':>6} {rows:>8} {'':>8} {'':>8} {best_total:>8.3f}")
 
 
 if __name__ == "__main__":
