@@ -454,6 +454,10 @@ def _convert_value(v, ctype: str):
     raise KernelCompileError(f"convert: unsupported type [{ctype}]")
 
 
+#: the strings :class:`ConvertKernel` casts to integers in Arrow
+_ASCII_INT = "^[0-9]{1,18}$"
+
+
 class ConvertKernel(Kernel):
     failure_message = "unable to convert field"
 
@@ -479,6 +483,10 @@ class ConvertKernel(Kernel):
         err = np.zeros(batch.n, dtype=bool)
         if not self.ignore_missing:
             err |= mask & ~present
+        col = batch._cols.get(self.field)
+        if self.ctype in ("integer", "long") and isinstance(col, pa.Array) and pa.types.is_string(col.type):
+            self._to_int64(batch, col, mask & present, err)
+            return err if err.any() else None
         rows, vals = batch.read_rows(self.field, mask & present)
         ok_rows, out = [], []
         for i, v in zip(rows.tolist(), vals):
@@ -492,6 +500,26 @@ class ConvertKernel(Kernel):
                 err[i] = True
         batch.write_rows(self.target, np.array(ok_rows, dtype=np.int64), out)
         return err if err.any() else None
+
+    def _to_int64(self, batch: ColumnBatch, col: pa.Array, sel: np.ndarray, err: np.ndarray) -> None:
+        """String → integer in Arrow: a value of 1 to 18 ASCII digits is
+        one ``pc.cast`` (it reads as Python's ``int(str(v).strip())``
+        does, and fits int64); any other value (whitespace, a sign,
+        ``_``, non-ASCII digits, 19+ digits) goes per row."""
+        rows = np.flatnonzero(sel)
+        arr = col.filter(pa.array(sel))
+        fast = np.asarray(pc.fill_null(pc.match_substring_regex(arr, _ASCII_INT), False))
+        ok = fast.copy()
+        ints = np.zeros(len(rows), dtype=np.int64)
+        ints[fast] = pc.cast(arr.filter(pa.array(fast)), pa.int64()).to_numpy()
+        slow = np.flatnonzero(~fast)
+        for j, v in zip(slow.tolist(), arr.filter(pa.array(~fast)).to_pylist()):
+            try:
+                ints[j] = _convert_value(v, self.ctype)
+                ok[j] = True
+            except (ValueError, TypeError):
+                err[rows[j]] = True
+        batch.write_rows(self.target, rows[ok], pa.array(ints[ok]))
 
 
 @register_processor("convert")

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..model import (
     META_FAILURE_MESSAGE,
@@ -38,6 +39,22 @@ from ..model import (
 from .compiler import CompiledPipeline, Step
 
 MAX_REROUTES = 10  # static bound on data-dependent pipeline re-entry
+
+
+def _is_string(col) -> bool:
+    return isinstance(col, pa.Array) and (pa.types.is_string(col.type) or pa.types.is_large_string(col.type))
+
+
+def _take_names(names: list, codes: np.ndarray):
+    """``names[c]`` for each code, as one Arrow array built from the
+    distinct names used; a list of Python values where Arrow cannot
+    type them together (``write_rows`` keeps those as objects)."""
+    seen = np.bincount(codes, minlength=len(names)) > 0
+    try:
+        used = pa.array([names[c] for c in np.flatnonzero(seen)])
+        return used.take(pa.array((np.cumsum(seen) - 1)[codes]))
+    except (pa.ArrowInvalid, pa.ArrowTypeError):
+        return [names[c] for c in codes]
 
 
 class PipelineState:
@@ -139,24 +156,24 @@ class EventProcessor:
         original = batch.snapshot()
 
         # 1. resolve index per row (DatastreamEventToIndexNameResolver.java:28-54)
-        index = self._resolve_index(batch)
+        #    as int codes into the distinct index names; -1 is no index.
+        #    A reroute appends its destination to ``index_names``.
+        cur_index, index_names = self._resolve_index(batch)
         # 2. resolve pipeline name per row; None → no-op bypass.
         #    A configured template resolver overrides index-based
         #    resolution (EventProcessor.java:118-123).
-        if self.routing.pipeline_template is not None:
-            pipeline_names = self._resolve_template_pipelines(batch)
-        else:
-            pipeline_names = self._resolve_pipelines(index)
         # routing runs on int codes into ``names``; -1 is no pipeline
-        codes, uniques = pd.factorize(np.asarray(pipeline_names, dtype=object))
+        if self.routing.pipeline_template is not None:
+            codes, uniques = pd.factorize(np.asarray(self._resolve_template_pipelines(batch), dtype=object))
+        else:
+            # one lookup per distinct index; index code -1 takes the last
+            per_index, uniques = pd.factorize(np.array(
+                [self._pipeline_for_index(ix) for ix in index_names] + [self._pipeline_for_index(None)],
+                dtype=object))
+            codes = per_index[cur_index]
         names = list(uniques)
         code_of = {name: c for c, name in enumerate(names)}
-        # _resolve_index already prefers an existing __meta_index value
-        # and fills nulls from data_stream composition — using the raw
-        # column here would lose the composed value for rows whose
-        # pre-existing __meta_index is null (they would run their
-        # pipeline but land in the 'unrouted' sink)
-        cur_index = index.copy()
+        index_code = {name: c for c, name in enumerate(index_names)}
         # index history for reroute cycle detection (EventProcessor.java:195-207)
         history: dict[int, set] = {}
 
@@ -187,7 +204,8 @@ class EventProcessor:
             if rr.any():
                 for i in np.nonzero(rr)[0]:
                     new_index = state.reroute_dest[i]
-                    hist = history.setdefault(i, {cur_index[i]} if cur_index[i] else set())
+                    old = index_names[cur_index[i]] if cur_index[i] >= 0 else None
+                    hist = history.setdefault(i, {old} if old else set())
                     if new_index in hist:
                         state.failure_messages[i] = (
                             f"index cycle detected while rerouting document: {sorted(hist)} -> {new_index}"
@@ -195,7 +213,13 @@ class EventProcessor:
                         state.failed[i] = True
                         continue
                     hist.add(new_index)
-                    cur_index[i] = new_index
+                    if new_index is None:
+                        cur_index[i] = -1
+                    else:
+                        if new_index not in index_code:
+                            index_code[new_index] = len(index_names)
+                            index_names.append(new_index)
+                        cur_index[i] = index_code[new_index]
                     next_pipe = self._pipeline_for_index(new_index)
                     if next_pipe is not None:
                         if next_pipe not in code_of:
@@ -221,9 +245,10 @@ class EventProcessor:
                 )
             state.failed |= pending
 
-        # final index column
-        has_index = np.flatnonzero(cur_index != None)  # noqa: E711
-        batch.write_rows(META_INDEX, has_index, cur_index[has_index].tolist())
+        # final index column: one Arrow take over the distinct names
+        has_index = np.flatnonzero(cur_index >= 0)
+        if len(has_index):
+            batch.write_rows(META_INDEX, has_index, _take_names(index_names, cur_index[has_index]))
 
         # failed rows: restore originals + tag (EventProcessor.java:176-184, 246-252)
         if state.failed.any():
@@ -253,50 +278,49 @@ class EventProcessor:
     # -- resolution ----------------------------------------------------------
     _DS_COLS = ("data_stream.type", "data_stream.dataset", "data_stream.namespace")
 
-    def _resolve_index(self, batch: ColumnBatch) -> np.ndarray:
-        n = batch.n
-        out = np.empty(n, dtype=object)
-        out[:] = None
-        if batch.has(META_INDEX):
-            meta = batch.objects(META_INDEX)
-            out[:] = meta
-        if not self.routing.use_datastream:
-            return out
-        if not all(batch.has(c) for c in self._DS_COLS):
-            return out
-        need = np.array([v is None for v in out], dtype=bool)
-        if not need.any():
-            return out
-        import pyarrow as _pa
-        import pyarrow.compute as _pc
-
-        cols = [batch._cols.get(c) for c in self._DS_COLS]
-        if all(
-            isinstance(c, _pa.Array)
-            and (_pa.types.is_string(c.type) or _pa.types.is_large_string(c.type))
-            for c in cols
-        ):
-            # vectorized composition: null/empty on any part → unresolved
-            nonempty = None
-            for c in cols:
-                ok = _pc.fill_null(_pc.not_equal(c, ""), False)
-                nonempty = ok if nonempty is None else _pc.and_(nonempty, ok)
-            composed = _pc.binary_join_element_wise(*cols, "-")
-            comp = np.asarray(composed.to_pandas(), dtype=object)
-            fill = need & np.asarray(nonempty) & np.array([v is not None for v in comp], dtype=bool)
-            out[fill] = comp[fill]
-            return out
-        t, d, ns = (batch.objects(c) for c in self._DS_COLS)
-        for i in np.nonzero(need)[0]:
-            # non-string parts (e.g. a list-valued dataset) resolve to
-            # NO index (DatastreamEventToIndexNameResolverTest:65-74)
-            if (
-                isinstance(t[i], str) and t[i]
-                and isinstance(d[i], str) and d[i]
-                and isinstance(ns[i], str) and ns[i]
-            ):
-                out[i] = f"{t[i]}-{d[i]}-{ns[i]}"
-        return out
+    def _resolve_index(self, batch: ColumnBatch) -> tuple[np.ndarray, list]:
+        """``(codes, names)``: each row's index as an int64 code into
+        the distinct index ``names``, -1 where the row has none.  A
+        pre-existing ``__meta_index`` value wins; a row where it is
+        null takes ``type-dataset-namespace`` when all three are
+        non-empty strings.  Arrow string columns are composed and
+        dictionary-encoded in Arrow; any other column (a list-valued
+        dataset, say) goes through Python values, where a non-string
+        part resolves to NO index
+        (DatastreamEventToIndexNameResolverTest:65-74)."""
+        meta = batch._cols.get(META_INDEX)
+        if isinstance(meta, pa.Array) and pa.types.is_null(meta.type):
+            meta = None  # an all-null column: no row has an index yet
+        parts = [batch._cols.get(c) for c in self._DS_COLS]
+        compose = self.routing.use_datastream and all(c is not None for c in parts)
+        if all(map(_is_string, (parts if compose else []) + ([] if meta is None else [meta]))):
+            index = None if meta is None else meta.cast(pa.string())
+            if compose and (index is None or index.null_count):
+                # null/empty on any part → unresolved
+                nonempty = pc.fill_null(pc.not_equal(parts[0], ""), False)
+                for c in parts[1:]:
+                    nonempty = pc.and_(nonempty, pc.fill_null(pc.not_equal(c, ""), False))
+                composed = pc.binary_join_element_wise(*parts, "-").cast(pa.string())
+                composed = pc.if_else(nonempty, composed, pa.scalar(None, pa.string()))
+                index = composed if index is None else pc.coalesce(index, composed)
+            if index is None:
+                return np.full(batch.n, -1, dtype=np.int64), []
+            enc = pc.dictionary_encode(index)
+            codes = enc.indices.fill_null(-1).to_numpy(zero_copy_only=False).astype(np.int64)
+            return codes, enc.dictionary.to_pylist()
+        out = batch.objects(META_INDEX) if meta is not None else np.full(batch.n, None, dtype=object)
+        if compose:
+            out = out.copy()
+            t, d, ns = (batch.objects(c) for c in self._DS_COLS)
+            for i in np.flatnonzero(out == None):  # noqa: E711
+                if (
+                    isinstance(t[i], str) and t[i]
+                    and isinstance(d[i], str) and d[i]
+                    and isinstance(ns[i], str) and ns[i]
+                ):
+                    out[i] = f"{t[i]}-{d[i]}-{ns[i]}"
+        codes, uniques = pd.factorize(out)
+        return codes.astype(np.int64), list(uniques)
 
     def _pipeline_for_index(self, index: str | None) -> str | None:
         if index is None:
@@ -308,13 +332,6 @@ class EventProcessor:
             return None
         return name
 
-    def _resolve_pipelines(self, index: np.ndarray) -> np.ndarray:
-        """Pipeline name per row, looked up once per distinct index."""
-        codes, uniques = pd.factorize(index)
-        names = np.array([self._pipeline_for_index(ix) for ix in uniques]
-                         + [self._pipeline_for_index(None)], dtype=object)
-        return names[codes]
-
     _SPRINTF_REF = re.compile(r"%\{([^}]+)\}")
 
     def _resolve_template_pipelines(self, batch: ColumnBatch) -> list:
@@ -324,9 +341,6 @@ class EventProcessor:
         one ``binary_join_element_wise`` composes all rows at once
         (null reference → null → no-op row, matching
         SprintfTemplateEventToPipelineNameResolver.java:51-60)."""
-        import pyarrow as _pa
-        import pyarrow.compute as _pc
-
         template = self.routing.pipeline_template
         parts = self._SPRINTF_REF.split(template)
         # parts = [lit, ref, lit, ref, ..., lit]
@@ -341,9 +355,7 @@ class EventProcessor:
         all_arrow = True
         for ref in ref_names:
             c = batch._cols.get(ref)
-            if isinstance(c, _pa.Array) and (
-                _pa.types.is_string(c.type) or _pa.types.is_large_string(c.type)
-            ):
+            if _is_string(c):
                 arrow_refs.append(c)
             else:
                 all_arrow = False
@@ -357,9 +369,9 @@ class EventProcessor:
                 else:
                     pieces.append(arrow_refs[j // 2])
             if len(pieces) == 1 and isinstance(pieces[0], str):
-                composed = _pa.array([pieces[0]] * batch.n)
+                composed = pa.array([pieces[0]] * batch.n)
             else:
-                composed = _pc.binary_join_element_wise(*pieces, "")
+                composed = pc.binary_join_element_wise(*pieces, "")
             vals = composed.to_pylist()
             return [None if (v is None or v == "_none") else v for v in vals]
 

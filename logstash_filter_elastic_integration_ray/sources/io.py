@@ -55,6 +55,15 @@ def read_parquet_clean(path, *, columns: list[str] | None = None, **kwargs):
     return engine_plan(rd.read_parquet(path, schema=schema, columns=columns, **kwargs))
 
 
+def cluster_cpus() -> int:
+    """The CPUs of the Ray cluster this process is connected to, at
+    least 1: what the exchange sizes its range blocks by and the graph
+    tier its shard count."""
+    import ray
+
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
 def engine_plan(ds):
     """Set the engine's scheduling policy on ``ds`` and return it: Ray
     Data's per-operator resource reservation is off, so every operator
@@ -71,13 +80,14 @@ def engine_plan(ds):
     Which limit binds with the reservation on: Ray's
     ``ReservationOpResourceAllocator`` reserves ``0.5 × CPUs / n`` for
     each of the ``n`` throttled operators, raised to one whole CPU for a
-    task operator.  ``conv_stats`` on the flagship input has five
-    (ReadParquet, the fused ``assign_datastream → EventProcessor →
-    enrich → partial`` chain, the exchange's Repartition and Sort, the
-    merge map); on 4 CPUs that reserves 1 + 1 + 0.4 + 0.4 + 1 = 3.8 CPUs
-    and shares 0.2, so the fused kernel stage's CPU budget stays between
-    1.04 and 1.25 and it runs one task at a time, on one worker, while
-    the other CPUs wait.  Its object-store budget was unbounded, so CPU,
+    task operator.  ``conv_stats`` on the flagship input had five when
+    this was measured (ReadParquet, the fused ``assign_datastream →
+    EventProcessor → enrich → partial`` chain, the exchange's
+    Repartition and Sort, the merge map); on 4 CPUs that reserved 1 + 1
+    + 0.4 + 0.4 + 1 = 3.8 CPUs and shared 0.2, so the fused kernel
+    stage's CPU budget stayed between 1.04 and 1.25 and it ran one task
+    at a time, on one worker, while the other CPUs waited.  (The
+    exchange is now one Sort; see ``stages/exchange.py:_shuffle``.)  Its object-store budget was unbounded, so CPU,
     not memory, is the limit that binds.
 
     Why lifting it is safe here: these plans are short chains of

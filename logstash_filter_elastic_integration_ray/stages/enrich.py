@@ -57,8 +57,9 @@ class IntegrationEnricher:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         """Vectorized lookup: dictionary-encode the (role, tool) key so
-        the Python dict is consulted once per distinct key, then
-        ``np.take`` fans the result back out over the batch."""
+        the Python dict is consulted once per distinct key, then one
+        Arrow ``take`` per column fans the result back out over the
+        batch."""
         import pyarrow.compute as pc
 
         role = pc.fill_null(batch.column(self.role_col), self._NULL)
@@ -67,14 +68,14 @@ class IntegrationEnricher:
         enc = pc.dictionary_encode(key.combine_chunks() if isinstance(key, pa.ChunkedArray) else key)
         uniques = enc.dictionary.to_pylist()
         metas = [self._meta_for(u) for u in uniques]
-        idx = enc.indices.to_numpy(zero_copy_only=False)
-        integration = np.take(np.array([m[0] for m in metas], dtype=object), idx)
-        category = np.take(np.array([m[1] for m in metas], dtype=object), idx)
-        cost = np.take(np.array([m[2] for m in metas], dtype=np.float64), idx)
+
+        def column(i: int, typ: pa.DataType) -> pa.Array:
+            return pa.array([m[i] for m in metas], type=typ).take(enc.indices)
+
         return (
-            batch.append_column("integration", pa.array(integration, type=pa.string()))
-            .append_column("category", pa.array(category, type=pa.string()))
-            .append_column("cost_weight", pa.array(cost, type=pa.float64()))
+            batch.append_column("integration", column(0, pa.string()))
+            .append_column("category", column(1, pa.string()))
+            .append_column("cost_weight", column(2, pa.float64()))
         )
 
 

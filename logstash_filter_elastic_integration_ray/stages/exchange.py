@@ -7,11 +7,10 @@ so the hash shuffle and the key-found check each live in one place.
 chunk, a shard bucket — groups on that id directly.)
 
 - :func:`exchange` — one Dataset: rows tagged ``__part`` by the hash of
-  ``key`` (:func:`add_partition_col`), then ``groupby("__part")
-  .map_groups(fn)``, coalesced by ``repartition(P)`` first only when
-  the plan may hold more than ``P`` blocks (:func:`_shuffle`, the one
-  place the shuffle is chosen for all three).  ``fn`` sees one hash
-  partition without the tag column.
+  ``key`` (:func:`add_partition_col`), shuffled into range blocks of
+  ``__part`` and run through ``fn`` once per hash partition
+  (:func:`_shuffle`, the one place the shuffle is chosen for all three).
+  ``fn`` sees one hash partition without the tag column.
 - :func:`copartition` — several Datasets hashed on their own keys into
   the same ``P`` partitions; ``fn`` receives one table per side, each
   holding only that side's own columns.  :func:`cogroup` is the same
@@ -37,6 +36,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..sources.io import cluster_cpus
 
 try:  # Arrow-native string hashing (same guard as stages/decontam.py)
     import polars as _pl
@@ -74,23 +75,71 @@ def add_partition_col(batch: pa.Table, num_partitions: int, key: str = "conv_id"
     return batch.append_column("__part", pa.array(part))
 
 
-def _shuffle(tagged, num_partitions: int):
-    """The single place the shuffle is chosen: Ray's sort-based groupby
-    on ``__part``, coalesced first by ``repartition(num_partitions)``
-    only when the plan may hold more blocks than partitions.
+def range_blocks(num_partitions: int, cpus: int, size_bytes: int | None,
+                 max_block_bytes: int | None) -> int:
+    """How many range blocks :func:`_shuffle` sorts ``num_partitions``
+    hash partitions into: one per CPU (at most one per partition) for a
+    small input, one per partition for a large or unknown one.  Small
+    means ``size_bytes`` (the plan's source-size estimate) at most
+    ``cpus × max_block_bytes``; ``max_block_bytes`` None sets no limit."""
+    if size_bytes is None or (max_block_bytes is not None and size_bytes > cpus * max_block_bytes):
+        return num_partitions
+    return max(1, min(num_partitions, cpus))
 
-    Ray's plan-time block estimate (``initial_num_blocks``: the logical
-    DAG's ``estimated_num_outputs``, computed without executing) decides.
-    Above ``num_partitions`` blocks — or with no estimate — coalescing
-    pays: the sort groupby's per-task overhead over hundreds of
-    micro-blocks otherwise dominates (256 blocks of 1000 rows, P = 8, on
-    a 4-vCPU VM: 3.64 s coalesced, 19.18 s not).  At or below it the
-    repartition can only split blocks, so it is one more all-to-all
-    barrier that moves no data usefully and is skipped."""
+
+def _source_bytes(ds) -> int | None:
+    """The plan-time size estimate of ``ds``'s sources (no execution),
+    or None when any source has none."""
+    sizes = [op.infer_metadata().size_bytes for op in ds._logical_plan.sources()]
+    return None if any(s is None for s in sizes) else sum(sizes)
+
+
+def _shuffle(tagged, num_partitions: int, fn, batch_format: str):
+    """The single place the shuffle is chosen: a Ray ``sort`` on
+    ``__part`` with fixed ``boundaries`` that cut ``[0, num_partitions)``
+    into B contiguous ranges, one sorted block each, then one
+    ``map_batches(batch_size=None)`` that calls ``fn`` once per
+    ``__part`` run of each block (in ``batch_format``, ``__part``
+    included), in ``__part`` order.  A block with no rows calls nothing.
+
+    Coalescing: Ray's plan-time block estimate (``initial_num_blocks``:
+    the logical DAG's ``estimated_num_outputs``, computed without
+    executing) decides.  Above ``num_partitions`` blocks — or with no
+    estimate — a ``repartition(num_partitions)`` runs first: the sort's
+    per-task overhead over hundreds of micro-blocks otherwise dominates
+    (256 blocks of 1000 rows, P = 8, on a 4-vCPU VM: 3.64 s coalesced,
+    19.18 s not).  At or below it the repartition could only split
+    blocks, so it is skipped.
+
+    Sizing (:func:`range_blocks`): B = min(P, CPUs of the cluster), so
+    the sort's map and reduce rounds each run in one wave of tasks.  The
+    exception is B = P when the sources' size estimate (the sum of
+    ``infer_metadata().size_bytes`` over the logical DAG's source ops)
+    exceeds ``CPUs × DataContext.target_max_block_size``, or when there
+    is no estimate: a large exchange keeps one reduce block per
+    partition, so no block grows past what the caller's P allowed.  The
+    edges are ``linspace(0, P, B + 1)`` rounded, inner points only (Ray
+    samples boundaries when given none, so B = 1 cuts at P: its second
+    block is always empty).  ``__part`` is never null."""
+    from ray.data.block import BlockAccessor
+
     blocks = tagged._plan.initial_num_blocks()
     if blocks is None or blocks > num_partitions:
         tagged = tagged.repartition(num_partitions)
-    return tagged.groupby("__part")
+    b = range_blocks(num_partitions, cluster_cpus(), _source_bytes(tagged),
+                     tagged.context.target_max_block_size)
+    edges = np.rint(np.linspace(0, num_partitions, b + 1)).astype(int)[1:-1].tolist()
+
+    def per_part(block: pa.Table):
+        if not block.num_rows:
+            return
+        part = block.column("__part").to_numpy()
+        cuts = [0, *(np.flatnonzero(part[1:] != part[:-1]) + 1).tolist(), len(part)]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            yield fn(BlockAccessor.for_block(block.slice(lo, hi - lo)).to_batch_format(batch_format))
+
+    ranged = tagged.sort("__part", boundaries=edges or [num_partitions])
+    return ranged.map_batches(per_part, batch_size=None, batch_format="pyarrow")
 
 
 def exchange(ds, key: str, num_partitions: int, fn, batch_format: str = "pandas"):
@@ -108,7 +157,7 @@ def exchange(ds, key: str, num_partitions: int, fn, batch_format: str = "pandas"
     parts = ds.map_batches(
         lambda b: add_partition_col(b, num_partitions, key=key), batch_format="pyarrow"
     )
-    return _shuffle(parts, num_partitions).map_groups(merge, batch_format=batch_format)
+    return _shuffle(parts, num_partitions, merge, batch_format)
 
 
 def _ipc_payloads(t: pa.Table, part: np.ndarray, num_partitions: int) -> pa.Array:
@@ -172,7 +221,7 @@ def _cogroup(sides: dict, num_groups: int, group_of, fn, batch_format: str):
     packed = [ds.map_batches(packer(i, key), batch_format="pyarrow")
               for i, (ds, key) in enumerate(sides.values())]
     tagged = packed[0].union(*packed[1:])
-    return _shuffle(tagged, num_groups).map_groups(unpack, batch_format="pyarrow")
+    return _shuffle(tagged, num_groups, unpack, "pyarrow")
 
 
 def copartition(sides: dict, num_partitions: int, fn, batch_format: str = "pandas"):

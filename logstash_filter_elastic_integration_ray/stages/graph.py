@@ -56,7 +56,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..sources.io import engine_plan
+from ..sources.io import cluster_cpus, engine_plan
 from . import segments
 from .exchange import copartition, exchange, lookup
 from .joins import _multi_arange
@@ -206,7 +206,7 @@ def _run(edges, program: _Program, *, num_partitions: int | None, src_col: str,
     import ray
     import ray.data as rd
 
-    P = int(num_partitions or max(1, ray.cluster_resources().get("CPU", 1)))
+    P = int(num_partitions or cluster_cpus())
     Shard = ray.remote(_Shard)
     shards = [Shard.remote(p, P, program) for p in range(P)]
     back = {None: "nodes", "rev": "rev", "both": "fwd"}[reverse]

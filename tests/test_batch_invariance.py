@@ -285,3 +285,31 @@ def test_batch_split_invariance_parse_kernels(seed):
         for start in range(0, table.num_rows, size):
             split.extend(table_to_rows(proc(table.slice(start, size))))
         assert whole == split, f"seed {200 + seed}: whole-batch != {size}-row batches"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batch_split_invariance_of_routing(seed):
+    # index resolution on codes: a pre-existing __meta_index with nulls,
+    # null and empty data_stream parts (or a list-valued dataset on odd
+    # seeds), reroutes to an index with and without a pipeline, and a
+    # reroute cycle give every row the same result under random cuts
+    from tests.test_executor import ROUTED, ROUTES
+
+    rng = np.random.default_rng(300 + seed)
+    proc = EventProcessor(compile_pipeline_set(ROUTED), RoutingConfig(index_to_pipeline=ROUTES))
+    datasets = [["b"], ["a", "b"], None] if seed % 2 else ["a", "b", "", None, "c"]
+    rows = [{
+        "k": int(rng.integers(0, 4)),
+        "__meta_index": [None, None, "logs-a-prod", "idx-c", "other"][int(rng.integers(0, 5))],
+        "data_stream.type": ["logs", "logs", "", None][int(rng.integers(0, 4))],
+        "data_stream.dataset": datasets[int(rng.integers(0, len(datasets)))],
+        "data_stream.namespace": ["prod", "prod", None][int(rng.integers(0, 3))],
+    } for _ in range(31)]
+    table = rows_to_table(rows)
+
+    whole = table_to_rows(proc(table))
+    cuts = [0, *sorted(rng.choice(np.arange(1, 31), size=4, replace=False).tolist()), 31]
+    split = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        split.extend(table_to_rows(proc(table.slice(lo, hi - lo))))
+    assert whole == split, f"seed {300 + seed}: routed whole-batch != cut at {cuts[1:-1]}"

@@ -16,10 +16,12 @@ import ray
 
 from logstash_filter_elastic_integration_ray.stages import graph
 from logstash_filter_elastic_integration_ray.stages.exchange import (
+    add_partition_col,
     cogroup,
     copartition,
     exchange,
     lookup,
+    range_blocks,
 )
 from logstash_filter_elastic_integration_ray.stages.joins import (
     hash_semi_join,
@@ -95,6 +97,98 @@ def test_exchange_coalesces_only_more_blocks_than_partitions(ray_session, blocks
     out = _run_within(120, lambda: exchange(ds, "k", 4, _sum_by_key, "pandas").materialize())
     assert ("Repartition" in _operator_names(out)) == (blocks > 4)
     assert _rows(out, ["k", "v"]) == _rows(ray.data.from_pandas(_sum_by_key(_KV.to_pandas())), ["k", "v"])
+
+
+#: more partitions than the session's 4 CPUs: each range block holds
+#: two hash partitions
+P8 = 8
+
+
+def _parts_of(t: pa.Table, key: str) -> list:
+    return add_partition_col(t.select([key]), P8, key=key).column("__part").to_pylist()
+
+
+def _in_order(ds):
+    """``ds`` with Ray's output order kept (its own context copy)."""
+    ds.context.execution_options.preserve_order = True
+    return ds
+
+
+def _one_part(t: pa.Table, key: str):
+    """The one hash partition of ``t``'s rows (None for no rows)."""
+    parts = set(_parts_of(t, key))
+    assert len(parts) <= 1, parts
+    return parts.pop() if parts else None
+
+
+@pytest.mark.parametrize("fmt", ["pandas", "pyarrow"])
+def test_exchange_calls_fn_once_per_partition_in_order(ray_session, fmt):
+    """P = 8 on 4 CPUs: ``fn`` runs exactly once per non-empty hash
+    partition, sees that partition's rows only, and the outputs come
+    in ``__part`` order."""
+    def fn(b):
+        t = b if isinstance(b, pa.Table) else pa.Table.from_pandas(b, preserve_index=False)
+        return pa.table({"part": [_one_part(t, "k")], "rows": [t.num_rows]})
+
+    out = exchange(_in_order(_ds(_KV, 5)), "k", P8, fn, fmt).to_pandas()
+    sizes = np.bincount(_parts_of(_KV, "k"), minlength=P8)
+    assert out["part"].tolist() == np.flatnonzero(sizes).tolist()
+    assert out["rows"].tolist() == sizes[sizes > 0].tolist()
+
+
+def test_exchange_formats_agree(ray_session):
+    """``pandas`` and ``pyarrow`` runs of the same merge give the same
+    rows in the same order."""
+    def fn(b):
+        df = b if isinstance(b, pd.DataFrame) else b.to_pandas()
+        return df.sort_values("v").assign(first=df["v"].min())
+
+    got = {fmt: exchange(_in_order(_ds(_KV, 3)), "s", P8, fn, fmt).to_pandas()
+           for fmt in ("pandas", "pyarrow")}
+    pd.testing.assert_frame_equal(got["pandas"], got["pyarrow"])
+    assert sorted(got["pandas"]["v"]) == list(range(N))
+
+
+def test_copartition_calls_fn_once_per_partition_in_order(ray_session):
+    """Every partition reaches ``fn`` once, both sides holding only its
+    rows, in ``__part`` order."""
+    def fn(left: pa.Table, right: pa.Table) -> pa.Table:
+        parts = {_one_part(left, "k"), _one_part(right, "key")} - {None}
+        assert len(parts) <= 1, parts
+        return pa.table({"part": pa.array([parts.pop() if parts else None], pa.int64()),
+                         "left": [left.num_rows], "right": [right.num_rows]})
+
+    out = copartition({"left": (_in_order(_ds(_KV.select(["k", "v"]), 5)), "k"),
+                       "right": (_ds(_RIGHT, 2), "key")}, P8, fn, "pyarrow").to_pandas()
+    assert len(out) == P8
+    assert out["left"].tolist() == np.bincount(_parts_of(_KV, "k"), minlength=P8).tolist()
+    assert out["right"].tolist() == np.bincount(_parts_of(_RIGHT, "key"), minlength=P8).tolist()
+    assert out["part"].dropna().tolist() == sorted(set(out["part"].dropna()))
+
+
+def test_cogroup_calls_fn_once_per_id_in_order(ray_session):
+    def fn(left: pa.Table, right: pa.Table) -> pa.Table:
+        ids = set(left.column("k").to_pylist()) | set(right.column("key").to_pylist())
+        assert len(ids) == 1, ids
+        return pa.table({"id": list(ids), "left": [left.num_rows]})
+
+    out = cogroup({"left": (_in_order(_ds(_KV.select(["k", "v"]), 5)), "k"),
+                   "right": (_ds(_RIGHT, 2), "key")}, 17, fn, "pyarrow").to_pandas()
+    assert out["id"].tolist() == list(range(17))
+    assert out["left"].tolist() == np.bincount(np.arange(N) % 17).tolist()
+
+
+def test_range_blocks_sizing():
+    """One range block per CPU for a small input, one per partition for
+    a large or unknown one (never more blocks than partitions)."""
+    limit = 128 << 20
+    assert range_blocks(8, 4, 10_000, limit) == 4
+    assert range_blocks(8, 4, 4 * limit, limit) == 4
+    assert range_blocks(8, 4, 4 * limit + 1, limit) == 8
+    assert range_blocks(8, 4, None, limit) == 8
+    assert range_blocks(2, 4, 10_000, limit) == 2
+    assert range_blocks(8, 1, 10_000, limit) == 1
+    assert range_blocks(8, 4, 1 << 60, None) == 4
 
 
 def _join_fn(left: pa.Table, right: pa.Table) -> pa.Table:

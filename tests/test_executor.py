@@ -148,7 +148,8 @@ def test_datastream_resolution_reference_cases():
             arr = np.empty(len(rows), dtype=object)
             arr[:] = vals
             b.set(k, arr)
-        return list(proc._resolve_index(b))
+        codes, names = proc._resolve_index(b)
+        return [names[c] if c >= 0 else None for c in codes]
 
     out = resolve([
         {"data_stream.type": "logs", "data_stream.dataset": "elastic_agent.metricbeat",
@@ -195,3 +196,93 @@ def test_sprintf_template_reference_cases():
                    [{"that": "TTHHAATT", "another.thing": "thang"}]) == ["this-TTHHAATT-thang"]
     # partially resolved → no pipeline for that event
     assert resolve("this-%{that}-%{[another][thing]}", [{"that": "TTHHAATT"}]) == [None]
+
+
+#: the routing fixture: a pipeline per index, reroutes to an index with a
+#: pipeline (``idx-c``), to one without (``idx-none``) and back (a cycle)
+ROUTED = {
+    "p-a": {"processors": [{"set": {"field": "ran", "value": "a"}}]},
+    "p-b": {"processors": [
+        {"set": {"field": "ran", "value": "b"}},
+        {"reroute": {"if": "ctx.k == 1 || ctx.k == 3", "destination": "idx-c"}},
+        {"reroute": {"if": "ctx.k == 2", "destination": "idx-none"}},
+    ]},
+    "p-c": {"processors": [
+        {"set": {"field": "ran_c", "value": "y"}},
+        {"reroute": {"if": "ctx.k == 3", "destination": "logs-b-prod"}},
+    ]},
+}
+ROUTES = {"logs-a-prod": "p-a", "logs-b-prod": "p-b", "idx-c": "p-c", "idx-none": "_none"}
+
+
+def _routed(rows: list[dict], **routing) -> list[dict]:
+    from logstash_filter_elastic_integration_ray.pipelines import (
+        EventProcessor,
+        RoutingConfig,
+        compile_pipeline_set,
+    )
+    from tests.util import rows_to_table, table_to_rows
+
+    proc = EventProcessor(compile_pipeline_set(ROUTED),
+                          RoutingConfig(index_to_pipeline=ROUTES, **routing))
+    return table_to_rows(proc(rows_to_table(rows)))
+
+
+def _ds(t="logs", d="b", ns="prod", **row) -> dict:
+    return {"data_stream.type": t, "data_stream.dataset": d, "data_stream.namespace": ns, **row}
+
+
+def _route_of(r: dict) -> tuple:
+    return (r.get("__meta_index"), r.get("ran"), r.get("ran_c"),
+            r.get("__meta_target_pipeline"), r.get("__meta_failure_message"))
+
+
+def test_routing_on_index_codes():
+    """Index resolution, per-index pipelines and reroutes: a
+    pre-existing ``__meta_index`` (null on some rows) wins over the
+    composed one; an empty or null part resolves to no index; a reroute
+    reaches an index with a pipeline, one without, and a cycle fails."""
+    rows = _routed([
+        _ds(k=0, **{"__meta_index": "logs-a-prod"}),
+        _ds(k=0, **{"__meta_index": None}),
+        _ds(d="", k=0, **{"__meta_index": None}),
+        _ds(ns=None, k=0, **{"__meta_index": None}),
+        _ds(k=1, **{"__meta_index": None}),
+        _ds(k=2, **{"__meta_index": None}),
+        _ds(k=3, **{"__meta_index": None}),
+    ])
+    assert [_route_of(r) for r in rows[:6]] == [
+        ("logs-a-prod", "a", None, "_none", None),
+        ("logs-b-prod", "b", None, "_none", None),
+        (None, None, None, None, None),
+        (None, None, None, None, None),
+        ("idx-c", "b", "y", "_none", None),
+        ("idx-none", "b", None, "_none", None),
+    ]
+    # the cycle: the row fails and comes back as it went in, tagged
+    assert rows[6] == {**_ds(k=3), "tags": ["_ingest_pipeline_failure"],
+                       "__meta_failure_message": "index cycle detected while rerouting "
+                       "document: ['idx-c', 'logs-b-prod'] -> logs-b-prod"}
+
+
+def test_routing_list_valued_dataset_resolves_no_index():
+    """A list-valued dataset is not a string: those rows get no index,
+    while a pre-existing ``__meta_index`` still routes its row."""
+    rows = _routed([
+        _ds(d=["one", "two"], k=0, **{"__meta_index": "logs-a-prod"}),
+        _ds(d=["b"], k=0, **{"__meta_index": None}),
+    ])
+    assert [_route_of(r) for r in rows] == [
+        ("logs-a-prod", "a", None, "_none", None),
+        (None, None, None, None, None),
+    ]
+
+
+def test_routing_batch_with_no_routable_row():
+    """No row resolves an index: every row passes through untouched
+    and no ``__meta_index`` column appears."""
+    rows = _routed([_ds(t=None, k=0), _ds(d="", k=1)])
+    assert rows == [{"data_stream.dataset": "b", "data_stream.namespace": "prod", "k": 0},
+                    _ds(d="", k=1)]
+    rows = _routed([{"k": 0}, {"k": 1}], use_datastream=False)
+    assert rows == [{"k": 0}, {"k": 1}]

@@ -346,6 +346,23 @@ def test_bytes_arrow_equals_per_row(rows, same, some, miss):
     assert_same_as_per_row(proc, rows, bytes_row)
 
 
+INT_TOKENS = ["0", "7", "42", "007", "-", "+", " ", "\t", "\u00a0", "_", "\u0663", "\uff11", "x", ".",
+              "1" * 18, "9223372036854775807", "9223372036854775808"]
+INT_SHAPED = glued(_SPACES, ["", "", "-", "+"],
+                   ["0", "7", "007", "1" * 18, "1" * 19, "9223372036854775807", "9223372036854775808",
+                    "\u0663", "1_000", "1.5"], _SPACES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=rows_of(INT_TOKENS, INT_SHAPED), same=st.booleans(), some=st.booleans(), miss=st.booleans())
+@example(rows=_one_each("200", " 7", "-3", "+4", "\u0663", "1_000", "9223372036854775808", "007"),
+         same=False, some=False, miss=False)
+def test_convert_integer_arrow_equals_per_row(rows, same, some, miss):
+    proc = {"convert": {"field": "f", "target_field": "f" if same else "i", "type": "long",
+                        "ignore_missing": miss, **(_SOME if some else {})}}
+    assert_same_as_per_row(proc, rows, lambda kernel: lambda s: {kernel.target: int(s.strip())})
+
+
 HTML_TOKENS = ["<", ">", "<p>", "</h1>", "<br/>", "<a\nhref='x'>", "\n", "\n\n", "a b", "é", "&amp;"]
 
 
