@@ -87,8 +87,9 @@ def engine_plan(ds):
     + 0.4 + 0.4 + 1 = 3.8 CPUs and shared 0.2, so the fused kernel
     stage's CPU budget stayed between 1.04 and 1.25 and it ran one task
     at a time, on one worker, while the other CPUs waited.  (The
-    exchange is now one Sort; see ``stages/exchange.py:_shuffle``.)  Its object-store budget was unbounded, so CPU,
-    not memory, is the limit that binds.
+    exchange is now one Sort; see ``stages/exchange.py:_shuffle``.)
+    Its object-store budget was unbounded, so CPU, not memory, is the
+    limit that binds.
 
     Why lifting it is safe here: these plans are short chains of
     CPU-bound tasks that all finish in seconds; the reservation exists

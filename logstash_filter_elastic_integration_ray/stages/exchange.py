@@ -38,6 +38,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.io import cluster_cpus
+from . import segments
 
 try:  # Arrow-native string hashing (same guard as stages/decontam.py)
     import polars as _pl
@@ -75,16 +76,18 @@ def add_partition_col(batch: pa.Table, num_partitions: int, key: str = "conv_id"
     return batch.append_column("__part", pa.array(part))
 
 
-def range_blocks(num_partitions: int, cpus: int, size_bytes: int | None,
+def range_blocks(num_partitions: int, blocks: int, cpus: int, size_bytes: int | None,
                  max_block_bytes: int | None) -> int:
     """How many range blocks :func:`_shuffle` sorts ``num_partitions``
-    hash partitions into: one per CPU (at most one per partition) for a
-    small input, one per partition for a large or unknown one.  Small
-    means ``size_bytes`` (the plan's source-size estimate) at most
-    ``cpus × max_block_bytes``; ``max_block_bytes`` None sets no limit."""
+    hash partitions into when they arrive in ``blocks`` blocks: n =
+    min(P, blocks), the count Ray's own sort would make, for a large or
+    unknown input, and at most one per CPU for a small one.  Small means
+    ``size_bytes`` (the plan's source-size estimate) at most ``cpus ×
+    max_block_bytes``; ``max_block_bytes`` None sets no limit."""
+    n = max(1, min(num_partitions, blocks))
     if size_bytes is None or (max_block_bytes is not None and size_bytes > cpus * max_block_bytes):
-        return num_partitions
-    return max(1, min(num_partitions, cpus))
+        return n
+    return min(n, cpus)
 
 
 def _source_bytes(ds) -> int | None:
@@ -100,7 +103,8 @@ def _shuffle(tagged, num_partitions: int, fn, batch_format: str):
     into B contiguous ranges, one sorted block each, then one
     ``map_batches(batch_size=None)`` that calls ``fn`` once per
     ``__part`` run of each block (in ``batch_format``, ``__part``
-    included), in ``__part`` order.  A block with no rows calls nothing.
+    included), in ``__part`` order.  Ray passes a block with no rows
+    through without calling anything.
 
     Coalescing: Ray's plan-time block estimate (``initial_num_blocks``:
     the logical DAG's ``estimated_num_outputs``, computed without
@@ -111,34 +115,36 @@ def _shuffle(tagged, num_partitions: int, fn, batch_format: str):
     19.18 s not).  At or below it the repartition could only split
     blocks, so it is skipped.
 
-    Sizing (:func:`range_blocks`): B = min(P, CPUs of the cluster), so
-    the sort's map and reduce rounds each run in one wave of tasks.  The
-    exception is B = P when the sources' size estimate (the sum of
-    ``infer_metadata().size_bytes`` over the logical DAG's source ops)
-    exceeds ``CPUs × DataContext.target_max_block_size``, or when there
-    is no estimate: a large exchange keeps one reduce block per
-    partition, so no block grows past what the caller's P allowed.  The
-    edges are ``linspace(0, P, B + 1)`` rounded, inner points only (Ray
-    samples boundaries when given none, so B = 1 cuts at P: its second
-    block is always empty).  ``__part`` is never null."""
+    Sizing (:func:`range_blocks`): with n the blocks the sort receives,
+    B = min(P, n, CPUs of the cluster), so the sort's map and reduce
+    rounds each run in one wave of tasks.  A large input — the sources'
+    size estimate (the sum of ``infer_metadata().size_bytes`` over the
+    logical DAG's source ops) above ``CPUs ×
+    DataContext.target_max_block_size``, or no estimate — keeps B =
+    min(P, n), so no block grows past what the caller's P allowed.  B
+    never exceeds n: Ray returns a range with no rows as a 0-row block
+    with no schema, which no later map can type, and a small one-block
+    input cut into ranges makes such blocks.  The edges are
+    ``linspace(0, P, B + 1)`` rounded, inner points only; B = 1 has none
+    and leaves the cut to Ray, which samples one range per input block
+    (one fixed edge would leave its upper block always empty).
+    ``__part`` is never null."""
     from ray.data.block import BlockAccessor
 
     blocks = tagged._plan.initial_num_blocks()
     if blocks is None or blocks > num_partitions:
-        tagged = tagged.repartition(num_partitions)
-    b = range_blocks(num_partitions, cluster_cpus(), _source_bytes(tagged),
+        tagged, blocks = tagged.repartition(num_partitions), num_partitions
+    b = range_blocks(num_partitions, blocks, cluster_cpus(), _source_bytes(tagged),
                      tagged.context.target_max_block_size)
     edges = np.rint(np.linspace(0, num_partitions, b + 1)).astype(int)[1:-1].tolist()
 
     def per_part(block: pa.Table):
-        if not block.num_rows:
-            return
-        part = block.column("__part").to_numpy()
-        cuts = [0, *(np.flatnonzero(part[1:] != part[:-1]) + 1).tolist(), len(part)]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            yield fn(BlockAccessor.for_block(block.slice(lo, hi - lo)).to_batch_format(batch_format))
+        # the block arrives in __part order, so the runs keep row order
+        r = segments.runs(block.column("__part").to_numpy())
+        for lo, size in zip(r.starts.tolist(), r.sizes.tolist()):
+            yield fn(BlockAccessor.for_block(block.slice(lo, size)).to_batch_format(batch_format))
 
-    ranged = tagged.sort("__part", boundaries=edges or [num_partitions])
+    ranged = tagged.sort("__part", boundaries=edges or None)
     return ranged.map_batches(per_part, batch_size=None, batch_format="pyarrow")
 
 

@@ -180,15 +180,19 @@ def test_cogroup_calls_fn_once_per_id_in_order(ray_session):
 
 def test_range_blocks_sizing():
     """One range block per CPU for a small input, one per partition for
-    a large or unknown one (never more blocks than partitions)."""
+    a large or unknown one, never more blocks than partitions or than
+    the blocks the sort receives."""
     limit = 128 << 20
-    assert range_blocks(8, 4, 10_000, limit) == 4
-    assert range_blocks(8, 4, 4 * limit, limit) == 4
-    assert range_blocks(8, 4, 4 * limit + 1, limit) == 8
-    assert range_blocks(8, 4, None, limit) == 8
-    assert range_blocks(2, 4, 10_000, limit) == 2
-    assert range_blocks(8, 1, 10_000, limit) == 1
-    assert range_blocks(8, 4, 1 << 60, None) == 4
+    assert range_blocks(8, 8, 4, 10_000, limit) == 4
+    assert range_blocks(8, 8, 4, 4 * limit, limit) == 4
+    assert range_blocks(8, 8, 4, 4 * limit + 1, limit) == 8
+    assert range_blocks(8, 8, 4, None, limit) == 8
+    assert range_blocks(2, 2, 4, 10_000, limit) == 2
+    assert range_blocks(8, 8, 1, 10_000, limit) == 1
+    assert range_blocks(8, 8, 4, 1 << 60, None) == 4
+    assert range_blocks(8, 3, 4, 10_000, limit) == 3
+    assert range_blocks(8, 3, 4, None, limit) == 3
+    assert range_blocks(8, 1, 4, 10_000, limit) == 1
 
 
 def _join_fn(left: pa.Table, right: pa.Table) -> pa.Table:
