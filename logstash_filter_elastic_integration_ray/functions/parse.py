@@ -479,14 +479,14 @@ class ConvertKernel(Kernel):
             if self.ignore_missing:
                 return None
             return mask.copy()
+        col = batch._cols.get(self.field)
+        if self.ctype in ("integer", "long") and isinstance(col, pa.Array) and pa.types.is_string(col.type):
+            return parse_rows(self, batch, mask, lambda s: {self.target: _convert_value(s, self.ctype)},
+                              self._ascii_ints)
         present = batch.valid_mask(self.field)
         err = np.zeros(batch.n, dtype=bool)
         if not self.ignore_missing:
             err |= mask & ~present
-        col = batch._cols.get(self.field)
-        if self.ctype in ("integer", "long") and isinstance(col, pa.Array) and pa.types.is_string(col.type):
-            self._to_int64(batch, col, mask & present, err)
-            return err if err.any() else None
         rows, vals = batch.read_rows(self.field, mask & present)
         ok_rows, out = [], []
         for i, v in zip(rows.tolist(), vals):
@@ -501,25 +501,15 @@ class ConvertKernel(Kernel):
         batch.write_rows(self.target, np.array(ok_rows, dtype=np.int64), out)
         return err if err.any() else None
 
-    def _to_int64(self, batch: ColumnBatch, col: pa.Array, sel: np.ndarray, err: np.ndarray) -> None:
+    def _ascii_ints(self, arr: pa.Array):
         """String → integer in Arrow: a value of 1 to 18 ASCII digits is
         one ``pc.cast`` (it reads as Python's ``int(str(v).strip())``
         does, and fits int64); any other value (whitespace, a sign,
-        ``_``, non-ASCII digits, 19+ digits) goes per row."""
-        rows = np.flatnonzero(sel)
-        arr = col.filter(pa.array(sel))
-        fast = np.asarray(pc.fill_null(pc.match_substring_regex(arr, _ASCII_INT), False))
-        ok = fast.copy()
-        ints = np.zeros(len(rows), dtype=np.int64)
-        ints[fast] = pc.cast(arr.filter(pa.array(fast)), pa.int64()).to_numpy()
-        slow = np.flatnonzero(~fast)
-        for j, v in zip(slow.tolist(), arr.filter(pa.array(~fast)).to_pylist()):
-            try:
-                ints[j] = _convert_value(v, self.ctype)
-                ok[j] = True
-            except (ValueError, TypeError):
-                err[rows[j]] = True
-        batch.write_rows(self.target, rows[ok], pa.array(ints[ok]))
+        ``_``, non-ASCII digits, 19+ digits) is left to the per-row
+        path."""
+        ok = pc.fill_null(pc.match_substring_regex(arr, _ASCII_INT), False)
+        ints = pc.cast(pc.if_else(ok, arr, pa.scalar(None, pa.string())), pa.int64())
+        return np.asarray(ok), np.zeros(len(arr), dtype=bool), {self.target: ints}
 
 
 @register_processor("convert")

@@ -45,18 +45,6 @@ def _is_string(col) -> bool:
     return isinstance(col, pa.Array) and (pa.types.is_string(col.type) or pa.types.is_large_string(col.type))
 
 
-def _take_names(names: list, codes: np.ndarray):
-    """``names[c]`` for each code, as one Arrow array built from the
-    distinct names used; a list of Python values where Arrow cannot
-    type them together (``write_rows`` keeps those as objects)."""
-    seen = np.bincount(codes, minlength=len(names)) > 0
-    try:
-        used = pa.array([names[c] for c in np.flatnonzero(seen)])
-        return used.take(pa.array((np.cumsum(seen) - 1)[codes]))
-    except (pa.ArrowInvalid, pa.ArrowTypeError):
-        return [names[c] for c in codes]
-
-
 class PipelineState:
     """Per-batch execution masks — the columnar form of per-event flow."""
 
@@ -245,10 +233,15 @@ class EventProcessor:
                 )
             state.failed |= pending
 
-        # final index column: one Arrow take over the distinct names
+        # final index column: one Arrow take over the distinct names (a
+        # list where Arrow cannot type them together)
         has_index = np.flatnonzero(cur_index >= 0)
-        if len(has_index):
-            batch.write_rows(META_INDEX, has_index, _take_names(index_names, cur_index[has_index]))
+        codes = cur_index[has_index]
+        try:
+            index_vals = pa.array(index_names).take(pa.array(codes))
+        except (pa.ArrowInvalid, pa.ArrowTypeError):
+            index_vals = [index_names[c] for c in codes]
+        batch.write_rows(META_INDEX, has_index, index_vals)
 
         # failed rows: restore originals + tag (EventProcessor.java:176-184, 246-252)
         if state.failed.any():

@@ -76,35 +76,25 @@ def add_partition_col(batch: pa.Table, num_partitions: int, key: str = "conv_id"
     return batch.append_column("__part", pa.array(part))
 
 
-def range_blocks(num_partitions: int, blocks: int, cpus: int, size_bytes: int | None,
-                 max_block_bytes: int | None) -> int:
+def range_blocks(num_partitions: int, blocks: int, cpus: int) -> int:
     """How many range blocks :func:`_shuffle` sorts ``num_partitions``
-    hash partitions into when they arrive in ``blocks`` blocks: n =
-    min(P, blocks), the count Ray's own sort would make, for a large or
-    unknown input, and at most one per CPU for a small one.  Small means
-    ``size_bytes`` (the plan's source-size estimate) at most ``cpus ×
-    max_block_bytes``; ``max_block_bytes`` None sets no limit."""
-    n = max(1, min(num_partitions, blocks))
-    if size_bytes is None or (max_block_bytes is not None and size_bytes > cpus * max_block_bytes):
-        return n
-    return min(n, cpus)
+    hash partitions into when they arrive in ``blocks`` blocks on a
+    cluster of ``cpus`` CPUs: one per CPU, so the sort's map and reduce
+    rounds each run in one wave, and never more than the partitions or
+    than the blocks (the count Ray's own sort would make)."""
+    return max(1, min(num_partitions, blocks, cpus))
 
 
-def _source_bytes(ds) -> int | None:
-    """The plan-time size estimate of ``ds``'s sources (no execution),
-    or None when any source has none."""
-    sizes = [op.infer_metadata().size_bytes for op in ds._logical_plan.sources()]
-    return None if any(s is None for s in sizes) else sum(sizes)
-
-
-def _shuffle(tagged, num_partitions: int, fn, batch_format: str):
-    """The single place the shuffle is chosen: a Ray ``sort`` on
-    ``__part`` with fixed ``boundaries`` that cut ``[0, num_partitions)``
-    into B contiguous ranges, one sorted block each, then one
+def _shuffle(sides: list, num_partitions: int, fn, batch_format: str):
+    """The single place the shuffle is chosen.  ``sides`` lists
+    ``(ds, tag)`` pairs: ``tag(block)`` adds a ``__part`` column in
+    ``[0, num_partitions)`` to each block of ``ds``.  The tagged sides
+    (one union) go through one Ray ``sort`` on ``__part`` with fixed
+    ``boundaries`` that cut ``[0, num_partitions)`` into B contiguous
+    ranges, one sorted block each, then one
     ``map_batches(batch_size=None)`` that calls ``fn`` once per
-    ``__part`` run of each block (in ``batch_format``, ``__part``
-    included), in ``__part`` order.  Ray passes a block with no rows
-    through without calling anything.
+    ``__part`` run of each block, in ``__part`` order, on that run's
+    rows in ``batch_format`` without the ``__part`` column.
 
     Coalescing: Ray's plan-time block estimate (``initial_num_blocks``:
     the logical DAG's ``estimated_num_outputs``, computed without
@@ -115,36 +105,64 @@ def _shuffle(tagged, num_partitions: int, fn, batch_format: str):
     19.18 s not).  At or below it the repartition could only split
     blocks, so it is skipped.
 
-    Sizing (:func:`range_blocks`): with n the blocks the sort receives,
-    B = min(P, n, CPUs of the cluster), so the sort's map and reduce
-    rounds each run in one wave of tasks.  A large input — the sources'
-    size estimate (the sum of ``infer_metadata().size_bytes`` over the
-    logical DAG's source ops) above ``CPUs ×
-    DataContext.target_max_block_size``, or no estimate — keeps B =
-    min(P, n), so no block grows past what the caller's P allowed.  B
-    never exceeds n: Ray returns a range with no rows as a 0-row block
-    with no schema, which no later map can type, and a small one-block
-    input cut into ranges makes such blocks.  The edges are
-    ``linspace(0, P, B + 1)`` rounded, inner points only; B = 1 has none
-    and leaves the cut to Ray, which samples one range per input block
-    (one fixed edge would leave its upper block always empty).
-    ``__part`` is never null."""
+    Sizing: with n the blocks the sort receives, B = min(P, n, CPUs of
+    the cluster) (:func:`range_blocks`).  The edges are ``linspace(0,
+    P, B + 1)`` rounded; B = 1 has none and leaves the cut to Ray.
+
+    Typed output: a range no partition's rows fall in would reach the
+    map as a 0-row block with no schema, which Ray passes through
+    without calling anything, so the output would hold a block no
+    ``pa.concat_tables`` of the others accepts.  So every tagged block
+    also sends a probe row — a copy of its first row — to each range it
+    has no row in.  The sort key is the code ``2 × __part + 1``, a
+    probe for the range starting at partition e carries ``2e``: probes
+    sort ahead of the range's rows and are never part of a run.  A
+    range holding probes only calls ``fn`` once on one probe row and
+    keeps none of its rows, only its schema."""
     from ray.data.block import BlockAccessor
 
-    blocks = tagged._plan.initial_num_blocks()
-    if blocks is None or blocks > num_partitions:
-        tagged, blocks = tagged.repartition(num_partitions), num_partitions
-    b = range_blocks(num_partitions, blocks, cluster_cpus(), _source_bytes(tagged),
-                     tagged.context.target_max_block_size)
-    edges = np.rint(np.linspace(0, num_partitions, b + 1)).astype(int)[1:-1].tolist()
+    counts = [ds._plan.initial_num_blocks() for ds, _ in sides]
+    blocks = None if None in counts else sum(counts)
+    coalesce = blocks is None or blocks > num_partitions
+    b = range_blocks(num_partitions, num_partitions if coalesce else blocks, cluster_cpus())
+    starts = np.rint(np.linspace(0, num_partitions, b + 1)).astype(np.int64)[:-1]
+
+    def coded(tag):
+        def run(t: pa.Table) -> pa.Table:
+            t = tag(t)
+            part = t.column("__part").to_numpy()
+            t = t.set_column(t.schema.get_field_index("__part"), "__part", pa.array(2 * part + 1))
+            used = np.flatnonzero(np.bincount(part, minlength=num_partitions))
+            empty = np.setdiff1d(np.arange(b), np.searchsorted(starts, used, side="right") - 1)
+            if not len(empty):
+                return t
+            probes = t.take(np.zeros(len(empty), dtype=np.int64))
+            probes = probes.set_column(t.schema.get_field_index("__part"), "__part",
+                                       pa.array(2 * starts[empty]))
+            return pa.concat_tables([t, probes])
+        return run
+
+    def to_batch(t: pa.Table):
+        return BlockAccessor.for_block(t).to_batch_format(batch_format)
 
     def per_part(block: pa.Table):
+        code = block.column("__part").to_numpy()
+        rows = block.drop_columns(["__part"])
+        k = int(np.searchsorted(code, code[0] | 1))  # the probes ahead of the runs
+        if k == len(code):
+            out = fn(to_batch(rows.slice(0, 1)))
+            yield out.iloc[:0] if isinstance(out, pd.DataFrame) else out.slice(0, 0)
+            return
         # the block arrives in __part order, so the runs keep row order
-        r = segments.runs(block.column("__part").to_numpy())
+        r = segments.runs(code[k:])
         for lo, size in zip(r.starts.tolist(), r.sizes.tolist()):
-            yield fn(BlockAccessor.for_block(block.slice(lo, size)).to_batch_format(batch_format))
+            yield fn(to_batch(rows.slice(k + lo, size)))
 
-    ranged = tagged.sort("__part", boundaries=edges or None)
+    tagged = [ds.map_batches(coded(tag), batch_format="pyarrow") for ds, tag in sides]
+    tagged = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    if coalesce:
+        tagged = tagged.repartition(num_partitions)
+    ranged = tagged.sort("__part", boundaries=(2 * starts[1:]).tolist() or None)
     return ranged.map_batches(per_part, batch_size=None, batch_format="pyarrow")
 
 
@@ -152,18 +170,8 @@ def exchange(ds, key: str, num_partitions: int, fn, batch_format: str = "pandas"
     """Hash-partition ``ds`` by ``key`` into ``num_partitions`` groups
     and run ``fn`` once per non-empty group, in ``batch_format``.  The
     result is the Dataset of ``fn``'s outputs."""
-
-    if batch_format == "pandas":
-        def merge(df: pd.DataFrame):
-            return fn(df.drop(columns="__part"))
-    else:
-        def merge(t: pa.Table):
-            return fn(t.drop_columns(["__part"]))
-
-    parts = ds.map_batches(
-        lambda b: add_partition_col(b, num_partitions, key=key), batch_format="pyarrow"
-    )
-    return _shuffle(parts, num_partitions, merge, batch_format)
+    return _shuffle([(ds, lambda b: add_partition_col(b, num_partitions, key=key))],
+                    num_partitions, fn, batch_format)
 
 
 def _ipc_payloads(t: pa.Table, part: np.ndarray, num_partitions: int) -> pa.Array:
@@ -224,10 +232,8 @@ def _cogroup(sides: dict, num_groups: int, group_of, fn, batch_format: str):
             tables = {k: v.to_pandas() for k, v in tables.items()}
         return fn(**tables)
 
-    packed = [ds.map_batches(packer(i, key), batch_format="pyarrow")
-              for i, (ds, key) in enumerate(sides.values())]
-    tagged = packed[0].union(*packed[1:])
-    return _shuffle(tagged, num_groups, unpack, "pyarrow")
+    return _shuffle([(ds, packer(i, key)) for i, (ds, key) in enumerate(sides.values())],
+                    num_groups, unpack, "pyarrow")
 
 
 def copartition(sides: dict, num_partitions: int, fn, batch_format: str = "pandas"):

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 import ray
@@ -179,20 +180,38 @@ def test_cogroup_calls_fn_once_per_id_in_order(ray_session):
 
 
 def test_range_blocks_sizing():
-    """One range block per CPU for a small input, one per partition for
-    a large or unknown one, never more blocks than partitions or than
+    """One range block per CPU, never more than the partitions or than
     the blocks the sort receives."""
-    limit = 128 << 20
-    assert range_blocks(8, 8, 4, 10_000, limit) == 4
-    assert range_blocks(8, 8, 4, 4 * limit, limit) == 4
-    assert range_blocks(8, 8, 4, 4 * limit + 1, limit) == 8
-    assert range_blocks(8, 8, 4, None, limit) == 8
-    assert range_blocks(2, 2, 4, 10_000, limit) == 2
-    assert range_blocks(8, 8, 1, 10_000, limit) == 1
-    assert range_blocks(8, 8, 4, 1 << 60, None) == 4
-    assert range_blocks(8, 3, 4, 10_000, limit) == 3
-    assert range_blocks(8, 3, 4, None, limit) == 3
-    assert range_blocks(8, 1, 4, 10_000, limit) == 1
+    assert range_blocks(8, 8, 4) == 4
+    assert range_blocks(2, 2, 4) == 2
+    assert range_blocks(8, 8, 1) == 1
+    assert range_blocks(8, 3, 4) == 3
+    assert range_blocks(8, 1, 4) == 1
+    assert range_blocks(64, 64, 16) == 16
+
+
+@pytest.mark.parametrize("fmt", ["pandas", "pyarrow"])
+def test_exchange_empty_range_blocks_are_typed(ray_session, fmt):
+    """Keys that all hash into the first of the four ranges (P = 8 on 4
+    CPUs, 4 input blocks): the three empty ranges still come out as
+    blocks of ``fn``'s schema, so the output blocks concatenate, and
+    ``fn`` still returns one row per non-empty partition."""
+    cand = pa.table({"k": pa.array(np.arange(400), type=pa.int64())})
+    keys = [k for k, p in zip(cand.column("k").to_pylist(), _parts_of(cand, "k")) if p < 2][:3]
+    t = pa.table({"k": pa.array(np.repeat(keys, 8), type=pa.int64()),
+                  "v": pa.array(np.arange(24), type=pa.int64())})
+
+    def fn(b):
+        t = b if isinstance(b, pa.Table) else pa.Table.from_pandas(b, preserve_index=False)
+        return pa.table({"part": pa.array([_one_part(t, "k")], pa.int64()),
+                         "v": pa.array([pc.sum(t.column("v")).as_py()], pa.int64())})
+
+    out = exchange(_in_order(_ds(t, 4)), "k", P8, fn, fmt)
+    got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+    assert got.schema == pa.schema([("part", pa.int64()), ("v", pa.int64())])
+    sums = np.bincount(_parts_of(t, "k"), weights=np.arange(24), minlength=P8)
+    assert got.column("part").to_pylist() == sorted(set(_parts_of(t, "k")))
+    assert got.column("v").to_pylist() == [int(sums[p]) for p in got.column("part").to_pylist()]
 
 
 def _join_fn(left: pa.Table, right: pa.Table) -> pa.Table:
