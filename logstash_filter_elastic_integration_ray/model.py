@@ -272,8 +272,15 @@ class ColumnBatch:
             raise TypeError(f"unsupported column value type {type(values)}")
 
     def set_scalar(self, name: str, value, mask: np.ndarray | None = None) -> None:
+        """Write one ``value`` on every row, or on the ``mask`` rows, as
+        one repeated Arrow array; a value Arrow cannot type goes as a
+        list, so :meth:`write_rows` handles it as any other list."""
         rows = np.arange(self.n) if mask is None else np.flatnonzero(mask)
-        self.write_rows(name, rows, [value] * len(rows))
+        try:
+            values = pa.repeat(pa.scalar(value), len(rows))
+        except (pa.ArrowException, OverflowError):
+            values = [value] * len(rows)
+        self.write_rows(name, rows, values)
 
     def drop(self, name: str) -> None:
         self._cols.pop(name, None)

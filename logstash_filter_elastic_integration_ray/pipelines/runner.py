@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 
 from ..model import META_INDEX
-from ..sources.io import engine_plan
+from ..sources.io import read_parquet_clean
 from ..sources.transcripts import derive_transcripts_table
 from ..stages.sinks import completed_shards, run_shard, sink_counts_from_dir
 from .flagship import assign_datastream, build_event_processor
@@ -43,13 +43,11 @@ def run_flagship_resumable(
     transcripts on the fly; ``False`` reads transcript parquet directly.
     Returns {shard_id: manifest} plus aggregate per-sink counts.
     """
-    import ray.data as rd
-
     os.makedirs(out_dir, exist_ok=True)
     proc = build_event_processor()
 
     def build(inputs: list[str], dest: str) -> dict:
-        ds = engine_plan(rd.read_parquet(inputs))
+        ds = read_parquet_clean(inputs)
         if events_format:
             ds = ds.map_batches(derive_transcripts_table, batch_format="pyarrow")
         parsed = ds.map_batches(assign_datastream, batch_format="pyarrow").map_batches(
@@ -84,8 +82,6 @@ def aggregate_from_sinks(out_dir: str, num_partitions: int = 64):
     on half-written shards (SURVEY.md §4.2 resumable-output design)."""
     import glob as _glob
 
-    import ray.data as rd
-
     from ..stages.aggregate import conv_stats
 
     files = []
@@ -93,5 +89,5 @@ def aggregate_from_sinks(out_dir: str, num_partitions: int = 64):
         files.extend(sorted(_glob.glob(os.path.join(out_dir, shard_id, "**", "*.parquet"), recursive=True)))
     if not files:
         raise FileNotFoundError(f"no completed shard parquet under {out_dir}")
-    ds = engine_plan(rd.read_parquet(files, columns=["conv_id", "turn_idx", "text", "tool", "ts"]))
+    ds = read_parquet_clean(files, columns=["conv_id", "turn_idx", "text", "tool", "ts"])
     return conv_stats(ds, num_partitions=num_partitions)

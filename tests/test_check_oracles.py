@@ -52,3 +52,21 @@ def test_all_reported_passes(tmp_path, monkeypatch, capsys):
     assert "3 pass, 0 fail" in captured.out
     assert captured.out.rstrip().endswith("0 driver deaths; 1 schema warnings")
     assert "RefBundle with a different schema" in captured.err  # echoed
+
+
+def test_schema_warnings_counted_by_previous_first_column(tmp_path, monkeypatch, capsys):
+    child = """
+import sys
+for previous in ("__part: int64", "__part: int64", "PandasBlockSchema(names=['conv_id', 'n'], types=[])"):
+    print("Operator produced a RefBundle with a different schema than the previous one. "
+          f"Previous schema: {previous}", file=sys.stderr, flush=True)
+    print("text: string, new schema: . This may lead to unexpected behavior.", file=sys.stderr, flush=True)
+for n in sys.argv[3:]:
+    print(f"PASS {n} (1 rows, 0.50 s)", flush=True)
+"""
+    monkeypatch.setattr(check_oracles, "CHILD", child)
+    monkeypatch.setattr(check_oracles, "CHUNK", 1)
+    assert check_oracles.gate(str(tmp_path), ["a", "b"])
+    lines = capsys.readouterr().out.rstrip().splitlines()
+    assert lines[-2] == "schema warnings by first column of the previous schema: __part 4, conv_id 2"
+    assert lines[-1].endswith("0 driver deaths; 6 schema warnings")

@@ -158,3 +158,42 @@ FLAGSHIP_SCHEMA = [
 def test_flagship_output_schema_pinned():
     out = build_event_processor()(_flagship_batch())
     assert [(f.name, f.type) for f in out.schema] == FLAGSHIP_SCHEMA
+
+
+def _list_set_scalar(self, name, value, mask=None):
+    """``ColumnBatch.set_scalar`` as one Python list per write: the
+    reference the repeated-Arrow-array write must equal byte for byte."""
+    rows = np.arange(self.n) if mask is None else np.flatnonzero(mask)
+    self.write_rows(name, rows, [value] * len(rows))
+
+
+def _ipc_bytes(table: pa.Table) -> bytes:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as w:
+        w.write_table(table)
+    return sink.getvalue().to_pybytes()
+
+
+@pytest.mark.parametrize("value", ["x", 7, 2.5, True, None, [1, 2], ["a"], [1, "a"], {"k": 1}])
+@pytest.mark.parametrize("field", ["new", "s", "i"])
+@pytest.mark.parametrize("cond", [None, "ctx.k == 1", "ctx.k == 9"])
+def test_set_scalar_output_equals_list_write(value, field, cond, monkeypatch):
+    """A ``set`` of a constant writes one repeated Arrow array: the
+    output equals a list write for str, int, float, bool, None, list and
+    map values (a mixed list has no Arrow type and stays a list), on all
+    rows or a mask, into a new column, a string one or an int one."""
+    from logstash_filter_elastic_integration_ray.pipelines import EventProcessor, RoutingConfig
+
+    step = {"field": field, "value": value}
+    if cond:
+        step["if"] = cond
+    rows = [{"k": i % 3, "s": f"v{i}", "i": i} for i in range(7)]
+
+    def run() -> bytes:
+        proc = EventProcessor(compile_pipeline_set({"main": {"processors": [{"set": step}]}}),
+                              RoutingConfig(default_pipeline="main", use_datastream=False))
+        return _ipc_bytes(proc(rows_to_table(rows)))
+
+    got = run()
+    monkeypatch.setattr(ColumnBatch, "set_scalar", _list_set_scalar)
+    assert got == run()

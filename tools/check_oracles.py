@@ -10,7 +10,10 @@ queries of a chunk whose driver died before reporting them are retried
 once in a fresh driver, and a query that still has no result counts as
 a failure.  The summary line adds the sum of the per-query seconds and
 the number of Ray's ``RefBundle with a different schema`` warnings the
-children logged (their stderr is echoed to this process's stderr).
+children logged (their stderr is echoed to this process's stderr); the
+line before it splits that count by the first column of the warning's
+previous schema, so two checkouts' runs can be compared column by
+column.
 
 Usage: python tools/check_oracles.py [sf_dir] [query ...]
 """
@@ -23,6 +26,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 
 import duckdb
 import numpy as np
@@ -174,20 +178,26 @@ CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); import check_oracles; "
 
 #: Ray Data's warning for a block whose schema differs from the last
 SCHEMA_WARNING = "RefBundle with a different schema"
+#: the first column of the warning's previous schema: a pyarrow schema
+#: prints one ``name: type`` per line, a pandas block's schema
+#: ``PandasBlockSchema(names=['name', ...``
+PREVIOUS_FIRST = re.compile(r"Previous schema: (?:PandasBlockSchema\(names=\[')?([^:',]+)")
 
 
-def run_child(sf_dir: str, names: list[str]) -> tuple[dict, int, int]:
+def run_child(sf_dir: str, names: list[str]) -> tuple[dict, int, Counter]:
     """Run ``names`` in a child driver, echoing its output: ({query:
     (status, seconds)} for the queries it reported, its exit code, the
-    number of ``SCHEMA_WARNING`` lines on its stderr)."""
+    ``SCHEMA_WARNING`` lines on its stderr counted by the first column
+    of their previous schema, ``?`` where none prints)."""
     results = {}
-    warnings = []
+    warnings = Counter()
 
     def drain(stream) -> None:
         for line in stream:
             sys.stderr.write(line)
             if SCHEMA_WARNING in line:
-                warnings.append(line)
+                m = PREVIOUS_FIRST.search(line)
+                warnings[m.group(1) if m else "?"] += 1
 
     with subprocess.Popen(
         [sys.executable, "-c", CHILD, os.path.dirname(os.path.abspath(__file__)), sf_dir, *names],
@@ -201,23 +211,24 @@ def run_child(sf_dir: str, names: list[str]) -> tuple[dict, int, int]:
             if m and m.group(2) in names:
                 results[m.group(2)] = (m.group(1), float(m.group(3) or 0.0))
         err_reader.join()
-    return results, proc.returncode, len(warnings)
+    return results, proc.returncode, warnings
 
 
 def gate(sf_dir: str, names: list[str]) -> bool:
     """Run ``names`` chunk by chunk in child drivers and print the
     summary; True when every query passed."""
     results: dict = {}
-    deaths = warnings = 0
+    deaths = 0
+    warnings = Counter()
     for i in range(0, len(names), CHUNK):
         chunk = names[i:i + CHUNK]
         for attempt in (1, 2):
             todo = [n for n in chunk if n not in results]
             if not todo:
                 break
-            got, code, n_warn = run_child(sf_dir, todo)
+            got, code, warned = run_child(sf_dir, todo)
             results.update(got)
-            warnings += n_warn
+            warnings.update(warned)
             missing = [n for n in todo if n not in got]
             if missing:
                 deaths += 1
@@ -230,9 +241,12 @@ def gate(sf_dir: str, names: list[str]) -> bool:
     n_pass, n_noracle = status.count("PASS"), status.count("ROWS-ONLY")
     n_fail = status.count("FAIL") + len(lost)
     secs = sum(t for _, t in results.values())
-    print(f"\n{n_pass} pass, {n_fail} fail, {n_noracle} rows-only; "
+    by_column = sorted(warnings.items(), key=lambda kv: (-kv[1], kv[0]))
+    print("\nschema warnings by first column of the previous schema: "
+          + (", ".join(f"{c} {n}" for c, n in by_column) or "none"))
+    print(f"{n_pass} pass, {n_fail} fail, {n_noracle} rows-only; "
           f"{secs:.1f} s summed over queries; {deaths} driver deaths; "
-          f"{warnings} schema warnings")
+          f"{warnings.total()} schema warnings")
     return n_fail == 0
 
 
