@@ -1469,7 +1469,7 @@ def q_fasttext_quality_docs(sf_dir: str):
 def q_kn_perplexity_docs(sf_dir: str):
     """Interpolated Kneser–Ney trigram perplexity (the KenLM/CCNet
     discipline, vs the Stupid-Backoff bigram above): trigram/bigram
-    TYPE tables with component-hash satellites tree-reduce worker-side,
+    TYPE tables with component-hash satellites merge through stages/fold.py,
     the driver builds seven continuation-count lookup tables
     (stages/lm.py:KnTrigramLM) and broadcasts once; every scored doc
     is ONE streaming pass — three rolling-hash arrays, seven
@@ -1495,7 +1495,7 @@ def q_dsir_select_docs(sf_dir: str):
     for the curated corpus) and on the raw remainder, the log-ratio
     vector broadcast once, every raw doc scored in ONE streaming pass,
     and 100 docs resampled by deterministic Gumbel top-k
-    (stages/dsir.py — count builds tree-reduce one 64 KiB blob per
+    (stages/dsir.py — count builds fold one 64 KiB vector per
     batch; selection rides the group_topk thin exchange).  Fixture
     oracle from the plain reference
     (tools/reference_impls.py:dsir_reference); bit-identical floats

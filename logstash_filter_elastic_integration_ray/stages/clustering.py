@@ -2,9 +2,9 @@
 
 The canonical iterative Ray Data algorithm: each round broadcasts the
 current centroids (``ray.put`` once, read zero-copy in every task),
-``map_batches`` computes per-batch partial sums (k rows per batch — the
-ONLY data that moves), a two-level reduce merges them, and the driver
-updates k tiny centroid vectors.  Nothing proportional to the dataset
+``map_batches`` computes per-batch partial sums (k×d int64 per batch
+— the ONLY data that moves), :func:`stages.fold.fold` sums them, and
+the driver updates k tiny centroid vectors.  Nothing proportional to the dataset
 ever reaches the driver or the shuffle layer, so the round cost at
 100 TB is one streaming pass + a k×dim broadcast.
 
@@ -22,9 +22,8 @@ int64 (``round(x * 2**20)``) at the kernel boundary, so
 
 Overflow headroom: per-coordinate |x·Q| ≲ 2^23 for unit-scale
 embeddings; squared distance summed over 4096 dims stays < 2^63.
-Partial sums: a single int64 accumulator absorbs ~2^39 rows per
-coordinate before overflow; the two-level reduce keeps every
-accumulator well under that.
+Partial sums: the summed int64 accumulator absorbs ~2^39 rows per
+coordinate before overflow.
 
 Reference parity note: the reference plugin has no clustering stage —
 this is one of the engine-native large-scale training-data operators
@@ -38,6 +37,7 @@ import pyarrow as pa
 import ray
 
 from ..sources.io import engine_plan
+from .fold import fold
 from .similarity import _to_matrix
 
 #: fixed-point scale — 20 fractional bits
@@ -85,38 +85,46 @@ def partial_sums(x_int: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndar
     return sums, counts
 
 
-def _partials_table(sums: np.ndarray, counts: np.ndarray) -> pa.Table:
-    k, d = sums.shape
-    return pa.table(
-        {
-            "cluster": pa.array(np.arange(k, dtype=np.int64)),
-            "count": pa.array(counts),
-            "sums": pa.FixedSizeListArray.from_arrays(pa.array(sums.reshape(-1)), d),
-        }
-    )
-
-
-def _merge_partials_table(t: pa.Table, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    clusters = t.column("cluster").to_numpy()
-    counts = t.column("count").to_numpy()
-    flat = t.column("sums").combine_chunks().flatten().to_numpy(zero_copy_only=False)
-    sums_rows = flat.reshape(len(clusters), d)
-    sums = np.zeros((k, d), dtype=np.int64)
-    cnt = np.zeros(k, dtype=np.int64)
-    np.add.at(cnt, clusters, counts)  # ≤ k×n_batches rows — tiny
-    for j in range(k):
-        m = clusters == j
-        if m.any():
-            sums[j] = sums_rows[m].sum(axis=0)
-    return sums, cnt
-
-
 def update_centroids(cent_int: np.ndarray, sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Integer floor-division update; empty clusters keep their centroid."""
     new = cent_int.copy()
     nz = counts > 0
     new[nz] = np.floor_divide(sums[nz], counts[nz][:, None])
     return new
+
+
+def _sum_partials(parts: list) -> tuple:
+    """Merge tuples of int64 arrays or ints (``(sums, counts)``, a
+    gradient and its row count): exact sums, position by position."""
+    return tuple(sum(x) for x in zip(*parts))
+
+
+def _smallest(tables: list[pa.Table], k: int, id_col: str) -> pa.Table:
+    """The ``k`` rows of ``tables`` with the smallest ``id_col``, in id
+    order — the merge of :func:`smallest_ids_init` (keeping the k
+    smallest of each part keeps every row of the k smallest overall,
+    duplicates included)."""
+    t = pa.concat_tables(tables)
+    ids = t.column(id_col).to_numpy(zero_copy_only=False)
+    return t.take(pa.array(np.argsort(ids, kind="stable")[:k]))
+
+
+def smallest_ids_init(ds, k: int, id_col: str, emb_col: str) -> np.ndarray:
+    """Quantized (k, d) embeddings of the ``k`` globally smallest ids,
+    in id order — the deterministic init of k-means and PQ.  A per-batch
+    local top-k folds to the driver (≤ k rows per merge, never the
+    dataset), so any id space works, not just dense 0-based ids.
+    Duplicate ids among the k smallest raise (their row order is not
+    engine-reproducible, so silent arbitration would break the
+    determinism contract), and so do fewer than k rows."""
+    top = fold(ds, lambda t: _smallest([t.select([id_col, emb_col])], k, id_col),
+               lambda ts: _smallest(ts, k, id_col))
+    ids = [] if top is None else top.column(id_col).to_pylist()
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate ids among the {k} smallest: deterministic init impossible")
+    if len(ids) < k:
+        raise ValueError(f"need at least k={k} rows for init, got {len(ids)}")
+    return quantize(_to_matrix(top.column(emb_col)))
 
 
 def kmeans_fit(
@@ -129,56 +137,21 @@ def kmeans_fit(
 ) -> np.ndarray:
     """Fit k centroids over a Dataset's embedding column.
 
-    Init: the embeddings of the ``k`` globally smallest ids — found by
-    a per-batch local top-k (≤ batches×k rows to the driver, never the
-    dataset), so any id space works, not just dense 0-based ids.
-    Duplicate ids among the k smallest raise (their row order is not
-    engine-reproducible, so silent arbitration would break the
-    determinism contract).  Returns the fixed-point int64 centroids.
+    Init: the embeddings of the ``k`` globally smallest ids
+    (:func:`smallest_ids_init`).  Returns the fixed-point int64
+    centroids.
     """
-
-    def local_smallest(t: pa.Table) -> pa.Table:
-        t = t.select([id_col, emb_col])
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        if len(ids) <= k:
-            return t
-        keep = np.argpartition(ids, k)[:k]
-        return t.take(pa.array(np.sort(keep)))
-
-    init_rows = ds.map_batches(local_smallest, batch_format="pyarrow").take_all()
-    init_rows.sort(key=lambda r: r[id_col])
-    init_rows = init_rows[:k]
-    seen_ids = [r[id_col] for r in init_rows]
-    if len(set(seen_ids)) != len(seen_ids):
-        raise ValueError(f"duplicate ids among the {k} smallest: deterministic init impossible")
-    if len(init_rows) < k:
-        raise ValueError(f"need at least k={k} rows for init, got {len(init_rows)}")
-    cent_int = quantize(np.stack([np.asarray(r[emb_col], dtype=np.float64) for r in init_rows]))
-    d = cent_int.shape[1]
+    cent_int = smallest_ids_init(ds, k, id_col, emb_col)
 
     for _ in range(n_iters):
         cent_ref = ray.put(cent_int)
 
-        def batch_partials(batch: pa.Table) -> pa.Table:
+        def batch_partials(batch: pa.Table) -> tuple:
             cent = ray.get(cent_ref)  # zero-copy plasma read, cached per node
             x_int = quantize(_to_matrix(batch.column(emb_col)))
-            a = assign_clusters(x_int, cent)
-            s, c = partial_sums(x_int, a, cent.shape[0])
-            return _partials_table(s, c)
+            return partial_sums(x_int, assign_clusters(x_int, cent), cent.shape[0])
 
-        # two-level reduce: per-batch k rows → per-partition merge →
-        # driver sees ≤ 8×k rows regardless of dataset size
-        partials = ds.map_batches(batch_partials, batch_format="pyarrow")
-
-        def merge_block(t: pa.Table) -> pa.Table:
-            s, c = _merge_partials_table(t, k, d)
-            return _partials_table(s, c)
-
-        merged = partials.repartition(8).map_batches(
-            merge_block, batch_format="pyarrow", batch_size=None
-        )
-        final = pa.Table.from_pylist(merged.take_all())
-        sums, counts = _merge_partials_table(final, k, d)
+        sums, counts = fold(ds, batch_partials, _sum_partials)
         cent_int = update_centroids(cent_int, sums, counts)
     return cent_int
 
@@ -526,34 +499,24 @@ def kcenter_select(ds, *, k: int = 32, id_col: str = "vec_id",
 
         working = working.map_batches(update, batch_format="pyarrow").materialize()
 
-        def local_argmax(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return pa.table({"id": pa.array([], type=pa.int64()),
-                                 "d2q": pa.array([], type=pa.int64()),
-                                 "emb": pa.array([], type=pa.list_(pa.int64()))})
+        def farthest(t: pa.Table) -> tuple:
+            """(d2q, -id, emb) of the batch's farthest row, smallest id
+            among ties — ``max`` over these picks the global one."""
             d2 = t.column("d2q").to_numpy(zero_copy_only=False)
             ids = t.column("id").to_numpy(zero_copy_only=False).astype(np.int64)
-            mx = d2.max()
-            cand = np.flatnonzero(d2 == mx)
+            cand = np.flatnonzero(d2 == d2.max())
             pick = cand[np.argmin(ids[cand])]
-            emb = t.column("emb")
-            emb = emb.combine_chunks() if isinstance(emb, pa.ChunkedArray) else emb
-            return pa.table({
-                "id": pa.array([int(ids[pick])], type=pa.int64()),
-                "d2q": pa.array([int(mx)], type=pa.int64()),
-                "emb": pa.array([list(np.asarray(emb[pick].as_py(), dtype=np.int64))],
-                                type=pa.list_(pa.int64())),
-            })
+            return (int(d2[pick]), -int(ids[pick]),
+                    np.asarray(t.column("emb")[int(pick)].as_py(), dtype=np.int64))
 
-        tops = working.map_batches(local_argmax, batch_format="pyarrow").take_all()
-        best = max(tops, key=lambda r: (int(r["d2q"]), -int(r["id"])))
-        bid, bd2 = int(best["id"]), int(best["d2q"])
+        best = fold(working, farthest, lambda vs: max(vs, key=lambda v: v[:2]))
+        bd2, bid = best[0], -best[1]
         if bid in chosen or bd2 == 0:
             # every remaining point coincides with a center: stop early
             break
         out_rows.append((rank, bid, bd2))
         chosen.add(bid)
-        center = np.asarray(best["emb"], dtype=np.int64)
+        center = best[2]
 
     import ray.data as rd
 

@@ -46,9 +46,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.io import engine_plan
+from . import segments
 from .exchange import copartition, exchange
 from .decontam import flat_token_hashes, gram_hashes
 from .dedup import _hash64_arrow
+from .fold import fold
 
 # ---------------------------------------------------------------------------
 # cross-doc duplicated n-gram fraction
@@ -135,8 +137,28 @@ def dup_ngram_stats(ds, *, w: int = 4, num_partitions: int = 32,
 # ---------------------------------------------------------------------------
 
 
+def _order_ints(batch: pa.Table, key: str) -> np.ndarray:
+    """int64 view of an order column; a null in it raises (the
+    :mod:`stages.segments` rule: no null ordering is guessed)."""
+    col = batch.column(key)
+    if col.null_count:
+        raise ValueError(f"null in order column {key!r}")
+    return col.to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+def _bounds(ds, values_of) -> tuple | None:
+    """(min, max) over ``ds`` of the array ``values_of(batch)``, or None
+    when no batch has a value."""
+
+    def partial(t: pa.Table) -> tuple | None:
+        v = values_of(t)
+        return (v.min().item(), v.max().item()) if len(v) else None
+
+    return fold(ds, partial, lambda ps: (min(p[0] for p in ps), max(p[1] for p in ps)))
+
+
 def _range_part(batch: pa.Table, key: str, lo: int, hi: int, p: int) -> pa.Table:
-    ids = batch.column(key).to_numpy(zero_copy_only=False).astype(np.int64)
+    ids = _order_ints(batch, key)
     span = max(hi - lo + 1, 1)
     if span <= (1 << 62) // max(p, 1):
         part = np.clip((ids - lo) * p // span, 0, p - 1)
@@ -171,26 +193,15 @@ def ordered_prefix_sum(ds, *, order_col: str, val_col: str,
     ``order_col``) skips the extra
     pass when the caller knows the id range; dense-ish ids range-
     partition evenly — a skewed id space should pass explicit bounds or
-    pre-bucket."""
+    pre-bucket.  A null in ``order_col`` raises ``ValueError``, with or
+    without ``bounds``."""
     ds = ds.materialize()  # thin projection; up to 3 consumers below
 
     if bounds is None:
-        stats = ds.map_batches(
-            lambda b: pa.table(
-                {
-                    "lo": pa.array([int(pc.min(b.column(order_col)).as_py())], type=pa.int64()),
-                    "hi": pa.array([int(pc.max(b.column(order_col)).as_py())], type=pa.int64()),
-                }
-            ) if b.num_rows else pa.table({"lo": pa.array([], type=pa.int64()),
-                                           "hi": pa.array([], type=pa.int64())}),
-            batch_format="pyarrow",
-        ).take_all()
-        if not stats:
+        bounds = _bounds(ds, lambda b: _order_ints(b, order_col))
+        if bounds is None:
             raise ValueError("ordered_prefix_sum: empty dataset")
-        lo = min(r["lo"] for r in stats)
-        hi = max(r["hi"] for r in stats)
-    else:
-        lo, hi = bounds
+    lo, hi = bounds
 
     # lazy over the materialized projection: the totals pass and the
     # scan each re-run only this cheap append-column map
@@ -198,21 +209,17 @@ def ordered_prefix_sum(ds, *, order_col: str, val_col: str,
         lambda b: _range_part(b, order_col, lo, hi, num_partitions), batch_format="pyarrow"
     )
 
-    totals_rows = parted.map_batches(
-        lambda b: pa.Table.from_pandas(
-            pd.DataFrame(
-                {
-                    "__chunk": b.column("__chunk").to_numpy(),
-                    "s": b.column(val_col).to_numpy(zero_copy_only=False).astype(np.int64),
-                }
-            ).groupby("__chunk", sort=False).sum().reset_index(),
-            preserve_index=False,
-        ).replace_schema_metadata(None),
-        batch_format="pyarrow",
-    ).take_all()
-    totals = np.zeros(num_partitions, dtype=np.int64)
-    for r in totals_rows:
-        totals[r["__chunk"]] += r["s"]
+    def chunk_totals(b: pa.Table) -> np.ndarray:
+        chunk = b.column("__chunk").to_numpy()
+        vals = b.column(val_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        r = segments.runs(chunk)
+        out = np.zeros(num_partitions, dtype=np.int64)
+        out[chunk[r.order[r.starts]]] = segments.sum(r, vals)
+        return out
+
+    totals = fold(parted, chunk_totals, sum)
+    if totals is None:
+        totals = np.zeros(num_partitions, dtype=np.int64)
     bases = np.zeros(num_partitions, dtype=np.int64)
     bases[1:] = np.cumsum(totals)[:-1]
 
@@ -351,17 +358,10 @@ def shuffle_shards(ds, *, num_shards: int = 16, sub_buckets: int = 8,
     assigned = ds.map_batches(hash_assign, batch_format="pyarrow").materialize()
     # consumed twice: the count pass and the rank exchange
 
-    count_rows = assigned.map_batches(
-        lambda t: pa.Table.from_pandas(
-            pd.DataFrame({"__bucket": t.column("__bucket").to_numpy()})
-            .groupby("__bucket", sort=False).size().reset_index(name="c"),
-            preserve_index=False,
-        ).replace_schema_metadata(None),
-        batch_format="pyarrow",
-    ).take_all()
-    counts = np.zeros(n_parts, dtype=np.int64)
-    for r in count_rows:
-        counts[r["__bucket"]] += r["c"]
+    counts = fold(assigned, lambda t: np.bincount(t.column("__bucket").to_numpy(),
+                                                  minlength=n_parts), sum)
+    if counts is None:
+        counts = np.zeros(n_parts, dtype=np.int64)
     per_shard = counts.reshape(num_shards, sub_buckets)
     bases = np.zeros_like(per_shard)
     bases[:, 1:] = np.cumsum(per_shard, axis=1)[:, :-1]
@@ -658,6 +658,34 @@ def dedup_lines(ds, *, sep: str = "\n", min_len: int = 1,
 # ---------------------------------------------------------------------------
 
 
+def _strata_mass(ds, strata_col: str, weight_col: str | None) -> dict:
+    """{stratum: row count, or the sum of ``weight_col``} — null strata
+    drop (rate 0), null weights contribute 0, matching the SQL
+    ``count``/``sum`` twins."""
+
+    def partial(t: pa.Table) -> dict:
+        s = pd.Series(t.column(strata_col).to_pylist(), dtype=object)
+        if weight_col is None:
+            vc = s.value_counts(sort=False)
+        else:
+            # exact int64 via Arrow (a numpy round trip of a
+            # null-bearing int column would NaN→INT64_MIN the sums)
+            w = pd.Series(pc.fill_null(t.column(weight_col), 0).cast(pa.int64())
+                          .to_numpy(zero_copy_only=False))
+            keep = s.notna()
+            vc = w[keep.to_numpy()].groupby(s[keep].to_numpy()).sum()
+        return {k: int(v) for k, v in vc.items()}
+
+    def merge(parts: list) -> dict:
+        out: dict = {}
+        for part in parts:
+            for k, v in part.items():
+                out[k] = out.get(k, 0) + v
+        return out
+
+    return fold(ds, partial, merge) or {}
+
+
 def mixture_sample(ds, *, weights: dict, total_frac: float,
                    strata_col: str = "lang", id_col: str = "doc_id",
                    weight_col: str | None = None):
@@ -689,31 +717,7 @@ def mixture_sample(ds, *, weights: dict, total_frac: float,
                 "mixture_sample: weight_col must be integer-typed (token/char counts)"
             )
 
-    def counts(t: pa.Table) -> pa.Table:
-        s = pd.Series(t.column(strata_col).to_pylist(), dtype=object)
-        if weight_col is None:
-            vc = s.value_counts(sort=False)  # null strata drop (rate 0)
-        else:
-            import pyarrow.compute as pc
-
-            # exact int64 via Arrow (a numpy round trip of a
-            # null-bearing int column would NaN→INT64_MIN the sums);
-            # null weights contribute 0, null strata drop — matching
-            # count mode and the SQL sum() twin
-            w = pd.Series(
-                pc.fill_null(t.column(weight_col), 0)
-                .cast(pa.int64())
-                .to_numpy(zero_copy_only=False)
-            )
-            keep = s.notna()
-            vc = w[keep.to_numpy()].groupby(s[keep].to_numpy()).sum()
-        return pa.table({"s": pa.array(vc.index.to_numpy(), type=pa.string()),
-                         "n": pa.array(vc.to_numpy().astype(np.int64))})
-
-    rows = ds.map_batches(counts, batch_format="pyarrow").take_all()
-    n_s: dict = {}
-    for r in rows:
-        n_s[r["s"]] = n_s.get(r["s"], 0) + r["n"]
+    n_s = _strata_mass(ds, strata_col, weight_col)
     total = sum(n_s.values())
     rates = {
         s: min(1.0, ((total_frac * total) * float(weights.get(s, 0.0))) / n)
@@ -744,16 +748,7 @@ def mixture_temperature(ds, *, alpha: float, total_frac: float,
     the bit-identical double on both sides."""
     from .sketches import sample_stratified
 
-    def counts(t: pa.Table) -> pa.Table:
-        s = pd.Series(t.column(strata_col).to_pylist(), dtype=object)
-        vc = s.value_counts(sort=False)  # null strata drop (rate 0)
-        return pa.table({"s": pa.array(vc.index.to_numpy(), type=pa.string()),
-                         "n": pa.array(vc.to_numpy().astype(np.int64))})
-
-    rows = ds.map_batches(counts, batch_format="pyarrow").take_all()
-    n_s: dict = {}
-    for r in rows:
-        n_s[r["s"]] = n_s.get(r["s"], 0) + r["n"]
+    n_s = _strata_mass(ds, strata_col, None)
     total = sum(n_s.values())
     # ordered arithmetic, mirrored verbatim by the SQL twin
     p_s = {s: (n / float(total)) ** float(alpha) for s, n in n_s.items()}

@@ -29,6 +29,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from .fold import fold
+
 #: odd multiplier for the rolling gram hash (uint64 wraparound)
 _GRAM_B = np.uint64(0x9E3779B97F4A7C15)
 
@@ -89,22 +91,17 @@ def contamination_grams(ds, *, w: int = 8, text_col: str = "text"):
     """Distinct n-gram hashes of the held-out set, as a sorted uint64
     array in the object store (``ObjectRef``).
 
-    Per-batch distinct first (thins the collect), then one driver-side
-    ``np.unique`` — the held-out side is small by contract; a held-out
-    set too large for one driver array should instead co-partition both
-    sides by gram hash (same kernels, join shape)."""
+    Per-batch distinct grams, merged as sorted unions through
+    :func:`stages.fold.fold` — the held-out side is small by contract;
+    a held-out set too large for one driver array should instead
+    co-partition both sides by gram hash (same kernels, join shape)."""
 
-    def batch_grams(t: pa.Table) -> pa.Table:
+    def batch_grams(t: pa.Table) -> np.ndarray:
         fh, counts = flat_token_hashes(t.column(text_col))
-        gh, _ = gram_hashes(fh, counts, w)
-        return pa.table({"g": pa.array(np.unique(gh))})
+        return np.unique(gram_hashes(fh, counts, w)[0])
 
-    rows = ds.map_batches(batch_grams, batch_format="pyarrow").take_all()
-    if rows:
-        grams = np.unique(np.fromiter((r["g"] for r in rows), dtype=np.uint64, count=len(rows)))
-    else:
-        grams = np.empty(0, dtype=np.uint64)
-    return ray.put(grams)
+    grams = fold(ds, batch_grams, lambda gs: np.unique(np.concatenate(gs)))
+    return ray.put(np.empty(0, dtype=np.uint64) if grams is None else grams)
 
 
 def decontaminate(ds, grams_ref, *, w: int = 8, text_col: str = "text", id_col: str = "doc_id"):

@@ -19,10 +19,9 @@ for Language Models via Importance Resampling", NeurIPS 2023):
 Shape at 100 TB:
 
 - Both count builds move ONE dense ``m``-length int64 vector per batch
-  (64 KiB at the default m=8192) through the fan-in-64 tree reduce of
-  :mod:`stages.sketches` — the driver merges ~N/4096 blobs and holds
-  exactly one m-vector per side.  The log-ratio vector ``lam`` (m
-  float64) broadcasts once via ``ray.put``.
+  (64 KiB at the default m=8192) through :func:`stages.fold.fold` —
+  the driver holds exactly one m-vector per side.  The log-ratio
+  vector ``lam`` (m float64) broadcasts once via ``ray.put``.
 - Scoring is ONE streaming ``map_batches`` pass: one Arrow split
   kernel, one vectorized hash, two gathers into ``lam``, two segmented
   left-to-right ``add.reduceat`` sums.  No shuffle, no join, no driver
@@ -54,9 +53,10 @@ import ray
 from . import segments
 from .corpus import _RACE_MOD, _RACE_MULT, group_topk
 from .decontam import flat_token_hashes, gram_hashes
+from .fold import fold
 
 #: Default hashed-feature bucket count (the paper uses 10^4; a power
-#: of two keeps the modulo cheap and the blob 64 KiB).
+#: of two keeps the modulo cheap and the partial 64 KiB).
 M_DEFAULT = 8192
 
 
@@ -69,35 +69,18 @@ def _doc_buckets(t: pa.Table, text_col: str, m: int):
     return (fh % mm).astype(np.int64), counts, (bh % mm).astype(np.int64), bdoc
 
 
-def _count_partial(t: pa.Table, text_col: str, m: int) -> pa.Table:
+def _count_partial(t: pa.Table, text_col: str, m: int) -> np.ndarray:
     ub, _, bb, _ = _doc_buckets(t, text_col, m)
-    vec = np.bincount(ub, minlength=m) + np.bincount(bb, minlength=m)
-    return pa.table({"counts": pa.array([vec.astype(np.int64).tobytes()],
-                                        type=pa.binary())})
-
-
-def _merge_vec_batch(t: pa.Table) -> pa.Table:
-    acc = None
-    for blob in t.column("counts").to_pylist():
-        v = np.frombuffer(blob, dtype=np.int64)
-        acc = v.copy() if acc is None else acc + v
-    return pa.table({"counts": pa.array([acc.tobytes()], type=pa.binary())})
+    return (np.bincount(ub, minlength=m) + np.bincount(bb, minlength=m)).astype(np.int64)
 
 
 def hashed_ngram_counts(ds, *, m: int = M_DEFAULT,
                         text_col: str = "text") -> np.ndarray:
     """Exact int64 bucket-count vector of a corpus' hashed unigram +
-    bigram features.  Per-batch dense partials tree-reduce worker-side
-    (fan-in 64, two hops); the driver merges ~N/4096 blobs."""
-    from .sketches import _tree_merge
-
-    partials = ds.map_batches(
-        lambda t: _count_partial(t, text_col, m), batch_format="pyarrow")
-    rows = _tree_merge(partials, _merge_vec_batch).take_all()
-    vec = np.zeros(m, dtype=np.int64)
-    for r in rows:
-        vec += np.frombuffer(r["counts"], dtype=np.int64)
-    return vec
+    bigram features: per-batch dense partials summed by
+    :func:`stages.fold.fold`."""
+    vec = fold(ds, lambda t: _count_partial(t, text_col, m), sum)
+    return np.zeros(m, dtype=np.int64) if vec is None else vec
 
 
 def dsir_log_ratio(target_counts: np.ndarray, raw_counts: np.ndarray,

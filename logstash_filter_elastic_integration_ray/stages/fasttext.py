@@ -15,7 +15,7 @@ This stage composes two existing proven pieces:
 - the quantized-int64 full-batch gradient-descent trainer
   (``stages/logreg.py``): per-sample fixed-point gradient quantization
   makes the partial sums exact integer arithmetic — associative, so
-  the fan-in-64 tree merge is bit-identical under ANY batching.
+  the fold (``stages/fold.py``) is bit-identical under ANY batching.
 
 Feature definition (shared verbatim with the reference):
 ``x[doc, b] = log1p(count of unigram/bigram hashes with h % d == b)``

@@ -40,7 +40,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from logstash_filter_elastic_integration_ray.stages.dedup import exact_dedup
-from logstash_filter_elastic_integration_ray.stages.joins import bloom_add, bloom_test
+from logstash_filter_elastic_integration_ray.stages.joins import bloom_fold, bloom_test
 
 __all__ = [
     "build_hash_corpus",
@@ -84,18 +84,11 @@ def _bucket_rows_fn(num_buckets: int):
     return fn
 
 
-def _bloom_partial_fn(m_bits: int, k: int):
-    """content_hash rows → one packed per-batch Bloom bitmap row — the
-    ONE construction used by both the build and every extension."""
-
-    def fn(t: pa.Table) -> pa.Table:
-        w = np.zeros(m_bits // 64, dtype=np.uint64)
-        if t.num_rows:
-            u = hash_hex_to_u64(t.column("content_hash")).astype(np.int64)
-            bloom_add(w, u, m_bits, k)
-        return pa.table({"w": pa.array([w.tobytes()], type=pa.binary())})
-
-    return fn
+def _bloom_words(hashes, m_bits: int, k: int) -> np.ndarray:
+    """Bloom words of a Dataset's ``content_hash`` column — the ONE
+    construction used by both the build and every extension."""
+    return bloom_fold(
+        hashes, lambda t: hash_hex_to_u64(t.column("content_hash")).astype(np.int64), m_bits, k)
 
 
 def _write_sidecar(corpus_dir: str, words: np.ndarray) -> None:
@@ -134,15 +127,9 @@ def build_hash_corpus(
     # pass 2: Bloom sidecar from the written (thin) layout
     from logstash_filter_elastic_integration_ray.sources.io import read_parquet_clean
 
-    from .joins import tree_or_blobs
-
     words = np.zeros(m_bits // 64, dtype=np.uint64)
     if glob.glob(os.path.join(layout, "bucket=*", "*.parquet")):
-        partials = read_parquet_clean(layout, columns=["content_hash"]).map_batches(
-            _bloom_partial_fn(m_bits, k), batch_format="pyarrow"
-        )
-        for r in tree_or_blobs(partials).take_all():
-            words |= np.frombuffer(r["w"], dtype=np.uint64)
+        words = _bloom_words(read_parquet_clean(layout, columns=["content_hash"]), m_bits, k)
     # else: EMPTY corpus (bootstrap ingest) — write_parquet emits no
     # files for an empty dataset; an all-zero Bloom correctly makes
     # every future probe bloom-negative (definitely new)
@@ -258,11 +245,7 @@ def extend_hash_corpus(new_hashes, corpus_dir: str) -> str:
     tagged = new_hashes.map_batches(
         _bucket_rows_fn(num_buckets), batch_format="pyarrow"
     ).materialize()
-    from .joins import tree_or_blobs
-
-    partials = tagged.map_batches(_bloom_partial_fn(m_bits, k), batch_format="pyarrow")
-    for r in tree_or_blobs(partials).take_all():
-        words = words | np.frombuffer(r["w"], dtype=np.uint64)
+    words = words | _bloom_words(tagged, m_bits, k)
     _write_sidecar(corpus_dir, words)
     tagged.write_parquet(os.path.join(corpus_dir, "hashes"), partition_cols=["bucket"])
     return corpus_dir

@@ -27,7 +27,9 @@ import pandas as pd
 import pyarrow as pa
 
 from ..sources.io import engine_plan
+from .corpus import _bounds
 from .exchange import cogroup, copartition
+from .fold import fold
 
 
 def _dataset_schema(ds) -> pa.Schema:
@@ -194,21 +196,17 @@ def range_join_chunked(
     _disjoint_or_raise(left_cols, right_cols, "range_join_chunked")
 
     # ---- pass 1: global [mn, mx] of the left key (tiny partials) ------
-    def stats(t: pa.Table) -> pa.Table:
+    def keys(t: pa.Table) -> np.ndarray:
         v = _numeric_view(t.column(on_left))
-        v = v[~np.isnan(v)]
-        if not len(v):
-            return pa.table({"mn": pa.array([], type=pa.float64()),
-                             "mx": pa.array([], type=pa.float64())})
-        return pa.table({"mn": [float(v.min())], "mx": [float(v.max())]})
+        return v[~np.isnan(v)]
 
-    st = left.map_batches(stats, batch_format="pyarrow").to_pandas()
+    st = _bounds(left, keys)
     empty = pa.table({f.name: pa.nulls(0, type=f.type) for f in output_schema})
-    if not len(st):
+    if st is None:
         import ray.data as rd
 
         return engine_plan(rd.from_arrow(empty))
-    mn, mx = float(st["mn"].min()), float(st["mx"].max())
+    mn, mx = st
     width = (mx - mn) / num_chunks
 
     def chunk_of(v: np.ndarray) -> np.ndarray:
@@ -324,55 +322,31 @@ def _bloom_probes(keys: np.ndarray, m_bits: int, k: int):
     return ((h1[:, None] + i[None, :] * h2[:, None]) % np.uint64(m_bits)).astype(np.int64)
 
 
-def bloom_add(words: np.ndarray, keys: np.ndarray, m_bits: int, k: int) -> None:
-    """Set the probe bits of ``keys`` in the packed uint64 word array —
-    the single write-side primitive shared by every Bloom builder
-    (joins and the incremental-dedup corpus sidecar)."""
-    if len(keys):
-        pos = _bloom_probes(keys, m_bits, k).ravel()
+def bloom_fold(ds, keys_of, m_bits: int, k: int) -> np.ndarray:
+    """Bloom filter of ``keys_of(batch)`` (int64 keys) over ``ds`` as a
+    packed uint64 word array: per-batch bitmaps OR-merged through
+    :func:`stages.fold.fold` — the one construction behind the join
+    prefilter and the incremental-dedup corpus sidecar.  OR is
+    commutative and idempotent, so the merge order cannot change the
+    filter; an empty ``ds`` gives all-zero words."""
+
+    def partial(t: pa.Table) -> np.ndarray:
+        pos = _bloom_probes(keys_of(t), m_bits, k).ravel()
+        words = np.zeros(m_bits // 64, dtype=np.uint64)
         np.bitwise_or.at(words, pos // 64, np.uint64(1) << (pos % 64).astype(np.uint64))
+        return words
 
-
-def bloom_or_merge_batch(t: pa.Table) -> pa.Table:
-    """Merge a batch of Bloom word blobs into ONE row by bitwise OR —
-    the worker-side fold for :func:`tree_or_blobs`."""
-    acc = None
-    for blob in t.column("w").to_pylist():
-        m = np.frombuffer(blob, dtype=np.uint64)
-        acc = m.copy() if acc is None else acc | m
-    return pa.table({"w": pa.array([acc.tobytes()], type=pa.binary())})
-
-
-def tree_or_blobs(partials):
-    """Tree-reduce per-batch Bloom blobs worker-side (the same fan-in
-    64 × two-level reduction the CMS/HLL/KLL builders use): at ~10^6
-    input batches the driver would otherwise collect m_bits/8 bytes ×
-    batches — 128 GiB at the defaults; after the tree it merges
-    ~N/4096 blobs.  OR is commutative + idempotent, so the tree shape
-    cannot change the filter."""
-    from .sketches import _tree_merge
-
-    return _tree_merge(partials, bloom_or_merge_batch)
+    words = fold(ds, partial, np.bitwise_or.reduce)
+    return np.zeros(m_bits // 64, dtype=np.uint64) if words is None else words
 
 
 def build_key_bloom(right, right_key: str, *, m_bits: int = 1 << 20, k: int = 4):
-    """Bloom filter of the right side's keys as a packed uint64 word
-    array: per-batch bitmaps tree-reduce worker-side, the driver
-    OR-merges ~N/4096 blobs (m_bits/8 bytes each — 128 KiB at the
-    default 2^20 bits).  No false negatives ever; false-positive rate
-    ~(1-e^{-kn/m})^k."""
-
-    def batch_bloom(t: pa.Table) -> pa.Table:
-        ks = t.column(right_key).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        words = np.zeros(m_bits // 64, dtype=np.uint64)
-        bloom_add(words, ks, m_bits, k)
-        return pa.table({"w": pa.array([words.tobytes()], type=pa.binary())})
-
-    partials = right.map_batches(batch_bloom, batch_format="pyarrow")
-    rows = tree_or_blobs(partials).take_all()
-    words = np.zeros(m_bits // 64, dtype=np.uint64)
-    for r in rows:
-        words |= np.frombuffer(r["w"], dtype=np.uint64)
+    """Bloom filter of the right side's keys (:func:`bloom_fold`, m_bits/8
+    bytes per batch — 128 KiB at the default 2^20 bits).  No false
+    negatives ever; false-positive rate ~(1-e^{-kn/m})^k."""
+    words = bloom_fold(
+        right, lambda t: t.column(right_key).cast(pa.int64()).to_numpy(zero_copy_only=False),
+        m_bits, k)
     return words, m_bits, k
 
 

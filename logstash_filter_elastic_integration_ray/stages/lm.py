@@ -18,9 +18,8 @@ Shape at 100 TB (mirrors ``stages/decontam.py``, the other
 small-by-contract broadcast):
 
 - **Train**: per-batch LOCAL token/bigram counts (two thin uint64-hash
-  count tables per batch) tree-reduce worker-side through the sketch
-  machinery's fan-in-64 merge hops, so the driver merges ~N/4096 count
-  tables, prunes rows below ``min_count`` and broadcasts two sorted
+  count tables per batch) merge through :func:`stages.fold.fold`; the
+  driver prunes rows below ``min_count`` and broadcasts two sorted
   (hash, count) arrays via ``ray.put`` — O(pruned vocab) driver state,
   by contract ≪ corpus (the reference corpus is GBs when the crawl is
   TBs).  A reference corpus too large for one driver table should
@@ -60,6 +59,7 @@ from . import segments
 from .decontam import flat_token_hashes, gram_hashes
 from .dsir import _segment_sums
 from .exchange import lookup
+from .fold import fold
 
 #: Stupid Backoff's published back-off multiplier.
 ALPHA = 0.4
@@ -73,21 +73,6 @@ def _count_table(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, c.astype(np.int64)
 
 
-def _pack(uni_h, uni_c, bi_h, bi_c, n_tokens: int) -> pa.Table:
-    return pa.table({
-        "uni_h": pa.array([uni_h.tobytes()], type=pa.binary()),
-        "uni_c": pa.array([uni_c.tobytes()], type=pa.binary()),
-        "bi_h": pa.array([bi_h.tobytes()], type=pa.binary()),
-        "bi_c": pa.array([bi_c.tobytes()], type=pa.binary()),
-        "n_tokens": pa.array([n_tokens], type=pa.int64()),
-    })
-
-
-def _unpack_row(uni_h, uni_c, bi_h, bi_c):
-    return (np.frombuffer(uni_h, dtype=np.uint64), np.frombuffer(uni_c, dtype=np.int64),
-            np.frombuffer(bi_h, dtype=np.uint64), np.frombuffer(bi_c, dtype=np.int64))
-
-
 def _merge_tables(hs: list[np.ndarray], cs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Exact merge of sorted (hash, count) tables: concat + one run per
     hash, counts summed — int64 counts, no float."""
@@ -99,25 +84,19 @@ def _merge_tables(hs: list[np.ndarray], cs: list[np.ndarray]) -> tuple[np.ndarra
     return h[r.order[r.starts]], segments.sum(r, c).data
 
 
-def _merge_count_batch(t: pa.Table) -> pa.Table:
-    """Worker-side fold for the tree reduce: merge a batch of packed
-    count-table rows into ONE row (sum counts per hash, sum totals)."""
-    uh, uc, bh, bc, total = [], [], [], [], 0
-    for row in t.to_pylist():
-        a, b, c, d = _unpack_row(row["uni_h"], row["uni_c"], row["bi_h"], row["bi_c"])
-        uh.append(a); uc.append(b); bh.append(c); bc.append(d)
-        total += row["n_tokens"]
-    mu_h, mu_c = _merge_tables(uh, uc)
-    mb_h, mb_c = _merge_tables(bh, bc)
-    return _pack(mu_h, mu_c, mb_h, mb_c, total)
+def _merge_counts(parts: list) -> tuple:
+    """Merge ``_train_partial`` values: count tables per hash, token
+    totals summed."""
+    uni = _merge_tables([p[0] for p in parts], [p[1] for p in parts])
+    bi = _merge_tables([p[2] for p in parts], [p[3] for p in parts])
+    return (*uni, *bi, sum(p[4] for p in parts))
 
 
-def _train_partial(t: pa.Table, text_col: str) -> pa.Table:
+def _train_partial(t: pa.Table, text_col: str) -> tuple:
+    """(unigram hashes, counts, bigram hashes, counts, tokens) of a batch."""
     fh, counts = flat_token_hashes(t.column(text_col))
     bh, _ = gram_hashes(fh, counts, 2)
-    uni_h, uni_c = _count_table(fh)
-    bi_h, bi_c = _count_table(bh)
-    return _pack(uni_h, uni_c, bi_h, bi_c, int(len(fh)))
+    return (*_count_table(fh), *_count_table(bh), int(len(fh)))
 
 
 class BigramLM:
@@ -140,21 +119,11 @@ def train_bigram_lm(ref_corpus, *, min_count: int = 1, text_col: str = "text"):
     """Count unigrams + bigrams of the reference corpus and broadcast
     the pruned model (``ObjectRef`` of :class:`BigramLM`).
 
-    Per-batch local count tables tree-reduce worker-side (fan-in 64,
-    two hops — the :mod:`stages.sketches` reduction), so the driver
-    merges ~N/4096 tables, never one per batch."""
-    from .sketches import _tree_merge
-
-    partials = ref_corpus.map_batches(
-        lambda t: _train_partial(t, text_col), batch_format="pyarrow")
-    rows = _tree_merge(partials, _merge_count_batch).take_all()
-    uh, uc, bh, bc, total = [], [], [], [], 0
-    for row in rows:
-        a, b, c, d = _unpack_row(row["uni_h"], row["uni_c"], row["bi_h"], row["bi_c"])
-        uh.append(a); uc.append(b); bh.append(c); bc.append(d)
-        total += row["n_tokens"]
-    uni_h, uni_c = _merge_tables(uh, uc) if uh else (np.empty(0, np.uint64), np.empty(0, np.int64))
-    bi_h, bi_c = _merge_tables(bh, bc) if bh else (np.empty(0, np.uint64), np.empty(0, np.int64))
+    Per-batch local count tables merge through :func:`stages.fold.fold`."""
+    merged = fold(ref_corpus, lambda t: _train_partial(t, text_col), _merge_counts)
+    if merged is None:  # empty train corpus
+        merged = _train_partial(pa.table({text_col: pa.array([], pa.string())}), text_col)
+    uni_h, uni_c, bi_h, bi_c, total = merged
     if min_count > 1:
         keep = uni_c >= min_count
         uni_h, uni_c = uni_h[keep], uni_c[keep]
@@ -256,8 +225,8 @@ def perplexity_score(ds, lm_ref, *, text_col: str = "text", id_col: str = "doc_i
 # TBs).  Per-batch partials carry the distinct-type tables WITH the
 # component hashes each derived count groups on (prefix / suffix /
 # middle ride as satellite columns — deterministic functions of the
-# type, so any occurrence's value is THE value); the fan-in-64 tree
-# merge folds them worker-side and the driver groups the final pruned
+# type, so any occurrence's value is THE value); stages/fold.py merges
+# them and the driver groups the final pruned
 # tables with O(model) numpy passes.  Scoring is ONE streaming
 # map_batches pass: three rolling-hash arrays, seven searchsorted
 # probes, one segmented add.reduceat.
@@ -298,22 +267,8 @@ def _merge_typed(hs, cs, sats_list):
     return (h[head], segments.sum(r, c).data, *[s[head] for s in sats])
 
 
-_KN_COLS = ("tri_h", "tri_c", "tri_pre", "tri_suf", "tri_v",
-            "bi_h", "bi_c", "bi_pre", "bi_suf", "uni_h", "uni_c")
-_KN_DTYPES = {"tri_c": np.int64, "bi_c": np.int64, "uni_c": np.int64}
-
-
-def _kn_pack(**arrs) -> pa.Table:
-    return pa.table({k: pa.array([arrs[k].tobytes()], type=pa.binary())
-                     for k in _KN_COLS})
-
-
-def _kn_unpack(row: dict) -> dict:
-    return {k: np.frombuffer(row[k], dtype=_KN_DTYPES.get(k, np.uint64))
-            for k in _KN_COLS}
-
-
-def _kn_train_partial(t: pa.Table, text_col: str) -> pa.Table:
+def _kn_train_partial(t: pa.Table, text_col: str) -> dict:
+    """One batch's KN type tables, keyed as :class:`KnTrigramLM` reads them."""
     fh, counts = flat_token_hashes(t.column(text_col))
     n = len(fh)
     doc_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
@@ -334,13 +289,13 @@ def _kn_train_partial(t: pa.Table, text_col: str) -> pa.Table:
     t_h, t_c, t_pre, t_suf, t_v = _type_table(th, tri_pre, tri_suf, tri_v)
     b_h, b_c, b_pre, b_suf = _type_table(bh, bi_pre_u, bi_suf_u)
     u_h, u_c = _count_table(fh)
-    return _kn_pack(tri_h=t_h, tri_c=t_c, tri_pre=t_pre, tri_suf=t_suf,
-                    tri_v=t_v, bi_h=b_h, bi_c=b_c, bi_pre=b_pre,
-                    bi_suf=b_suf, uni_h=u_h, uni_c=u_c)
+    return dict(tri_h=t_h, tri_c=t_c, tri_pre=t_pre, tri_suf=t_suf,
+                tri_v=t_v, bi_h=b_h, bi_c=b_c, bi_pre=b_pre,
+                bi_suf=b_suf, uni_h=u_h, uni_c=u_c)
 
 
-def _kn_merge_batch(t: pa.Table) -> pa.Table:
-    rows = [_kn_unpack(r) for r in t.to_pylist()]
+def _kn_merge(rows: list[dict]) -> dict:
+    """Merge :func:`_kn_train_partial` values: counts summed per type."""
     t_h, t_c, t_pre, t_suf, t_v = _merge_typed(
         [r["tri_h"] for r in rows], [r["tri_c"] for r in rows],
         [[r["tri_pre"] for r in rows], [r["tri_suf"] for r in rows],
@@ -350,9 +305,9 @@ def _kn_merge_batch(t: pa.Table) -> pa.Table:
         [[r["bi_pre"] for r in rows], [r["bi_suf"] for r in rows]])
     u_h, u_c = _merge_tables([r["uni_h"] for r in rows],
                              [r["uni_c"] for r in rows])
-    return _kn_pack(tri_h=t_h, tri_c=t_c, tri_pre=t_pre, tri_suf=t_suf,
-                    tri_v=t_v, bi_h=b_h, bi_c=b_c, bi_pre=b_pre,
-                    bi_suf=b_suf, uni_h=u_h, uni_c=u_c)
+    return dict(tri_h=t_h, tri_c=t_c, tri_pre=t_pre, tri_suf=t_suf,
+                tri_v=t_v, bi_h=b_h, bi_c=b_c, bi_pre=b_pre,
+                bi_suf=b_suf, uni_h=u_h, uni_c=u_c)
 
 
 def _group_count(keys: np.ndarray, weights: np.ndarray | None = None):
@@ -387,31 +342,13 @@ class KnTrigramLM:
 
 def train_kn_lm(ref_corpus, *, text_col: str = "text"):
     """Count trigram/bigram/unigram TYPE tables of the reference corpus
-    (component hashes riding as satellites), tree-reduce worker-side,
-    build the seven KN lookup tables on the driver, broadcast once."""
-    from .sketches import _tree_merge
-
-    partials = ref_corpus.map_batches(
-        lambda t: _kn_train_partial(t, text_col), batch_format="pyarrow")
-    rows = [_kn_unpack(r) for r in _tree_merge(partials, _kn_merge_batch).take_all()]
-    if rows:
-        t_h, t_c, t_pre, t_suf, t_v = _merge_typed(
-            [r["tri_h"] for r in rows], [r["tri_c"] for r in rows],
-            [[r["tri_pre"] for r in rows], [r["tri_suf"] for r in rows],
-             [r["tri_v"] for r in rows]])
-        b_h, b_c, b_pre, b_suf = _merge_typed(
-            [r["bi_h"] for r in rows], [r["bi_c"] for r in rows],
-            [[r["bi_pre"] for r in rows], [r["bi_suf"] for r in rows]])
-        u_h, u_c = _merge_tables([r["uni_h"] for r in rows],
-                                 [r["uni_c"] for r in rows])
-    else:  # empty train corpus
-        e_u, e_i = np.empty(0, np.uint64), np.empty(0, np.int64)
-        t_h = t_pre = t_suf = t_v = b_h = b_pre = b_suf = u_h = e_u
-        t_c = b_c = u_c = e_i
-    return ray.put(KnTrigramLM({
-        "tri_h": t_h, "tri_c": t_c, "tri_pre": t_pre, "tri_suf": t_suf,
-        "tri_v": t_v, "bi_h": b_h, "bi_c": b_c, "bi_pre": b_pre,
-        "bi_suf": b_suf, "uni_h": u_h, "uni_c": u_c}))
+    (component hashes riding as satellites), merge them through
+    :func:`stages.fold.fold`, build the seven KN lookup tables on the
+    driver, broadcast once."""
+    merged = fold(ref_corpus, lambda t: _kn_train_partial(t, text_col), _kn_merge)
+    if merged is None:  # empty train corpus
+        merged = _kn_train_partial(pa.table({text_col: pa.array([], pa.string())}), text_col)
+    return ray.put(KnTrigramLM(merged))
 
 
 def _kn_score_arrays(lm: KnTrigramLM, fh: np.ndarray, counts: np.ndarray) -> np.ndarray:

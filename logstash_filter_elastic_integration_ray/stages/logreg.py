@@ -7,9 +7,9 @@ corpus, filter on the probability).
 Shape at 100 TB (the k-means template, stages/clustering.py): each
 full-batch gradient step broadcasts the (d+1)-float weight vector
 (``ray.put`` once, zero-copy read per task), ``map_batches`` computes
-per-batch partial gradients — ONE (d+1)-long int64 row per batch is
-all that moves — a fan-in-64 tree merge reduces them worker-side, and
-the driver updates d+1 floats.  Nothing proportional to the dataset
+per-batch partial gradients — ONE (d+1)-long int64 vector per batch
+is all that moves — :func:`stages.fold.fold` sums them, and the driver
+updates d+1 floats.  Nothing proportional to the dataset
 ever reaches the driver; scoring is one streaming pass.
 
 Determinism contract (bit-identical under ANY batching, proven by the
@@ -26,9 +26,8 @@ fixture oracle + pytest):
   evaluates the identical formulas and must match byte-for-byte.
 
 Overflow headroom: |r| ≤ 1 and unit-scale features keep each
-contribution ≲ 2^29; an int64 coordinate absorbs ~2^34 rows per
-partial before overflow — the tree merge keeps every accumulator far
-below that (and the driver-side final sum is ≤ fan-in² rows).
+contribution ≲ 2^29; an int64 coordinate absorbs ~2^34 rows before
+the summed gradient overflows.
 
 Reference parity note: the reference plugin has no model stage — this
 is an engine-native training-data operator (SURVEY §2.9), the
@@ -42,6 +41,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from .clustering import _sum_partials
+from .fold import fold
 from .similarity import _to_matrix
 
 #: fixed-point scale for gradient quantization — 28 fractional bits
@@ -75,20 +76,23 @@ def grad_partial_int(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.r_[g, gb]
 
 
-def _pack_grad(g_int: np.ndarray, n: int) -> pa.Table:
-    return pa.table({
-        "g": pa.array([g_int.tobytes()], type=pa.binary()),
-        "n": pa.array([n], type=pa.int64()),
-    })
-
-
-def _merge_grad_batch(t: pa.Table) -> pa.Table:
-    acc, n = None, 0
-    for row in t.to_pylist():
-        v = np.frombuffer(row["g"], dtype=np.int64)
-        acc = v.copy() if acc is None else acc + v
-        n += row["n"]
-    return _pack_grad(acc, n)
+def _descend(ds, n_iters: int, lr: float, grad_of, what: str) -> np.ndarray:
+    """Full-batch gradient descent over the materialized ``ds``.
+    ``grad_of(batch, w)`` is one batch's quantized int64 gradient at
+    ``w`` (zeros of the gradient's shape when ``w`` is None)."""
+    ds = ds.materialize()
+    w = None
+    for _ in range(n_iters):
+        w_ref = ray.put(w)
+        got = fold(ds, lambda b: (grad_of(b, ray.get(w_ref)), b.num_rows), _sum_partials)
+        if got is None:
+            raise ValueError(f"{what}: input dataset has no rows")
+        g_int, n_total = got
+        if w is None:
+            w = np.zeros(g_int.shape, dtype=np.float64)
+        grad = g_int.astype(np.float64) / _GSCALE / np.float64(max(n_total, 1))
+        w = w - np.float64(lr) * grad
+    return w
 
 
 def logreg_fit(ds, *, label_fn, n_iters: int = 20, lr: float = 1.0,
@@ -108,36 +112,16 @@ def logreg_fit(ds, *, label_fn, n_iters: int = 20, lr: float = 1.0,
     ``n_iters`` times, and a lazy composed upstream would re-execute
     its whole lineage per gradient step.
     """
-    ds = ds.materialize()
-    w = None
 
-    for _ in range(n_iters):
-        w_ref = ray.put(w)
-
-        def batch_grad(batch: pa.Table) -> pa.Table:
-            x = (feats_fn(batch) if feats_fn is not None
-                 else _to_matrix(batch.column(emb_col)))
-            cur = ray.get(w_ref)
-            if cur is None:
-                cur = np.zeros(x.shape[1] + 1, dtype=np.float64)
-            y = np.asarray(label_fn(batch), dtype=np.float64)
-            return _pack_grad(grad_partial_int(x, y, cur), x.shape[0])
-
-        from .sketches import _tree_merge
-
-        partials = ds.map_batches(batch_grad, batch_format="pyarrow")
-        g_int, n_total = None, 0
-        for row in _tree_merge(partials, _merge_grad_batch).take_all():
-            v = np.frombuffer(row["g"], dtype=np.int64)
-            g_int = v.copy() if g_int is None else g_int + v
-            n_total += row["n"]
-        if g_int is None:
-            raise ValueError("logreg_fit: input dataset has no rows")
+    def grad_of(batch: pa.Table, w) -> np.ndarray:
+        x = (feats_fn(batch) if feats_fn is not None
+             else _to_matrix(batch.column(emb_col)))
         if w is None:
-            w = np.zeros(len(g_int), dtype=np.float64)
-        grad = g_int.astype(np.float64) / _GSCALE / np.float64(max(n_total, 1))
-        w = w - np.float64(lr) * grad
-    return w
+            w = np.zeros(x.shape[1] + 1, dtype=np.float64)
+        y = np.asarray(label_fn(batch), dtype=np.float64)
+        return grad_partial_int(x, y, w)
+
+    return _descend(ds, n_iters, lr, grad_of, "logreg_fit")
 
 
 def logreg_score(ds, w: np.ndarray, *, id_col: str = "vec_id",
@@ -161,7 +145,7 @@ def logreg_reference(x: np.ndarray, y: np.ndarray, *, n_iters: int = 20,
                      lr: float = 1.0) -> np.ndarray:
     """Single-process reference trainer: identical quantized-gradient
     formula, no Ray (int64 sums are associative, so one-shot summation
-    here equals the engine's tree merge exactly)."""
+    here equals the engine's fold exactly)."""
     w = np.zeros(x.shape[1] + 1, dtype=np.float64)
     for _ in range(n_iters):
         g_int = grad_partial_int(x, np.asarray(y, dtype=np.float64), w)
@@ -172,9 +156,9 @@ def logreg_reference(x: np.ndarray, y: np.ndarray, *, n_iters: int = 20,
 
 # ---------------------------------------------------------------------------
 # multiclass softmax regression — same broadcast + quantized-int64
-# partial-gradient machinery, K classes at once.  The gradient batch
-# row is one (K, d+1) int64 blob; everything else mirrors the binary
-# path (and shares its determinism contract).
+# partial-gradient machinery, K classes at once.  A batch's gradient
+# is one (K, d+1) int64 array; everything else is the binary path's
+# :func:`_descend` (and shares its determinism contract).
 # ---------------------------------------------------------------------------
 
 def softmax_probs(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -216,36 +200,15 @@ def softmax_fit(ds, *, n_classes: int, label_fn, n_iters: int = 20, lr: float = 
                 emb_col: str = "embedding") -> np.ndarray:
     """Full-batch softmax GD; returns (K, d+1) weights.  ``label_fn``
     maps a batch to int class ids in [0, n_classes)."""
-    ds = ds.materialize()
-    w = None
 
-    for _ in range(n_iters):
-        w_ref = ray.put(w)
-
-        def batch_grad(batch: pa.Table) -> pa.Table:
-            x = _to_matrix(batch.column(emb_col))
-            cur = ray.get(w_ref)
-            if cur is None:
-                cur = np.zeros((n_classes, x.shape[1] + 1), dtype=np.float64)
-            y = np.asarray(label_fn(batch), dtype=np.int64)
-            return _pack_grad(softmax_grad_partial_int(x, y, cur), x.shape[0])
-
-        from .sketches import _tree_merge
-
-        partials = ds.map_batches(batch_grad, batch_format="pyarrow")
-        g_int, n_total = None, 0
-        for row in _tree_merge(partials, _merge_grad_batch).take_all():
-            v = np.frombuffer(row["g"], dtype=np.int64)
-            g_int = v.copy() if g_int is None else g_int + v
-            n_total += row["n"]
-        if g_int is None:
-            raise ValueError("softmax_fit: input dataset has no rows")
-        d1 = len(g_int) // n_classes
+    def grad_of(batch: pa.Table, w) -> np.ndarray:
+        x = _to_matrix(batch.column(emb_col))
         if w is None:
-            w = np.zeros((n_classes, d1), dtype=np.float64)
-        grad = g_int.reshape(n_classes, d1).astype(np.float64) / _GSCALE / np.float64(max(n_total, 1))
-        w = w - np.float64(lr) * grad
-    return w
+            w = np.zeros((n_classes, x.shape[1] + 1), dtype=np.float64)
+        y = np.asarray(label_fn(batch), dtype=np.int64)
+        return softmax_grad_partial_int(x, y, w).reshape(n_classes, -1)
+
+    return _descend(ds, n_iters, lr, grad_of, "softmax_fit")
 
 
 def softmax_score(ds, w: np.ndarray, *, id_col: str = "vec_id",
@@ -268,7 +231,7 @@ def softmax_score(ds, w: np.ndarray, *, id_col: str = "vec_id",
 def softmax_reference(x: np.ndarray, y: np.ndarray, *, n_classes: int,
                       n_iters: int = 20, lr: float = 1.0) -> np.ndarray:
     """Single-process twin of :func:`softmax_fit` (int64 partial sums
-    are associative, so one-shot summation equals the tree merge)."""
+    are associative, so one-shot summation equals the fold)."""
     w = np.zeros((n_classes, x.shape[1] + 1), dtype=np.float64)
     for _ in range(n_iters):
         g_int = softmax_grad_partial_int(x, np.asarray(y, dtype=np.int64), w)

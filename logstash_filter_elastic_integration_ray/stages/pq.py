@@ -12,10 +12,10 @@ The scan never touches floats.
 
 Shape: training is the k-means loop shape (``stages/clustering.py``)
 run over all m subspaces in ONE pass per iteration — per batch the
-only thing that moves is an (m·k·d_sub + m·k)-int64 blob; encoding and
-scanning are stateless streaming passes with the codebooks broadcast
-once.  Top-k merges through per-batch local partials, the
-``stages/similarity.py`` pattern.
+only thing that moves is an (m·k·d_sub + m·k)-int64 partial, summed
+by :func:`stages.fold.fold`; encoding and scanning are stateless
+streaming passes with the codebooks broadcast once.  Top-k merges
+through per-batch local partials, the ``stages/similarity.py`` pattern.
 
 Determinism contract (extends the k-means fixed-point contract):
 subvectors quantize to int64 via the SHARED ``quantize`` kernel,
@@ -36,7 +36,15 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from .clustering import assign_clusters, partial_sums, quantize, update_centroids
+from .clustering import (
+    _sum_partials,
+    assign_clusters,
+    partial_sums,
+    quantize,
+    smallest_ids_init,
+    update_centroids,
+)
+from .fold import fold
 from .similarity import _to_matrix
 
 
@@ -44,19 +52,6 @@ def _split_dims(d: int, m: int) -> int:
     if d % m != 0:
         raise ValueError(f"embedding dim {d} not divisible into m={m} subspaces")
     return d // m
-
-
-def _pack_blob(sums: np.ndarray, counts: np.ndarray) -> pa.Table:
-    return pa.table({
-        "sums": pa.array([sums.tobytes()], type=pa.binary()),
-        "counts": pa.array([counts.tobytes()], type=pa.binary()),
-    })
-
-
-def _unpack_blob(row: dict, m: int, k: int, dsub: int):
-    s = np.frombuffer(row["sums"], dtype=np.int64).reshape(m, k, dsub)
-    c = np.frombuffer(row["counts"], dtype=np.int64).reshape(m, k)
-    return s, c
 
 
 def pq_train(ds, *, m: int = 8, k: int = 16, n_iters: int = 8,
@@ -67,24 +62,7 @@ def pq_train(ds, *, m: int = 8, k: int = 16, n_iters: int = 8,
     smallest ids (the :func:`stages.clustering.kmeans_fit` rule — any
     id space, deterministic, duplicate ids raise).  Each iteration is
     ONE streaming pass; all m subspaces update together."""
-
-    def local_smallest(t: pa.Table) -> pa.Table:
-        t = t.select([id_col, emb_col])
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        if len(ids) <= k:
-            return t
-        keep = np.argpartition(ids, k)[:k]
-        return t.take(pa.array(np.sort(keep)))
-
-    init_rows = ds.map_batches(local_smallest, batch_format="pyarrow").take_all()
-    init_rows.sort(key=lambda r: r[id_col])
-    init_rows = init_rows[:k]
-    seen = [r[id_col] for r in init_rows]
-    if len(set(seen)) != len(seen):
-        raise ValueError(f"duplicate ids among the {k} smallest: deterministic init impossible")
-    if len(init_rows) < k:
-        raise ValueError(f"need at least k={k} rows for init, got {len(init_rows)}")
-    init = quantize(np.stack([np.asarray(r[emb_col], dtype=np.float64) for r in init_rows]))
+    init = smallest_ids_init(ds, k, id_col, emb_col)
     d = init.shape[1]
     dsub = _split_dims(d, m)
     books = np.stack([init[:, j * dsub:(j + 1) * dsub].copy() for j in range(m)])
@@ -92,7 +70,7 @@ def pq_train(ds, *, m: int = 8, k: int = 16, n_iters: int = 8,
     for _ in range(n_iters):
         books_ref = ray.put(books)
 
-        def batch_partials(batch: pa.Table) -> pa.Table:
+        def batch_partials(batch: pa.Table) -> tuple:
             bks = ray.get(books_ref)
             x_int = quantize(_to_matrix(batch.column(emb_col)))
             sums = np.empty((m, k, dsub), dtype=np.int64)
@@ -100,28 +78,10 @@ def pq_train(ds, *, m: int = 8, k: int = 16, n_iters: int = 8,
             for j in range(m):
                 xj = x_int[:, j * dsub:(j + 1) * dsub]
                 a = assign_clusters(xj, bks[j])
-                s, c = partial_sums(xj, a, k)
-                sums[j], counts[j] = s, c
-            return _pack_blob(sums, counts)
+                sums[j], counts[j] = partial_sums(xj, a, k)
+            return sums, counts
 
-        def merge_block(t: pa.Table) -> pa.Table:
-            acc_s = np.zeros((m, k, dsub), dtype=np.int64)
-            acc_c = np.zeros((m, k), dtype=np.int64)
-            for row in t.to_pylist():
-                s, c = _unpack_blob(row, m, k, dsub)
-                acc_s += s
-                acc_c += c
-            return _pack_blob(acc_s, acc_c)
-
-        partials = ds.map_batches(batch_partials, batch_format="pyarrow")
-        merged = partials.repartition(8).map_batches(
-            merge_block, batch_format="pyarrow", batch_size=None)
-        acc_s = np.zeros((m, k, dsub), dtype=np.int64)
-        acc_c = np.zeros((m, k), dtype=np.int64)
-        for row in merged.take_all():
-            s, c = _unpack_blob(row, m, k, dsub)
-            acc_s += s
-            acc_c += c
+        acc_s, acc_c = fold(ds, batch_partials, _sum_partials)
         books = np.stack([
             update_centroids(books[j], acc_s[j], acc_c[j]) for j in range(m)])
     return books

@@ -2,10 +2,10 @@
 surface): row count, null count, exact distinct count, min and max for
 every requested column, as one long-format table.
 
-Scale shape — three bounded exchanges, never a row-sized collect:
+Scale shape — a fold and a bounded exchange, never a row-sized collect:
 
 - **count/null/min/max**: per-batch partials (ONE row per column per
-  batch) reduce through a single thin block; min/max stay TYPED
+  batch) merge through :func:`stages.fold.fold`; min/max stay TYPED
   through the merge (an int column's min must compare numerically, not
   lexicographically) and stringify only in the final row assembly.
 - **exact distinct**: batches forward their DISTINCT (column, value)
@@ -30,6 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from logstash_filter_elastic_integration_ray.stages.exchange import exchange
+from logstash_filter_elastic_integration_ray.stages.fold import fold
 
 
 def _stats_partial(t: pa.Table, columns: list[str]) -> pa.Table:
@@ -105,12 +106,10 @@ def profile_columns(ds, *, columns: list[str], num_partitions: int = 32) -> pd.D
     """Profile ``columns`` of ``ds``; returns the long-format pandas
     frame (col_name, n, n_null, n_distinct, min_val, max_val) — one
     row per column, O(columns) driver state."""
-    stats = (
-        ds.map_batches(lambda t: _stats_partial(t, columns), batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(_stats_merge, batch_format="pandas")
-        .to_pandas()
-    )
+    stats = fold(ds, lambda t: _stats_partial(t, columns).to_pandas(),
+                 lambda parts: _stats_merge(pd.concat(parts, ignore_index=True)))
+    if stats is None:  # no rows: every column counts 0
+        stats = _stats_partial(pa.table({c: pa.nulls(0) for c in columns}), columns).to_pandas()
     # route by value so one column's universe spreads over partitions
     # (a per-column route would serialize the widest column)
     dist = exchange(ds.map_batches(lambda t: _distinct_pairs(t, columns), batch_format="pyarrow"),

@@ -37,6 +37,7 @@ import pyarrow as pa
 from . import segments
 from .aggregate import _first_occurrence_codes
 from .exchange import exchange
+from .fold import fold
 
 # ---------------------------------------------------------------------------
 # heavy hitters — exact two-phase
@@ -199,19 +200,16 @@ def exact_quantiles(ds, col: str, qs: list[float], num_bins: int = 4096,
     qs = sorted(set(float(q) for q in qs))
 
     # ---- pass 1: min / max / count partials ---------------------------
-    def stats(t: pa.Table) -> pa.Table:
+    def stats(t: pa.Table) -> tuple | None:
         v = t.column(col).to_numpy(zero_copy_only=False).astype(np.float64)
         v = v[~np.isnan(v)]
-        if not len(v):
-            return pa.table({"mn": pa.array([], type=pa.float64()),
-                             "mx": pa.array([], type=pa.float64()),
-                             "n": pa.array([], type=pa.int64())})
-        return pa.table({"mn": [float(v.min())], "mx": [float(v.max())], "n": [len(v)]})
+        return (float(v.min()), float(v.max()), len(v)) if len(v) else None
 
-    st = ds.map_batches(stats, batch_format="pyarrow").to_pandas()
-    if not len(st) or st["n"].sum() == 0:
+    st = fold(ds, stats, lambda ps: (min(p[0] for p in ps), max(p[1] for p in ps),
+                                     sum(p[2] for p in ps)))
+    if st is None:
         return pd.DataFrame({"q": qs, "value": [np.nan] * len(qs)})
-    mn, mx, n = float(st["mn"].min()), float(st["mx"].max()), int(st["n"].sum())
+    mn, mx, n = st
     width = (mx - mn) / num_bins
 
     # ---- pass 2: histogram (sparse partials, co-partition merge) ------
@@ -414,10 +412,10 @@ def _hll_registers(values: np.ndarray, p: int) -> np.ndarray:
     return regs
 
 
-def hll_partials(batch: pa.Table, col: str, p: int = 12) -> pa.Table:
-    """One (blob) row per batch: the batch's 2^p HLL registers packed
-    as bytes.  Merging partials is an elementwise max — commutative and
-    idempotent, so the estimate is EXACTLY batch-split invariant."""
+def hll_partials(batch: pa.Table, col: str, p: int = 12) -> np.ndarray:
+    """The batch's 2^p uint8 HLL registers.  Merging partials is an
+    elementwise max — commutative and idempotent, so the estimate is
+    EXACTLY batch-split invariant."""
     raw = batch.column(col)
     arr = np.asarray(raw.to_pylist(), dtype=object)
     arr = arr[[v is not None for v in arr]]
@@ -426,7 +424,7 @@ def hll_partials(batch: pa.Table, col: str, p: int = 12) -> pa.Table:
         regs = _hll_registers(h, p)
     else:
         regs = np.zeros(1 << p, dtype=np.uint8)
-    return pa.table({"regs": pa.array([regs.tobytes()], type=pa.binary())})
+    return regs
 
 
 def hll_estimate(regs: np.ndarray) -> float:
@@ -441,50 +439,15 @@ def hll_estimate(regs: np.ndarray) -> float:
     return float(est)
 
 
-#: tree-reduce fan-in for sketch-blob merges: two worker-side merge
-#: levels collapse N per-batch blobs to ceil(N/FANIN^2) before the
-#: driver sees anything (VERDICT r3 "What's wrong" #2: at ~10^6
-#: batches the driver would otherwise collect terabytes of partials;
-#: at 64^2 = 4096× fan-in it collects ~250 blobs).  All three merges
-#: (max / sum / KLL) are commutative + associative, so the tree shape
-#: does not change the sketch's guarantees.
-_SKETCH_MERGE_FANIN = 64
-
-
-def _tree_merge(partials, merge_batch, *, levels: int = 2,
-                fanin: int = _SKETCH_MERGE_FANIN):
-    """Worker-side blob-merge hops: each ``map_batches`` bundles up to
-    ``fanin`` one-row blob blocks and emits ONE merged row, applied
-    ``levels`` times — a fanin-ary reduction tree expressed entirely in
-    Dataset primitives (streaming, no shuffle: blob rows are keyless)."""
-    out = partials
-    for _ in range(levels):
-        out = out.map_batches(merge_batch, batch_format="pyarrow", batch_size=fanin)
-    return out
-
-
-def _hll_merge_batch(t: pa.Table) -> pa.Table:
-    regs = None
-    for blob in t.column("regs").to_pylist():
-        r = np.frombuffer(blob, dtype=np.uint8)
-        regs = r.copy() if regs is None else np.maximum(regs, r)
-    return pa.table({"regs": pa.array([regs.tobytes()], type=pa.binary())})
-
-
 def hll_distinct(ds, col: str, *, p: int = 12) -> float:
     """Approximate distinct count of ``col``: per-batch register
-    partials (one 2^p-byte blob per batch — the only thing that moves),
-    tree-reduced worker-side (fan-in 64, two levels) so the driver
-    merges ~N/4096 blobs, not one per batch.  Relative error
+    partials (2^p bytes per batch — the only thing that moves), max-merged
+    through :func:`stages.fold.fold`.  Relative error
     ~1.04/sqrt(2^p) (~1.6% at p=12).  Approximate by design → pinned by
     pytest accuracy bounds against exact counts, not a driver oracle
     (same policy as the Misra-Gries sketch above)."""
-    partials = ds.map_batches(lambda b: hll_partials(b, col, p), batch_format="pyarrow")
-    rows = _tree_merge(partials, _hll_merge_batch).take_all()
-    regs = np.zeros(1 << p, dtype=np.uint8)
-    for r in rows:
-        regs = np.maximum(regs, np.frombuffer(r["regs"], dtype=np.uint8))
-    return hll_estimate(regs)
+    regs = fold(ds, lambda b: hll_partials(b, col, p), np.maximum.reduce)
+    return hll_estimate(np.zeros(1 << p, dtype=np.uint8) if regs is None else regs)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +471,6 @@ class KllSketch:
     sequence, so a sketch built from the same items in the same order
     is reproducible; merge ORDER changes the sketch (not the bound),
     which is the standard trade for mergeability."""
-
-    __slots__ = ("k", "levels", "n", "_rng_state")
 
     def __init__(self, k: int = 200):
         self.k = int(k)
@@ -571,50 +532,27 @@ class KllSketch:
         idx = int(np.searchsorted(cum, target, side="left"))
         return float(items[min(idx, len(items) - 1)])
 
-    def to_bytes(self) -> bytes:
-        import pickle
-
-        return pickle.dumps((self.k, self.n, [lvl.tobytes() for lvl in self.levels]))
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "KllSketch":
-        import pickle
-
-        k, n, raw = pickle.loads(blob)
-        s = cls(k)
-        s.n = n
-        s.levels = [np.frombuffer(b, dtype=np.float64).copy() for b in raw]
-        return s
-
-
-def _kll_merge_batch_fn(k: int):
-    def merge(t: pa.Table) -> pa.Table:
-        s = KllSketch(k)
-        for blob in t.column("sk").to_pylist():
-            s.merge(KllSketch.from_bytes(blob))
-        return pa.table({"sk": pa.array([s.to_bytes()], type=pa.binary())})
-
-    return merge
-
 
 def kll_quantiles(ds, col: str, qs: list[float], *, k: int = 200) -> dict[float, float]:
     """One-pass approximate quantiles: per-batch KLL partial sketches
-    (one small blob per batch — the only thing that moves), tree-reduced
-    worker-side (fan-in 64, two levels) before the driver's final
-    merge.  Use when the input cannot be re-executed for
+    (small — the only thing that moves) merged through
+    :func:`stages.fold.fold`.  Use when the input cannot be re-executed
+    for
     :func:`exact_quantiles`' three passes."""
 
-    def partial(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> KllSketch:
         s = KllSketch(k)
         s.update_many(t.column(col).to_numpy(zero_copy_only=False).astype(np.float64))
-        return pa.table({"sk": pa.array([s.to_bytes()], type=pa.binary())})
+        return s
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    rows = _tree_merge(partials, _kll_merge_batch_fn(k)).take_all()
-    merged = KllSketch(k)
-    for r in rows:
-        merged.merge(KllSketch.from_bytes(r["sk"]))
-    if merged.n == 0:
+    def merge(sketches: list) -> KllSketch:
+        out = KllSketch(k)
+        for s in sketches:
+            out.merge(s)
+        return out
+
+    merged = fold(ds, partial, merge)
+    if merged is None or merged.n == 0:
         raise ValueError("kll_quantiles: no non-null values")
     return {float(q): merged.quantile(q) for q in qs}
 
@@ -641,9 +579,9 @@ def _cms_indices(values: np.ndarray, d: int, w: int) -> np.ndarray:
 
 
 def cms_partials(batch: pa.Table, col: str, *, d: int = 4, w: int = 1 << 16,
-                 weight_col: str | None = None) -> pa.Table:
-    """One blob row per batch: the batch's d×w count-min counters as
-    int64 bytes.  Merging partials is an elementwise SUM — associative
+                 weight_col: str | None = None) -> np.ndarray:
+    """The batch's (d, w) int64 count-min counters.  Merging partials
+    is an elementwise SUM — associative
     and commutative, so the merged sketch (hence every estimate) is
     EXACTLY batch-split invariant.  Counters accumulate via
     ``np.bincount`` per row (never ``ufunc.at`` — ~1 µs/element)."""
@@ -670,37 +608,22 @@ def cms_partials(batch: pa.Table, col: str, *, d: int = 4, w: int = 1 << 16,
         else:
             for r in range(d):
                 counts[r] = np.bincount(idx[r], minlength=w)
-    return pa.table({"cms": pa.array([counts.tobytes()], type=pa.binary())})
+    return counts
 
 
 def cms_build(ds, col: str, *, d: int = 4, w: int = 1 << 16,
               weight_col: str | None = None) -> np.ndarray:
     """Distributed count-min sketch of ``col``: per-batch counter
-    partials (one d×w int64 blob per batch — the only thing that
-    moves; 2 MiB at the defaults), tree-reduced worker-side (fan-in
-    64, two levels — the driver sums ~N/4096 blobs, not one 2 MiB blob
-    per batch).  Guarantees (public CMS result): estimates NEVER
+    partials (d×w int64 per batch — the only thing that moves; 2 MiB at
+    the defaults) summed through :func:`stages.fold.fold`.  Guarantees
+    (public CMS result): estimates NEVER
     undercount, and overcount by ≤ (e/w)·N with probability
     ≥ 1 − e^−d, N = total weight.  Approximate by design → pinned by
     pytest guarantee proofs against exact counts, not a driver oracle
     (same policy as Misra-Gries / HLL / KLL)."""
 
-    def merge_batch(t: pa.Table) -> pa.Table:
-        acc = None
-        for blob in t.column("cms").to_pylist():
-            m = np.frombuffer(blob, dtype=np.int64)
-            acc = m.copy() if acc is None else acc + m
-        return pa.table({"cms": pa.array([acc.tobytes()], type=pa.binary())})
-
-    partials = ds.map_batches(
-        lambda b: cms_partials(b, col, d=d, w=w, weight_col=weight_col),
-        batch_format="pyarrow",
-    )
-    rows = _tree_merge(partials, merge_batch).take_all()
-    table = np.zeros((d, w), dtype=np.int64)
-    for r in rows:
-        table += np.frombuffer(r["cms"], dtype=np.int64).reshape(d, w)
-    return table
+    table = fold(ds, lambda b: cms_partials(b, col, d=d, w=w, weight_col=weight_col), sum)
+    return np.zeros((d, w), dtype=np.int64) if table is None else table
 
 
 def cms_query(table: np.ndarray, values) -> np.ndarray:
@@ -813,10 +736,10 @@ def hll_group_distinct(ds, *, key: str, val: str, p: int = 12,
 def exact_corr_stats(ds, x_col: str, y_col: str) -> pd.DataFrame:
     """Pearson correlation + sample covariance over two INT64 columns
     via the exact-sum formulation: per-batch partials
-    (n, Σx, Σy, Σx², Σy², Σxy) computed in unbounded Python ints and
-    shipped as DECIMAL STRINGS (exact at any magnitude — Σx² over a
-    100 TB corpus overflows int64), merged at the driver in Python
-    ints (O(1) driver state), and the final floats evaluate one fixed
+    (n, Σx, Σy, Σx², Σy², Σxy) computed in unbounded Python ints
+    (exact at any magnitude — Σx² over a 100 TB corpus overflows
+    int64) and summed through :func:`stages.fold.fold`, and the final
+    floats evaluate one fixed
     expression on exact integers —
 
         corr  = A / sqrt(B·C)          A = n·Σxy − Σx·Σy
@@ -830,7 +753,7 @@ def exact_corr_stats(ds, x_col: str, y_col: str) -> pd.DataFrame:
     no shuffle."""
     import math
 
-    def partial(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> tuple:
         x = t.column(x_col).to_numpy(zero_copy_only=False).astype(np.int64)
         y = t.column(y_col).to_numpy(zero_copy_only=False).astype(np.int64)
         n_rows = len(x)
@@ -838,31 +761,16 @@ def exact_corr_stats(ds, x_col: str, y_col: str) -> pd.DataFrame:
         my = int(np.abs(y).max()) if n_rows else 0
         if n_rows and max(mx, my) ** 2 * n_rows < (1 << 62):
             # vectorized exact int64 path (guarded against overflow)
-            vals = (int(x.sum()), int(y.sum()), int((x * x).sum()),
+            return (n_rows, int(x.sum()), int(y.sum()), int((x * x).sum()),
                     int((y * y).sum()), int((x * y).sum()))
-        else:  # huge magnitudes: unbounded Python ints, still exact
-            xs = [int(v) for v in x]
-            ys = [int(v) for v in y]
-            vals = (sum(xs), sum(ys), sum(v * v for v in xs),
-                    sum(v * v for v in ys),
-                    sum(a * b for a, b in zip(xs, ys)))
-        sx, sy, sxx, syy, sxy = vals
-        return pa.table({
-            "n": pa.array([n_rows], type=pa.int64()),
-            "sx": pa.array([str(sx)], type=pa.string()),
-            "sy": pa.array([str(sy)], type=pa.string()),
-            "sxx": pa.array([str(sxx)], type=pa.string()),
-            "syy": pa.array([str(syy)], type=pa.string()),
-            "sxy": pa.array([str(sxy)], type=pa.string()),
-        })
+        # huge magnitudes: unbounded Python ints, still exact
+        xs = [int(v) for v in x]
+        ys = [int(v) for v in y]
+        return (n_rows, sum(xs), sum(ys), sum(v * v for v in xs),
+                sum(v * v for v in ys), sum(a * b for a, b in zip(xs, ys)))
 
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    n = int(parts["n"].sum())
-    sx = sum(int(v) for v in parts["sx"])
-    sy = sum(int(v) for v in parts["sy"])
-    sxx = sum(int(v) for v in parts["sxx"])
-    syy = sum(int(v) for v in parts["syy"])
-    sxy = sum(int(v) for v in parts["sxy"])
+    sums = fold(ds, partial, lambda ps: tuple(sum(v) for v in zip(*ps)))
+    n, sx, sy, sxx, syy, sxy = sums or (0,) * 6
     a = n * sxy - sx * sy
     b = n * sxx - sx * sx
     c = n * syy - sy * sy
@@ -873,9 +781,9 @@ def exact_corr_stats(ds, x_col: str, y_col: str) -> pd.DataFrame:
 
 def equiwidth_histogram(ds, col: str, *, lo: float, hi: float, nbins: int) -> pd.DataFrame:
     """Equi-width histogram over a numeric column: per-batch
-    ``bincount`` partials (one nbins-long count vector per batch, so
-    the driver holds O(nbins × batches) tiny rows, never data), summed
-    into (bin, bin_lo, cnt) rows.  Bin assignment is the ONE float
+    ``bincount`` partials (one nbins-long count vector per batch) summed
+    through :func:`stages.fold.fold` into (bin, bin_lo, cnt) rows.  Bin
+    assignment is the ONE float
     expression shared verbatim with the SQL twin —
 
         bin = least(greatest(floor((x − lo) / w), 0), nbins − 1),
@@ -888,28 +796,19 @@ def equiwidth_histogram(ds, col: str, *, lo: float, hi: float, nbins: int) -> pd
     the same single expression on both sides."""
     w = (hi - lo) / nbins
 
-    def partial(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> np.ndarray:
         import pyarrow.compute as pc
 
         x = pc.drop_null(t.column(col)).to_numpy(zero_copy_only=False).astype(np.float64)
-        if len(x) == 0:
-            return pa.table({"bin": pa.array([], type=pa.int64()),
-                             "cnt": pa.array([], type=pa.int64())})
         idx = np.clip(np.floor((x - lo) / w), 0, nbins - 1).astype(np.int64)
-        counts = np.bincount(idx, minlength=nbins)
-        nz = np.flatnonzero(counts)
-        return pa.table({"bin": pa.array(nz.astype(np.int64)),
-                         "cnt": pa.array(counts[nz].astype(np.int64))})
+        return np.bincount(idx, minlength=nbins)
 
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    if parts.empty:
-        return pd.DataFrame({"bin": np.array([], dtype=np.int64),
-                             "bin_lo": np.array([], dtype=np.float64),
-                             "cnt": np.array([], dtype=np.int64)})
-    agg = parts.groupby("bin", sort=True)["cnt"].sum().reset_index()
-    bins = agg["bin"].to_numpy(dtype=np.int64)
+    counts = fold(ds, partial, sum)
+    if counts is None:
+        counts = np.zeros(nbins, dtype=np.int64)
+    bins = np.flatnonzero(counts).astype(np.int64)
     return pd.DataFrame({
         "bin": bins,
         "bin_lo": lo + bins * w,
-        "cnt": agg["cnt"].to_numpy(dtype=np.int64),
+        "cnt": counts[bins].astype(np.int64),
     })

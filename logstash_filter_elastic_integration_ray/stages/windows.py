@@ -32,7 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import segments
-from .corpus import _range_part
+from .corpus import _bounds, _range_part
 
 from logstash_filter_elastic_integration_ray.stages.aggregate import (
     _dict_codes,
@@ -611,22 +611,10 @@ def grouped_running_scan(
         SENT_MN, SENT_MX = np.inf, -np.inf
 
     if bounds is None:
-        stats = ds.map_batches(
-            lambda b: pa.table(
-                {
-                    "lo": pa.array([int(pc.min(_o0_int64(b.column(order0))).as_py())], type=pa.int64()),
-                    "hi": pa.array([int(pc.max(_o0_int64(b.column(order0))).as_py())], type=pa.int64()),
-                }
-            ) if b.num_rows else pa.table({"lo": pa.array([], type=pa.int64()),
-                                           "hi": pa.array([], type=pa.int64())}),
-            batch_format="pyarrow",
-        ).take_all()
-        if not stats:
+        bounds = _bounds(ds, lambda b: _o0_int64(b.column(order0)).to_numpy(zero_copy_only=False))
+        if bounds is None:
             raise ValueError("grouped_running_scan: empty dataset")
-        lo = min(r["lo"] for r in stats)
-        hi = max(r["hi"] for r in stats)
-    else:
-        lo, hi = bounds
+    lo, hi = bounds
 
     def tag_range(t: pa.Table) -> pa.Table:
         tmp = t.append_column("__o0int", _o0_int64(t.column(order0)))

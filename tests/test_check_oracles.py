@@ -1,7 +1,8 @@
 """``tools/check_oracles.py`` isolates driver crashes: a chunk whose
 child driver dies is retried once, a query still unreported counts as
-a failure, and the summary line sums the reported per-query seconds and
-counts Ray's schema warnings on the children's stderr.  The child here
+a failure, the summary line sums the reported per-query seconds and
+counts Ray's schema warnings on the children's stderr, and a total line
+sums each query's Dataset executions and actors.  The child here
 is a stand-in that prints result lines, so no Ray runs."""
 
 from __future__ import annotations
@@ -70,3 +71,17 @@ for n in sys.argv[3:]:
     lines = capsys.readouterr().out.rstrip().splitlines()
     assert lines[-2] == "schema warnings by first column of the previous schema: __part 4, conv_id 2"
     assert lines[-1].endswith("0 driver deaths; 6 schema warnings")
+
+
+def test_plan_cost_per_query_and_total(tmp_path, monkeypatch, capsys):
+    child = """
+import sys
+for i, n in enumerate(sys.argv[3:]):
+    print(f"PASS {n} (1 rows, 0.50 s) [{i + 1} executions, {2 * i} actors]", flush=True)
+"""
+    monkeypatch.setattr(check_oracles, "CHILD", child)
+    assert check_oracles.gate(str(tmp_path), ["a", "b", "c"])
+    lines = capsys.readouterr().out.rstrip().splitlines()
+    assert "PASS c (1 rows, 0.50 s) [3 executions, 4 actors]" in lines
+    assert lines[-3] == "plan cost: 6 Dataset executions, 6 actors started, over 3 counted queries"
+    assert lines[-1].startswith("3 pass, 0 fail, 0 rows-only; 1.5 s summed over queries")

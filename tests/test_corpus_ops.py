@@ -293,6 +293,23 @@ class TestPackDocs:
             got = {r["doc_id"]: r["off"] for r in out}
             assert got == exp_off, f"num_partitions={p}"
 
+    def test_prefix_sum_null_order_key_raises(self, ray_session):
+        """A null id once landed in chunk 0 as INT64_MIN and sorted last
+        there: ids [3, null, 1, 2] gave off 50 for id 2 (not 30).  Now it
+        raises, with or without bounds, and so does an all-null batch."""
+        from logstash_filter_elastic_integration_ray.stages.corpus import ordered_prefix_sum
+        import ray.data as rd
+
+        t = pa.table({"doc_id": pa.array([3, None, 1, 2], type=pa.int64()),
+                      "n": pa.array([10, 20, 30, 40], type=pa.int64())})
+        all_null = pa.table({"doc_id": pa.array([None, None], type=pa.int64()),
+                             "n": pa.array([1, 2], type=pa.int64())})
+        for ds, bounds in ((rd.from_arrow(t), None), (rd.from_arrow(t), (1, 3)),
+                           (rd.from_arrow([t.slice(0, 1), all_null]), None)):
+            with pytest.raises(Exception, match="null in order column 'doc_id'"):
+                ordered_prefix_sum(ds, order_col="doc_id", val_col="n",
+                                   num_partitions=2, bounds=bounds).take_all()
+
 
 class TestShuffleShards:
     def test_matches_plain_python(self, ray_session):

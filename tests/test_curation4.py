@@ -287,6 +287,10 @@ class TestProfileColumns:
         r = out.iloc[0]
         assert r["n"] == 2 and r["n_null"] == 2 and r["n_distinct"] == 0
         assert r["min_val"] is None and r["max_val"] is None
+        # no rows at all: the column is still reported, with zero counts
+        r = profile_columns(ray.data.from_pandas(df.iloc[:0]), columns=["x"]).iloc[0]
+        assert r["n"] == 0 and r["n_null"] == 0 and r["n_distinct"] == 0
+        assert r["min_val"] is None and r["max_val"] is None
 
     def test_exact_past_2_53(self, ray_session):
         import ray

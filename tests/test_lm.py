@@ -210,12 +210,10 @@ def _kn_lm_from_texts(texts):
     from logstash_filter_elastic_integration_ray.stages.lm import (
         KnTrigramLM,
         _kn_train_partial,
-        _kn_unpack,
     )
 
     t = pa.table({"text": pa.array(texts, type=pa.string())})
-    row = _kn_train_partial(t, "text").to_pylist()[0]
-    return KnTrigramLM(_kn_unpack(row))
+    return KnTrigramLM(_kn_train_partial(t, "text"))
 
 
 def _kn_score_texts(lm, texts):

@@ -402,17 +402,13 @@ def test_dsir_batched_kernels_match_per_doc_plain_path(docs, split, m):
     texts = [" ".join(d) for d in docs]
     full = pa.table({"text": pa.array(texts, type=pa.string())})
 
-    # count build: one blob over the full corpus == sum of per-split blobs
-    whole = np.frombuffer(
-        _count_partial(full, "text", m).column("counts")[0].as_py(),
-        dtype=np.int64)
+    # count build: one partial over the full corpus == sum of per-split partials
+    whole = _count_partial(full, "text", m)
     parts = np.zeros(m, dtype=np.int64)
     for lo in range(0, len(texts), split):
         t = pa.table({"text": pa.array(texts[lo:lo + split], type=pa.string())})
-        parts = parts + np.frombuffer(
-            _count_partial(t, "text", m).column("counts")[0].as_py(),
-            dtype=np.int64)
-    assert (whole == parts).all()
+        parts = parts + _count_partial(t, "text", m)
+    assert whole.dtype == np.int64 and (whole == parts).all()
 
     # scoring: batched segment sums == per-doc standalone reduceat sums
     lam = dsir_log_ratio(whole, parts + 1)  # any two valid models

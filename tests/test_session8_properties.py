@@ -23,11 +23,10 @@ def _kn_engine(train_texts, score_texts):
         KnTrigramLM,
         _kn_score_arrays,
         _kn_train_partial,
-        _kn_unpack,
     )
 
     t = pa.table({"text": pa.array(train_texts, type=pa.string())})
-    lm = KnTrigramLM(_kn_unpack(_kn_train_partial(t, "text").to_pylist()[0]))
+    lm = KnTrigramLM(_kn_train_partial(t, "text"))
     fh, counts = flat_token_hashes(pa.array(score_texts, type=pa.string()))
     return _kn_score_arrays(lm, fh, counts)
 
@@ -88,23 +87,21 @@ def test_kn_type_tables_merge_associatively(seed, n_chunks):
     per-chunk type tables gives the same model tables as one-shot
     counting (the tree-reduce correctness property)."""
     from logstash_filter_elastic_integration_ray.stages.lm import (
-        _kn_merge_batch,
+        _kn_merge,
         _kn_train_partial,
-        _kn_unpack,
     )
 
     rng = np.random.default_rng(seed)
     toks = list("abcd")
     docs = [" ".join(rng.choice(toks, size=rng.integers(0, 10)))
             for _ in range(8)]
-    whole = _kn_unpack(_kn_train_partial(
-        pa.table({"text": pa.array(docs, type=pa.string())}), "text").to_pylist()[0])
+    whole = _kn_train_partial(pa.table({"text": pa.array(docs, type=pa.string())}), "text")
     bounds = np.linspace(0, len(docs), n_chunks + 1).astype(int)
     parts = [
         _kn_train_partial(
             pa.table({"text": pa.array(docs[a:b], type=pa.string())}), "text")
         for a, b in zip(bounds[:-1], bounds[1:]) if b > a
     ]
-    merged = _kn_unpack(_kn_merge_batch(pa.concat_tables(parts)).to_pylist()[0])
+    merged = _kn_merge(parts)
     for key in whole:
         assert (whole[key] == merged[key]).all(), key

@@ -15,6 +15,11 @@ line before it splits that count by the first column of the warning's
 previous schema, so two checkouts' runs can be compared column by
 column.
 
+Each result line also states the query's plan cost: the Dataset
+executions it ran and the Ray actors it started, counted in the child
+by wrapping ``StreamingExecutor.execute`` and ``ActorClass._remote``
+(the engine itself is untouched); a total line sums them.
+
 Usage: python tools/check_oracles.py [sf_dir] [query ...]
 """
 
@@ -113,10 +118,26 @@ def main():
     sys.exit(0 if gate(sf_dir, names) else 1)
 
 
+def count_calls(cls, name: str, counts: Counter, key: str) -> None:
+    """Wrap ``cls.name`` so that each call adds one to ``counts[key]``,
+    except a ``get_if_exists`` call: that looks a named actor up (Ray
+    Data does so for its helper actors at each execution)."""
+    orig = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        if not kwargs.get("get_if_exists"):
+            counts[key] += 1
+        return orig(*args, **kwargs)
+
+    setattr(cls, name, counted)
+
+
 def run_chunk(sf_dir: str, names: list[str]) -> None:
     """Run the queries ``names`` in this process: one result line per
     query, flushed as it is known."""
     import ray
+    from ray.actor import ActorClass
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
@@ -136,8 +157,13 @@ def run_chunk(sf_dir: str, names: list[str]) -> None:
     for t in TABLES:
         con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
 
+    calls = Counter()
+    count_calls(StreamingExecutor, "execute", calls, "executions")
+    count_calls(ActorClass, "_remote", calls, "actors")
+
     for name in names:
         fn = qs[name]
+        calls.clear()
         t0 = time.perf_counter()
         try:
             mine = to_pandas(fn(sf_dir))
@@ -148,29 +174,33 @@ def run_chunk(sf_dir: str, names: list[str]) -> None:
                   f"query raised {type(ex).__name__}: {ex}", flush=True)
             continue
         secs = time.perf_counter() - t0
+        cost = f"[{calls['executions']} executions, {calls['actors']} actors]"
         sql = oracles.get(name)
         if sql is None:
-            print(f"ROWS-ONLY {name}: {len(mine)} rows, cols={list(mine.columns)}", flush=True)
+            print(f"ROWS-ONLY {name}: {cost} {len(mine)} rows, cols={list(mine.columns)}",
+                  flush=True)
             continue
         try:
             oracle = con.sql(sql).df()
         except Exception as ex:
-            print(f"FAIL {name} ({secs:.2f} s): oracle SQL raised {ex}", flush=True)
+            print(f"FAIL {name} ({secs:.2f} s) {cost}: oracle SQL raised {ex}", flush=True)
             continue
         try:
             problems = compare(name, mine, oracle)
         except Exception as ex:
             problems = [f"compare raised {type(ex).__name__}: {ex}"]
         if problems:
-            print(f"FAIL {name} ({len(mine)} vs {len(oracle)} rows, {secs:.2f} s):\n"
+            print(f"FAIL {name} ({len(mine)} vs {len(oracle)} rows, {secs:.2f} s) {cost}:\n"
                   + "\n".join(f"   - {p}" for p in problems), flush=True)
         else:
-            print(f"PASS {name} ({len(mine)} rows, {secs:.2f} s)", flush=True)
+            print(f"PASS {name} ({len(mine)} rows, {secs:.2f} s) {cost}", flush=True)
     ray.shutdown()
 
 
-#: a child's result line: status, query name, and its seconds if timed
-RESULT = re.compile(r"^(PASS|FAIL|ROWS-ONLY) (\S+?):? (?:\(.*?([\d.]+) s\))?")
+#: a child's result line: status, query name, its seconds if timed and
+#: its plan cost if counted
+RESULT = re.compile(r"^(PASS|FAIL|ROWS-ONLY) (\S+?):? (?:\(.*?([\d.]+) s\))?"
+                    r"(?: ?\[(\d+) executions, (\d+) actors\])?")
 
 CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); import check_oracles; "
          "check_oracles.run_chunk(sys.argv[2], sys.argv[3:])")
@@ -186,7 +216,8 @@ PREVIOUS_FIRST = re.compile(r"Previous schema: (?:PandasBlockSchema\(names=\[')?
 
 def run_child(sf_dir: str, names: list[str]) -> tuple[dict, int, Counter]:
     """Run ``names`` in a child driver, echoing its output: ({query:
-    (status, seconds)} for the queries it reported, its exit code, the
+    (status, seconds, executions, actors)} for the queries it reported
+    (None for an uncounted cost), its exit code, the
     ``SCHEMA_WARNING`` lines on its stderr counted by the first column
     of their previous schema, ``?`` where none prints)."""
     results = {}
@@ -209,7 +240,8 @@ def run_child(sf_dir: str, names: list[str]) -> tuple[dict, int, Counter]:
             print(line, end="", flush=True)
             m = RESULT.match(line)
             if m and m.group(2) in names:
-                results[m.group(2)] = (m.group(1), float(m.group(3) or 0.0))
+                cost = tuple(None if g is None else int(g) for g in m.group(4, 5))
+                results[m.group(2)] = (m.group(1), float(m.group(3) or 0.0), *cost)
         err_reader.join()
     return results, proc.returncode, warnings
 
@@ -237,12 +269,15 @@ def gate(sf_dir: str, names: list[str]) -> bool:
     lost = [n for n in names if n not in results]
     for n in lost:
         print(f"FAIL {n}: no result, its driver died twice")
-    status = [s for s, _ in results.values()]
+    status = [r[0] for r in results.values()]
     n_pass, n_noracle = status.count("PASS"), status.count("ROWS-ONLY")
     n_fail = status.count("FAIL") + len(lost)
-    secs = sum(t for _, t in results.values())
+    secs = sum(r[1] for r in results.values())
+    counted = [r for r in results.values() if r[2] is not None]
+    print(f"\nplan cost: {sum(r[2] for r in counted)} Dataset executions, "
+          f"{sum(r[3] for r in counted)} actors started, over {len(counted)} counted queries")
     by_column = sorted(warnings.items(), key=lambda kv: (-kv[1], kv[0]))
-    print("\nschema warnings by first column of the previous schema: "
+    print("schema warnings by first column of the previous schema: "
           + (", ".join(f"{c} {n}" for c, n in by_column) or "none"))
     print(f"{n_pass} pass, {n_fail} fail, {n_noracle} rows-only; "
           f"{secs:.1f} s summed over queries; {deaths} driver deaths; "
